@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import deform, fdmod, groups
+from . import deform, fdmod
 from .fdmod import RelationViolated
 
 FORMATS = ("json", "text")
@@ -93,11 +93,7 @@ def _family_cases(args):
 
 
 def _prime_list(args):
-    ps = deform.GROUP_PRIMES if args.p is None else (args.p,)
-    for p in ps:
-        if p < 3 or not groups.is_prime(p):
-            raise ValueError("p must be an odd prime")
-    return ps
+    return deform.GROUP_PRIMES if args.p is None else (args.p,)
 
 
 def _cmd_families_verify(args):
@@ -264,33 +260,9 @@ def _cmd_lift_verify(args):
     if (family, d) not in deform.FAMILY_CASES:
         raise ValueError(f"no built-in case family {family} d={d}")
     system = deform.completed_system(family, d)
-    lift = deform.builtin_lift(family, d, system)
-    premises = []
-    try:
-        cert = deform.verify_quiver_lift(lift, system)
-        premises.append(deform.Premise(
-            "flat-lift", deform.ANCHOR_LIFT, "PASS",
-            {
-                "relations_checked": cert.relations_checked,
-                "max_t_degree": cert.max_degree,
-                "truncation_levels": list(cert.truncation_levels),
-            },
-        ))
-        cls = deform.first_order_class(lift)
-        nonzero = not cls.representative_is_trivial()
-        premises.append(deform.Premise(
-            "first-order-class", deform.ANCHOR_FIRST_ORDER,
-            "PASS" if nonzero else "FAIL",
-            {"ext1_dim": cls.dim, "class_is_zero": not nonzero},
-        ))
-    except RelationViolated as err:
-        premises.append(deform.Premise(
-            "flat-lift", deform.ANCHOR_LIFT, "FAIL",
-            {
-                "relation": str(err.relation_id),
-                "position": list(err.position),
-            },
-        ))
+    premises = deform.lift_premises(
+        deform.builtin_lift(family, d, system), system
+    )
     report = deform._finish(f"lift-{family}-d{d}", premises, "")
     return _emit_and_exit(args, [report])
 

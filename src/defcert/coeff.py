@@ -151,6 +151,21 @@ def convolve_levels(moduli, a_levels, b_levels, mul):
     return out
 
 
+def level_matmul(moduli, a, b):
+    """Level-convolved matrix product of integer stacks, level axis last.
+
+    a and b hold canonical coefficients with shapes (..., r, k, L) and
+    (..., k, c, L); the leading axes broadcast as in np.matmul.  This is
+    the one matrix product over the rings above.
+    """
+    L = len(moduli)
+    out = convolve_levels(
+        moduli, [a[..., i] for i in range(L)], [b[..., i] for i in range(L)],
+        np.matmul,
+    )
+    return np.stack(out, axis=-1)
+
+
 @dataclass(frozen=True)
 class RingElem:
     """An element of a RingDescriptor ring, canonical coefficient tuple."""
@@ -368,10 +383,8 @@ class Matrix:
 
     def __matmul__(self, other):
         o = self._match(other)
-        a = [self.arr[:, :, i] for i in range(self.desc.levels)]
-        b = [o.arr[:, :, i] for i in range(self.desc.levels)]
-        out = convolve_levels(self.desc.moduli, a, b, np.matmul)
-        return Matrix(self.desc, np.stack(out, axis=-1))
+        out = level_matmul(self.desc.moduli, self.arr, o.arr)
+        return Matrix(self.desc, out)
 
     def __pow__(self, e: int):
         if e < 0:

@@ -255,17 +255,10 @@ def _first_violation(value, p):
 
 def _check_grading(L: LiftCandidate):
     """Every t-coefficient must respect the arrow's vertex block."""
-    alg = L.base.algebra
-    labels = list(alg.grading_labels)
-    block_of = L.base.block_of
     for name, arr in L.t_parts.items():
-        blk = alg.gen_block(name)
-        if blk is None:
+        mask = fdmod.arrow_block_mask(L.base, L.base, name)
+        if mask is None:
             continue
-        src, tgt = labels.index(blk[0]), labels.index(blk[1])
-        mask = (block_of.reshape(-1, 1) == tgt) & (
-            block_of.reshape(1, -1) == src
-        )
         bad = arr.copy()
         bad[mask, :] = 0
         if bad.any():
@@ -717,6 +710,10 @@ class Scenario:
         elif self.kind in ("group", "obstruction"):
             if self.p < 3 or not groups.is_prime(self.p):
                 raise ValueError("p must be an odd prime")
+            if self.samples < 0:
+                raise ValueError("samples must be >= 0")
+            if self.kind == "group" and (self.n < 1 or self.N < 2):
+                raise ValueError("need n >= 1 and N >= 2")
         else:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
 
@@ -837,37 +834,49 @@ def _family_report(sc: Scenario) -> VerificationReport:
         {"resolution_route": e2.dim},
     ))
 
-    lift = builtin_lift(sc.family, sc.d, system)
+    premises += lift_premises(builtin_lift(sc.family, sc.d, system), system)
+    return _finish(sc.id, premises, CLAIM_FAMILY)
+
+
+def lift_premises(lift: LiftCandidate, system) -> list:
+    """The flat-lift and first-order-class premises of one lift.
+
+    The class must be non-zero in a one-dimensional Ext^1; a lift that
+    breaks a relation fails both premises.
+    """
     try:
         cert = verify_quiver_lift(lift, system)
-        premises.append(Premise(
+        cls = first_order_class(lift)
+    except RelationViolated as err:
+        return [
+            Premise(
+                "flat-lift", ANCHOR_LIFT, "FAIL",
+                {
+                    "relation": str(err.relation_id),
+                    "position": list(err.position),
+                },
+            ),
+            Premise(
+                "first-order-class", ANCHOR_FIRST_ORDER, "FAIL",
+                {"reason": "lift invalid"},
+            ),
+        ]
+    nonzero = not cls.representative_is_trivial()
+    return [
+        Premise(
             "flat-lift", ANCHOR_LIFT, "PASS",
             {
                 "relations_checked": cert.relations_checked,
                 "max_t_degree": cert.max_degree,
                 "truncation_levels": list(cert.truncation_levels),
             },
-        ))
-        cls = first_order_class(lift)
-        nonzero = not cls.representative_is_trivial()
-        premises.append(Premise(
+        ),
+        Premise(
             "first-order-class", ANCHOR_FIRST_ORDER,
             "PASS" if nonzero and cls.dim == 1 else "FAIL",
             {"ext1_dim": cls.dim, "class_is_zero": not nonzero},
-        ))
-    except RelationViolated as err:
-        premises.append(Premise(
-            "flat-lift", ANCHOR_LIFT, "FAIL",
-            {
-                "relation": str(err.relation_id),
-                "position": list(err.position),
-            },
-        ))
-        premises.append(Premise(
-            "first-order-class", ANCHOR_FIRST_ORDER, "FAIL",
-            {"reason": "lift invalid"},
-        ))
-    return _finish(sc.id, premises, CLAIM_FAMILY)
+        ),
+    ]
 
 
 def _group_report(sc: Scenario) -> VerificationReport:
@@ -956,18 +965,7 @@ def _group_report(sc: Scenario) -> VerificationReport:
         ))
         tangent = False
 
-    witnesses = obstruction_sweep(p, sc.samples, sc.seed)
-    failures = [w.label for w in witnesses if not w.passed()]
-    premises.append(Premise(
-        "obstruction-identity", ANCHOR_OBSTRUCTION,
-        "PASS" if not failures else "FAIL",
-        {
-            "witnesses": len(witnesses),
-            "random_samples": sc.samples,
-            "seed": sc.seed,
-            "failures": failures,
-        },
-    ))
+    premises.append(_obstruction_premise(sc))
 
     premises.append(Premise(
         "tangent-direction", ANCHOR_TANGENT,
@@ -977,20 +975,26 @@ def _group_report(sc: Scenario) -> VerificationReport:
     return _finish(sc.id, premises, CLAIM_GROUP)
 
 
-def _obstruction_report(sc: Scenario) -> VerificationReport:
+def _obstruction_premise(sc: Scenario, labels_head=False) -> Premise:
+    """The obstruction-identity premise over the scenario's sweep."""
     witnesses = obstruction_sweep(sc.p, sc.samples, sc.seed)
     failures = [w.label for w in witnesses if not w.passed()]
-    premises = [Premise(
+    computed = {
+        "witnesses": len(witnesses),
+        "random_samples": sc.samples,
+        "seed": sc.seed,
+        "failures": failures,
+    }
+    if labels_head:
+        computed["labels_head"] = [w.label for w in witnesses[:3]]
+    return Premise(
         "obstruction-identity", ANCHOR_OBSTRUCTION,
-        "PASS" if not failures else "FAIL",
-        {
-            "witnesses": len(witnesses),
-            "random_samples": sc.samples,
-            "seed": sc.seed,
-            "failures": failures,
-            "labels_head": [w.label for w in witnesses[:3]],
-        },
-    )]
+        "PASS" if not failures else "FAIL", computed,
+    )
+
+
+def _obstruction_report(sc: Scenario) -> VerificationReport:
+    premises = [_obstruction_premise(sc, labels_head=True)]
     return _finish(sc.id, premises, "")
 
 

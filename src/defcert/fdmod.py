@@ -2,17 +2,23 @@
 
 An algebra handle is either a QuiverAlgebra (wrapping a completed rewriting
 system) or a group-algebra handle with the same duck-typed surface (see
-groups module).  A handle provides:
+groups module).  Each system or table owns exactly one handle, stored on
+its ``algebra`` attribute by `quiver_algebra` or `groups.group_algebra`.
+A handle provides:
 
   p, kind, grading_labels, simple_labels, generators
   gen_block(name)            -> (src_label, tgt_label) or None
   relation_items()           -> [(id, [(coeff, word), ...]), ...]
   projective_module(label)   -> FdModule (cached per handle)
   simple_module(label)       -> FdModule
+  module_dim_vector(M)       -> {label: multiplicity} of the simples in M
   radical_image_columns(M)   -> int64 columns spanning rad*M
   top_pick(M)                -> [(label, generator vector), ...]
   yoneda_columns(label, N, x)-> action columns of Hom(P_label, N) element x
-  section_label_dims(M, cols, action) -> {label: multiplicity}
+  section_label_dims_quotient(M, upper, lower)
+                             -> {label: multiplicity} of that section
+  socle_columns(M)           -> int64 columns spanning soc M
+  component_vectors(N, label)-> basis of the label component of N
   hom_split()                -> None, or (unipotent gen names, p'-gen name)
 
 All modules are graded by grading_labels via block_of; group-algebra
@@ -74,7 +80,8 @@ class FdModule:
                 raise ValueError(f"matrix for {name} has shape {a.shape}")
             a.flags.writeable = False
             self.mats[name] = a
-        if check and self.dim and not validate_module(self).ok:
+        self._powers = {}
+        if check and self.dim:
             validate_module(self).raise_if_invalid()
 
     @property
@@ -97,10 +104,14 @@ class FdModule:
             out = flinalg.matmul_mod(out, self.mats[name], self.p)
         return out
 
-    def idempotent_matrix(self, label):
-        idx = list(self.algebra.grading_labels).index(label)
-        d = np.where(self.block_of == idx, 1, 0).astype(np.int64)
-        return np.diag(d)
+    def gen_power(self, name, k):
+        """The k-th power of a generator's action, cached on the module."""
+        pows = self._powers.get(name)
+        if pows is None:
+            pows = self._powers[name] = [np.eye(self.dim, dtype=np.int64)]
+        while len(pows) <= k:
+            pows.append(flinalg.matmul_mod(pows[-1], self.mats[name], self.p))
+        return pows[k]
 
     def __repr__(self):
         return f"FdModule(dim={self.dim}, algebra={self.algebra.kind})"
@@ -140,20 +151,15 @@ def validate_module(M: FdModule) -> ValidationReport:
     alg = M.algebra
     p = alg.p
     violations = []
-    labels = list(alg.grading_labels)
     for name in alg.generators:
         a = M.mats[name]
         if np.any(a < 0) or np.any(a >= p):
             violations.append(RelationViolated(f"range:{name}", (0, 0)))
             continue
-        blk = alg.gen_block(name)
-        if blk is None:
+        mask = arrow_block_mask(M, M, name)
+        if mask is None:
             continue
-        src, tgt = (labels.index(blk[0]), labels.index(blk[1]))
-        bad = a.copy()
-        rows = M.block_of == tgt
-        cols = M.block_of == src
-        bad[np.ix_(rows, cols)] = 0
+        bad = np.where(mask, 0, a)
         if np.any(bad):
             pos = np.argwhere(bad)[0]
             violations.append(
@@ -170,6 +176,23 @@ def validate_module(M: FdModule) -> ValidationReport:
                                  int(acc[pos[0], pos[1]]))
             )
     return ValidationReport(not violations, violations)
+
+
+def arrow_block_mask(M, N, name):
+    """Entries of a generator's action M -> N that its arrow allows.
+
+    Boolean (dim N, dim M); the arrow maps the block of its source vertex
+    in M to the block of its target vertex in N.  None when the generator
+    has no arrow block (group algebras), so every entry is allowed.
+    """
+    blk = M.algebra.gen_block(name)
+    if blk is None:
+        return None
+    labels = list(M.algebra.grading_labels)
+    src, tgt = labels.index(blk[0]), labels.index(blk[1])
+    return (N.block_of.reshape(-1, 1) == tgt) & (
+        M.block_of.reshape(1, -1) == src
+    )
 
 
 def module_from_action_matrices(algebra, idempotent_mats, gen_mats):
@@ -286,6 +309,39 @@ class QuiverAlgebra:
             out[:, pos[w]] = v
         return out
 
+    def section_label_dims_quotient(self, M, upper, lower):
+        """Multiplicities in the semisimple section span(upper)/span(lower)."""
+        p = self.p
+        out = {}
+        for i, label in enumerate(self.grading_labels):
+            idx = M.block_indices(i)
+            if idx.size == 0:
+                continue
+            up = upper[idx, :]
+            lo = lower[idx, :]
+            d = flinalg.rank(
+                np.concatenate([lo, up], axis=1), p
+            ) - flinalg.rank(lo, p)
+            if d:
+                out[label] = d
+        return out
+
+    def socle_columns(self, M):
+        p = self.p
+        stacked = np.concatenate(
+            [M.mats[name] for name in self.generators], axis=0
+        )
+        return flinalg.nullspace(stacked, p)
+
+    def component_vectors(self, N, label):
+        idx_label = list(self.grading_labels).index(label)
+        out = []
+        for i in np.nonzero(N.block_of == idx_label)[0]:
+            v = np.zeros(N.dim, dtype=np.int64)
+            v[i] = 1
+            out.append(v)
+        return out
+
     def hom_split(self):
         return None
 
@@ -294,7 +350,7 @@ def projective_from_system(system: CompletedSystem, v):
     """Lambda * e_v on the irreducible-word basis with source v."""
     if v not in system.spec.vertices:
         raise ValueError(f"unknown vertex {v!r}")
-    handle = _handle_for(system)
+    handle = quiver_algebra(system)
     words = system.basis_by_source[v]
     pos = {w: i for i, w in enumerate(words)}
     spec = system.spec
@@ -319,19 +375,11 @@ def projective_from_system(system: CompletedSystem, v):
     return FdModule(handle, np.array(block_of, dtype=np.int64), mats)
 
 
-_HANDLES: dict = {}
-
-
-def _handle_for(system: CompletedSystem) -> QuiverAlgebra:
-    """One shared handle per completed system (module compatibility)."""
-    key = id(system)
-    if key not in _HANDLES:
-        _HANDLES[key] = (system, QuiverAlgebra(system))
-    return _HANDLES[key][1]
-
-
 def quiver_algebra(system: CompletedSystem) -> QuiverAlgebra:
-    return _handle_for(system)
+    """The system's one handle, so modules over it stay comparable."""
+    if system.algebra is None:
+        system.algebra = QuiverAlgebra(system)
+    return system.algebra
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +503,6 @@ def _sylvester_unipotent_basis(A, B, p):
     I_m = np.eye(m, dtype=np.int64)
     Pa, blocks_a = nilpotent_jordan((A - I_n) % p, p)
     Pb, blocks_b = nilpotent_jordan((B - I_m) % p, p)
-    Pa_inv = flinalg.inv(Pa, p)
     Pb_inv = flinalg.inv(Pb, p)
     offs_a = np.cumsum([0] + blocks_a)
     offs_b = np.cumsum([0] + blocks_b)
@@ -470,20 +517,22 @@ def _sylvester_unipotent_basis(A, B, p):
     return out
 
 
+def _combine(coeffs, basis, p):
+    """sum_i coeffs[i] * basis[i] mod p."""
+    W = np.zeros_like(basis[0])
+    for c, b in zip(coeffs, basis):
+        if c:
+            W = (W + int(c) * b) % p
+    return W
+
+
 def _filter_by_condition(basis, cond, p):
     """Sub-basis of span(basis) killed by the linear map cond(F)."""
     if not basis:
         return []
     imgs = np.column_stack([cond(f).ravel() % p for f in basis])
     ker = flinalg.nullspace(imgs, p)
-    out = []
-    for c in range(ker.shape[1]):
-        f = np.zeros_like(basis[0])
-        for i, w in enumerate(ker[:, c]):
-            if w:
-                f = (f + int(w) * basis[i]) % p
-        out.append(f)
-    return out
+    return [_combine(ker[:, c], basis, p) for c in range(ker.shape[1])]
 
 
 def _group_hom_basis(M, N):
@@ -573,7 +622,6 @@ def _syzygy_with_embedding(M: FdModule):
     p = M.p
     # kernel of phi, blockwise so the grading carries over
     cols = []
-    block_of = []
     for i, _label in enumerate(M.algebra.grading_labels):
         idx = P.block_indices(i)
         if idx.size == 0:
@@ -583,18 +631,11 @@ def _syzygy_with_embedding(M: FdModule):
             v = np.zeros(P.dim, dtype=np.int64)
             v[idx] = ker[:, c]
             cols.append(v)
-            block_of.append(i)
     if not cols:
         return zero_module(M.algebra), np.zeros((P.dim, 0), dtype=np.int64), cover
     incl = np.column_stack(cols)
-    mats = {}
-    for name in M.algebra.generators:
-        img = flinalg.matmul_mod(P.mats[name], incl, p)
-        act = flinalg.solve(incl, img, p)
-        assert act is not None, "kernel not generator-stable"
-        mats[name] = act
-    omega = FdModule(M.algebra, np.array(block_of, dtype=np.int64), mats,
-                     check=False)
+    omega = _submodule_from_columns(P, incl)
+    assert omega is not None, "kernel not generator-stable"
     return omega, incl, cover
 
 
@@ -608,19 +649,11 @@ def _hom_from_projective(cover: CoverResult, N: FdModule):
     out = []
     for label, off in zip(cover.summand_labels, cover.summand_offsets):
         P_l = alg.projective_module(label)
-        for x in _label_component_basis(alg, N, label):
+        for x in alg.component_vectors(N, label):
             f = np.zeros((N.dim, cover.projective.dim), dtype=np.int64)
             f[:, off : off + P_l.dim] = alg.yoneda_columns(label, N, x)
             out.append(f)
     return out
-
-
-def _label_component_basis(alg, N, label):
-    """Basis of the label-component of N: Hom(P_label, N) generators."""
-    vecs = []
-    for v in alg.component_vectors(N, label):
-        vecs.append(v)
-    return vecs
 
 
 @dataclass
@@ -723,15 +756,9 @@ def ext1_by_extensions(M: FdModule, N: FdModule) -> ExtClass:
     slots = {}
     total = 0
     for name in names:
-        blk = alg.gen_block(name)
-        if blk is None:
+        mask = arrow_block_mask(M, N, name)
+        if mask is None:
             mask = np.ones((N.dim, M.dim), dtype=bool)
-        else:
-            labels = list(alg.grading_labels)
-            src, tgt = labels.index(blk[0]), labels.index(blk[1])
-            mask = (N.block_of.reshape(-1, 1) == tgt) & (
-                M.block_of.reshape(1, -1) == src
-            )
         pos = np.argwhere(mask)
         slots[name] = (pos, total)
         total += pos.shape[0]
@@ -820,27 +847,15 @@ class StructureReport:
 
 def _radical_filtration(M):
     """Column bases of M >= rad M >= rad^2 M >= ... (strictly, down to 0)."""
-    alg = M.algebra
-    p = alg.p
     layers = [np.eye(M.dim, dtype=np.int64)]
-    current = M
-    maps = [np.eye(M.dim, dtype=np.int64)]  # embedding of current into M
+    current = M  # the last layer as a module; layers[-1] embeds it in M
     while current.dim:
-        rad = alg.radical_image_columns(current)
+        rad = M.algebra.radical_image_columns(current)
         if rad.shape[1] == 0:
             break
-        emb = flinalg.matmul_mod(maps[-1], rad, p)
-        layers.append(emb)
-        mats = {}
-        ok = True
-        for name in alg.generators:
-            img = flinalg.matmul_mod(M.mats[name], emb, p)
-            act = flinalg.solve(emb, img, p)
-            assert act is not None
-            mats[name] = act
-        block_of = _blocks_of_columns(M, emb)
-        current = FdModule(alg, block_of, mats, check=False)
-        maps.append(emb)
+        layers.append(flinalg.matmul_mod(layers[-1], rad, M.p))
+        current = _submodule_from_columns(M, layers[-1])
+        assert current is not None
     return layers
 
 
@@ -858,7 +873,6 @@ def _blocks_of_columns(M, cols):
 
 def module_structure(M: FdModule) -> StructureReport:
     alg = M.algebra
-    p = alg.p
     if M.dim == 0:
         return StructureReport({}, {}, [], [], {}, True)
     filt = _radical_filtration(M)
@@ -888,51 +902,6 @@ def module_structure(M: FdModule) -> StructureReport:
         composition_factors=comp,
         uniserial=uniserial,
     )
-
-
-# label-dimension helpers shared by both handle kinds; monkey-free: the
-# quiver handle gets them here, the group handle implements the same names.
-
-
-def _quiver_section_label_dims_quotient(self, M, upper, lower):
-    """Multiplicities in the semisimple section span(upper)/span(lower)."""
-    p = self.p
-    out = {}
-    for i, label in enumerate(self.grading_labels):
-        idx = M.block_indices(i)
-        if idx.size == 0:
-            continue
-        up = upper[idx, :]
-        lo = lower[idx, :]
-        d = flinalg.rank(np.concatenate([lo, up], axis=1), p) - flinalg.rank(
-            lo, p
-        )
-        if d:
-            out[label] = d
-    return out
-
-
-def _quiver_socle_columns(self, M):
-    p = self.p
-    stacked = np.concatenate(
-        [M.mats[name] for name in self.generators], axis=0
-    )
-    return flinalg.nullspace(stacked, p)
-
-
-def _quiver_component_vectors(self, N, label):
-    idx_label = list(self.grading_labels).index(label)
-    out = []
-    for i in np.nonzero(N.block_of == idx_label)[0]:
-        v = np.zeros(N.dim, dtype=np.int64)
-        v[i] = 1
-        out.append(v)
-    return out
-
-
-QuiverAlgebra.section_label_dims_quotient = _quiver_section_label_dims_quotient
-QuiverAlgebra.socle_columns = _quiver_socle_columns
-QuiverAlgebra.component_vectors = _quiver_component_vectors
 
 
 # ---------------------------------------------------------------------------
@@ -965,12 +934,17 @@ def _verify_witness(M, N, W):
 def _invertible_in_span(basis, p, rng, samples):
     n = basis[0].shape[0]
     for _ in range(samples):
-        coeffs = rng.integers(0, p, size=len(basis))
-        W = np.zeros_like(basis[0])
-        for c, b in zip(coeffs, basis):
-            if c:
-                W = (W + int(c) * b) % p
+        W = _combine(rng.integers(0, p, size=len(basis)), basis, p)
         if flinalg.rank(W, p) == n:
+            return W
+    return None
+
+
+def _first_invertible(basis, p, n):
+    """First invertible combination of basis in coefficient order, or None."""
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        W = _combine(coeffs, basis, p)
+        if np.any(W) and flinalg.rank(W, p) == n:
             return W
     return None
 
@@ -992,17 +966,12 @@ def is_isomorphic(M: FdModule, N: FdModule, seed=0) -> IsoResult:
     homs = hom_space(M, N).basis
     if not homs:
         return IsoResult(False, None, "hom-space-empty", True)
-    h = len(homs)
-    if p**h <= 2**20:
-        for coeffs in itertools.product(range(p), repeat=h):
-            W = np.zeros_like(homs[0])
-            for c, b in zip(coeffs, homs):
-                if c:
-                    W = (W + c * b) % p
-            if np.any(W) and flinalg.rank(W, p) == M.dim:
-                assert _verify_witness(M, N, W)
-                return IsoResult(True, W, "exhaustive", True)
-        return IsoResult(False, None, "exhaustive", True)
+    if p ** len(homs) <= 2**20:
+        W = _first_invertible(homs, p, M.dim)
+        if W is None:
+            return IsoResult(False, None, "exhaustive", True)
+        assert _verify_witness(M, N, W)
+        return IsoResult(True, W, "exhaustive", True)
     rng = np.random.default_rng(seed)
     W = _invertible_in_span(homs, p, rng, 1000)
     if W is not None:
@@ -1031,11 +1000,7 @@ def _fitting_split(M, seed):
     candidates = list(ends)
     for _ in range(40):
         coeffs = rng.integers(0, p, size=len(ends))
-        W = np.zeros_like(ends[0])
-        for c, b in zip(coeffs, ends):
-            if c:
-                W = (W + int(c) * b) % p
-        candidates.append(W)
+        candidates.append(_combine(coeffs, ends, p))
     for phi in candidates:
         power = np.eye(M.dim, dtype=np.int64)
         for _ in range(M.dim):
@@ -1093,8 +1058,6 @@ def _peeling_isomorphic(M, N, seed):
         matches.append((cols_m, cols_n, w))
     # assemble the global witness: W maps M to N
     C_m = np.concatenate([m[0] for m in matches], axis=1)
-    blocks = []
-    at = 0
     n_total = sum(m[2].shape[0] for m in matches)
     W_block = np.zeros((n_total, C_m.shape[1]), dtype=np.int64)
     at_r = at_c = 0
@@ -1119,16 +1082,8 @@ def _match_indecomposable(pm, pn, seed):
     homs = hom_space(pm, pn).basis
     if not homs:
         return None
-    h = len(homs)
-    if p**h <= 2**16:
-        for coeffs in itertools.product(range(p), repeat=h):
-            W = np.zeros_like(homs[0])
-            for c, b in zip(coeffs, homs):
-                if c:
-                    W = (W + c * b) % p
-            if np.any(W) and flinalg.rank(W, p) == pm.dim:
-                return W
-        return None
+    if p ** len(homs) <= 2**16:
+        return _first_invertible(homs, p, pm.dim)
     rng = np.random.default_rng(seed)
     return _invertible_in_span(homs, p, rng, 1000)
 

@@ -70,6 +70,8 @@ class GroupTable:
     a = a_eps^j, so the identity sits at index 0.  ``mul[g, h]`` is the
     index of the product, ``inv[g]`` of the inverse.  ``sigma``, ``tau``
     and ``eps`` are generator indices; ``tau`` is None in the quotient.
+    ``algebra`` is the table's one group-algebra handle, filled by
+    `group_algebra`.
     """
 
     def __init__(self, p, a_eps, quotient, xs, ys, js, mul, inv,
@@ -87,6 +89,7 @@ class GroupTable:
         self.eps = eps
         self.size = len(xs)
         self.identity = 0
+        self.algebra = None
         self.avals = pow_table(a_eps, p)[js] if self.size > 1 else np.ones(
             1, dtype=np.int64
         )
@@ -312,9 +315,9 @@ class GroupRep:
         for i in range(table.size):
             m = spow[table.xs[i]]
             if tpow is not None and table.ys[i]:
-                m = _level_matmul(m, tpow[table.ys[i]], ring)
+                m = coeff.level_matmul(ring.moduli, m, tpow[table.ys[i]])
             if table.js[i]:
-                m = _level_matmul(m, epow[table.js[i]], ring)
+                m = coeff.level_matmul(ring.moduli, m, epow[table.js[i]])
             mats[i] = m
         return cls(table, ring, mats, check=check)
 
@@ -330,13 +333,11 @@ class GroupRep:
 
     def check_table(self) -> list:
         """All (g, h) with rho(g)rho(h) != rho(gh); empty means verified."""
-        t, ring = self.table, self.ring
-        moduli = ring.moduli
-        L = ring.levels
+        t, moduli = self.table, self.ring.moduli
         a = self.mats
         bad = []
         for g in range(t.size):
-            lhs = _convolve_stack(a[g], a, moduli, L)
+            lhs = coeff.level_matmul(moduli, a[g], a)
             rhs = a[t.mul[g]]
             neq = np.nonzero(
                 np.any(lhs != rhs, axis=(1, 2, 3))
@@ -368,35 +369,11 @@ def _as_levels(m, ring: coeff.RingDescriptor) -> np.ndarray:
     return m % np.array(ring.moduli, dtype=np.int64)
 
 
-def _level_matmul(a: np.ndarray, b: np.ndarray,
-                  ring: coeff.RingDescriptor) -> np.ndarray:
-    av = [a[:, :, i] for i in range(ring.levels)]
-    bv = [b[:, :, i] for i in range(ring.levels)]
-    out = coeff.convolve_levels(ring.moduli, av, bv, np.matmul)
-    return np.stack(out, axis=-1)
-
-
-def _convolve_stack(a: np.ndarray, stack: np.ndarray, moduli,
-                    L: int) -> np.ndarray:
-    """a (d,d,L) times every matrix of stack (n,d,d,L), level-convolved."""
-    out = np.empty_like(stack)
-    for l in range(L):
-        acc = None
-        for i in range(l + 1):
-            term = np.matmul(a[:, :, i], stack[:, :, :, l - i])
-            acc = term if acc is None else acc + term
-        out[:, :, :, l] = acc % moduli[l]
-    return out
-
-
 def _power_list(m: np.ndarray, upto: int,
                 ring: coeff.RingDescriptor) -> list:
-    d = m.shape[0]
-    eye = np.zeros((d, d, ring.levels), dtype=np.int64)
-    eye[np.arange(d), np.arange(d), 0] = 1
-    out = [eye]
+    out = [coeff.Matrix.identity(ring, m.shape[0]).arr]
     for _ in range(upto - 1):
-        out.append(_level_matmul(out[-1], m, ring))
+        out.append(coeff.level_matmul(ring.moduli, out[-1], m))
     return out
 
 
@@ -449,14 +426,11 @@ def inflate(rep: GroupRep, full: GroupTable) -> GroupRep:
         raise ValueError("can only inflate from the quotient")
     if (full.p, full.a_eps) != (rep.table.p, rep.table.a_eps):
         raise ValueError("parameter mismatch between tables")
-    d = rep.dim
-    eye = np.zeros((d, d, rep.ring.levels), dtype=np.int64)
-    eye[np.arange(d), np.arange(d), 0] = 1
     return GroupRep.from_generators(
         full, rep.ring,
         {
             "sigma": rep.generator_matrix("sigma"),
-            "tau": eye,
+            "tau": coeff.Matrix.identity(rep.ring, rep.dim),
             "epsilon": rep.generator_matrix("epsilon"),
         },
     )
@@ -493,7 +467,6 @@ class GroupAlgebra:
         )
         self._proj_cache = {}
         self._cosets = None
-        self._pow_cache = {}
 
     def gen_block(self, name):
         return None
@@ -597,28 +570,12 @@ class GroupAlgebra:
 
     def element_action(self, M, g: int) -> np.ndarray:
         """Action matrix of element g on M, from cached generator powers."""
-        key = id(M)
-        if key not in self._pow_cache:
-            p = self.p
-            d = M.dim
-            eye = np.eye(d, dtype=np.int64)
-            pows = {}
-            for name in self.generators:
-                lst = [eye]
-                top = p - 1 if name == "epsilon" else p
-                for _ in range(top - 1):
-                    lst.append(
-                        flinalg.matmul_mod(lst[-1], M.mats[name], p)
-                    )
-                pows[name] = lst
-            self._pow_cache[key] = (M, pows)
-        _, pows = self._pow_cache[key]
         t = self.table
-        m = pows["sigma"][t.xs[g]]
+        m = M.gen_power("sigma", t.xs[g])
         if t.tau is not None and t.ys[g]:
-            m = flinalg.matmul_mod(m, pows["tau"][t.ys[g]], self.p)
+            m = flinalg.matmul_mod(m, M.gen_power("tau", t.ys[g]), self.p)
         if t.js[g]:
-            m = flinalg.matmul_mod(m, pows["epsilon"][t.js[g]], self.p)
+            m = flinalg.matmul_mod(m, M.gen_power("epsilon", t.js[g]), self.p)
         return m
 
     def yoneda_columns(self, label, N, x):
@@ -678,15 +635,11 @@ class GroupAlgebra:
         return out
 
 
-_HANDLES: dict = {}
-
-
 def group_algebra(table: GroupTable) -> GroupAlgebra:
-    """One shared handle per table, so modules stay comparable."""
-    key = id(table)
-    if key not in _HANDLES:
-        _HANDLES[key] = (table, GroupAlgebra(table))
-    return _HANDLES[key][1]
+    """The table's one handle, so modules over it stay comparable."""
+    if table.algebra is None:
+        table.algebra = GroupAlgebra(table)
+    return table.algebra
 
 
 def simple_module(table: GroupTable, i: int) -> fdmod.FdModule:

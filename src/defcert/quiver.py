@@ -471,6 +471,8 @@ class CompletedSystem:
     rules: list of (lead, tail) with lead an int-tuple word and tail a dict
     of strictly smaller words; basis_by_source[v] lists irreducible words
     with source v in length-then-lex order (index 0 is the empty word e_v).
+    algebra is the system's one module-algebra handle, filled by
+    `fdmod.quiver_algebra`.
     """
 
     def __init__(self, spec, rules, basis_by_source, cap):
@@ -479,6 +481,7 @@ class CompletedSystem:
         self.basis_by_source = basis_by_source
         self.cap = cap
         self.dim = sum(len(ws) for ws in basis_by_source.values())
+        self.algebra = None
         self._rules_by_first = {}
         for lead, tail in rules:
             self._rules_by_first.setdefault(lead[0], []).append((lead, tail))
@@ -686,13 +689,3 @@ def _irreducible_basis(spec, rules_by_first, cap):
         basis[v] = sorted(words, key=lambda w: (len(w), w))
     return basis
 
-
-def build_projective(sys: CompletedSystem, v):
-    """The left ideal generated by the idempotent at v, as an FdModule.
-
-    Basis: irreducible words with source v; each arrow acts by left
-    composition followed by normal form.
-    """
-    from . import fdmod
-
-    return fdmod.projective_from_system(sys, v)

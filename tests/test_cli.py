@@ -188,6 +188,35 @@ def test_non_prime_parameter_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "verify", "--p", "3", "--samples", "-5"],
+    ["obstruction", "--p", "3", "--samples", "-5"],
+    ["group", "verify", "--p", "3", "--n", "0"],
+    ["group", "verify", "--p", "3", "--N", "1"],
+])
+def test_out_of_range_scenario_parameters_exit_two(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "invalid request" in err
+
+
+@pytest.mark.parametrize("family,d", deform.FAMILY_CASES)
+def test_lift_and_family_reports_carry_the_same_lift_premises(
+        family, d, capsys):
+    flags = ["--family", family, "--d", str(d), "--format", "json"]
+    _, lift_out, _ = run(["lift", "verify"] + flags, capsys)
+    _, family_out, _ = run(["families", "verify"] + flags, capsys)
+    names = {"flat-lift", "first-order-class"}
+    lift = {pr["name"]: pr for pr in json.loads(lift_out)["premises"]}
+    family_lift = {
+        pr["name"]: pr for pr in json.loads(family_out)["premises"]
+        if pr["name"] in names
+    }
+    assert set(lift) == names
+    assert lift == family_lift
+
+
 def test_out_of_catalogue_family_exits_two(capsys):
     code, _, err = run(["families", "verify", "--family", "I", "--d", "9"],
                        capsys)

@@ -87,6 +87,17 @@ def test_perturbation_outside_arrow_block_is_rejected(completed):
     assert exc.value.position == (2, 3, 1)
 
 
+def test_lift_premises_both_fail_on_a_broken_relation(completed):
+    system = completed("I", 2)
+    T = deform.base_module("I", system)
+    bad = deform.LiftCandidate(T, {"gamma": E(5, 2, 4) + E(5, 0, 4)})
+    flat, first = deform.lift_premises(bad, system)
+    assert (flat.name, flat.verdict) == ("flat-lift", "FAIL")
+    assert flat.computed["relation"].startswith("rel[")
+    assert flat.computed["position"][2] == 1
+    assert (first.name, first.verdict) == ("first-order-class", "FAIL")
+
+
 def test_perturbation_inside_block_violates_a_relation(completed):
     system = completed("I", 2)
     T = deform.base_module("I", system)

@@ -1,9 +1,12 @@
 """Modules over the completed presentations: Hom, Ext, covers, structure."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from defcert import fdmod, flinalg
+from defcert import fdmod, flinalg, quiver
 from defcert.fdmod import (
     RelationViolated,
     direct_sum,
@@ -96,6 +99,16 @@ def test_bad_idempotents_rejected(algI):
            2: np.zeros((2, 2), dtype=np.int64)}
     with pytest.raises(RelationViolated):
         module_from_action_matrices(algI, gap, {})
+
+
+def test_quiver_handle_is_owned_by_its_system():
+    system = quiver.complete(quiver.builtin_family("II", 2))
+    alg = quiver_algebra(system)
+    assert quiver_algebra(system) is alg
+    ref = weakref.ref(alg)
+    del system, alg
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------

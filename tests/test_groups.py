@@ -1,5 +1,8 @@
 """Group tables, representations, induction, and cocycle cohomology."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -289,6 +292,27 @@ def test_syzygy_of_uniserial_module_is_trivial_simple(q5):
     assert om.dimension_vector() == {0: 1}
     alg = groups.group_algebra(q5)
     assert fdmod.is_isomorphic(om, alg.simple_module(0)).isomorphic
+
+
+def test_group_handle_is_owned_by_its_table():
+    table = groups.build_group(3, quotient=True)
+    alg = groups.group_algebra(table)
+    assert groups.group_algebra(table) is alg
+    ref = weakref.ref(alg)
+    del table, alg
+    gc.collect()
+    assert ref() is None
+
+
+def test_element_action_does_not_keep_the_module(g3):
+    alg = groups.group_algebra(g3)
+    M = groups.simple_module(g3, 1)
+    g = g3.find(1, 1, g3.a_eps)
+    assert np.array_equal(alg.element_action(M, g), [[g3.a_eps]])
+    ref = weakref.ref(M)
+    del M
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
