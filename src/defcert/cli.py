@@ -157,8 +157,8 @@ def _resolve_fixture_algebra(args, text):
                     "algebra: line needs a family and a parameter, "
                     "for example 'algebra: II 2'"
                 )
-            family = family or tokens[0]
-            d = d or int(tokens[1])
+            family = tokens[0] if family is None else family
+            d = int(tokens[1]) if d is None else d
             break
     if family is None or d is None:
         raise ValueError(
@@ -219,11 +219,17 @@ def _parse_optional_module(path, algebra, fallback):
         return fdmod.parse_module_fixture(fh.read(), algebra), path
 
 
-def _cmd_ext(args):
-    family, d = args.family or "I", args.d or 2
+def _builtin_case(args):
+    """The --family/--d case (default I, 2), checked against the catalogue."""
+    family = "I" if args.family is None else args.family
+    d = 2 if args.d is None else args.d
     if (family, d) not in deform.FAMILY_CASES:
         raise ValueError(f"no built-in case family {family} d={d}")
-    system = deform.completed_system(family, d)
+    return family, d, deform.completed_system(family, d)
+
+
+def _cmd_ext(args):
+    family, d, system = _builtin_case(args)
     algebra = fdmod.quiver_algebra(system)
     T = deform.base_module(family, system)
     try:
@@ -256,10 +262,7 @@ def _cmd_ext(args):
 
 
 def _cmd_lift_verify(args):
-    family, d = args.family or "I", args.d or 2
-    if (family, d) not in deform.FAMILY_CASES:
-        raise ValueError(f"no built-in case family {family} d={d}")
-    system = deform.completed_system(family, d)
+    family, d, system = _builtin_case(args)
     premises = deform.lift_premises(
         deform.builtin_lift(family, d, system), system
     )

@@ -474,38 +474,18 @@ def hensel_lift_step(rho_m: groups.GroupRep, table=None) -> groups.GroupRep:
         D = (diff // pm) % p
         return np.matmul(D, Rbar_inv[table.mul[:, s]]) % p
 
-    delta = {sidx: defect_against(sidx), eidx: defect_against(eidx)}
-
     dd = d * d
     Ad = np.empty((n, dd, dd), dtype=np.int64)
     for g in range(n):
         Ad[g] = np.kron(Rbar[g], Rbar_inv[g].T) % p
 
-    # affine parametrization c_g = A[g] + B[g] @ c_sigma along the
-    # normal-form walk sigma^x eps^j; index g = x*(p-1) + j
-    A = np.zeros((n, dd), dtype=np.int64)
-    B = np.zeros((n, dd, dd), dtype=np.int64)
-    for g in range(1, n):
-        x, j = divmod(g, p - 1)
-        if j > 0:
-            par, s = g - 1, eidx
-        else:
-            par, s = (x - 1) * (p - 1), sidx
-        A[g] = (A[par] + delta[s][par].ravel()) % p
-        B[g] = B[par]
-        if s == sidx:
-            B[g] = (B[g] + Ad[par]) % p
-
-    rows = []
-    rhs = []
-    for s in (sidx, eidx):
-        gs = table.mul[:, s]
-        coefmat = (B[gs] - B - (Ad if s == sidx else 0)) % p
-        resid = (A[gs] - A - delta[s].reshape(n, dd)) % p
-        rows.append(coefmat.reshape(n * dd, dd))
-        rhs.append((-resid).reshape(n * dd) % p)
-    M = np.concatenate(rows, axis=0)
-    v = np.concatenate(rhs)
+    # c_g is affine in the unknown c_sigma along the normal-form walk
+    _, M, v = groups.cocycle_system(
+        table, Ad,
+        {sidx: np.eye(dd, dtype=np.int64),
+         eidx: np.zeros((dd, dd), dtype=np.int64)},
+        {sidx: defect_against(sidx), eidx: defect_against(eidx)},
+    )
     sol = flinalg.solve(M, v, p)
     if sol is None:
         raise HenselObstruction(p, m)
@@ -607,29 +587,18 @@ def tangent_class_is_nonzero(rep: groups.GroupRep) -> bool:
     conjugation action; the deformation is trivial exactly when that
     cocycle is a coboundary, a span test against (Ad(g) - I) columns.
     """
-    table = rep.table
-    p = table.p
-    small = rep.convert(coeff.mixed_deform(p, 1, 2))
-    n = table.size
-    d = rep.dim
-    res = small.mats[:, :, :, 0] % p
-    lin = small.mats[:, :, :, 1] % p
-    # cocycle value at g in End coordinates: t-part times rho_bar(g)^(-1)
-    vals = np.empty((n, d, d), dtype=np.int64)
-    for g in range(n):
-        inv = flinalg.inv(res[g], p)
-        vals[g] = lin[g] @ inv % p
-    if not vals.any():
+    p = rep.table.p
+    lin = rep.convert(coeff.mixed_deform(p, 1, 2)).mats[:, :, :, 1] % p
+    # every rho_bar(g) is invertible, so the cocycle vanishes iff lin does
+    if not lin.any():
         return False
-    cols = []
-    vecs = []
-    for s in table.generator_indices().values():
-        ad = np.kron(res[s], flinalg.inv(res[s], p).T) % p
-        cols.append((ad - np.eye(d * d, dtype=np.int64)) % p)
-        vecs.append(vals[s].ravel())
-    stacked = np.concatenate(cols, axis=0)
-    target = np.concatenate(vecs)
-    return not flinalg.in_span(stacked, target, p)
+    res = rep.convert(coeff.prime_field(p))
+    gens, cob = groups.coboundary_columns(groups.conjugation_module(res))
+    # cocycle value at s in End coordinates: t-part times rho_bar(s)^(-1)
+    target = np.concatenate([
+        lin[s] @ flinalg.inv(res.residue_matrix(s), p) % p for s in gens
+    ], axis=None)
+    return not flinalg.in_span(cob, target, p)
 
 
 @dataclass(frozen=True)
@@ -714,6 +683,15 @@ class Scenario:
                 raise ValueError("samples must be >= 0")
             if self.kind == "group" and (self.n < 1 or self.N < 2):
                 raise ValueError("need n >= 1 and N >= 2")
+            # an int64 product of (p - 1)-square matrices over Z/p^n sums
+            # p - 1 terms up to (p^n - 1)^2; n = 64 is past that bound for
+            # every p, so capping the exponent keeps the test exact
+            if self.kind == "group" and (self.p - 1) * (
+                    self.p ** min(self.n, 64) - 1) ** 2 >= 2**63:
+                raise ValueError(
+                    f"p^n = {self.p}^{self.n} is too large for exact "
+                    "int64 arithmetic"
+                )
         else:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
 

@@ -279,14 +279,11 @@ class QuiverAlgebra:
             idx = M.block_indices(i)
             if idx.size == 0:
                 continue
-            sub = rad[idx, :]
-            aug = np.concatenate([sub, np.eye(idx.size, dtype=np.int64)], axis=1)
-            _, pivots = flinalg.rref(aug, self.p)
-            for pv in pivots:
-                if pv >= sub.shape[1]:
-                    u = np.zeros(M.dim, dtype=np.int64)
-                    u[idx[pv - sub.shape[1]]] = 1
-                    picks.append((label, u))
+            eye = np.eye(idx.size, dtype=np.int64)
+            for k in flinalg.extend_basis(rad[idx, :], eye, self.p):
+                u = np.zeros(M.dim, dtype=np.int64)
+                u[idx[k]] = 1
+                picks.append((label, u))
         return picks
 
     def yoneda_columns(self, label, N, x):
@@ -402,40 +399,25 @@ def _grading_mask(M, N):
     return N.block_of.reshape(-1, 1) == M.block_of.reshape(1, -1)
 
 
-def _naive_hom_basis(M, N, gen_order=None):
+def _naive_hom_basis(M, N):
     """Nullspace of the stacked intertwiner conditions, masked by grading."""
     p = M.p
-    mask = _grading_mask(M, N)
-    unknowns = np.argwhere(mask)
+    unknowns = np.argwhere(_grading_mask(M, N))
     ucount = unknowns.shape[0]
     if ucount == 0:
         return []
-    colindex = -np.ones((N.dim, M.dim), dtype=np.int64)
-    for k, (i, j) in enumerate(unknowns):
-        colindex[i, j] = k
+    ks, ls = unknowns[:, 0], unknowns[:, 1]
+    u = np.arange(ucount)
     rows = []
-    names = list(gen_order if gen_order is not None else M.algebra.generators)
-    for name in names:
-        a_m, a_n = M.mats[name], N.mats[name]
-        # condition C = a_n F - F a_m = 0, coefficient extraction per entry
-        for i in range(N.dim):
-            for j in range(M.dim):
-                row = np.zeros(ucount, dtype=np.int64)
-                for k in range(N.dim):
-                    c = colindex[k, j]
-                    if c >= 0 and a_n[i, k]:
-                        row[c] = (row[c] + a_n[i, k]) % p
-                for l in range(M.dim):
-                    c = colindex[i, l]
-                    if c >= 0 and a_m[l, j]:
-                        row[c] = (row[c] - a_m[l, j]) % p
-                if np.any(row):
-                    rows.append(row)
-    if not rows:
-        sysmat = np.zeros((1, ucount), dtype=np.int64)
-    else:
-        sysmat = np.array(rows, dtype=np.int64)
-    ker = flinalg.nullspace(sysmat, p)
+    for name in M.algebra.generators:
+        # entry (i, j) of a_N F - F a_M = 0: unknown F[k, l] enters the
+        # rows (., l) through a_N[:, k] and the rows (k, .) through -a_M[l, :]
+        sysmat = np.zeros((N.dim, M.dim, ucount), dtype=np.int64)
+        sysmat[:, ls, u] += N.mats[name][:, ks]
+        sysmat[ks, :, u] -= M.mats[name][ls, :]
+        sysmat = sysmat.reshape(N.dim * M.dim, ucount) % p
+        rows.append(sysmat[sysmat.any(axis=1)])
+    ker = flinalg.nullspace(np.concatenate(rows, axis=0), p)
     out = []
     for c in range(ker.shape[1]):
         f = np.zeros((N.dim, M.dim), dtype=np.int64)
@@ -467,10 +449,8 @@ def nilpotent_jordan(N, p):
             im = flinalg.col_space_basis(powers[j - 1], p)
             w_space = flinalg.intersect_col_spaces(kerN, im, p)
         # extend current bottoms to a basis of w_space
-        for c in range(w_space.shape[1]):
+        for c in flinalg.extend_basis(bottoms, w_space, p):
             v = w_space[:, c]
-            if flinalg.in_span(bottoms, v, p):
-                continue
             bottoms = np.concatenate([bottoms, v.reshape(-1, 1)], axis=1)
             top = flinalg.solve(powers[j - 1], v, p)
             assert top is not None
@@ -607,10 +587,8 @@ def projective_cover(M: FdModule) -> CoverResult:
         raise ValueError("cover surjection failed to be onto")
     radP = alg.radical_image_columns(P)
     ker = flinalg.nullspace(phi, p)
-    if ker.shape[1]:
-        joint = np.concatenate([radP, ker], axis=1)
-        if flinalg.rank(joint, p) != flinalg.rank(radP, p):
-            raise ValueError("cover kernel escapes the radical (not minimal)")
+    if not flinalg.in_span(radP, ker, p):
+        raise ValueError("cover kernel escapes the radical (not minimal)")
     return CoverResult(P, phi, mult, labels_order, offsets)
 
 
@@ -707,17 +685,14 @@ def ext_dim(M: FdModule, N: FdModule, i: int) -> ExtClass:
     ]
     if restr_mats:
         restr = np.column_stack([m.ravel() for m in restr_mats]) % p
-        rk = flinalg.rank(restr, p)
     else:
         restr = np.zeros((N.dim * omega.dim, 0), dtype=np.int64)
-        rk = 0
-    dim = len(hom_omega) - rk
+    dim = len(hom_omega) - flinalg.rank(restr, p)
     rep = None
     if dim > 0:
-        for f in hom_omega:
-            if restr.size == 0 or not flinalg.in_span(restr, f.ravel(), p):
-                rep = ("syzygy_hom", f, (restr, p))
-                break
+        homs = np.column_stack([f.ravel() for f in hom_omega])
+        f = hom_omega[flinalg.extend_basis(restr, homs, p)[0]]
+        rep = ("syzygy_hom", f, (restr, p))
     return ExtClass(1, M, N, dim, rep)
 
 
@@ -808,23 +783,18 @@ def ext1_by_extensions(M: FdModule, N: FdModule) -> ExtClass:
         if cob_cols
         else np.zeros((total, 0), dtype=np.int64)
     )
-    dim = flinalg.rank(np.concatenate([sol, cob], axis=1), p) - flinalg.rank(
-        cob, p
-    )
+    picks = flinalg.extend_basis(cob, sol, p)
     rep = None
-    if dim > 0:
-        for c in range(sol.shape[1]):
-            v = sol[:, c]
-            if cob.size == 0 or not flinalg.in_span(cob, v, p):
-                theta = {}
-                for name in names:
-                    pos, off = slots[name]
-                    m = np.zeros((N.dim, M.dim), dtype=np.int64)
-                    m[pos[:, 0], pos[:, 1]] = v[off : off + pos.shape[0]]
-                    theta[name] = m
-                rep = ("cocycle", theta, (cob, p, dict(slots), total))
-                break
-    return ExtClass(1, M, N, dim, rep)
+    if picks:
+        v = sol[:, picks[0]]
+        theta = {}
+        for name in names:
+            pos, off = slots[name]
+            m = np.zeros((N.dim, M.dim), dtype=np.int64)
+            m[pos[:, 0], pos[:, 1]] = v[off : off + pos.shape[0]]
+            theta[name] = m
+        rep = ("cocycle", theta, (cob, p, dict(slots), total))
+    return ExtClass(1, M, N, len(picks), rep)
 
 
 # ---------------------------------------------------------------------------

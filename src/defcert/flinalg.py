@@ -124,6 +124,18 @@ def inv(a, p: int):
     return r[:, n:]
 
 
+def extend_basis(base, cands, p: int) -> list:
+    """Indices of the columns of cands that extend span(base), greedily.
+
+    Column c is kept when it lies outside the span of base and the kept
+    columns before it.  Those are exactly the pivot columns past base of
+    one rref of [base | cands].
+    """
+    base = asmod(base, p)
+    _, pivots = rref(np.hstack([base, asmod(cands, p)]), p)
+    return [c - base.shape[1] for c in pivots if c >= base.shape[1]]
+
+
 def col_space_basis(a, p: int) -> np.ndarray:
     """Column space basis, as columns."""
     return row_space_basis(np.asarray(a).T, p).T
@@ -131,13 +143,8 @@ def col_space_basis(a, p: int) -> np.ndarray:
 
 def in_span(basis_cols, v, p: int) -> bool:
     """Is v (column vector or matrix of columns) in the span of basis_cols?"""
-    basis_cols = asmod(basis_cols, p)
-    v = asmod(v, p)
-    if v.ndim == 1:
-        v = v[:, None]
-    if not v.any():
-        return True
-    return rank(np.hstack([basis_cols, v]).T, p) == rank(basis_cols.T, p)
+    v = np.asarray(v)
+    return not extend_basis(basis_cols, v.reshape(v.shape[0], -1), p)
 
 
 def intersect_col_spaces(a, b, p: int) -> np.ndarray:

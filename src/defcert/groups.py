@@ -549,18 +549,12 @@ class GroupAlgebra:
         onto the matching eigenspace of the top; greedy rank growth picks
         eigenvector lifts, which is exactly what yoneda_columns needs.
         """
-        acc = self.radical_image_columns(M)
-        base_rank = flinalg.rank(acc, self.p)
-        picks = []
-        for label in self.simple_labels:
-            basis = self._eigen_basis(M, label)
-            for k in range(basis.shape[1]):
-                cand = np.concatenate([acc, basis[:, k:k + 1]], axis=1)
-                r = flinalg.rank(cand, self.p)
-                if r > base_rank:
-                    acc, base_rank = cand, r
-                    picks.append((label, basis[:, k].copy()))
-        return picks
+        bases = [self._eigen_basis(M, label) for label in self.simple_labels]
+        eig = [(label, v) for label, b in zip(self.simple_labels, bases)
+               for v in b.T]
+        keep = flinalg.extend_basis(self.radical_image_columns(M),
+                                    np.concatenate(bases, axis=1), self.p)
+        return [(eig[k][0], eig[k][1].copy()) for k in keep]
 
     def _eps_cosets(self):
         if self._cosets is None:
@@ -602,18 +596,10 @@ class GroupAlgebra:
         low = flinalg.col_space_basis(lower, p) if lower.size else np.zeros(
             (M.dim, 0), dtype=np.int64
         )
-        acc = low
-        base_rank = flinalg.rank(acc, p)
-        chosen = []
-        for k in range(upper.shape[1]):
-            cand = np.concatenate([acc, upper[:, k:k + 1]], axis=1)
-            r = flinalg.rank(cand, p)
-            if r > base_rank:
-                acc, base_rank = cand, r
-                chosen.append(upper[:, k])
+        chosen = flinalg.extend_basis(low, upper, p)
         if not chosen:
             return {}
-        C = np.column_stack(chosen)
+        C = upper[:, chosen]
         B = np.concatenate([low, C], axis=1)
         img = flinalg.matmul_mod(M.mats["epsilon"], C, p)
         X = flinalg.solve(B, img, p)
@@ -784,6 +770,64 @@ def conjugation_module(rho: GroupRep) -> fdmod.FdModule:
 # first cohomology by cocycles
 
 
+def cocycle_system(table: GroupTable, act, sel: dict, delta=None):
+    """Cocycle values along the normal form and the conditions they meet.
+
+    ``act[g]`` is the (m, m) action of element g, ``sel[s]`` writes the
+    value c(s) at generator index s as ``sel[s] @ x`` in k unknowns, and
+    ``delta[s]`` optionally gives an (size, ...) inhomogeneous term per
+    generator.  The walk sets c(g s) = c(g) + act[g] c(s) + delta_s(g)
+    along sigma^x tau^y epsilon^j; the (x, y, j) index order makes every
+    parent index smaller, so one forward pass writes c(g) = D[g] x + A[g].
+    Returns D and the system L x = r stating that same relation for every
+    g and every generator s in ``sel``.
+    """
+    p = table.p
+    n, m = act.shape[0], act.shape[1]
+    k = next(iter(sel.values())).shape[1]
+    flat = {s: np.zeros((n, m), dtype=np.int64) if delta is None
+            else np.asarray(delta[s]).reshape(n, m) for s in sel}
+    D = np.zeros((n, m, k), dtype=np.int64)
+    A = np.zeros((n, m), dtype=np.int64)
+    for i in range(1, n):
+        x, y, j = int(table.xs[i]), int(table.ys[i]), int(table.js[i])
+        if j:
+            par, s = i - 1, table.eps
+        elif y:
+            par, s = table.find(x, y - 1, 1), table.tau
+        else:
+            par, s = table.find(x - 1, 0, 1), table.sigma
+        D[i] = (D[par] + act[par] @ sel[s]) % p
+        A[i] = (A[par] + flat[s][par]) % p
+    rows, rhs = [], []
+    for s in sel:
+        gs = table.mul[:, s]
+        rows.append(((D[gs] - D - np.matmul(act, sel[s])) % p).reshape(
+            n * m, k))
+        rhs.append((A + flat[s] - A[gs]).reshape(n * m) % p)
+    return D, np.concatenate(rows, axis=0), np.concatenate(rhs)
+
+
+def coboundary_columns(M: fdmod.FdModule):
+    """Generator values of the coboundaries g -> (g - 1)v of M.
+
+    Returns the distinct generator element indices, in sigma, tau,
+    epsilon order, and one column per basis vector v of M stacking the
+    blocks (s - 1)v in that order.
+    """
+    t = M.algebra.table
+    gens = {}
+    for name in ("sigma", "tau", "epsilon"):
+        g = t.generator_indices().get(name)
+        if g is not None:
+            gens.setdefault(g, name)
+    eye = np.eye(M.dim, dtype=np.int64)
+    cols = np.concatenate(
+        [(M.mats[name] - eye) % t.p for name in gens.values()], axis=0
+    )
+    return list(gens), cols
+
+
 @dataclass
 class H1Result:
     dim: int
@@ -807,39 +851,11 @@ def h1_cocycles(table: GroupTable, M: fdmod.FdModule) -> H1Result:
     m = M.dim
     rho = rep.mats[:, :, :, 0] % p
 
-    gen_idx = []
-    for g in (table.sigma, table.tau, table.eps):
-        if g is not None and g not in gen_idx:
-            gen_idx.append(g)
-    npar = len(gen_idx) * m
-    sel = {}
-    for k, g in enumerate(gen_idx):
-        u = np.zeros((m, npar), dtype=np.int64)
-        u[:, k * m:(k + 1) * m] = np.eye(m, dtype=np.int64)
-        sel[g] = u
+    gen_idx, bcols = coboundary_columns(M)
+    eye = np.eye(len(gen_idx) * m, dtype=np.int64)
+    sel = {g: eye[k * m:(k + 1) * m] for k, g in enumerate(gen_idx)}
 
-    # d(parent * s) = d(parent) + rho(parent) d(s); the (x, y, j) index
-    # order makes every parent index smaller, so one forward pass fills D.
-    D = np.zeros((n, m, npar), dtype=np.int64)
-    for i in range(1, n):
-        x, y, j = int(table.xs[i]), int(table.ys[i]), int(table.js[i])
-        if j:
-            par = i - 1
-            s = table.eps
-        elif y:
-            par = table.find(x, y - 1, 1)
-            s = table.tau
-        else:
-            par = table.find(x - 1, 0, 1)
-            s = table.sigma
-        D[i] = (D[par] + rho[par] @ sel[s]) % p
-
-    rows = []
-    for s in dict.fromkeys(gen_idx):
-        lhs = D[table.mul[:, s]]
-        rhs = (D + np.matmul(rho, sel[s])) % p
-        rows.append(((lhs - rhs) % p).reshape(n * m, npar))
-    system = np.concatenate(rows, axis=0)
+    D, system, _ = cocycle_system(table, rho, sel)
     zpar = flinalg.nullspace(system, p)
     zdim = zpar.shape[1]
 
@@ -853,23 +869,11 @@ def h1_cocycles(table: GroupTable, M: fdmod.FdModule) -> H1Result:
     else:
         DS = np.zeros((n, m, 0), dtype=np.int64)
 
-    # coboundaries, written in the same generator-value parameters
-    bcols = np.concatenate(
-        [(rho[s] - np.eye(m, dtype=np.int64)) % p for s in gen_idx], axis=0
-    )
+    # coboundaries are written in the same generator-value parameters, so
+    # the class representatives are the cocycles that extend their span
     bdim = flinalg.rank(bcols, p)
-    if flinalg.rank(np.concatenate([zpar, bcols], axis=1), p) != zdim:
+    picks = flinalg.extend_basis(bcols, zpar, p)
+    if bdim + len(picks) != zdim:
         raise RuntimeError("coboundaries escaped the cocycle space")
-
-    reps_out = []
-    acc = bcols
-    base_rank = bdim
-    for k in range(zdim):
-        cand = np.concatenate([acc, zpar[:, k:k + 1]], axis=1)
-        r = flinalg.rank(cand, p)
-        if r > base_rank:
-            acc, base_rank = cand, r
-            reps_out.append(DS[:, :, k].copy())
-    dim = zdim - bdim
-    assert len(reps_out) == dim
-    return H1Result(dim, zdim, bdim, reps_out)
+    return H1Result(zdim - bdim, zdim, bdim,
+                    [DS[:, :, k].copy() for k in picks])

@@ -193,12 +193,26 @@ def test_non_prime_parameter_exits_two(capsys):
     ["obstruction", "--p", "3", "--samples", "-5"],
     ["group", "verify", "--p", "3", "--n", "0"],
     ["group", "verify", "--p", "3", "--N", "1"],
+    ["lift", "verify", "--family", "I", "--d", "0"],
+    ["ext", "--family", "II", "--d", "0"],
+    ["group", "verify", "--p", "3", "--n", "20"],
+    ["group", "verify", "--p", "5", "--n", "14"],
+    ["group", "verify", "--p", "7", "--n", "11"],
 ])
 def test_out_of_range_scenario_parameters_exit_two(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert "invalid request" in err
+
+
+def test_largest_exact_level_at_p3_verifies(capsys):
+    # (p - 1)(p^n - 1)^2 stays below 2^63 up to n = 19 at p = 3
+    code, out, _ = run(
+        ["group", "verify", "--p", "3", "--n", "19", "--samples", "5"], capsys
+    )
+    assert code == 0
+    assert "VERIFIED" in out
 
 
 @pytest.mark.parametrize("family,d", deform.FAMILY_CASES)

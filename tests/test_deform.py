@@ -335,6 +335,22 @@ def test_tangent_class_vanishes_for_constant_representations():
     assert not deform.tangent_class_is_nonzero(lifted)
 
 
+def test_tangent_class_vanishes_for_a_conjugated_lift():
+    # (I + tX) rho (I - tX) = rho + t(X rho - rho X) is a trivial
+    # deformation whose t-part is nonzero, so the coboundary span decides
+    full = groups.build_group(3, quotient=False)
+    rho = groups.inflate(
+        groups.uniserial_representation(3), full
+    ).mats[:, :, :, 0]
+    X = np.array([[0, 0], [1, 0]], dtype=np.int64)
+    lin = (X @ rho - rho @ X) % 3
+    assert lin.any()
+    lifted = groups.GroupRep(
+        full, coeff.mixed_deform(3, 1, 2), np.stack([rho, lin], axis=3)
+    )
+    assert deform.tangent_class_is_nonzero(lifted) is False
+
+
 # ---------------------------------------------------------------------------
 # the obstruction identity
 

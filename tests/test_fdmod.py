@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from defcert import fdmod, flinalg, quiver
+from defcert import fdmod, flinalg, groups, quiver
 from defcert.fdmod import (
     RelationViolated,
     direct_sum,
@@ -426,3 +426,19 @@ def test_module_fixture_errors(algI):
         parse_module_fixture(
             "dim: 1\nvertices: 1\nmatrix nosuch:\n  0\n", algI
         )
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_group_and_naive_hom_bases_span_the_same_space(p):
+    rep = groups.uniserial_representation(p)
+    alg = groups.group_algebra(rep.table)
+    mods = [groups.rep_to_module(rep), groups.conjugation_module(rep)] + [
+        alg.projective_module(i) for i in range(p - 1)
+    ]
+    for M in mods:
+        for N in mods:
+            jordan = fdmod._group_hom_basis(M, N)
+            naive = fdmod._naive_hom_basis(M, N)
+            vecs = [f.ravel() for f in jordan + naive]
+            both = np.column_stack(vecs) if vecs else np.zeros((0, 0))
+            assert len(jordan) == len(naive) == flinalg.rank(both, p)

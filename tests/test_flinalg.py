@@ -1,6 +1,9 @@
 """Mod-p linear algebra kernels, cross-checked against brute force."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from defcert import flinalg
 
@@ -132,3 +135,39 @@ def test_col_space_basis_preserves_span():
         b = flinalg.col_space_basis(a, p)
         assert b.shape[1] == flinalg.rank(a, p)
         assert span_set(b, p) == span_set(a, p)
+
+
+def greedy_extension(base, cands, p):
+    """Reference: keep each column of cands that raises the rank so far."""
+    acc, out = base, []
+    for c in range(cands.shape[1]):
+        grown = np.concatenate([acc, cands[:, c:c + 1]], axis=1)
+        if flinalg.rank(grown, p) > flinalg.rank(acc, p):
+            acc = grown
+            out.append(c)
+    return out
+
+
+@st.composite
+def base_and_candidates(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rows = draw(st.integers(1, 6))
+    entries = st.integers(0, p - 1)
+    base = draw(arrays(np.int64, (rows, draw(st.integers(0, 4))),
+                       elements=entries))
+    cands = draw(arrays(np.int64, (rows, draw(st.integers(0, 7))),
+                        elements=entries))
+    zero = draw(arrays(bool, cands.shape[1]))
+    cands[:, zero] = 0
+    return p, base, cands
+
+
+@settings(max_examples=300, deadline=None)
+@given(base_and_candidates())
+@example((3, np.zeros((4, 0), dtype=np.int64),
+          np.array([[0, 1, 2, 0], [0, 2, 1, 0], [0, 0, 0, 0], [0, 1, 2, 1]])))
+def test_extend_basis_is_the_greedy_rank_choice(case):
+    p, base, cands = case
+    assert flinalg.extend_basis(base, cands, p) == greedy_extension(
+        base, cands, p
+    )
