@@ -3,7 +3,8 @@
 Exit codes separate three situations: 0 means every requested check
 verified, 1 means some check ran and failed (a DISCREPANCY), and 2 means
 the request itself was malformed (unknown flags, bad fixture grammar,
-parameters outside the built-in catalogue).
+parameters outside the built-in catalogue or too large for exact int64
+arithmetic, a file that cannot be read or written).
 """
 
 import argparse
@@ -168,12 +169,8 @@ def _resolve_fixture_algebra(args, text):
 
 
 def _cmd_module_check(args):
-    try:
-        with open(args.fixture, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        sys.stderr.write(f"cannot read fixture: {err}\n")
-        return 2
+    with open(args.fixture, encoding="utf-8") as fh:
+        text = fh.read()
     family, d = _resolve_fixture_algebra(args, text)
     system = deform.completed_system(family, d)
     algebra = fdmod.quiver_algebra(system)
@@ -232,12 +229,8 @@ def _cmd_ext(args):
     family, d, system = _builtin_case(args)
     algebra = fdmod.quiver_algebra(system)
     T = deform.base_module(family, system)
-    try:
-        M, src_name = _parse_optional_module(args.source, algebra, T)
-        N, tgt_name = _parse_optional_module(args.target, algebra, T)
-    except OSError as err:
-        sys.stderr.write(f"cannot read fixture: {err}\n")
-        return 2
+    M, src_name = _parse_optional_module(args.source, algebra, T)
+    N, tgt_name = _parse_optional_module(args.target, algebra, T)
     resolution = fdmod.ext_dim(M, N, 1)
     extension = fdmod.ext1_by_extensions(M, N)
     second = fdmod.ext_dim(M, N, 2)
@@ -378,8 +371,11 @@ def run_command(argv) -> int:
     except deform.HenselObstruction as err:
         sys.stderr.write(f"obstruction: {err}\n")
         return 1
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         sys.stderr.write(f"invalid request: {err}\n")
+        return 2
+    except OSError as err:
+        sys.stderr.write(f"cannot read or write a file: {err}\n")
         return 2
 
 

@@ -16,6 +16,10 @@ holds in every kind above.  A single implementation therefore serves all
 five rings, and matrices over them vectorize as integer arrays with one
 slice per t-degree.
 
+Matrix products are exact or refused: with inner dimension k,
+`level_matmul` raises OverflowError unless k * max_l sum_{i<=l}
+(m_i - 1)(m_{l-i} - 1) < 2^63, the rule `flinalg.exact_product` states.
+
 >>> d = mixed_deform(3, 2, 3)
 >>> print((d.from_int(3) + d.t()) * d.t())
 t^2 mod MixedDeform(p=3,n=2,N=3)
@@ -24,8 +28,12 @@ t^2 mod MixedDeform(p=3,n=2,N=3)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import isqrt
 
 import numpy as np
+
+from . import flinalg
 
 
 class NonUnitError(ZeroDivisionError):
@@ -36,9 +44,24 @@ class DescriptorMismatch(ValueError):
     """Raised when operands belong to different coefficient rings."""
 
 
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"p must be prime, got {p}")
+def is_prime(n: int) -> bool:
+    """Trial division; callers refuse oversized parameters first."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def ring_moduli(kind: str, p: int, n: int = 1, N: int = 1) -> tuple:
+    """Level moduli of a ring kind, without validating its parameters."""
+    if kind == "prime_field":
+        return (p,)
+    if kind == "trunc_poly":
+        return (p,) * N
+    if kind == "trunc_witt":
+        return (p**n,)
+    if kind == "mixed_deform":
+        return (p**n,) + (p,) * (N - 1)
+    if kind == "obstruction":
+        return (p**3, p**2, p)
+    raise ValueError(f"unknown ring kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -51,23 +74,14 @@ class RingDescriptor:
     N: int = 1
 
     def __post_init__(self):
-        _check_prime(self.p)
+        if not is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
         if self.n < 1 or self.N < 1:
             raise ValueError("n and N must be >= 1")
 
-    @property
+    @cached_property
     def moduli(self) -> tuple[int, ...]:
-        if self.kind == "prime_field":
-            return (self.p,)
-        if self.kind == "trunc_poly":
-            return (self.p,) * self.N
-        if self.kind == "trunc_witt":
-            return (self.p**self.n,)
-        if self.kind == "mixed_deform":
-            return (self.p**self.n,) + (self.p,) * (self.N - 1)
-        if self.kind == "obstruction":
-            return (self.p**3, self.p**2, self.p)
-        raise ValueError(f"unknown ring kind {self.kind!r}")
+        return ring_moduli(self.kind, self.p, self.n, self.N)
 
     @property
     def levels(self) -> int:
@@ -156,8 +170,9 @@ def level_matmul(moduli, a, b):
 
     a and b hold canonical coefficients with shapes (..., r, k, L) and
     (..., k, c, L); the leading axes broadcast as in np.matmul.  This is
-    the one matrix product over the rings above.
+    the one matrix product over the rings above, exact or refused.
     """
+    flinalg.exact_product(a.shape[-2], moduli)
     L = len(moduli)
     out = convolve_levels(
         moduli, [a[..., i] for i in range(L)], [b[..., i] for i in range(L)],
@@ -375,11 +390,9 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         e = self.desc.from_int(c) if isinstance(c, int) else c
-        levels = [self.arr[:, :, i] for i in range(self.desc.levels)]
-        out = convolve_levels(
-            self.desc.moduli, e.coeffs, levels, lambda x, y: int(x) * y
-        )
-        return Matrix(self.desc, np.stack(out, axis=-1))
+        row = self.arr.reshape(1, -1, self.desc.levels)
+        out = level_matmul(self.desc.moduli, np.array([[e.coeffs]]), row)
+        return Matrix(self.desc, out.reshape(self.arr.shape))
 
     def __matmul__(self, other):
         o = self._match(other)
@@ -420,8 +433,6 @@ class Matrix:
 
     def inv(self) -> "Matrix":
         """Newton lift of the residue inverse; requires unit determinant."""
-        from . import flinalg
-
         r = flinalg.inv(self.residue(), self.desc.p)
         if r is None:
             raise NonUnitError("matrix is not invertible over the residue field")

@@ -346,29 +346,15 @@ def first_order_class(L: LiftCandidate) -> fdmod.ExtClass:
     t-part to class is linear by construction.
     """
     T = L.base
-    p = T.p
     _check_grading(L)
     theta = {name: L.t_coefficient(name, 1) for name in T.algebra.generators}
-    # cocycle condition: the relations must hold mod t^2, checked on the
-    # block matrices [[X_a, theta_a], [0, X_a]]
-    n2 = 2 * T.dim
-    blocks = {}
-    for name in T.algebra.generators:
-        b = np.zeros((n2, n2), dtype=np.int64)
-        b[: T.dim, : T.dim] = T.mats[name]
-        b[T.dim :, T.dim :] = T.mats[name]
-        b[: T.dim, T.dim :] = theta[name]
-        blocks[name] = b
-    for rid, combo in T.algebra.relation_items():
-        acc = np.zeros((n2, n2), dtype=np.int64)
-        for c, word in combo:
-            term = np.eye(n2, dtype=np.int64)
-            for name in word:
-                term = term @ blocks[name] % p
-            acc = (acc + c * term) % p
-        if acc.any():
-            i, j = [int(v) for v in np.argwhere(acc)[0]]
-            raise RelationViolated(rid, (i, j, 1), int(acc[i, j]))
+    # cocycle condition: L/t^2 L, acting by the block matrices
+    # [[X_a, theta_a], [0, X_a]], must be a module (validated on build)
+    zero = np.zeros((T.dim, T.dim), dtype=np.int64)
+    FdModule(T.algebra, np.tile(T.block_of, 2), {
+        name: np.block([[X, theta[name]], [zero, X]])
+        for name, X in T.mats.items()
+    })
     ref = fdmod.ext1_by_extensions(T, T)
     if ref.representative is None:
         return fdmod.ExtClass(1, T, T, ref.dim, None)
@@ -398,14 +384,6 @@ def _witt_level(ring: coeff.RingDescriptor) -> int:
     if ring.kind != "trunc_witt":
         raise ValueError("hensel steps expect a p-adic truncation ring")
     return ring.n
-
-
-def _teichmuller_diag(p, m, residues):
-    # multiplicative lift: x -> x^(p^(m-1)) mod p^m, entry by entry
-    return np.array(
-        [pow(int(r) % p, p ** (m - 1), p**m) for r in residues],
-        dtype=np.int64,
-    )
 
 
 def hensel_lift_step(rho_m: groups.GroupRep, table=None) -> groups.GroupRep:
@@ -440,7 +418,8 @@ def hensel_lift_step(rho_m: groups.GroupRep, table=None) -> groups.GroupRep:
     eps_m = rho_m.generator_matrix("epsilon")[:, :, 0]
     if np.any(eps_m != np.diag(np.diagonal(eps_m))):
         raise ValueError("epsilon is not in the diagonal Teichmueller form")
-    eps_next = np.diag(_teichmuller_diag(p, m + 1, np.diagonal(eps_m)))
+    eps_next = np.diag([coeff.teichmuller(p, m + 1, int(r) % p).coeffs[0]
+                        for r in np.diagonal(eps_m)])
     if np.any(eps_next % p**m != eps_m % p**m):
         raise ValueError("epsilon is not in the diagonal Teichmueller form")
     sigma_m = rho_m.generator_matrix("sigma")[:, :, 0]
@@ -467,12 +446,12 @@ def hensel_lift_step(rho_m: groups.GroupRep, table=None) -> groups.GroupRep:
     pm, pm1 = p**m, p ** (m + 1)
 
     def defect_against(s):
-        prod = np.matmul(R0, R0[s]) % pm1
+        prod = flinalg.matmul_mod(R0, R0[s], pm1)
         diff = (prod - R0[table.mul[:, s]]) % pm1
         if np.any(diff % pm):
             raise HenselObstruction(p, m, "defect not divisible by p^m")
         D = (diff // pm) % p
-        return np.matmul(D, Rbar_inv[table.mul[:, s]]) % p
+        return flinalg.matmul_mod(D, Rbar_inv[table.mul[:, s]], p)
 
     dd = d * d
     Ad = np.empty((n, dd, dd), dtype=np.int64)
@@ -491,7 +470,7 @@ def hensel_lift_step(rho_m: groups.GroupRep, table=None) -> groups.GroupRep:
         raise HenselObstruction(p, m)
     c_sigma = sol.reshape(d, d)
     correction = (np.eye(d, dtype=np.int64) + pm * c_sigma) % pm1
-    sigma_next = correction @ sigma_m % pm1
+    sigma_next = flinalg.matmul_mod(correction, sigma_m, pm1)
     out = groups.GroupRep.from_generators(
         table, ring_next,
         {"sigma": sigma_next, "epsilon": eps_next},
@@ -550,10 +529,10 @@ def mixed_representation(p, n, N, a_eps=None, chain=None,
     sigma = np.zeros((d, d, N), dtype=np.int64)
     sigma[:, :, 0] = top.generator_matrix("sigma")[:, :, 0]
     eps = np.zeros((d, d, N), dtype=np.int64)
-    eps[:, :, 0] = np.diag(
-        _teichmuller_diag(p, n, np.diagonal(
-            top.generator_matrix("epsilon")[:, :, 0] % p))
-    )
+    eps[:, :, 0] = np.diag([
+        coeff.teichmuller(p, n, int(r) % p).coeffs[0]
+        for r in np.diagonal(top.generator_matrix("epsilon")[:, :, 0])
+    ])
     tau = np.zeros((d, d, N), dtype=np.int64)
     tau[:, :, 0] = np.eye(d, dtype=np.int64)
     tau[:, :, 1] = _shift_unit(d)
@@ -596,7 +575,8 @@ def tangent_class_is_nonzero(rep: groups.GroupRep) -> bool:
     gens, cob = groups.coboundary_columns(groups.conjugation_module(res))
     # cocycle value at s in End coordinates: t-part times rho_bar(s)^(-1)
     target = np.concatenate([
-        lin[s] @ flinalg.inv(res.residue_matrix(s), p) % p for s in gens
+        flinalg.matmul_mod(lin[s], flinalg.inv(res.residue_matrix(s), p), p)
+        for s in gens
     ], axis=None)
     return not flinalg.in_span(cob, target, p)
 
@@ -677,21 +657,18 @@ class Scenario:
                     f"no built-in case family {self.family} d={self.d}"
                 )
         elif self.kind in ("group", "obstruction"):
-            if self.p < 3 or not groups.is_prime(self.p):
-                raise ValueError("p must be an odd prime")
             if self.samples < 0:
                 raise ValueError("samples must be >= 0")
             if self.kind == "group" and (self.n < 1 or self.N < 2):
                 raise ValueError("need n >= 1 and N >= 2")
-            # an int64 product of (p - 1)-square matrices over Z/p^n sums
-            # p - 1 terms up to (p^n - 1)^2; n = 64 is past that bound for
-            # every p, so capping the exponent keeps the test exact
-            if self.kind == "group" and (self.p - 1) * (
-                    self.p ** min(self.n, 64) - 1) ** 2 >= 2**63:
-                raise ValueError(
-                    f"p^n = {self.p}^{self.n} is too large for exact "
-                    "int64 arithmetic"
-                )
+            # products of (p - 1)-square matrices over the scenario's ring,
+            # refused before trial division; n >= 64 fails for every p >= 3
+            kind = "mixed_deform" if self.kind == "group" else "obstruction"
+            if self.p >= 3:
+                flinalg.exact_product(self.p - 1, coeff.ring_moduli(
+                    kind, self.p, min(self.n, 64), self.N))
+            if self.p < 3 or not coeff.is_prime(self.p):
+                raise ValueError("p must be an odd prime")
         else:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
 
@@ -864,7 +841,8 @@ def _group_report(sc: Scenario) -> VerificationReport:
     full = groups.build_group(p, quot.a_eps, quotient=False)
     rho_bar = groups.uniserial_representation(p, table=quot)
     V = groups.rep_to_module(rho_bar)
-    VG = groups.rep_to_module(groups.inflate(rho_bar, full))
+    rho_full = groups.inflate(rho_bar, full)
+    VG = groups.rep_to_module(rho_full)
     premises = []
 
     end_dim = len(fdmod.hom_space(VG, VG).basis)
@@ -906,9 +884,7 @@ def _group_report(sc: Scenario) -> VerificationReport:
         },
     ))
 
-    h1 = groups.h1_cocycles(
-        full, groups.conjugation_module(groups.inflate(rho_bar, full))
-    )
+    h1 = groups.h1_cocycles(full, groups.conjugation_module(rho_full))
     premises.append(Premise(
         "first-cohomology", ANCHOR_H1,
         "PASS" if h1.dim == 1 else "FAIL",

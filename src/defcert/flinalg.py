@@ -1,15 +1,42 @@
 """Exact linear algebra over F_p on numpy int64 arrays.
 
-Row reduction is vectorized per pivot; large matrix products route through
-float64 BLAS when the dot-length bound k*(m-1)^2 < 2^53 guarantees exact
-integer results.  All functions expect and return canonical residues.
+Row reduction is vectorized per pivot.  `exact_product` is the one
+exactness rule of every product here and in `coeff.level_matmul`; large
+products route through float64 BLAS where it admits them.  All functions
+expect and return canonical residues.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _BLAS_CUTOFF = 1 << 16  # flops below this: plain int64 matmul is fine
+
+
+@lru_cache(maxsize=64)
+def _level_peak(m: tuple) -> int:
+    return max(sum((m[i] - 1) * (m[l - i] - 1) for i in range(l + 1))
+               for l in range(len(m)))
+
+
+def exact_product(k: int, moduli: tuple) -> bool:
+    """Refuse a product int64 cannot hold; say whether float64 holds it.
+
+    Canonical operands with inner dimension k over level moduli m_0..m_{L-1}
+    sum at most k * max_l sum_{i<=l} (m_i - 1)(m_{l-i} - 1) before
+    reduction, partial sums included.  OverflowError unless that is below
+    2^63; True when it is below 2^53, where float64 is exact too (the FFPACK
+    bound of Dumas, Giorgi and Pernet, ISSAC 2004).
+    """
+    peak = k * _level_peak(moduli)
+    if peak >= 2**63:
+        raise OverflowError(
+            f"a product of inner dimension {k} over moduli {moduli} "
+            "is too large for exact int64 arithmetic"
+        )
+    return peak < 2**53
 
 
 def asmod(a, p: int) -> np.ndarray:
@@ -17,19 +44,21 @@ def asmod(a, p: int) -> np.ndarray:
 
 
 def matmul_mod(a, b, m: int) -> np.ndarray:
-    """Exact a @ b mod m, using BLAS float64 when it is safe and worthwhile."""
+    """Exact a @ b mod m, via BLAS float64 where safe and worthwhile."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     k = a.shape[-1]
+    fits_float = exact_product(k, (m,))
     flops = a.size // max(k, 1) * k * (b.size // max(k, 1))
-    if flops > _BLAS_CUTOFF and k * (m - 1) ** 2 < 2**53:
+    if flops > _BLAS_CUTOFF and fits_float:
         c = np.matmul(a.astype(np.float64), b.astype(np.float64))
-        return np.mod(c, m).astype(np.int64)
+        return c.astype(np.int64) % m
     return np.matmul(a, b) % m
 
 
 def rref(a, p: int):
     """Reduced row echelon form mod p.  Returns (R, pivot_columns)."""
+    exact_product(1, (p,))  # pivot scaling and row updates multiply entries
     r = asmod(a, p).copy()
     rows, cols = r.shape
     pivots = []

@@ -25,17 +25,6 @@ import numpy as np
 from . import coeff, flinalg
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def multiplicative_order(a: int, p: int) -> int:
     a %= p
     if a == 0:
@@ -158,7 +147,7 @@ def build_group(p: int, a_eps: int | None = None,
     a_eps defaults to the smallest primitive root mod p and is validated
     in any case; the scalar coordinate must generate all of F_p^*.
     """
-    if not is_prime(p) or p < 3:
+    if p < 3 or not coeff.is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if a_eps is None:
         a_eps = smallest_primitive_root(p)
@@ -580,10 +569,8 @@ class GroupAlgebra:
         """
         reps, _, _ = self._eps_cosets()
         x = np.asarray(x, dtype=np.int64) % self.p
-        out = np.empty((N.dim, len(reps)), dtype=np.int64)
-        for c, g in enumerate(reps):
-            out[:, c] = self.element_action(N, g) @ x % self.p
-        return out
+        acts = np.stack([self.element_action(N, g) for g in reps])
+        return flinalg.matmul_mod(acts, x, self.p).T
 
     def section_label_dims_quotient(self, M, upper, lower):
         """Simple multiplicities of span(upper)/span(lower).
@@ -797,13 +784,13 @@ def cocycle_system(table: GroupTable, act, sel: dict, delta=None):
             par, s = table.find(x, y - 1, 1), table.tau
         else:
             par, s = table.find(x - 1, 0, 1), table.sigma
-        D[i] = (D[par] + act[par] @ sel[s]) % p
+        D[i] = (D[par] + flinalg.matmul_mod(act[par], sel[s], p)) % p
         A[i] = (A[par] + flat[s][par]) % p
     rows, rhs = [], []
     for s in sel:
         gs = table.mul[:, s]
-        rows.append(((D[gs] - D - np.matmul(act, sel[s])) % p).reshape(
-            n * m, k))
+        rows.append(((D[gs] - D - flinalg.matmul_mod(act, sel[s], p)) % p
+                     ).reshape(n * m, k))
         rhs.append((A + flat[s] - A[gs]).reshape(n * m) % p)
     return D, np.concatenate(rows, axis=0), np.concatenate(rhs)
 
@@ -860,10 +847,10 @@ def h1_cocycles(table: GroupTable, M: fdmod.FdModule) -> H1Result:
     zdim = zpar.shape[1]
 
     if zdim:
-        DS = np.einsum("gmp,pk->gmk", D, zpar) % p
+        DS = flinalg.matmul_mod(D, zpar, p)
         for g in range(n):
             lhs = DS[table.mul[g]]
-            rhs = (DS[g][None, :, :] + np.matmul(rho[g], DS)) % p
+            rhs = (DS[g][None, :, :] + flinalg.matmul_mod(rho[g], DS, p)) % p
             if np.any(lhs != rhs):
                 raise RuntimeError("verified cocycle basis failed the table")
     else:

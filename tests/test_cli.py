@@ -158,6 +158,15 @@ def test_out_flag_redirects_output(tmp_path, capsys):
     assert "Ext^1_Λ(T,T) ≅ k" in target.read_text()
 
 
+def test_unwritable_out_path_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "report.json"
+    code, out, err = run(["obstruction", "--p", "3", "--out", str(target)],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "cannot read or write" in err
+
+
 def test_unknown_flag_exits_two(capsys):
     code, _, err = run(["families", "verify", "--bogus"], capsys)
     assert code == 2
@@ -198,6 +207,9 @@ def test_non_prime_parameter_exits_two(capsys):
     ["group", "verify", "--p", "3", "--n", "20"],
     ["group", "verify", "--p", "5", "--n", "14"],
     ["group", "verify", "--p", "7", "--n", "11"],
+    ["obstruction", "--p", "521", "--samples", "0"],
+    ["obstruction", "--p", "1000003", "--samples", "0"],
+    ["obstruction", "--p", "1000000000000000003"],
 ])
 def test_out_of_range_scenario_parameters_exit_two(argv, capsys):
     code, out, err = run(argv, capsys)

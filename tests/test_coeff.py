@@ -1,8 +1,12 @@
 """Exact arithmetic in the five coefficient rings and their matrices."""
 
 import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defcert import coeff
 from defcert.coeff import (
@@ -208,3 +212,100 @@ def test_matrix_convert_reduces_entries():
     assert r.entry(0, 0).coeffs == (1,)
     assert r.entry(1, 0).coeffs == (0,)
     assert r.entry(0, 1).coeffs == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the exactness rule of the level-convolved product
+
+INT64_LIMIT = 2**63
+
+
+def unreduced_peak(moduli):
+    """max over levels of sum_i (m_i - 1)(m_{l-i} - 1), in Python ints."""
+    return max(
+        sum((moduli[i] - 1) * (moduli[l - i] - 1) for i in range(l + 1))
+        for l in range(len(moduli))
+    )
+
+
+# per kind: the primes whose exponent grows, or the level counts N whose
+# prime grows
+NEAR_BOUND_KNOBS = {
+    "prime_field": (1,),
+    "trunc_poly": (1, 2, 4),
+    "trunc_witt": (2, 3, 5, 7),
+    "mixed_deform": (3, 5, 7),
+    "obstruction": (1,),
+}
+
+
+@lru_cache(maxsize=None)
+def ring_near_bound(kind, k, knob):
+    """The ring of this kind with the largest modulus the rule admits at k."""
+    if kind in ("trunc_witt", "mixed_deform"):
+        n = 1
+        while k * (knob ** (n + 1) - 1) ** 2 < INT64_LIMIT:
+            n += 1
+        return (trunc_witt(knob, n) if kind == "trunc_witt"
+                else mixed_deform(knob, n, 3))
+    root = 6 if kind == "obstruction" else 2
+    q = int((INT64_LIMIT // (k * knob)) ** (1 / root)) + 2
+    while not (coeff.is_prime(q) and k * unreduced_peak(
+            coeff.ring_moduli(kind, q, 1, knob)) < INT64_LIMIT):
+        q -= 1
+    return coeff.RingDescriptor(kind, q, N=knob if kind == "trunc_poly" else 1)
+
+
+@st.composite
+def rings_near_bound(draw):
+    kind = draw(st.sampled_from(sorted(NEAR_BOUND_KNOBS)))
+    k = draw(st.integers(1, 3))
+    knob = draw(st.sampled_from(NEAR_BOUND_KNOBS[kind]))
+    return ring_near_bound(kind, k, knob)
+
+
+def reference_level_product(moduli, a, b):
+    """Level-convolved product in Python ints (object arrays)."""
+    ao, bo = a.astype(object), b.astype(object)
+    out = []
+    for l in range(len(moduli)):
+        acc = sum(np.matmul(ao[..., i], bo[..., l - i]) for i in range(l + 1))
+        out.append(acc % moduli[l])
+    return np.stack(out, axis=-1)
+
+
+def extreme_entries(rng, shape, moduli):
+    """Canonical coefficients, about half of them at the top value m_l - 1."""
+    cols = []
+    for m in moduli:
+        top = rng.random(shape) < 0.5
+        cols.append(np.where(top, m - 1, rng.integers(0, m, shape)))
+    return np.stack(cols, axis=-1).astype(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings_near_bound(), st.integers(1, 2), st.integers(1, 2),
+       st.integers(0, 2**32 - 1))
+def test_level_matmul_is_exact_up_to_the_bound_and_refuses_past_it(
+        desc, rows, cols, seed):
+    moduli, L = desc.moduli, desc.levels
+    k_max = (INT64_LIMIT - 1) // unreduced_peak(moduli)
+    assert 1 <= k_max < 200
+    rng = np.random.default_rng(seed)
+    a = extreme_entries(rng, (rows, k_max), moduli)
+    b = extreme_entries(rng, (k_max, cols), moduli)
+    got = coeff.level_matmul(moduli, a, b)
+    assert np.array_equal(got.astype(object),
+                          reference_level_product(moduli, a, b))
+    with pytest.raises(OverflowError):
+        coeff.level_matmul(moduli, np.zeros((rows, k_max + 1, L), np.int64),
+                           np.zeros((k_max + 1, cols, L), np.int64))
+
+
+def test_product_past_int64_refuses_instead_of_wrapping():
+    R = trunc_witt(3, 30)
+    a = Matrix.from_entries(R, [[R.from_int(-1)]])
+    with pytest.raises(OverflowError):
+        a @ a
+    with pytest.raises(OverflowError):
+        a.scale(R.from_int(-1))

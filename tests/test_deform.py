@@ -212,6 +212,12 @@ def test_hensel_chain_p3_reaches_81():
     )
 
 
+def test_hensel_chain_past_int64_refuses():
+    # the step to Z/3^20 multiplies entries up to 3^20 - 1 over 2 terms
+    with pytest.raises(OverflowError):
+        deform.hensel_chain(3, 20)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_hensel_chain_coherent_with_teichmuller_eps(p):
     chain = deform.hensel_chain(p, 4)

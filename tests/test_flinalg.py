@@ -1,6 +1,9 @@
 """Mod-p linear algebra kernels, cross-checked against brute force."""
 
+from math import isqrt
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -80,6 +83,45 @@ def test_matmul_mod_matches_naive():
         a = rng.integers(0, p, (13, 7))
         b = rng.integers(0, p, (7, 11))
         assert np.array_equal(flinalg.matmul_mod(a, b, p), (a @ b) % p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([53, 63]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_matmul_mod_is_exact_up_to_the_bound_and_refuses_past_it(
+        k, bits, wide, seed):
+    # the largest top entry whose products fit 2^bits, then the next odd
+    # one past it, whose odd products float64 would round; wide operands
+    # take the float64 route wherever the rule admits it
+    top = isqrt((2**bits - 1) // k)
+    side = isqrt(flinalg._BLAS_CUTOFF // k) + 2 if wide else 3
+    rng = np.random.default_rng(seed)
+    for high in (top, top + 1 + top % 2):
+        mod = high + 1
+        a = np.where(rng.random((side, k)) < 0.5, high,
+                     rng.integers(0, mod, (side, k)))
+        b = np.where(rng.random((k, side)) < 0.5, high,
+                     rng.integers(0, mod, (k, side)))
+        if bits == 63 and high > top:
+            with pytest.raises(OverflowError):
+                flinalg.matmul_mod(a, b, mod)
+            continue
+        want = np.matmul(a.astype(object), b.astype(object)) % mod
+        assert np.array_equal(flinalg.matmul_mod(a, b, mod).astype(object),
+                              want)
+
+
+def test_matmul_mod_past_int64_refuses_instead_of_wrapping():
+    a = np.full((2, 2), 3**30 - 1, dtype=np.int64)
+    with pytest.raises(OverflowError):
+        flinalg.matmul_mod(a, a, 3**30)
+
+
+def test_row_reduction_past_int64_refuses_instead_of_wrapping():
+    # the pivot scaling multiplies entries up to p - 1 by an inverse
+    p = 4294967311
+    with pytest.raises(OverflowError):
+        flinalg.inv(np.array([[3, p - 2], [p - 5, 7]]), p)
 
 
 def test_pow_mod():
