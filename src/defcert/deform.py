@@ -659,8 +659,9 @@ class Scenario:
         elif self.kind in ("group", "obstruction"):
             if self.samples < 0:
                 raise ValueError("samples must be >= 0")
-            if self.kind == "group" and (self.n < 1 or self.N < 2):
-                raise ValueError("need n >= 1 and N >= 2")
+            if self.kind == "group" and not (
+                    self.n >= 1 and 2 <= self.N <= 64):
+                raise ValueError("need n >= 1 and 2 <= N <= 64")
             # products of (p - 1)-square matrices over the scenario's ring,
             # refused before trial division; n >= 64 fails for every p >= 3
             kind = "mixed_deform" if self.kind == "group" else "obstruction"

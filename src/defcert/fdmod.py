@@ -12,14 +12,15 @@ A handle provides:
   projective_module(label)   -> FdModule (cached per handle)
   simple_module(label)       -> FdModule
   module_dim_vector(M)       -> {label: multiplicity} of the simples in M
-  radical_image_columns(M)   -> int64 columns spanning rad*M
-  top_pick(M)                -> [(label, generator vector), ...]
-  yoneda_columns(label, N, x)-> action columns of Hom(P_label, N) element x
-  section_label_dims_quotient(M, upper, lower)
-                             -> {label: multiplicity} of that section
-  socle_columns(M)           -> int64 columns spanning soc M
+  radical_generators(M)      -> matrices on M whose images span rad M
   component_vectors(N, label)-> basis of the label component of N
+  yoneda_columns(label, N, x)-> action columns of Hom(P_label, N) element x
   hom_split()                -> None, or (unipotent gen names, p'-gen name)
+
+From these two facts, the radical generators and the component bases,
+this module derives once for both kinds of handle the radical and socle
+(`radical_image_columns`, `socle_columns`), the top (`top_pick`) and the
+simple multiplicities of a section (`section_label_dims_quotient`).
 
 All modules are graded by grading_labels via block_of; group-algebra
 modules use a single block.  Words act leftmost-last, so ``rho(word)`` is
@@ -262,29 +263,8 @@ class QuiverAlgebra:
             for i, v in enumerate(self.grading_labels)
         }
 
-    def radical_image_columns(self, M):
-        cols = [np.zeros((M.dim, 0), dtype=np.int64)]
-        for name in self.generators:
-            a = M.mats[name]
-            if np.any(a):
-                cols.append(a)
-        stacked = np.concatenate(cols, axis=1)
-        return flinalg.col_space_basis(stacked, self.p)
-
-    def top_pick(self, M):
-        """Exact-eigen generators of M/rad M: complement indices per block."""
-        rad = self.radical_image_columns(M)
-        picks = []
-        for i, label in enumerate(self.grading_labels):
-            idx = M.block_indices(i)
-            if idx.size == 0:
-                continue
-            eye = np.eye(idx.size, dtype=np.int64)
-            for k in flinalg.extend_basis(rad[idx, :], eye, self.p):
-                u = np.zeros(M.dim, dtype=np.int64)
-                u[idx[k]] = 1
-                picks.append((label, u))
-        return picks
+    def radical_generators(self, M):
+        return [M.mats[name] for name in self.generators]
 
     def yoneda_columns(self, label, N, x):
         """Columns of the Hom(P_label, N) element sending e_label to x."""
@@ -306,38 +286,10 @@ class QuiverAlgebra:
             out[:, pos[w]] = v
         return out
 
-    def section_label_dims_quotient(self, M, upper, lower):
-        """Multiplicities in the semisimple section span(upper)/span(lower)."""
-        p = self.p
-        out = {}
-        for i, label in enumerate(self.grading_labels):
-            idx = M.block_indices(i)
-            if idx.size == 0:
-                continue
-            up = upper[idx, :]
-            lo = lower[idx, :]
-            d = flinalg.rank(
-                np.concatenate([lo, up], axis=1), p
-            ) - flinalg.rank(lo, p)
-            if d:
-                out[label] = d
-        return out
-
-    def socle_columns(self, M):
-        p = self.p
-        stacked = np.concatenate(
-            [M.mats[name] for name in self.generators], axis=0
-        )
-        return flinalg.nullspace(stacked, p)
-
     def component_vectors(self, N, label):
-        idx_label = list(self.grading_labels).index(label)
-        out = []
-        for i in np.nonzero(N.block_of == idx_label)[0]:
-            v = np.zeros(N.dim, dtype=np.int64)
-            v[i] = 1
-            out.append(v)
-        return out
+        """The unit vectors of the label's vertex block of N."""
+        idx = list(self.grading_labels).index(label)
+        return list(np.eye(N.dim, dtype=np.int64)[N.block_of == idx])
 
     def hom_split(self):
         return None
@@ -549,6 +501,83 @@ def hom_space(M: FdModule, N: FdModule) -> HomBasis:
 
 
 # ---------------------------------------------------------------------------
+# radical, socle, top and section counts
+
+
+def radical_image_columns(M):
+    """Columns spanning rad M, the images of the radical generators."""
+    gens = M.algebra.radical_generators(M)
+    return flinalg.col_space_basis(
+        np.concatenate([np.zeros((M.dim, 0), dtype=np.int64)] + gens, axis=1),
+        M.p,
+    )
+
+
+def socle_columns(M):
+    """Columns spanning soc M, the common kernel of the radical generators."""
+    gens = M.algebra.radical_generators(M)
+    return flinalg.nullspace(
+        np.concatenate([np.zeros((0, M.dim), dtype=np.int64)] + gens, axis=0),
+        M.p,
+    )
+
+
+def _component_basis(M):
+    """(C, labels): C stacks the component bases of M in label order."""
+    alg = M.algebra
+    pairs = [(label, v) for label in alg.simple_labels
+             for v in alg.component_vectors(M, label)]
+    return np.column_stack([v for _, v in pairs]), [l for l, _ in pairs]
+
+
+def top_pick(M):
+    """Component vectors generating M/rad M, one per top summand.
+
+    Greedy extension of rad M by the component bases in label order, so
+    each pick lies in one component, as yoneda_columns needs.
+    """
+    C, labels = _component_basis(M)
+    keep = flinalg.extend_basis(radical_image_columns(M), C, M.p)
+    return [(labels[k], C[:, k]) for k in keep]
+
+
+def _component_coordinates(M):
+    """(C^-1, {label: rows of C^-1}) for the component basis C of M."""
+    C, labels = _component_basis(M)
+    C_inv = flinalg.inv(C, M.p)
+    if C_inv is None:
+        raise ValueError("the component bases do not span the module")
+    rows = {}
+    for i, label in enumerate(labels):
+        rows.setdefault(label, []).append(i)
+    return C_inv, rows
+
+
+def _label_ranks(M, cols, coords):
+    C_inv, rows = coords
+    X = flinalg.matmul_mod(C_inv, cols, M.p)
+    out = {label: flinalg.rank(X[r], M.p) for label, r in rows.items()}
+    if sum(out.values()) != cols.shape[1]:
+        raise ValueError("span is not graded by the simple labels")
+    return out
+
+
+def section_label_dims_quotient(M, upper, lower, coords):
+    """Simple multiplicities of span(upper)/span(lower).
+
+    upper and lower are column bases, span(lower) inside span(upper);
+    coords is _component_coordinates(M), computed once per module.  A span's
+    multiplicity of a label is the rank of its component coordinates
+    C^-1 cols on that label's rows.  Those ranks sum to the column count
+    exactly when the span is graded; ValueError otherwise.
+    """
+    hi = _label_ranks(M, upper, coords)
+    lo = _label_ranks(M, lower, coords)
+    return {label: hi[label] - lo[label] for label in hi
+            if hi[label] > lo[label]}
+
+
+# ---------------------------------------------------------------------------
 # covers, syzygies, Ext
 
 
@@ -566,7 +595,7 @@ def projective_cover(M: FdModule) -> CoverResult:
         raise ValueError("zero module has no projective cover")
     alg = M.algebra
     p = alg.p
-    picks = alg.top_pick(M)
+    picks = top_pick(M)
     mult = {}
     parts = []
     cols = []
@@ -585,7 +614,7 @@ def projective_cover(M: FdModule) -> CoverResult:
     phi = np.concatenate(cols, axis=1) % p
     if flinalg.rank(phi, p) != M.dim:
         raise ValueError("cover surjection failed to be onto")
-    radP = alg.radical_image_columns(P)
+    radP = radical_image_columns(P)
     ker = flinalg.nullspace(phi, p)
     if not flinalg.in_span(radP, ker, p):
         raise ValueError("cover kernel escapes the radical (not minimal)")
@@ -820,7 +849,7 @@ def _radical_filtration(M):
     layers = [np.eye(M.dim, dtype=np.int64)]
     current = M  # the last layer as a module; layers[-1] embeds it in M
     while current.dim:
-        rad = M.algebra.radical_image_columns(current)
+        rad = radical_image_columns(current)
         if rad.shape[1] == 0:
             break
         layers.append(flinalg.matmul_mod(layers[-1], rad, M.p))
@@ -830,35 +859,27 @@ def _radical_filtration(M):
 
 
 def _blocks_of_columns(M, cols):
+    """The grading block of each column; ValueError unless it has exactly one."""
     out = []
     for j in range(cols.shape[1]):
-        rows = np.nonzero(cols[:, j])[0]
-        blocks = set(int(M.block_of[r]) for r in rows)
+        blocks = set(M.block_of[np.nonzero(cols[:, j])[0]].tolist())
         if len(blocks) != 1:
-            # group-algebra case: single block anyway
-            blocks = {0}
+            raise ValueError(f"column {j} does not lie in one grading block")
         out.append(blocks.pop())
     return np.array(out, dtype=np.int64)
 
 
 def module_structure(M: FdModule) -> StructureReport:
-    alg = M.algebra
     if M.dim == 0:
         return StructureReport({}, {}, [], [], {}, True)
-    filt = _radical_filtration(M)
-    layer_mults = []
-    for k in range(len(filt)):
-        upper = filt[k]
-        lower = filt[k + 1] if k + 1 < len(filt) else np.zeros(
-            (M.dim, 0), dtype=np.int64
-        )
-        mults = alg.section_label_dims_quotient(M, upper, lower)
-        layer_mults.append(mults)
-    # socle: annihilator of the radical
-    soc_cols = alg.socle_columns(M)
-    soc = alg.section_label_dims_quotient(
-        M, soc_cols, np.zeros((M.dim, 0), dtype=np.int64)
-    )
+    zero = np.zeros((M.dim, 0), dtype=np.int64)
+    filt = _radical_filtration(M) + [zero]
+    coords = _component_coordinates(M)
+    layer_mults = [
+        section_label_dims_quotient(M, filt[k], filt[k + 1], coords)
+        for k in range(len(filt) - 1)
+    ]
+    soc = section_label_dims_quotient(M, socle_columns(M), zero, coords)
     comp = {}
     for mults in layer_mults:
         for label, m in mults.items():
@@ -920,7 +941,11 @@ def _first_invertible(basis, p, n):
 
 
 def is_isomorphic(M: FdModule, N: FdModule, seed=0) -> IsoResult:
-    """Invertible-intertwiner search with the fixed fallback ladder."""
+    """Search for an invertible intertwiner M -> N.
+
+    Exhaustive when the Hom space has at most 2^20 elements, otherwise
+    1000 seeded random draws; a miss there is reported as not definitive.
+    """
     if M.algebra is not N.algebra:
         raise ValueError("is_isomorphic across different algebra handles")
     if M.dim != N.dim or M.dimension_vector() != N.dimension_vector():
@@ -944,10 +969,10 @@ def is_isomorphic(M: FdModule, N: FdModule, seed=0) -> IsoResult:
         return IsoResult(True, W, "exhaustive", True)
     rng = np.random.default_rng(seed)
     W = _invertible_in_span(homs, p, rng, 1000)
-    if W is not None:
-        assert _verify_witness(M, N, W)
-        return IsoResult(True, W, "random", True)
-    return _peeling_isomorphic(M, N, seed)
+    if W is None:
+        return IsoResult(False, None, "random", False)
+    assert _verify_witness(M, N, W)
+    return IsoResult(True, W, "random", True)
 
 
 def _submodule_from_columns(M, cols):
@@ -960,102 +985,6 @@ def _submodule_from_columns(M, cols):
             return None
         mats[name] = act
     return FdModule(M.algebra, _blocks_of_columns(M, cols), mats, check=False)
-
-
-def _fitting_split(M, seed):
-    """Try to write M as a nontrivial direct sum via a Fitting decomposition."""
-    p = M.p
-    ends = hom_space(M, M).basis
-    rng = np.random.default_rng(seed)
-    candidates = list(ends)
-    for _ in range(40):
-        coeffs = rng.integers(0, p, size=len(ends))
-        candidates.append(_combine(coeffs, ends, p))
-    for phi in candidates:
-        power = np.eye(M.dim, dtype=np.int64)
-        for _ in range(M.dim):
-            power = flinalg.matmul_mod(power, phi, p)
-        r = flinalg.rank(power, p)
-        if r == 0 or r == M.dim:
-            continue
-        im = flinalg.col_space_basis(power, p)
-        ker = flinalg.nullspace(power, p)
-        cols = np.concatenate([im, ker], axis=1)
-        if flinalg.rank(cols, p) != M.dim:
-            continue
-        return [im, ker]
-    return None
-
-
-def _peel(M, seed):
-    """Full decomposition into (columns, module) indecomposable pieces."""
-    split = _fitting_split(M, seed)
-    if split is None:
-        return [(np.eye(M.dim, dtype=np.int64), M)]
-    out = []
-    p = M.p
-    for cols in split:
-        sub = _submodule_from_columns(M, cols)
-        assert sub is not None
-        for inner_cols, piece in _peel(sub, seed + 1):
-            out.append((flinalg.matmul_mod(cols, inner_cols, p), piece))
-    return out
-
-
-def _peeling_isomorphic(M, N, seed):
-    p = M.p
-    pieces_m = _peel(M, seed)
-    pieces_n = _peel(N, seed + 101)
-    if sorted(pm.dim for _, pm in pieces_m) != sorted(
-        pn.dim for _, pn in pieces_n
-    ):
-        return IsoResult(False, None, "peeling", True)
-    used = [False] * len(pieces_n)
-    matches = []
-    for cols_m, pm in pieces_m:
-        found = None
-        for j, (cols_n, pn) in enumerate(pieces_n):
-            if used[j] or pn.dim != pm.dim:
-                continue
-            sub = _match_indecomposable(pm, pn, seed)
-            if sub is not None:
-                found = (j, cols_n, sub)
-                break
-        if found is None:
-            return IsoResult(False, None, "peeling", False)
-        j, cols_n, w = found
-        used[j] = True
-        matches.append((cols_m, cols_n, w))
-    # assemble the global witness: W maps M to N
-    C_m = np.concatenate([m[0] for m in matches], axis=1)
-    n_total = sum(m[2].shape[0] for m in matches)
-    W_block = np.zeros((n_total, C_m.shape[1]), dtype=np.int64)
-    at_r = at_c = 0
-    for _, _, w in matches:
-        r, c = w.shape
-        W_block[at_r : at_r + r, at_c : at_c + c] = w
-        at_r += r
-        at_c += c
-    C_n = np.concatenate([m[1] for m in matches], axis=1)
-    W = flinalg.matmul_mod(
-        C_n, flinalg.matmul_mod(W_block, flinalg.inv(C_m, p), p), p
-    )
-    if _verify_witness(M, N, W):
-        return IsoResult(True, W, "peeling", True)
-    return IsoResult(False, None, "peeling", False)
-
-
-def _match_indecomposable(pm, pn, seed):
-    if pm.dimension_vector() != pn.dimension_vector():
-        return None
-    p = pm.p
-    homs = hom_space(pm, pn).basis
-    if not homs:
-        return None
-    if p ** len(homs) <= 2**16:
-        return _first_invertible(homs, p, pm.dim)
-    rng = np.random.default_rng(seed)
-    return _invertible_in_span(homs, p, rng, 1000)
 
 
 # ---------------------------------------------------------------------------

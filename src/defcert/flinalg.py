@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 _BLAS_CUTOFF = 1 << 16  # flops below this: plain int64 matmul is fine
+_ROW_BLOCK = 2048  # row_space_basis reduces taller matrices in row blocks
 
 
 @lru_cache(maxsize=64)
@@ -86,14 +87,16 @@ def rref(a, p: int):
     return r[: len(pivots)], pivots
 
 
-def row_space_basis(a, p: int, block: int = 2048) -> np.ndarray:
-    """Row space basis (rref rows), reducing tall matrices block by block."""
+def row_space_basis(a, p: int):
+    """Row space basis (rref rows) and its pivot columns.
+
+    Tall matrices are reduced _ROW_BLOCK rows at a time; the pivots are
+    those of the last reduction.
+    """
     a = asmod(a, p)
-    if a.shape[0] <= block:
-        return rref(a, p)[0]
-    acc = np.zeros((0, a.shape[1]), dtype=np.int64)
-    for i in range(0, a.shape[0], block):
-        acc = rref(np.vstack([acc, a[i : i + block]]), p)[0]
+    acc = a[:0], []
+    for i in range(0, a.shape[0], _ROW_BLOCK):
+        acc = rref(np.vstack([acc[0], a[i : i + _ROW_BLOCK]]), p)
     return acc
 
 
@@ -101,7 +104,7 @@ def rank(a, p: int) -> int:
     a = np.asarray(a)
     if a.size == 0:
         return 0
-    return row_space_basis(a, p).shape[0]
+    return len(row_space_basis(a, p)[1])
 
 
 def nullspace(a, p: int) -> np.ndarray:
@@ -110,8 +113,7 @@ def nullspace(a, p: int) -> np.ndarray:
     n = a.shape[1]
     if a.shape[0] == 0 or n == 0:
         return np.eye(n, dtype=np.int64)
-    r = row_space_basis(a, p)
-    r, pivots = rref(r, p)
+    r, pivots = row_space_basis(a, p)
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((n, len(free)), dtype=np.int64)
     for k, fc in enumerate(free):
@@ -131,9 +133,7 @@ def solve(a, b, p: int):
     vec = b1.ndim == 1
     if vec:
         b1 = b1[:, None]
-    aug = np.hstack([a, b1])
-    r = row_space_basis(aug, p)
-    r, pivots = rref(r, p)
+    r, pivots = row_space_basis(np.hstack([a, b1]), p)
     n = a.shape[1]
     if any(c >= n for c in pivots):
         return None
@@ -167,7 +167,7 @@ def extend_basis(base, cands, p: int) -> list:
 
 def col_space_basis(a, p: int) -> np.ndarray:
     """Column space basis, as columns."""
-    return row_space_basis(np.asarray(a).T, p).T
+    return row_space_basis(np.asarray(a).T, p)[0].T
 
 
 def in_span(basis_cols, v, p: int) -> bool:

@@ -491,59 +491,27 @@ class GroupAlgebra:
             self._proj_cache[label] = induce(H, W, self.table)
         return self._proj_cache[label]
 
-    def _eigen_basis(self, M, label):
+    def component_vectors(self, N, label):
+        """Basis of the a^label eigenspace of the scalar generator on N."""
         val = pow(self.table.a_eps, label, self.p)
-        d = M.dim
-        shifted = (M.mats["epsilon"] - val * np.eye(d, dtype=np.int64)) % self.p
-        return flinalg.nullspace(shifted, self.p)
+        shifted = N.mats["epsilon"] - val * np.eye(N.dim, dtype=np.int64)
+        return list(flinalg.nullspace(shifted % self.p, self.p).T)
 
     def module_dim_vector(self, M):
         out = {}
         for i in self.simple_labels:
-            k = self._eigen_basis(M, i).shape[1]
+            k = len(self.component_vectors(M, i))
             if k:
                 out[i] = k
         if sum(out.values()) != M.dim:
             raise ValueError("scalar generator does not act semisimply")
         return out
 
-    def radical_image_columns(self, M):
+    def radical_generators(self, M):
         # rad = augmentation ideal of the normal p-Sylow; over modules
-        # that is the span of (u - 1)M for the unipotent generators u.
-        uni, _ = self.hom_split()
-        d = M.dim
-        eye = np.eye(d, dtype=np.int64)
-        cols = np.concatenate(
-            [(M.mats[u] - eye) % self.p for u in uni], axis=1
-        )
-        return flinalg.col_space_basis(cols, self.p)
-
-    def socle_columns(self, M):
-        uni, _ = self.hom_split()
-        d = M.dim
-        eye = np.eye(d, dtype=np.int64)
-        stacked = np.concatenate(
-            [(M.mats[u] - eye) % self.p for u in uni], axis=0
-        )
-        return flinalg.nullspace(stacked, self.p)
-
-    def component_vectors(self, N, label):
-        basis = self._eigen_basis(N, label)
-        return [basis[:, k] for k in range(basis.shape[1])]
-
-    def top_pick(self, M):
-        """Eigenvector generators of M/rad M, one per top summand.
-
-        The scalar generator is semisimple, so each eigenspace of M maps
-        onto the matching eigenspace of the top; greedy rank growth picks
-        eigenvector lifts, which is exactly what yoneda_columns needs.
-        """
-        bases = [self._eigen_basis(M, label) for label in self.simple_labels]
-        eig = [(label, v) for label, b in zip(self.simple_labels, bases)
-               for v in b.T]
-        keep = flinalg.extend_basis(self.radical_image_columns(M),
-                                    np.concatenate(bases, axis=1), self.p)
-        return [(eig[k][0], eig[k][1].copy()) for k in keep]
+        # that is generated by u - 1 for the unipotent generators u.
+        eye = np.eye(M.dim, dtype=np.int64)
+        return [(M.mats[u] - eye) % self.p for u in self.hom_split()[0]]
 
     def _eps_cosets(self):
         if self._cosets is None:
@@ -571,41 +539,6 @@ class GroupAlgebra:
         x = np.asarray(x, dtype=np.int64) % self.p
         acts = np.stack([self.element_action(N, g) for g in reps])
         return flinalg.matmul_mod(acts, x, self.p).T
-
-    def section_label_dims_quotient(self, M, upper, lower):
-        """Simple multiplicities of span(upper)/span(lower).
-
-        Both spans must be stable under the scalar generator (radical
-        layers and socles are); the induced action is diagonalizable, so
-        the section splits into character eigenspaces.
-        """
-        p = self.p
-        low = flinalg.col_space_basis(lower, p) if lower.size else np.zeros(
-            (M.dim, 0), dtype=np.int64
-        )
-        chosen = flinalg.extend_basis(low, upper, p)
-        if not chosen:
-            return {}
-        C = upper[:, chosen]
-        B = np.concatenate([low, C], axis=1)
-        img = flinalg.matmul_mod(M.mats["epsilon"], C, p)
-        X = flinalg.solve(B, img, p)
-        if X is None:
-            raise ValueError("section is not stable under the scalar part")
-        Q = X[low.shape[1]:, :]
-        out = {}
-        found = 0
-        for i in self.simple_labels:
-            val = pow(self.table.a_eps, i, p)
-            ker = flinalg.nullspace(
-                (Q - val * np.eye(Q.shape[0], dtype=np.int64)) % p, p
-            )
-            if ker.shape[1]:
-                out[i] = ker.shape[1]
-                found += ker.shape[1]
-        if found != len(chosen):
-            raise ValueError("section action failed to diagonalize")
-        return out
 
 
 def group_algebra(table: GroupTable) -> GroupAlgebra:

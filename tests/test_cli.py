@@ -202,6 +202,8 @@ def test_non_prime_parameter_exits_two(capsys):
     ["obstruction", "--p", "3", "--samples", "-5"],
     ["group", "verify", "--p", "3", "--n", "0"],
     ["group", "verify", "--p", "3", "--N", "1"],
+    ["group", "verify", "--p", "3", "--N", "65"],
+    ["group", "verify", "--p", "3", "--N", "100000", "--samples", "0"],
     ["lift", "verify", "--family", "I", "--d", "0"],
     ["ext", "--family", "II", "--d", "0"],
     ["group", "verify", "--p", "3", "--n", "20"],

@@ -277,6 +277,55 @@ def test_syzygy_of_fixture_is_uniserial(T_I):
     assert st.radical_layer_dims == [1, 1, 1, 1, 1]
 
 
+def test_submodule_refuses_a_column_across_two_blocks(T_I):
+    i = 0
+    j = int(np.nonzero(T_I.block_of != T_I.block_of[i])[0][0])
+    cols = np.eye(T_I.dim, dtype=np.int64)
+    cols[j, i] = 1  # column i is e_i + e_j; the span is still all of T_I
+    with pytest.raises(ValueError, match="one grading block"):
+        fdmod._submodule_from_columns(T_I, cols)
+
+
+def _ungraded_column(M):
+    """One vector from each of the first two nonempty components, summed."""
+    alg = M.algebra
+    firsts = [v for label in alg.simple_labels
+              for v in alg.component_vectors(M, label)[:1]]
+    return (sum(firsts[:2]) % M.p).reshape(-1, 1)
+
+
+@pytest.mark.parametrize("side", ["quiver", "group"])
+def test_section_count_refuses_an_ungraded_span(side, T_I):
+    if side == "quiver":
+        M = T_I
+    else:
+        M = groups.rep_to_module(groups.uniserial_representation(5))
+    zero = np.zeros((M.dim, 0), dtype=np.int64)
+    coords = fdmod._component_coordinates(M)
+    socle = fdmod.section_label_dims_quotient(
+        M, fdmod.socle_columns(M), zero, coords)
+    assert socle == module_structure(M).socle
+    with pytest.raises(ValueError, match="not graded"):
+        fdmod.section_label_dims_quotient(
+            M, _ungraded_column(M), zero, coords)
+
+
+def test_random_search_miss_is_not_definitive(monkeypatch):
+    table = groups.build_group(5, quotient=True)
+    EndV = groups.conjugation_module(
+        groups.uniserial_representation(5, table=table))
+    alg = EndV.algebra
+    target = direct_sum([alg.simple_module(0)] + [
+        alg.projective_module(i) for i in range(1, 4)])
+    res = is_isomorphic(EndV, target)
+    assert (res.isomorphic, res.method, res.definitive) == (
+        True, "random", True)
+    monkeypatch.setattr(fdmod, "_invertible_in_span", lambda *a: None)
+    res = is_isomorphic(EndV, target)
+    assert (res.isomorphic, res.witness, res.method, res.definitive) == (
+        False, None, "random", False)
+
+
 def test_one_loop_projective_structure():
     from defcert.quiver import complete, parse_quiver_spec
 

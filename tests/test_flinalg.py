@@ -62,6 +62,25 @@ def test_solve_detects_inconsistency():
     assert flinalg.solve(a, b, 3) is None
 
 
+def test_row_blocks_give_the_one_reduction(monkeypatch):
+    rng = np.random.default_rng(5)
+    p = 7
+    coords = rng.integers(0, p, (11, 3))
+    coords[:4, 1:] = 0  # the first row block alone has rank 1
+    a = flinalg.matmul_mod(coords, rng.integers(0, p, (3, 6)), p)
+    x = rng.integers(0, p, 6)
+    rows, pivots = flinalg.rref(a, p)
+    monkeypatch.setattr(flinalg, "_ROW_BLOCK", 4)
+    blocked_rows, blocked_pivots = flinalg.row_space_basis(a, p)
+    assert np.array_equal(blocked_rows, rows) and blocked_pivots == pivots
+    assert flinalg.rank(a, p) == len(pivots)
+    ker = flinalg.nullspace(a, p)
+    assert ker.shape[1] == 6 - len(pivots)
+    assert not np.any(flinalg.matmul_mod(a, ker, p))
+    b = flinalg.matmul_mod(a, x, p)
+    assert np.array_equal(flinalg.matmul_mod(a, flinalg.solve(a, b, p), p), b)
+
+
 def test_inverse_random():
     rng = np.random.default_rng(31337)
     for p in (2, 3, 7):
