@@ -21,8 +21,10 @@ Matrix products are exact or refused: with inner dimension k,
 (m_i - 1)(m_{l-i} - 1) < 2^63, the rule `flinalg.exact_product` states.
 
 >>> d = mixed_deform(3, 2, 3)
->>> print((d.from_int(3) + d.t()) * d.t())
-t^2 mod MixedDeform(p=3,n=2,N=3)
+>>> t = Matrix.from_int_array(d, [[1]], level=1)
+>>> print((Matrix.from_int_array(d, [[3]]) + t) @ t)
+Matrix over MixedDeform(p=3,n=2,N=3)
+[t^2]
 """
 
 from __future__ import annotations
@@ -87,35 +89,6 @@ class RingDescriptor:
     def levels(self) -> int:
         return len(self.moduli)
 
-    def zero(self) -> "RingElem":
-        return RingElem(self, (0,) * self.levels)
-
-    def one(self) -> "RingElem":
-        return self.from_int(1)
-
-    def from_int(self, k: int) -> "RingElem":
-        c = [0] * self.levels
-        c[0] = k % self.moduli[0]
-        return RingElem(self, tuple(c))
-
-    def t(self, degree: int = 1) -> "RingElem":
-        if degree >= self.levels:
-            return self.zero()
-        c = [0] * self.levels
-        c[degree] = 1 % self.moduli[degree]
-        return RingElem(self, tuple(c))
-
-    def from_coeffs(self, coeffs) -> "RingElem":
-        m = self.moduli
-        c = [0] * self.levels
-        for i, v in enumerate(coeffs):
-            if i >= self.levels:
-                if int(v) != 0:
-                    raise ValueError("coefficient beyond truncation degree")
-                continue
-            c[i] = int(v) % m[i]
-        return RingElem(self, tuple(c))
-
     def __str__(self):
         if self.kind == "prime_field":
             return f"PrimeField(p={self.p})"
@@ -148,19 +121,13 @@ def obstruction_ring(p: int) -> RingDescriptor:
     return RingDescriptor("obstruction", p)
 
 
-def convolve_levels(moduli, a_levels, b_levels, mul):
-    """C_l = sum_{i+j=l} A_i*B_j reduced mod moduli[l], for any `mul`.
-
-    Works for scalars and for stacked numpy arrays alike; `mul` supplies the
-    level-slice product (plain int multiply, np.matmul, ...).
-    """
-    L = len(moduli)
+def convolve_levels(moduli, a_levels, b_levels):
+    """C_l = sum_{i+j=l} A_i @ B_j reduced mod moduli[l], for stacked arrays."""
     out = []
-    for l in range(L):
-        acc = None
-        for i in range(l + 1):
-            term = mul(a_levels[i], b_levels[l - i])
-            acc = term if acc is None else acc + term
+    for l in range(len(moduli)):
+        acc = a_levels[0] @ b_levels[l]
+        for i in range(1, l + 1):
+            acc = acc + a_levels[i] @ b_levels[l - i]
         out.append(acc % moduli[l])
     return out
 
@@ -175,109 +142,9 @@ def level_matmul(moduli, a, b):
     flinalg.exact_product(a.shape[-2], moduli)
     L = len(moduli)
     out = convolve_levels(
-        moduli, [a[..., i] for i in range(L)], [b[..., i] for i in range(L)],
-        np.matmul,
+        moduli, [a[..., i] for i in range(L)], [b[..., i] for i in range(L)]
     )
     return np.stack(out, axis=-1)
-
-
-@dataclass(frozen=True)
-class RingElem:
-    """An element of a RingDescriptor ring, canonical coefficient tuple."""
-
-    desc: RingDescriptor
-    coeffs: tuple[int, ...]
-
-    def _match(self, other) -> "RingElem":
-        if isinstance(other, int):
-            return self.desc.from_int(other)
-        if not isinstance(other, RingElem):
-            return NotImplemented
-        if other.desc != self.desc:
-            raise DescriptorMismatch(f"{self.desc} vs {other.desc}")
-        return other
-
-    def __add__(self, other):
-        o = self._match(other)
-        if o is NotImplemented:
-            return o
-        m = self.desc.moduli
-        return RingElem(
-            self.desc,
-            tuple((a + b) % mi for a, b, mi in zip(self.coeffs, o.coeffs, m)),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        m = self.desc.moduli
-        return RingElem(self.desc, tuple((-a) % mi for a, mi in zip(self.coeffs, m)))
-
-    def __sub__(self, other):
-        o = self._match(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._match(other)
-        if o is NotImplemented:
-            return o
-        m = self.desc.moduli
-        out = convolve_levels(m, self.coeffs, o.coeffs, lambda x, y: x * y)
-        return RingElem(self.desc, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.invert() ** (-e)
-        acc = self.desc.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_unit(self) -> bool:
-        return self.coeffs[0] % self.desc.p != 0
-
-    def residue(self) -> int:
-        """Image in the residue field F_p, as a canonical integer."""
-        return self.coeffs[0] % self.desc.p
-
-    def invert(self) -> "RingElem":
-        """Newton iteration from the residue inverse; units only.
-
-        The maximal ideal is nilpotent, so x -> x(2 - ax) squares the error
-        1 - ax into zero after a few steps.
-        """
-        if not self.is_unit():
-            raise NonUnitError(f"{self} is not a unit")
-        x = self.desc.from_int(pow(self.residue(), -1, self.desc.p))
-        one = self.desc.one()
-        for _ in range(12):
-            err = one - self * x
-            if err.is_zero():
-                return x
-            x = x * (2 - self * x)
-        raise AssertionError("Newton inversion failed to converge")
-
-    def convert(self, target: RingDescriptor) -> "RingElem":
-        return RingElem(target, _convert_levels(self.desc, target, self.coeffs))
-
-    def __str__(self):
-        return f"{poly_str(self.coeffs)} mod {self.desc}"
-
-    __repr__ = __str__
 
 
 def poly_str(coeffs) -> str:
@@ -293,8 +160,8 @@ def poly_str(coeffs) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _convert_levels(src: RingDescriptor, dst: RingDescriptor, coeffs):
-    """Coefficientwise reduction along a legal ring surjection.
+def reduce_levels(src: RingDescriptor, dst: RingDescriptor, arr):
+    """Reduce a level-last coefficient array along the surjection src -> dst.
 
     Legal when dst has at most as many t-levels and each dst modulus divides
     the corresponding src modulus (quotient by (p^k, t^N') ideals).
@@ -302,16 +169,15 @@ def _convert_levels(src: RingDescriptor, dst: RingDescriptor, coeffs):
     ms, md = src.moduli, dst.moduli
     if len(md) > len(ms) or any(ms[i] % md[i] for i in range(len(md))):
         raise DescriptorMismatch(f"no ring surjection {src} -> {dst}")
-    return tuple(coeffs[i] % md[i] for i in range(len(md)))
+    return arr[..., : len(md)] % np.array(md, dtype=np.int64)
 
 
-def teichmuller(p: int, n: int, a: int) -> RingElem:
+def teichmuller(p: int, n: int, a: int) -> int:
     """Teichmuller lift of a mod p into Z/p^n: a^(p^(n-1)) mod p^n.
 
     The unique lift with x^(p-1) = 1 (for a not divisible by p).
     """
-    d = trunc_witt(p, n)
-    return d.from_int(pow(a % p**n, p ** (n - 1), p**n))
+    return pow(a % p**n, p ** (n - 1), p**n)
 
 
 class Matrix:
@@ -352,23 +218,9 @@ class Matrix:
             a[:, :, level] = m
         return cls(desc, a)
 
-    @classmethod
-    def from_entries(cls, desc, rows):
-        data = np.zeros((len(rows), len(rows[0]), desc.levels), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                e = desc.from_int(v) if isinstance(v, int) else v
-                if e.desc != desc:
-                    raise DescriptorMismatch(f"{e.desc} vs {desc}")
-                data[i, j] = e.coeffs
-        return cls(desc, data)
-
     @property
     def shape(self):
         return self.arr.shape[:2]
-
-    def entry(self, i, j) -> RingElem:
-        return RingElem(self.desc, tuple(int(v) for v in self.arr[i, j]))
 
     def _match(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
@@ -388,10 +240,10 @@ class Matrix:
     def __neg__(self):
         return Matrix(self.desc, -self.arr)
 
-    def scale(self, c) -> "Matrix":
-        e = self.desc.from_int(c) if isinstance(c, int) else c
+    def scale(self, c: int) -> "Matrix":
+        e = Matrix.from_int_array(self.desc, [[c]]).arr
         row = self.arr.reshape(1, -1, self.desc.levels)
-        out = level_matmul(self.desc.moduli, np.array([[e.coeffs]]), row)
+        out = level_matmul(self.desc.moduli, e, row)
         return Matrix(self.desc, out.reshape(self.arr.shape))
 
     def __matmul__(self, other):
@@ -427,9 +279,7 @@ class Matrix:
         return self.arr[:, :, 0] % self.desc.p
 
     def convert(self, target: RingDescriptor) -> "Matrix":
-        _convert_levels(self.desc, target, (0,) * self.desc.levels)  # validate
-        md = np.array(target.moduli, dtype=np.int64)
-        return Matrix(target, self.arr[:, :, : target.levels] % md)
+        return Matrix(target, reduce_levels(self.desc, target, self.arr))
 
     def inv(self) -> "Matrix":
         """Newton lift of the residue inverse; requires unit determinant."""
@@ -442,7 +292,7 @@ class Matrix:
             if (self @ x - ident).is_zero():
                 return x
             x = x @ (ident + ident - self @ x)
-        raise AssertionError("Newton matrix inversion failed to converge")
+        raise RuntimeError("Newton matrix inversion failed to converge")
 
     def __str__(self):
         rows = []

@@ -418,7 +418,7 @@ def hensel_lift_step(rho_m: groups.GroupRep, table=None) -> groups.GroupRep:
     eps_m = rho_m.generator_matrix("epsilon")[:, :, 0]
     if np.any(eps_m != np.diag(np.diagonal(eps_m))):
         raise ValueError("epsilon is not in the diagonal Teichmueller form")
-    eps_next = np.diag([coeff.teichmuller(p, m + 1, int(r) % p).coeffs[0]
+    eps_next = np.diag([coeff.teichmuller(p, m + 1, int(r) % p)
                         for r in np.diagonal(eps_m)])
     if np.any(eps_next % p**m != eps_m % p**m):
         raise ValueError("epsilon is not in the diagonal Teichmueller form")
@@ -530,7 +530,7 @@ def mixed_representation(p, n, N, a_eps=None, chain=None,
     sigma[:, :, 0] = top.generator_matrix("sigma")[:, :, 0]
     eps = np.zeros((d, d, N), dtype=np.int64)
     eps[:, :, 0] = np.diag([
-        coeff.teichmuller(p, n, int(r) % p).coeffs[0]
+        coeff.teichmuller(p, n, int(r) % p)
         for r in np.diagonal(top.generator_matrix("epsilon")[:, :, 0])
     ])
     tau = np.zeros((d, d, N), dtype=np.int64)
@@ -718,16 +718,6 @@ class VerificationReport:
             "conclusion": self.conclusion,
             "conclusion_basis": CONCLUSION_BASIS if self.conclusion else "",
         }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        if data.get("schema") != 1:
-            raise ValueError("unsupported schema")
-        prem = tuple(
-            Premise(d["name"], d["anchor"], d["verdict"], d["computed"])
-            for d in data["premises"]
-        )
-        return cls(data["scenario"], prem, data["conclusion"], data["status"])
 
 
 def _jsonable(x):

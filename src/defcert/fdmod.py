@@ -405,7 +405,8 @@ def nilpotent_jordan(N, p):
             v = w_space[:, c]
             bottoms = np.concatenate([bottoms, v.reshape(-1, 1)], axis=1)
             top = flinalg.solve(powers[j - 1], v, p)
-            assert top is not None
+            if top is None:
+                raise RuntimeError("chain bottom is not in the power's image")
             chain = [top % p]
             for _ in range(j - 1):
                 chain.append(
@@ -413,7 +414,8 @@ def nilpotent_jordan(N, p):
                 )
             chains.append(np.column_stack(chain))
     P = np.concatenate([c for c in chains], axis=1)
-    assert P.shape == (n, n) and flinalg.rank(P, p) == n
+    if P.shape != (n, n) or flinalg.rank(P, p) != n:
+        raise RuntimeError("Jordan chains do not form a basis")
     return P, [c.shape[1] for c in chains]
 
 
@@ -642,7 +644,8 @@ def _syzygy_with_embedding(M: FdModule):
         return zero_module(M.algebra), np.zeros((P.dim, 0), dtype=np.int64), cover
     incl = np.column_stack(cols)
     omega = _submodule_from_columns(P, incl)
-    assert omega is not None, "kernel not generator-stable"
+    if omega is None:
+        raise RuntimeError("kernel not generator-stable")
     return omega, incl, cover
 
 
@@ -854,7 +857,8 @@ def _radical_filtration(M):
             break
         layers.append(flinalg.matmul_mod(layers[-1], rad, M.p))
         current = _submodule_from_columns(M, layers[-1])
-        assert current is not None
+        if current is None:
+            raise RuntimeError("radical layer is not a submodule")
     return layers
 
 
@@ -952,11 +956,6 @@ def is_isomorphic(M: FdModule, N: FdModule, seed=0) -> IsoResult:
         return IsoResult(False, None, "dimension-vector", True)
     if M.dim == 0:
         return IsoResult(True, np.zeros((0, 0), dtype=np.int64), "trivial", True)
-    if (
-        module_structure(M).composition_factors
-        != module_structure(N).composition_factors
-    ):
-        return IsoResult(False, None, "composition-factors", True)
     p = M.p
     homs = hom_space(M, N).basis
     if not homs:
@@ -965,14 +964,16 @@ def is_isomorphic(M: FdModule, N: FdModule, seed=0) -> IsoResult:
         W = _first_invertible(homs, p, M.dim)
         if W is None:
             return IsoResult(False, None, "exhaustive", True)
-        assert _verify_witness(M, N, W)
-        return IsoResult(True, W, "exhaustive", True)
-    rng = np.random.default_rng(seed)
-    W = _invertible_in_span(homs, p, rng, 1000)
-    if W is None:
-        return IsoResult(False, None, "random", False)
-    assert _verify_witness(M, N, W)
-    return IsoResult(True, W, "random", True)
+        method = "exhaustive"
+    else:
+        rng = np.random.default_rng(seed)
+        W = _invertible_in_span(homs, p, rng, 1000)
+        if W is None:
+            return IsoResult(False, None, "random", False)
+        method = "random"
+    if not _verify_witness(M, N, W):
+        raise RuntimeError("isomorphism witness fails to intertwine")
+    return IsoResult(True, W, method, True)
 
 
 def _submodule_from_columns(M, cols):
@@ -989,6 +990,13 @@ def _submodule_from_columns(M, cols):
 
 # ---------------------------------------------------------------------------
 # module fixture files
+
+
+def _as_vertex(tok: str):
+    try:
+        return int(tok)
+    except ValueError:
+        return tok
 
 
 def parse_module_fixture(text: str, algebra) -> FdModule:
@@ -1010,8 +1018,6 @@ def parse_module_fixture(text: str, algebra) -> FdModule:
             dim = int(stripped.split(":", 1)[1])
             continue
         if low.startswith("vertices:"):
-            from .quiver import _as_vertex
-
             block_labels = [
                 _as_vertex(t) for t in stripped.split(":", 1)[1].split()
             ]

@@ -186,14 +186,3 @@ def intersect_col_spaces(a, b, p: int) -> np.ndarray:
     if k.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=np.int64)
     return col_space_basis(matmul_mod(a, k[: a.shape[1]], p), p)
-
-
-def pow_mod(a, e: int, p: int) -> np.ndarray:
-    acc = np.eye(a.shape[0], dtype=np.int64)
-    base = asmod(a, p)
-    while e:
-        if e & 1:
-            acc = matmul_mod(acc, base, p)
-        base = matmul_mod(base, base, p)
-        e >>= 1
-    return acc

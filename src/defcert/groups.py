@@ -336,10 +336,8 @@ class GroupRep:
 
     def convert(self, target: coeff.RingDescriptor) -> "GroupRep":
         """Reduce along a legal ring surjection (levelwise)."""
-        coeff._convert_levels(self.ring, target, (0,) * self.ring.levels)
-        md = np.array(target.moduli, dtype=np.int64)
         return GroupRep(self.table, target,
-                        self.mats[:, :, :, : target.levels] % md,
+                        coeff.reduce_levels(self.ring, target, self.mats),
                         check=False)
 
 

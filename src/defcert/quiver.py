@@ -11,37 +11,21 @@ Completion runs overlap (critical-pair) closure on the relation set until
 every S-polynomial reduces to zero, keeping the rule set interreduced.  The
 irreducible words then form a basis of the quotient algebra; the basis
 search fails with CapExceededError as soon as an irreducible word reaches
-the configured length cap, which is how an infinite-dimensional quotient is
-detected and reported.
+the configured length cap.  That is not a detector of infinite dimension:
+on a diverging presentation such as `family3_printed_spec()` a resource
+guard of the completion trips first ("rule of length 33 > 32" at cap 16,
+the S-pair budget at cap 24).  Either way CapExceededError reports that a
+guard tripped, not that the quotient is infinite-dimensional.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-
-import numpy as np
-
-
-class QuiverSyntaxError(ValueError):
-    """Fixture text that does not conform to the grammar."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+from dataclasses import dataclass
 
 
 class CapExceededError(RuntimeError):
     """Completion or basis search hit the length cap."""
-
-
-def _as_vertex(tok: str):
-    try:
-        return int(tok)
-    except ValueError:
-        return tok
 
 
 @dataclass(frozen=True)
@@ -59,8 +43,8 @@ class QuiverSpec:
     """A quiver with relations over F_p.
 
     Arrows keep declaration order (it fixes the monomial order).  Relations
-    are stored normalized: powers expanded, coefficients canonical mod p,
-    terms parallel and composable, every monomial of length >= 2.
+    are {word: coefficient} dicts, stored normalized: coefficients canonical
+    mod p, terms parallel and composable, every monomial of length >= 2.
     """
 
     def __init__(self, p, vertices, arrows, relations=(), suggested_cap=None):
@@ -116,15 +100,6 @@ class QuiverSpec:
             raise ValueError("relation terms are not parallel paths")
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuiverSpec)
-            and self.p == other.p
-            and self.vertices == other.vertices
-            and self.arrows == other.arrows
-            and self.relations == other.relations
-        )
-
     def __repr__(self):
         return (
             f"QuiverSpec(p={self.p}, {len(self.vertices)} vertices, "
@@ -133,217 +108,17 @@ class QuiverSpec:
 
 
 # ---------------------------------------------------------------------------
-# fixture grammar
-
-
-def parse_quiver_spec(text: str) -> QuiverSpec:
-    """Parse the line-oriented quiver fixture grammar.
-
-    Sections: `prime:`, `vertices:`, `arrows:` (one `name: src -> tgt` per
-    line), `relations:` (one expression per line).  `#` starts a comment,
-    `*` composes right to left exactly as juxtaposition is read, `^k`
-    repeats a parenthesized word, and `+`/`-` form F_p combinations.
-    """
-    p = None
-    vertices = []
-    arrows = {}
-    arrow_lines = {}
-    relation_lines = []
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head = line.split(":", 1)[0].strip().lower()
-        if head in ("prime", "vertices", "arrows", "relations") and ":" in line:
-            rest = line.split(":", 1)[1].strip()
-            section = head
-            if head == "prime":
-                try:
-                    p = int(rest)
-                except ValueError:
-                    raise QuiverSyntaxError(f"bad prime {rest!r}", lineno)
-            elif head == "vertices":
-                if not rest:
-                    raise QuiverSyntaxError("vertices: needs labels", lineno)
-                vertices = [_as_vertex(t) for t in rest.split()]
-            continue
-        if section == "arrows":
-            if ":" not in line or "->" not in line:
-                raise QuiverSyntaxError(f"bad arrow line {line!r}", lineno)
-            name, rest = (s.strip() for s in line.split(":", 1))
-            src, tgt = (s.strip() for s in rest.split("->", 1))
-            if not name.isidentifier():
-                raise QuiverSyntaxError(f"bad arrow name {name!r}", lineno)
-            if name in arrows:
-                raise QuiverSyntaxError(f"duplicate arrow {name!r}", lineno)
-            arrows[name] = (_as_vertex(src), _as_vertex(tgt))
-            arrow_lines[name] = lineno
-        elif section == "relations":
-            relation_lines.append((lineno, line))
-        else:
-            raise QuiverSyntaxError(f"unexpected line {line!r}", lineno)
-    if p is None:
-        raise QuiverSyntaxError("missing prime: section")
-    if not vertices:
-        raise QuiverSyntaxError("missing vertices: section")
-    for name, (src, tgt) in arrows.items():
-        if src not in vertices or tgt not in vertices:
-            raise QuiverSyntaxError(
-                f"arrow {name} references unknown vertex", arrow_lines[name]
-            )
-    try:
-        spec = QuiverSpec(p, vertices, arrows)
-    except ValueError as exc:
-        raise QuiverSyntaxError(str(exc)) from exc
-    rels = []
-    for lineno, line in relation_lines:
-        try:
-            terms = _parse_relation(line, spec)
-            spec._normalize_relation(terms)  # semantic checks, kept per line
-            rels.append(terms)
-        except ValueError as exc:
-            raise QuiverSyntaxError(str(exc), lineno) from exc
-    return QuiverSpec(p, vertices, arrows, rels, suggested_cap=None)
-
-
-def _tokenize_relation(s: str):
-    tokens = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            tokens.append(int(s[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(s) and (s[j].isalnum() or s[j] == "_"):
-                j += 1
-            tokens.append(s[i:j])
-            i = j
-        else:
-            raise ValueError(f"unexpected character {ch!r}")
-    return tokens
-
-
-def _parse_relation(line: str, spec: QuiverSpec) -> dict:
-    """expression := term (('+'|'-') term)*
-    term := [int '*'] factor ('*' factor)* ;  factor := arrow['^'k] | '(' factors ')' ['^'k]
-    """
-    tokens = _tokenize_relation(line)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_factor():
-        tok = take()
-        if tok == "(":
-            word = []
-            while peek() != ")":
-                if peek() is None:
-                    raise ValueError("unbalanced parenthesis")
-                if peek() == "*":
-                    take()
-                    continue
-                word.extend(parse_factor())
-            take()  # ')'
-            return _maybe_power(word)
-        if isinstance(tok, str) and tok not in "+-*^()":
-            if tok not in spec.arrows:
-                raise ValueError(f"unknown arrow {tok!r}")
-            return _maybe_power([tok])
-        raise ValueError(f"unexpected token {tok!r}")
-
-    def _maybe_power(word):
-        nonlocal pos
-        if peek() == "^":
-            take()
-            exp = take()
-            if not isinstance(exp, int) or exp < 0:
-                raise ValueError("power must be a nonnegative integer")
-            word = list(word) * exp
-        return word
-
-    def parse_term():
-        coeff = 1
-        if isinstance(peek(), int):
-            coeff = take()
-            if peek() == "*":
-                take()
-        word = []
-        word.extend(parse_factor())
-        while True:
-            if peek() == "*":
-                take()
-                word.extend(parse_factor())
-            elif peek() == "(" or (
-                isinstance(peek(), str) and peek() not in "+-*^()"
-            ):
-                # juxtaposition composes exactly like an explicit *
-                word.extend(parse_factor())
-            else:
-                break
-        return coeff, tuple(word)
-
-    terms = {}
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take() == "-" else 1
-    while pos < len(tokens):
-        coeff, word = parse_term()
-        terms[word] = terms.get(word, 0) + sign * coeff
-        if pos < len(tokens):
-            tok = take()
-            if tok == "+":
-                sign = 1
-            elif tok == "-":
-                sign = -1
-            else:
-                raise ValueError(f"expected + or -, got {tok!r}")
-    return terms
-
-
-def print_quiver_spec(spec: QuiverSpec) -> str:
-    """Canonical fixture text; parse(print(spec)) == spec."""
-    lines = [f"prime: {spec.p}"]
-    lines.append("vertices: " + " ".join(str(v) for v in spec.vertices))
-    lines.append("arrows:")
-    for name, (s, t) in spec.arrows.items():
-        lines.append(f"  {name}: {s} -> {t}")
-    if spec.relations:
-        lines.append("relations:")
-        for rel in spec.relations:
-            lines.append("  " + relation_str(spec, rel))
-    return "\n".join(lines) + "\n"
+# relation printing
 
 
 def relation_str(spec: QuiverSpec, terms: dict) -> str:
-    key = lambda w: _word_key(spec, w)
+    key = lambda w: (len(w), tuple(spec.arrow_index[a] for a in w))
     parts = []
     for word in sorted(terms, key=key, reverse=True):
         c = terms[word] % spec.p
         body = "*".join(word)
         parts.append(body if c == 1 else f"{c}*{body}")
     return " + ".join(parts)
-
-
-def _word_key(spec: QuiverSpec, word):
-    return (len(word), tuple(spec.arrow_index[a] for a in word))
 
 
 # ---------------------------------------------------------------------------

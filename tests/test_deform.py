@@ -439,16 +439,6 @@ def test_obstruction_scenario_report():
     assert report.premises[0].computed["witnesses"] == 8
 
 
-def test_report_json_round_trip():
-    report = deform.scenario_report(
-        deform.Scenario("obstruction", p=3, samples=2)
-    )
-    data = report.to_json_dict()
-    assert data["schema"] == 1
-    back = deform.VerificationReport.from_json_dict(data)
-    assert back == report
-
-
 def test_premises_must_carry_anchors():
     with pytest.raises(ValueError, match="anchor"):
         deform.Premise("nameless", "", "PASS")

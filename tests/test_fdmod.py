@@ -327,10 +327,10 @@ def test_random_search_miss_is_not_definitive(monkeypatch):
 
 
 def test_one_loop_projective_structure():
-    from defcert.quiver import complete, parse_quiver_spec
+    from defcert.quiver import QuiverSpec, complete
 
-    text = "prime: 2\nvertices: v\narrows:\n  x: v -> v\nrelations:\n  x^2\n"
-    sys = complete(parse_quiver_spec(text), cap=8)
+    spec = QuiverSpec(2, ["v"], {"x": ("v", "v")}, [{("x", "x"): 1}])
+    sys = complete(spec, cap=8)
     alg = quiver_algebra(sys)
     P = alg.projective_module("v")
     st = module_structure(P)
@@ -386,6 +386,13 @@ def test_isomorphism_respects_summand_order(algI, T_I):
     b = direct_sum([S0, T_I])
     res = is_isomorphic(a, b)
     assert res.isomorphic and res.definitive
+
+
+def test_failed_witness_check_raises_under_any_optimisation(monkeypatch, T_I):
+    # a plain assert would vanish under python -O and pass a bad witness on
+    monkeypatch.setattr(fdmod, "_verify_witness", lambda *a: False)
+    with pytest.raises(RuntimeError, match="witness"):
+        is_isomorphic(T_I, T_I)
 
 
 def test_non_isomorphic_same_dimension_vector(algI):

@@ -143,14 +143,6 @@ def test_row_reduction_past_int64_refuses_instead_of_wrapping():
         flinalg.inv(np.array([[3, p - 2], [p - 5, 7]]), p)
 
 
-def test_pow_mod():
-    a = np.array([[1, 1], [0, 1]])
-    assert np.array_equal(flinalg.pow_mod(a, 5, 5), np.eye(2, dtype=np.int64))
-    assert np.array_equal(
-        flinalg.pow_mod(a, 7, 13), np.array([[1, 7], [0, 1]])
-    )
-
-
 def span_set(basis, p):
     """All vectors in the span, as byte tuples. Brute force, small only."""
     from itertools import product

@@ -151,7 +151,7 @@ def test_rep_is_table_verified(q5):
 def test_rep_over_witt_ring(g3):
     # diagonal characters lift to Z/9 through the Teichmuller points
     ring = coeff.trunc_witt(3, 2)
-    w = coeff.teichmuller(3, 2, 2).coeffs[0]
+    w = coeff.teichmuller(3, 2, 2)
     one = np.eye(1, dtype=np.int64)
     rep = groups.GroupRep.from_generators(
         g3, ring,

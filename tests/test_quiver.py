@@ -1,4 +1,4 @@
-"""Presentation parsing, completion, and the irreducible-word basis.
+"""Presentations, completion, and the irreducible-word basis.
 
 The headline check is an independent dimension oracle: a bounded-length
 linear-algebra quotient computed with bitset Gaussian elimination, shared
@@ -14,91 +14,51 @@ from defcert import quiver
 from defcert.quiver import (
     CapExceededError,
     PathWord,
-    QuiverSyntaxError,
+    QuiverSpec,
     builtin_family,
     complete,
     family3_printed_spec,
     normal_form,
-    parse_quiver_spec,
-    print_quiver_spec,
 )
 from conftest import completed_family
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# presentations
 
 
-ONE_LOOP = """
-prime: 2
-vertices: v
-arrows:
-  x: v -> v
-relations:
-  x^2
-"""
-
-
-def test_parse_one_loop():
-    spec = parse_quiver_spec(ONE_LOOP)
-    assert spec.p == 2
-    assert spec.vertices == ("v",)
-    assert spec.arrows == {"x": ("v", "v")}
-    assert spec.relations == [{("x", "x"): 1}]
+ONE_LOOP = QuiverSpec(2, ["v"], {"x": ("v", "v")}, [{("x", "x"): 1}])
 
 
 def test_one_loop_basis():
-    sys = complete(parse_quiver_spec(ONE_LOOP), cap=8)
+    sys = complete(ONE_LOOP, cap=8)
     assert sys.dim == 2
     assert [str(w) for w in sys.basis_words("v")] == ["e_v", "x"]
 
 
-def test_round_trip_builtins():
-    for family, d in [("I", 2), ("I", 3), ("II", 2), ("III", 3)]:
-        spec = builtin_family(family, d)
-        again = parse_quiver_spec(print_quiver_spec(spec))
-        assert again == spec
-
-
-def test_round_trip_handwritten():
-    text = """
-# a three vertex example with a power and a difference
-prime: 3
-vertices: 0 1 2
-arrows:
-  a: 0 -> 1
-  b: 1 -> 2
-  c: 2 -> 0
-relations:
-  (c b a)^2
-  b a - 2 b a
-"""
-    spec = parse_quiver_spec(text)
-    assert spec.p == 3
-    assert spec.arrows["b"] == ("1", "2") or spec.arrows["b"] == (1, 2)
-    again = parse_quiver_spec(print_quiver_spec(spec))
-    assert again == spec
-
-
-def test_parse_errors_carry_line_numbers():
-    bad = "prime: 2\nvertices: a\narrows:\n  x: a -> q\n"
-    with pytest.raises(QuiverSyntaxError) as info:
-        parse_quiver_spec(bad)
-    assert info.value.line == 4
-
-    bad2 = "prime: 2\nvertices: a\narrows:\n  x: a -> a\nrelations:\n  y x\n"
-    with pytest.raises(QuiverSyntaxError) as info:
-        parse_quiver_spec(bad2)
-    assert info.value.line == 6
-
-    with pytest.raises(QuiverSyntaxError):
-        parse_quiver_spec("vertices: a\n")  # no prime line
-
-
 def test_non_composable_relation_rejected():
-    bad = "prime: 2\nvertices: a b\narrows:\n  x: a -> b\nrelations:\n  x x\n"
-    with pytest.raises(QuiverSyntaxError):
-        parse_quiver_spec(bad)
+    with pytest.raises(ValueError, match="not composable"):
+        QuiverSpec(2, ["a", "b"], {"x": ("a", "b")}, [{("x", "x"): 1}])
+
+
+LOOP_AND_EXIT = {"x": ("a", "a"), "y": ("a", "b")}
+
+
+@pytest.mark.parametrize("vertices, arrows, relation, message", [
+    (["a", "a"], {}, None, "duplicate vertex"),
+    (["a"], {"x": ("a", "b")}, None, "unknown vertex"),
+    (["a"], {"x": ("a", "a")}, {("x",): 1}, "length >= 2"),
+    (["a"], {"x": ("a", "a")}, {("x", "z"): 1}, "unknown arrow"),
+    (["a"], {"x": ("a", "a")}, {("x", "x"): 2}, "identically zero"),
+    (["a", "b"], LOOP_AND_EXIT, {("x", "x"): 1, ("y", "x"): 1},
+     "not parallel"),
+    (["a", "b"], LOOP_AND_EXIT, {("x", "y"): 1}, "not composable"),
+], ids=["duplicate-vertex", "unknown-vertex", "short-monomial",
+        "unknown-arrow", "zero-relation", "non-parallel", "non-composable"])
+def test_quiver_spec_validation(vertices, arrows, relation, message):
+    relations = [] if relation is None else [relation]
+    with pytest.raises(ValueError, match=message):
+        QuiverSpec(2, vertices, arrows, relations)
 
 
 def test_builtin_family_argument_errors():
