@@ -19,6 +19,8 @@ slice per t-degree.
 Matrix products are exact or refused: with inner dimension k,
 `level_matmul` raises OverflowError unless k * max_l sum_{i<=l}
 (m_i - 1)(m_{l-i} - 1) < 2^63, the rule `flinalg.exact_product` states.
+Each product is one matmul against a block-Toeplitz expansion of the
+right operand, in float64 BLAS where that rule admits it.
 
 >>> d = mixed_deform(3, 2, 3)
 >>> t = Matrix.from_int_array(d, [[1]], level=1)
@@ -121,15 +123,23 @@ def obstruction_ring(p: int) -> RingDescriptor:
     return RingDescriptor("obstruction", p)
 
 
-def convolve_levels(moduli, a_levels, b_levels):
-    """C_l = sum_{i+j=l} A_i @ B_j reduced mod moduli[l], for stacked arrays."""
-    out = []
-    for l in range(len(moduli)):
-        acc = a_levels[0] @ b_levels[l]
-        for i in range(1, l + 1):
-            acc = acc + a_levels[i] @ b_levels[l - i]
-        out.append(acc % moduli[l])
-    return out
+def convolve_levels(moduli, a, b, fits_float):
+    """C_l = sum_{i+j=l} A_i @ B_j reduced mod moduli[l], as one matmul.
+
+    a (..., r, k, L) folds its levels into the inner axis as it lies; b
+    (..., k, c, L) expands to the block lower-triangular Toeplitz operand
+    (..., k L, c L) whose block (i, l) is B_{l-i}, zero above the diagonal.
+    """
+    L = len(moduli)
+    *lead, k, c, _ = b.shape
+    toeplitz = np.zeros((*lead, k, L, c, L), dtype=np.int64)
+    for i in range(L):
+        toeplitz[..., i, :, i:] = b[..., : L - i]
+    out = flinalg.routed_matmul(
+        a.reshape(*a.shape[:-2], k * L),
+        toeplitz.reshape(*lead, k * L, c * L), fits_float,
+    )
+    return out.reshape(*out.shape[:-1], c, L) % np.array(moduli)
 
 
 def level_matmul(moduli, a, b):
@@ -137,14 +147,12 @@ def level_matmul(moduli, a, b):
 
     a and b hold canonical coefficients with shapes (..., r, k, L) and
     (..., k, c, L); the leading axes broadcast as in np.matmul.  This is
-    the one matrix product over the rings above, exact or refused.
+    the one matrix product over the rings above, exact or refused.  Put
+    a stack on the left: the right operand is expanded L-fold.
     """
-    flinalg.exact_product(a.shape[-2], moduli)
-    L = len(moduli)
-    out = convolve_levels(
-        moduli, [a[..., i] for i in range(L)], [b[..., i] for i in range(L)]
+    return convolve_levels(
+        moduli, a, b, flinalg.exact_product(a.shape[-2], moduli)
     )
-    return np.stack(out, axis=-1)
 
 
 def poly_str(coeffs) -> str:

@@ -638,6 +638,12 @@ def obstruction_sweep(p, samples=100, seed=0) -> list:
 # scenarios and reports
 
 
+# Group and obstruction scenarios are refused past WORK_CEILING estimated
+# multiply-adds; int64-route products cost INT64_WORK_FACTOR float64 ones.
+WORK_CEILING = 10**11
+INT64_WORK_FACTOR = 16
+
+
 @dataclass(frozen=True)
 class Scenario:
     kind: str
@@ -662,16 +668,38 @@ class Scenario:
             if self.kind == "group" and not (
                     self.n >= 1 and 2 <= self.N <= 64):
                 raise ValueError("need n >= 1 and 2 <= N <= 64")
-            # products of (p - 1)-square matrices over the scenario's ring,
-            # refused before trial division; n >= 64 fails for every p >= 3
-            kind = "mixed_deform" if self.kind == "group" else "obstruction"
-            if self.p >= 3:
-                flinalg.exact_product(self.p - 1, coeff.ring_moduli(
-                    kind, self.p, min(self.n, 64), self.N))
+            # the estimate asks the exactness rule, before trial division
+            work = self.work_estimate() if self.p >= 3 else 0
             if self.p < 3 or not coeff.is_prime(self.p):
                 raise ValueError("p must be an odd prime")
+            if work > WORK_CEILING:
+                raise ValueError(f"estimated work {work:.1e} multiply-adds "
+                                 f"exceeds the budget of {WORK_CEILING:.0e}")
         else:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+
+    def work_estimate(self) -> int:
+        """Products x rows x inner dimension x columns x level pairs.
+
+        About 2 log2 p products per sweep witness, of (p - 1)-square
+        matrices over the obstruction ring; a group scenario adds |G|^2
+        products over End(V) twice (its table and the H^1 basis) and over
+        the mixed ring once.  Refuses what int64 cannot hold exactly;
+        n >= 64 fails for every p >= 3.
+        """
+        def cost(count, k, moduli):
+            fits = flinalg.exact_product(k, moduli)
+            pairs = len(moduli) * (len(moduli) + 1) // 2
+            return count * k**3 * pairs * (1 if fits else INT64_WORK_FACTOR)
+
+        p, d = self.p, self.p - 1
+        work = cost((self.samples + 3) * 2 * p.bit_length(), d,
+                    coeff.ring_moduli("obstruction", p))
+        if self.kind == "group":
+            G2 = (p * p * d) ** 2
+            work += cost(2 * G2, d * d, (p,)) + cost(G2, d, coeff.ring_moduli(
+                "mixed_deform", p, min(self.n, 64), self.N))
+        return work
 
     @property
     def id(self):

@@ -44,17 +44,22 @@ def asmod(a, p: int) -> np.ndarray:
     return np.asarray(a, dtype=np.int64) % p
 
 
+def routed_matmul(a, b, fits_float: bool) -> np.ndarray:
+    """Unreduced a @ b, in float64 BLAS when worthwhile and fits_float,
+    `exact_product`'s answer for its sums: the one float64 route."""
+    k = a.shape[-1]
+    flops = a.size // max(k, 1) * k * (b.size // max(k, 1))
+    if flops > _BLAS_CUTOFF and fits_float:
+        c = np.matmul(a.astype(np.float64), b.astype(np.float64))
+        return c.astype(np.int64)
+    return np.matmul(a, b)
+
+
 def matmul_mod(a, b, m: int) -> np.ndarray:
     """Exact a @ b mod m, via BLAS float64 where safe and worthwhile."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    k = a.shape[-1]
-    fits_float = exact_product(k, (m,))
-    flops = a.size // max(k, 1) * k * (b.size // max(k, 1))
-    if flops > _BLAS_CUTOFF and fits_float:
-        c = np.matmul(a.astype(np.float64), b.astype(np.float64))
-        return c.astype(np.int64) % m
-    return np.matmul(a, b) % m
+    return routed_matmul(a, b, exact_product(a.shape[-1], (m,))) % m
 
 
 def rref(a, p: int):

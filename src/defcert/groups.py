@@ -324,15 +324,13 @@ class GroupRep:
         """All (g, h) with rho(g)rho(h) != rho(gh); empty means verified."""
         t, moduli = self.table, self.ring.moduli
         a = self.mats
+        stack = a.reshape(t.size * self.dim, self.dim, -1)
         bad = []
-        for g in range(t.size):
-            lhs = coeff.level_matmul(moduli, a[g], a)
-            rhs = a[t.mul[g]]
-            neq = np.nonzero(
-                np.any(lhs != rhs, axis=(1, 2, 3))
-            )[0]
-            bad.extend((g, int(h)) for h in neq)
-        return bad
+        for h in range(t.size):
+            lhs = coeff.level_matmul(moduli, stack, a[h]).reshape(a.shape)
+            neq = np.nonzero(np.any(lhs != a[t.mul[:, h]], axis=(1, 2, 3)))[0]
+            bad.extend((int(g), h) for g in neq)
+        return sorted(bad)
 
     def convert(self, target: coeff.RingDescriptor) -> "GroupRep":
         """Reduce along a legal ring surjection (levelwise)."""
@@ -779,10 +777,13 @@ def h1_cocycles(table: GroupTable, M: fdmod.FdModule) -> H1Result:
 
     if zdim:
         DS = flinalg.matmul_mod(D, zpar, p)
+        # side[:, h, :] = DS[h], so each g is one 2-D product rho[g] @ side
+        side = DS.swapaxes(0, 1).copy()
+        flat = side.reshape(m, n * zdim)
         for g in range(n):
-            lhs = DS[table.mul[g]]
-            rhs = (DS[g][None, :, :] + flinalg.matmul_mod(rho[g], DS, p)) % p
-            if np.any(lhs != rhs):
+            rhs = flinalg.matmul_mod(rho[g], flat, p).reshape(side.shape)
+            rhs = (rhs + DS[g][:, None, :]) % p
+            if np.any(side[:, table.mul[g]] != rhs):
                 raise RuntimeError("verified cocycle basis failed the table")
     else:
         DS = np.zeros((n, m, 0), dtype=np.int64)

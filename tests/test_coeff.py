@@ -2,13 +2,14 @@
 
 import random
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defcert import coeff
+from defcert import coeff, flinalg
 from defcert.coeff import (
     DescriptorMismatch,
     Matrix,
@@ -318,3 +319,66 @@ def test_product_past_int64_refuses_instead_of_wrapping():
         a @ a
     with pytest.raises(OverflowError):
         a.scale(-1)
+
+
+FLOAT_LIMIT = 2**53
+
+# per kind: knobs as for NEAR_BOUND_KNOBS, with (p, N) pairs for the mixed
+# ring so that both three and 64 t-levels are reached
+FLOAT_BOUND_KNOBS = {
+    "prime_field": (1,),
+    "trunc_poly": (1, 4, 64),
+    "trunc_witt": (3, 7),
+    "mixed_deform": ((3, 3), (3, 64), (7, 64)),
+    "obstruction": (1,),
+}
+
+
+@lru_cache(maxsize=None)
+def ring_near_float_bound(kind, k, knob):
+    """The ring of this kind with the largest modulus float64 holds at k."""
+    if kind in ("trunc_witt", "mixed_deform"):
+        p, N = knob if kind == "mixed_deform" else (knob, 1)
+        n = 1
+        while k * unreduced_peak(
+                coeff.ring_moduli(kind, p, n + 1, N)) < FLOAT_LIMIT:
+            n += 1
+        return coeff.RingDescriptor(kind, p, n=n, N=N)
+    root = 6 if kind == "obstruction" else 2
+    q = int((FLOAT_LIMIT // (k * knob)) ** (1 / root)) + 2
+    while not (coeff.is_prime(q) and k * unreduced_peak(
+            coeff.ring_moduli(kind, q, 1, knob)) < FLOAT_LIMIT):
+        q -= 1
+    return coeff.RingDescriptor(kind, q, N=knob if kind == "trunc_poly" else 1)
+
+
+@st.composite
+def rings_near_float_bound(draw):
+    kind = draw(st.sampled_from(sorted(FLOAT_BOUND_KNOBS)))
+    k = draw(st.integers(1, 3))
+    knob = draw(st.sampled_from(FLOAT_BOUND_KNOBS[kind]))
+    return ring_near_float_bound(kind, k, knob)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rings_near_float_bound(), st.integers(0, 2**32 - 1))
+def test_level_matmul_float_route_is_exact_up_to_the_float_bound(desc, seed):
+    # operands wide enough for the float64 route, at the largest k whose
+    # peak float64 holds and at k + 1, where only int64 is exact.  Entry
+    # (0, 0) sums every peak term; entry (1, 1) swaps one term per level
+    # for an odd one, so past 2^53 its sum is odd and float64 would round
+    moduli, L = desc.moduli, desc.levels
+    top = np.array(moduli, dtype=np.int64) - 1
+    k_max = (FLOAT_LIMIT - 1) // unreduced_peak(moduli)
+    assert 1 <= k_max < 200
+    rng = np.random.default_rng(seed)
+    for k in (k_max, k_max + 1):
+        side = isqrt(flinalg._BLAS_CUTOFF // (k * L * L)) + 2
+        a = extreme_entries(rng, (side, k), moduli)
+        b = extreme_entries(rng, (k, side), moduli)
+        a[:2], b[:, :2] = top, top
+        a[1, 0, 0] -= 1
+        b[0, 1] -= 1
+        got = coeff.level_matmul(moduli, a, b)
+        assert np.array_equal(got.astype(object),
+                              reference_level_product(moduli, a, b))

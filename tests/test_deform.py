@@ -454,6 +454,15 @@ def test_failed_premise_downgrades_and_withholds_the_conclusion():
     assert report.conclusion == ""
 
 
+def test_work_budget_admits_the_largest_level_count_and_refuses_past_it():
+    heavy = deform.Scenario("group", p=7, N=64, samples=0)
+    assert heavy.work_estimate() <= deform.WORK_CEILING
+    # exit 2 for both is pinned in test_cli; here, that the budget refuses
+    for kind, p in (("group", 11), ("obstruction", 509)):
+        with pytest.raises(ValueError, match="budget"):
+            deform.Scenario(kind, p=p, samples=0)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError, match="kind"):
         deform.Scenario("mystery")

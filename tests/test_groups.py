@@ -1,12 +1,13 @@
 """Group tables, representations, induction, and cocycle cohomology."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 
-from defcert import coeff, fdmod, groups
+from defcert import coeff, deform, fdmod, groups
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +147,54 @@ def test_rep_is_table_verified(q5):
             {"sigma": rep.generator_matrix("sigma")[:, :, 0],
              "epsilon": bad_eps},
         )
+
+
+def reference_bad_pairs(rep):
+    """All (g, h) with rho(g)rho(h) != rho(gh), by a loop in Python ints."""
+    t, moduli = rep.table, rep.ring.moduli
+    mats = rep.mats.astype(object)
+    bad = []
+    for g in range(t.size):
+        for h in range(t.size):
+            want = mats[t.mul[g, h]]
+            for l, m in enumerate(moduli):
+                level = sum(mats[g][..., i].dot(mats[h][..., l - i])
+                            for i in range(l + 1)) % m
+                if np.any(level != want[..., l]):
+                    bad.append((g, h))
+                    break
+    return bad
+
+
+@pytest.mark.parametrize("ring", ["prime_field", "mixed_deform"])
+def test_check_table_finds_every_planted_pair_in_order(ring):
+    # L = 1 over the quotient at p = 5, L = 3 over the full group at p = 3
+    if ring == "prime_field":
+        rep = groups.uniserial_representation(5)
+    else:
+        rep = deform.mixed_representation(3, 1, 3)
+    assert rep.ring.levels == (1 if ring == "prime_field" else 3)
+    p, L = rep.table.p, rep.ring.levels
+
+    mats = rep.mats.copy()
+    mats[5, 1, 0, L - 1] = (mats[5, 1, 0, L - 1] + 1) % p
+    planted = groups.GroupRep(rep.table, rep.ring, mats, check=False)
+    bad = reference_bad_pairs(planted)
+    assert bad and planted.check_table() == bad
+    first = re.escape(f"pair {bad[0]} and {len(bad) - 1} more")
+    with pytest.raises(ValueError, match=first):
+        groups.GroupRep(rep.table, rep.ring, mats)
+
+    gens = {name: rep.generator_matrix(name).copy()
+            for name in rep.table.generator_indices()}
+    gens["epsilon"][0, 0, 0] = 1
+    broken = groups.GroupRep.from_generators(rep.table, rep.ring, gens,
+                                             check=False)
+    bad = reference_bad_pairs(broken)
+    assert bad and broken.check_table() == bad
+    first = re.escape(f"pair {bad[0]} and {len(bad) - 1} more")
+    with pytest.raises(ValueError, match=first):
+        groups.GroupRep.from_generators(rep.table, rep.ring, gens)
 
 
 def test_rep_over_witt_ring(g3):
@@ -366,6 +415,25 @@ def test_h1_quotient_agrees_with_ext(p):
     V = groups.rep_to_module(rep)
     r = groups.h1_cocycles(rep.table, groups.conjugation_module(rep))
     assert r.dim == fdmod.ext_dim(V, V, 1).dim == 0
+
+
+def test_h1_table_check_catches_a_corrupted_cocycle(monkeypatch):
+    # the walk's D feeds the |G|^2 check of the basis; one bad value at an
+    # element must fail it
+    rep = groups.uniserial_representation(3)
+    G = groups.build_group(3)
+    M = groups.conjugation_module(groups.inflate(rep, G))
+    walk = groups.cocycle_system
+
+    def corrupted(*args, **kwargs):
+        D, system, rhs = walk(*args, **kwargs)
+        D = D.copy()
+        D[5] = (D[5] + 1) % 3
+        return D, system, rhs
+
+    monkeypatch.setattr(groups, "cocycle_system", corrupted)
+    with pytest.raises(RuntimeError, match="cocycle basis failed the table"):
+        groups.h1_cocycles(G, M)
 
 
 def test_h1_trivial_group():
