@@ -250,8 +250,8 @@ class Matrix:
 
     def scale(self, c: int) -> "Matrix":
         e = Matrix.from_int_array(self.desc, [[c]]).arr
-        row = self.arr.reshape(1, -1, self.desc.levels)
-        out = level_matmul(self.desc.moduli, e, row)
+        col = self.arr.reshape(-1, 1, self.desc.levels)
+        out = level_matmul(self.desc.moduli, col, e)
         return Matrix(self.desc, out.reshape(self.arr.shape))
 
     def __matmul__(self, other):

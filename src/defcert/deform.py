@@ -681,11 +681,10 @@ class Scenario:
     def work_estimate(self) -> int:
         """Products x rows x inner dimension x columns x level pairs.
 
-        About 2 log2 p products per sweep witness, of (p - 1)-square
-        matrices over the obstruction ring; a group scenario adds |G|^2
-        products over End(V) twice (its table and the H^1 basis) and over
-        the mixed ring once.  Refuses what int64 cannot hold exactly;
-        n >= 64 fails for every p >= 3.
+        About 2 log2 p products per sweep witness over the obstruction
+        ring; a group scenario adds |G|^2 over End(V) twice (its table and
+        the H^1 basis) and over the mixed ring once.  Raises OverflowError
+        where int64 cannot hold a product, as n >= 64 does for any p >= 3.
         """
         def cost(count, k, moduli):
             fits = flinalg.exact_product(k, moduli)

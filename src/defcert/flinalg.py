@@ -45,8 +45,8 @@ def asmod(a, p: int) -> np.ndarray:
 
 
 def routed_matmul(a, b, fits_float: bool) -> np.ndarray:
-    """Unreduced a @ b, in float64 BLAS when worthwhile and fits_float,
-    `exact_product`'s answer for its sums: the one float64 route."""
+    """Unreduced a @ b of int64 arrays; the one place that takes float64
+    BLAS, when fits_float (`exact_product`'s answer) and flops allow."""
     k = a.shape[-1]
     flops = a.size // max(k, 1) * k * (b.size // max(k, 1))
     if flops > _BLAS_CUTOFF and fits_float:

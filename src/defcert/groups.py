@@ -777,13 +777,14 @@ def h1_cocycles(table: GroupTable, M: fdmod.FdModule) -> H1Result:
 
     if zdim:
         DS = flinalg.matmul_mod(D, zpar, p)
-        # side[:, h, :] = DS[h], so each g is one 2-D product rho[g] @ side
-        side = DS.swapaxes(0, 1).copy()
+        side = DS.swapaxes(0, 1).copy()  # side[:, h] = DS[h]
         flat = side.reshape(m, n * zdim)
         for g in range(n):
-            rhs = flinalg.matmul_mod(rho[g], flat, p).reshape(side.shape)
-            rhs = (rhs + DS[g][:, None, :]) % p
-            if np.any(side[:, table.mul[g]] != rhs):
+            # g.d(h) + d(g) - d(gh) over canonical residues: 0 mod p
+            # exactly when it is 0 or p
+            diff = (flinalg.matmul_mod(rho[g], flat, p).reshape(side.shape)
+                    + DS[g][:, None, :] - side[:, table.mul[g]])
+            if np.any((diff != 0) & (diff != p)):
                 raise RuntimeError("verified cocycle basis failed the table")
     else:
         DS = np.zeros((n, m, 0), dtype=np.int64)
