@@ -97,54 +97,21 @@ def _prime_list(args):
     return deform.GROUP_PRIMES if args.p is None else (args.p,)
 
 
-def _cmd_families_verify(args):
-    reports = [
-        deform.scenario_report(
-            deform.Scenario("family", family=fam, d=d, seed=args.seed)
-        )
-        for fam, d in _family_cases(args)
-    ]
-    return _emit_and_exit(args, reports)
-
-
-def _cmd_group_verify(args):
-    reports = [
-        deform.scenario_report(deform.Scenario(
-            "group", p=p, a_eps=args.a_eps, n=args.n, N=args.N,
-            samples=args.samples, seed=args.seed,
-        ))
-        for p in _prime_list(args)
-    ]
-    return _emit_and_exit(args, reports)
-
-
-def _cmd_obstruction(args):
-    reports = [
-        deform.scenario_report(deform.Scenario(
-            "obstruction", p=p, samples=args.samples, seed=args.seed,
-        ))
-        for p in _prime_list(args)
-    ]
-    return _emit_and_exit(args, reports)
-
-
-def _cmd_report_all(args):
-    scenarios = [
-        deform.Scenario("family", family=fam, d=d, seed=args.seed)
-        for fam, d in _family_cases(args)
-    ]
-    for p in _prime_list(args):
-        scenarios.append(deform.Scenario(
-            "group", p=p, a_eps=args.a_eps, n=args.n, N=args.N,
-            samples=args.samples, seed=args.seed,
-        ))
-        scenarios.append(deform.Scenario(
-            "obstruction", p=p, samples=args.samples, seed=args.seed,
-        ))
-    scenarios.sort(key=lambda s: s.id)
-    reports = [deform.scenario_report(s) for s in scenarios]
-    _write(args, emit_reports(reports, args.format))
-    return 0 if all(r.status == "VERIFIED" for r in reports) else 1
+def _cmd_scenarios(args):
+    """Build every scenario of args.kinds before running any, then emit."""
+    scenarios = []
+    for kind in args.kinds:
+        if kind == "family":
+            scenarios += [
+                deform.Scenario(kind, family=fam, d=d, seed=args.seed)
+                for fam, d in _family_cases(args)]
+            continue
+        shape = ({"a_eps": args.a_eps, "n": args.n, "N": args.N}
+                 if kind == "group" else {})
+        scenarios += [deform.Scenario(kind, p=p, samples=args.samples,
+                                      seed=args.seed, **shape)
+                      for p in _prime_list(args)]
+    return _emit_and_exit(args, [deform.scenario_report(s) for s in scenarios])
 
 
 def _resolve_fixture_algebra(args, text):
@@ -302,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(fv)
     _add_sampling_flags(fv)
     _add_output_flags(fv)
-    fv.set_defaults(func=_cmd_families_verify)
+    fv.set_defaults(func=_cmd_scenarios, kinds=("family",))
 
     group = sub.add_parser("group", help="group-side scenarios")
     gsub = group.add_subparsers(dest="action", required=True)
@@ -310,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_flags(gv)
     _add_sampling_flags(gv)
     _add_output_flags(gv)
-    gv.set_defaults(func=_cmd_group_verify)
+    gv.set_defaults(func=_cmd_scenarios, kinds=("group",))
 
     module = sub.add_parser("module", help="module fixture checks")
     msub = module.add_subparsers(dest="action", required=True)
@@ -340,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     obstruction.add_argument("--p", type=int, default=None)
     _add_sampling_flags(obstruction)
     _add_output_flags(obstruction)
-    obstruction.set_defaults(func=_cmd_obstruction)
+    obstruction.set_defaults(func=_cmd_scenarios, kinds=("obstruction",))
 
     report = sub.add_parser("report", help="bundled scenario reports")
     rsub = report.add_subparsers(dest="action", required=True)
@@ -349,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_flags(ra)
     _add_sampling_flags(ra)
     _add_output_flags(ra)
-    ra.set_defaults(func=_cmd_report_all)
+    ra.set_defaults(func=_cmd_scenarios,
+                    kinds=("family", "group", "obstruction"))
 
     return top
 

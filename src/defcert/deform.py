@@ -640,8 +640,13 @@ def obstruction_sweep(p, samples=100, seed=0) -> list:
 
 # Group and obstruction scenarios are refused past WORK_CEILING estimated
 # multiply-adds; int64-route products cost INT64_WORK_FACTOR float64 ones.
+# A sweep product costs at least SWEEP_CALL_FLOOR: at p = 3 a witness took
+# about 0.17 ms for its four 2 x 2 products on a 2-vCPU host, so about
+# 40 us of per-call cost each, which is 2^18 multiply-adds at the budget's
+# rate (10^11 in about 15 s).
 WORK_CEILING = 10**11
 INT64_WORK_FACTOR = 16
+SWEEP_CALL_FLOOR = 2**18
 
 
 @dataclass(frozen=True)
@@ -682,18 +687,20 @@ class Scenario:
         """Products x rows x inner dimension x columns x level pairs.
 
         About 2 log2 p products per sweep witness over the obstruction
-        ring; a group scenario adds |G|^2 over End(V) twice (its table and
-        the H^1 basis) and over the mixed ring once.  Raises OverflowError
-        where int64 cannot hold a product, as n >= 64 does for any p >= 3.
+        ring, each at least SWEEP_CALL_FLOOR; a group scenario adds |G|^2
+        over End(V) twice (its table and the H^1 basis) and over the mixed
+        ring once.  Raises OverflowError where int64 cannot hold a product,
+        as n >= 64 does for any p >= 3.
         """
-        def cost(count, k, moduli):
+        def cost(count, k, moduli, floor=0):
             fits = flinalg.exact_product(k, moduli)
             pairs = len(moduli) * (len(moduli) + 1) // 2
-            return count * k**3 * pairs * (1 if fits else INT64_WORK_FACTOR)
+            return count * max(floor, k**3 * pairs * (
+                1 if fits else INT64_WORK_FACTOR))
 
         p, d = self.p, self.p - 1
         work = cost((self.samples + 3) * 2 * p.bit_length(), d,
-                    coeff.ring_moduli("obstruction", p))
+                    coeff.ring_moduli("obstruction", p), SWEEP_CALL_FLOOR)
         if self.kind == "group":
             G2 = (p * p * d) ** 2
             work += cost(2 * G2, d * d, (p,)) + cost(G2, d, coeff.ring_moduli(

@@ -14,13 +14,15 @@ A handle provides:
   module_dim_vector(M)       -> {label: multiplicity} of the simples in M
   radical_generators(M)      -> matrices on M whose images span rad M
   component_vectors(N, label)-> basis of the label component of N
+  component_coordinates(N)   -> Coordinates of N in a basis of component
+                                vectors (read through N.coordinates())
   yoneda_columns(label, N, x)-> action columns of Hom(P_label, N) element x
-  hom_split()                -> None, or (unipotent gen names, p'-gen name)
 
-From these two facts, the radical generators and the component bases,
+From these facts, the radical generators and the component coordinates,
 this module derives once for both kinds of handle the radical and socle
-(`radical_image_columns`, `socle_columns`), the top (`top_pick`) and the
-simple multiplicities of a section (`section_label_dims_quotient`).
+(`radical_image_columns`, `socle_columns`), the top (`top_pick`), the
+simple multiplicities of a section (`section_label_dims_quotient`) and
+the intertwiners (`hom_space`).
 
 All modules are graded by grading_labels via block_of; group-algebra
 modules use a single block.  Words act leftmost-last, so ``rho(word)`` is
@@ -30,6 +32,7 @@ the matrix product taken in written order.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +62,11 @@ class ValidationReport:
             raise self.violations[0]
 
 
+# A module in a basis C of component vectors: labels[j] indexes
+# simple_labels for column j of C, and mats[name] is C^-1 a C.
+Coordinates = namedtuple("Coordinates", "C C_inv labels mats")
+
+
 class FdModule:
     """Module given by one action matrix per algebra generator.
 
@@ -82,6 +90,7 @@ class FdModule:
             a.flags.writeable = False
             self.mats[name] = a
         self._powers = {}
+        self._coords = None
         if check and self.dim:
             validate_module(self).raise_if_invalid()
 
@@ -113,6 +122,12 @@ class FdModule:
         while len(pows) <= k:
             pows.append(flinalg.matmul_mod(pows[-1], self.mats[name], self.p))
         return pows[k]
+
+    def coordinates(self) -> Coordinates:
+        """The handle's component coordinates of this module, cached."""
+        if self._coords is None:
+            self._coords = self.algebra.component_coordinates(self)
+        return self._coords
 
     def __repr__(self):
         return f"FdModule(dim={self.dim}, algebra={self.algebra.kind})"
@@ -291,8 +306,10 @@ class QuiverAlgebra:
         idx = list(self.grading_labels).index(label)
         return list(np.eye(N.dim, dtype=np.int64)[N.block_of == idx])
 
-    def hom_split(self):
-        return None
+    def component_coordinates(self, N):
+        """The unit basis; each vector lies in its vertex block."""
+        eye = np.eye(N.dim, dtype=np.int64)
+        return Coordinates(eye, eye, N.block_of, N.mats)
 
 
 def projective_from_system(system: CompletedSystem, v):
@@ -351,155 +368,45 @@ def _grading_mask(M, N):
     return N.block_of.reshape(-1, 1) == M.block_of.reshape(1, -1)
 
 
-def _naive_hom_basis(M, N):
-    """Nullspace of the stacked intertwiner conditions, masked by grading."""
-    p = M.p
-    unknowns = np.argwhere(_grading_mask(M, N))
-    ucount = unknowns.shape[0]
-    if ucount == 0:
-        return []
-    ks, ls = unknowns[:, 0], unknowns[:, 1]
-    u = np.arange(ucount)
-    rows = []
-    for name in M.algebra.generators:
-        # entry (i, j) of a_N F - F a_M = 0: unknown F[k, l] enters the
-        # rows (., l) through a_N[:, k] and the rows (k, .) through -a_M[l, :]
-        sysmat = np.zeros((N.dim, M.dim, ucount), dtype=np.int64)
-        sysmat[:, ls, u] += N.mats[name][:, ks]
-        sysmat[ks, :, u] -= M.mats[name][ls, :]
-        sysmat = sysmat.reshape(N.dim * M.dim, ucount) % p
-        rows.append(sysmat[sysmat.any(axis=1)])
-    ker = flinalg.nullspace(np.concatenate(rows, axis=0), p)
-    out = []
-    for c in range(ker.shape[1]):
-        f = np.zeros((N.dim, M.dim), dtype=np.int64)
-        f[unknowns[:, 0], unknowns[:, 1]] = ker[:, c]
-        out.append(f)
-    return out
-
-
-def nilpotent_jordan(N, p):
-    """Jordan basis of a nilpotent matrix: (P, block_sizes).
-
-    P's columns are chains (v, Nv, N^2 v, ...) so P^-1 N P has ones on the
-    subdiagonal within each block.  Blocks are listed in P's column order.
-    """
-    n = N.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64), []
-    powers = [np.eye(n, dtype=np.int64) % p]
-    while np.any(powers[-1]):
-        powers.append(flinalg.matmul_mod(powers[-1], N, p))
-    s = len(powers) - 1  # nilpotency index
-    kerN = flinalg.nullspace(N, p)
-    bottoms = np.zeros((n, 0), dtype=np.int64)
-    chains = []
-    for j in range(s, 0, -1):
-        if j == 1:
-            w_space = kerN
-        else:
-            im = flinalg.col_space_basis(powers[j - 1], p)
-            w_space = flinalg.intersect_col_spaces(kerN, im, p)
-        # extend current bottoms to a basis of w_space
-        for c in flinalg.extend_basis(bottoms, w_space, p):
-            v = w_space[:, c]
-            bottoms = np.concatenate([bottoms, v.reshape(-1, 1)], axis=1)
-            top = flinalg.solve(powers[j - 1], v, p)
-            if top is None:
-                raise RuntimeError("chain bottom is not in the power's image")
-            chain = [top % p]
-            for _ in range(j - 1):
-                chain.append(
-                    flinalg.matmul_mod(N, chain[-1].reshape(-1, 1), p).ravel()
-                )
-            chains.append(np.column_stack(chain))
-    P = np.concatenate([c for c in chains], axis=1)
-    if P.shape != (n, n) or flinalg.rank(P, p) != n:
-        raise RuntimeError("Jordan chains do not form a basis")
-    return P, [c.shape[1] for c in chains]
-
-
-def _shift_solution_basis(r, s):
-    """Basis of X (r x s) with N_r X = X N_s, N_* subdiagonal nilpotents."""
-    out = []
-    for a in range(max(0, r - s), r):
-        x = np.zeros((r, s), dtype=np.int64)
-        for k in range(min(s, r - a)):
-            x[a + k, k] = 1
-        out.append(x)
-    return out
-
-
-def _sylvester_unipotent_basis(A, B, p):
-    """Basis of {F : A F = F B} for unipotent A (n x n), B (m x m)."""
-    n, m = A.shape[0], B.shape[0]
-    I_n = np.eye(n, dtype=np.int64)
-    I_m = np.eye(m, dtype=np.int64)
-    Pa, blocks_a = nilpotent_jordan((A - I_n) % p, p)
-    Pb, blocks_b = nilpotent_jordan((B - I_m) % p, p)
-    Pb_inv = flinalg.inv(Pb, p)
-    offs_a = np.cumsum([0] + blocks_a)
-    offs_b = np.cumsum([0] + blocks_b)
-    out = []
-    for ia, r in enumerate(blocks_a):
-        for ib, s in enumerate(blocks_b):
-            for x in _shift_solution_basis(r, s):
-                g = np.zeros((n, m), dtype=np.int64)
-                g[offs_a[ia] : offs_a[ia] + r, offs_b[ib] : offs_b[ib] + s] = x
-                f = flinalg.matmul_mod(flinalg.matmul_mod(Pa, g, p), Pb_inv, p)
-                out.append(f)
-    return out
-
-
-def _combine(coeffs, basis, p):
-    """sum_i coeffs[i] * basis[i] mod p."""
-    W = np.zeros_like(basis[0])
-    for c, b in zip(coeffs, basis):
-        if c:
-            W = (W + int(c) * b) % p
-    return W
-
-
-def _filter_by_condition(basis, cond, p):
-    """Sub-basis of span(basis) killed by the linear map cond(F)."""
-    if not basis:
-        return []
-    imgs = np.column_stack([cond(f).ravel() % p for f in basis])
-    ker = flinalg.nullspace(imgs, p)
-    return [_combine(ker[:, c], basis, p) for c in range(ker.shape[1])]
-
-
-def _group_hom_basis(M, N):
-    """Intertwiners via Jordan form of the order-p generators.
-
-    Solve the Sylvester condition for the first unipotent generator in
-    closed form, then impose the remaining generators as small linear
-    conditions on that parameter space.
-    """
-    p = M.p
-    uni, semi = M.algebra.hom_split()
-    first = uni[0]
-    basis = _sylvester_unipotent_basis(N.mats[first], M.mats[first], p)
-    for name in list(uni[1:]) + [semi]:
-        a_m, a_n = M.mats[name], N.mats[name]
-        cond = lambda f, a_m=a_m, a_n=a_n: (
-            flinalg.matmul_mod(a_n, f, p) - flinalg.matmul_mod(f, a_m, p)
-        ) % p
-        basis = _filter_by_condition(basis, cond, p)
-    return basis
-
-
 def hom_space(M: FdModule, N: FdModule) -> HomBasis:
-    """All grading-preserving intertwiners M -> N."""
+    """All grading-preserving intertwiners M -> N.
+
+    An intertwiner F maps each simple component of M into the component of
+    N with the same label, so in component coordinates X = C_N^-1 F C_M it
+    is label-block-diagonal.  On a quiver the components are the vertex
+    blocks, which F preserves by definition.  On the group they are the
+    eigenspaces of epsilon, which acts semisimply because its order p - 1
+    is prime to p; F commutes with epsilon, so it maps each eigenspace
+    into the one of the same eigenvalue.  The unknowns are therefore the
+    label-matching entries of X, and the conditions a_N X = X a_M over
+    every generator and entry are one stacked linear system.
+    """
     if M.algebra is not N.algebra:
         raise ValueError("hom_space across different algebra handles")
     if M.dim == 0 or N.dim == 0:
         return HomBasis(M, N, [])
-    if M.algebra.hom_split() is not None and M.dim * N.dim > 400:
-        basis = _group_hom_basis(M, N)
-    else:
-        basis = _naive_hom_basis(M, N)
-    return HomBasis(M, N, basis)
+    p = M.p
+    cm, cn = M.coordinates(), N.coordinates()
+    unknowns = np.argwhere(cn.labels[:, None] == cm.labels[None, :])
+    ucount = unknowns.shape[0]
+    if ucount == 0:
+        return HomBasis(M, N, [])
+    ks, ls = unknowns[:, 0], unknowns[:, 1]
+    u = np.arange(ucount)
+    gens = M.algebra.generators
+    a_n = np.stack([cn.mats[g] for g in gens])
+    a_m = np.stack([cm.mats[g] for g in gens])
+    # entry (g, i, j) of a_N X - X a_M = 0: unknown X[k, l] enters the rows
+    # (g, ., l) through a_N[:, k] and the rows (g, k, .) through -a_M[l, :]
+    sysmat = np.zeros((len(gens), N.dim, M.dim, ucount), dtype=np.int64)
+    sysmat[:, :, ls, u] += a_n[:, :, ks]
+    sysmat[:, ks, :, u] -= a_m[:, ls, :].swapaxes(0, 1)
+    sysmat = sysmat.reshape(-1, ucount) % p
+    ker = flinalg.nullspace(sysmat[sysmat.any(axis=1)], p)
+    X = np.zeros((ker.shape[1], N.dim, M.dim), dtype=np.int64)
+    X[:, ks, ls] = ker.T
+    F = flinalg.matmul_mod(flinalg.matmul_mod(cn.C, X, p), cm.C_inv, p)
+    return HomBasis(M, N, list(F))
 
 
 # ---------------------------------------------------------------------------
@@ -524,35 +431,28 @@ def socle_columns(M):
     )
 
 
-def _component_basis(M):
-    """(C, labels): C stacks the component bases of M in label order."""
-    alg = M.algebra
-    pairs = [(label, v) for label in alg.simple_labels
-             for v in alg.component_vectors(M, label)]
-    return np.column_stack([v for _, v in pairs]), [l for l, _ in pairs]
-
-
 def top_pick(M):
     """Component vectors generating M/rad M, one per top summand.
 
-    Greedy extension of rad M by the component bases in label order, so
+    Greedy extension of rad M by the component basis in label order, so
     each pick lies in one component, as yoneda_columns needs.
     """
-    C, labels = _component_basis(M)
-    keep = flinalg.extend_basis(radical_image_columns(M), C, M.p)
-    return [(labels[k], C[:, k]) for k in keep]
+    co = M.coordinates()
+    order = np.argsort(co.labels, kind="stable")
+    keep = flinalg.extend_basis(radical_image_columns(M), co.C[:, order], M.p)
+    labels = M.algebra.simple_labels
+    return [(labels[co.labels[order[k]]], co.C[:, order[k]]) for k in keep]
 
 
 def _component_coordinates(M):
     """(C^-1, {label: rows of C^-1}) for the component basis C of M."""
-    C, labels = _component_basis(M)
-    C_inv = flinalg.inv(C, M.p)
-    if C_inv is None:
-        raise ValueError("the component bases do not span the module")
+    co = M.coordinates()
     rows = {}
-    for i, label in enumerate(labels):
-        rows.setdefault(label, []).append(i)
-    return C_inv, rows
+    for i, label in enumerate(M.algebra.simple_labels):
+        idx = np.nonzero(co.labels == i)[0]
+        if idx.size:
+            rows[label] = idx
+    return co.C_inv, rows
 
 
 def _label_ranks(M, cols, coords):
@@ -924,6 +824,15 @@ def _verify_witness(M, N, W):
         if np.any((lhs - rhs) % p):
             return False
     return True
+
+
+def _combine(coeffs, basis, p):
+    """sum_i coeffs[i] * basis[i] mod p."""
+    W = np.zeros_like(basis[0])
+    for c, b in zip(coeffs, basis):
+        if c:
+            W = (W + int(c) * b) % p
+    return W
 
 
 def _invertible_in_span(basis, p, rng, samples):

@@ -180,14 +180,3 @@ def in_span(basis_cols, v, p: int) -> bool:
     v = np.asarray(v)
     return not extend_basis(basis_cols, v.reshape(v.shape[0], -1), p)
 
-
-def intersect_col_spaces(a, b, p: int) -> np.ndarray:
-    """Basis (columns) of the intersection of two column spaces."""
-    a = asmod(a, p)
-    b = asmod(b, p)
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=np.int64)
-    k = nullspace(np.hstack([a, -b % p]), p)
-    if k.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=np.int64)
-    return col_space_basis(matmul_mod(a, k[: a.shape[1]], p), p)

@@ -456,10 +456,6 @@ class GroupAlgebra:
     def gen_block(self, name):
         return None
 
-    def hom_split(self):
-        uni = tuple(n for n in self.generators if n != "epsilon")
-        return uni, "epsilon"
-
     def relation_items(self):
         p, a = self.p, self.table.a_eps
         s, t, e = ("sigma",), ("tau",), ("epsilon",)
@@ -493,6 +489,20 @@ class GroupAlgebra:
         shifted = N.mats["epsilon"] - val * np.eye(N.dim, dtype=np.int64)
         return list(flinalg.nullspace(shifted % self.p, self.p).T)
 
+    def component_coordinates(self, N):
+        """The epsilon-eigenbasis of N in label order, with one inverse."""
+        p = self.p
+        pairs = [(i, v) for i in self.simple_labels
+                 for v in self.component_vectors(N, i)]
+        C = np.column_stack([v for _, v in pairs])
+        C_inv = flinalg.inv(C, p) if C.shape[1] == N.dim else None
+        if C_inv is None:
+            raise ValueError("the component bases do not span the module")
+        mats = {name: flinalg.matmul_mod(flinalg.matmul_mod(C_inv, a, p), C, p)
+                for name, a in N.mats.items()}
+        return fdmod.Coordinates(C, C_inv, np.array([i for i, _ in pairs]),
+                                 mats)
+
     def module_dim_vector(self, M):
         out = {}
         for i in self.simple_labels:
@@ -507,7 +517,8 @@ class GroupAlgebra:
         # rad = augmentation ideal of the normal p-Sylow; over modules
         # that is generated by u - 1 for the unipotent generators u.
         eye = np.eye(M.dim, dtype=np.int64)
-        return [(M.mats[u] - eye) % self.p for u in self.hom_split()[0]]
+        return [(M.mats[u] - eye) % self.p for u in self.generators
+                if u != "epsilon"]
 
     def _eps_cosets(self):
         if self._cosets is None:

@@ -212,6 +212,7 @@ def test_non_prime_parameter_exits_two(capsys):
     ["obstruction", "--p", "1000000000000000003"],
     ["obstruction", "--p", "509", "--samples", "0"],
     ["group", "verify", "--p", "11", "--samples", "0"],
+    ["obstruction", "--p", "3", "--samples", "100000000"],
 ])
 def test_out_of_range_scenario_parameters_exit_two(argv, capsys):
     code, out, err = run(argv, capsys)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from defcert import fdmod, flinalg, groups, quiver
+from defcert import deform, fdmod, flinalg, groups, quiver
 from defcert.fdmod import (
     RelationViolated,
     direct_sum,
@@ -16,7 +16,6 @@ from defcert.fdmod import (
     is_isomorphic,
     module_from_action_matrices,
     module_structure,
-    nilpotent_jordan,
     parse_module_fixture,
     print_module_fixture,
     projective_cover,
@@ -236,6 +235,25 @@ def test_ext_oracle_equivalence():
                 assert a == b, (family, repr(M), repr(N), a, b)
 
 
+@pytest.mark.parametrize("family,d", deform.FAMILY_CASES)
+def test_doubled_base_module_counts_four_of_everything(family, d):
+    """Additivity control on a module that is not rigid.
+
+    For every built-in, stable End(T), Ext^1(T, T) and Ext^2(T, T) are one-
+    dimensional (the family premises).  All three are additive in each
+    argument, so on T + T each splits into 2 x 2 copies of T's: 4 each,
+    by both Ext^1 routes.
+    """
+    system = completed_family(family, d)
+    T = deform.base_module(family, system)
+    TT = direct_sum([T, T])
+    for M, want in ((T, 1), (TT, 4)):
+        assert stable_hom_dim(M, M) == want
+        assert ext_dim(M, M, 1).dim == want
+        assert ext1_by_extensions(M, M).dim == want
+        assert ext_dim(M, M, 2).dim == want
+
+
 def test_ext_class_representatives(T_I):
     cls = ext_dim(T_I, T_I, 1)
     assert cls.dim == 1
@@ -419,41 +437,6 @@ def test_ext_invariant_under_base_change(T_I):
 
 
 # ---------------------------------------------------------------------------
-# jordan form of nilpotents
-
-
-def test_nilpotent_jordan_recovers_block_sizes():
-    rng = np.random.default_rng(909)
-    for p in (2, 3, 5):
-        for _ in range(10):
-            sizes = sorted(rng.integers(1, 5, rng.integers(1, 4)).tolist(),
-                           reverse=True)
-            n = sum(sizes)
-            J = np.zeros((n, n), dtype=np.int64)
-            at = 0
-            for s in sizes:
-                for k in range(s - 1):
-                    J[at + k + 1, at + k] = 1
-                at += s
-            while True:
-                Q = rng.integers(0, p, (n, n))
-                if flinalg.inv(Q, p) is not None:
-                    break
-            N = (Q @ J @ flinalg.inv(Q, p)) % p
-            P, out_sizes = nilpotent_jordan(N, p)
-            assert sorted(out_sizes, reverse=True) == sizes
-            assert flinalg.inv(P, p) is not None
-            # N P = P J' for the block structure the function reports
-            J2 = np.zeros((n, n), dtype=np.int64)
-            at = 0
-            for s in out_sizes:
-                for k in range(s - 1):
-                    J2[at + k + 1, at + k] = 1
-                at += s
-            assert np.array_equal((N @ P) % p, (P @ J2) % p)
-
-
-# ---------------------------------------------------------------------------
 # fixture text round trip
 
 
@@ -484,6 +467,21 @@ def test_module_fixture_errors(algI):
         )
 
 
+def _kronecker_hom_basis(M, N):
+    """Reference Hom(M, N): vec(F) killed by a_N (x) I - I (x) a_M^T.
+
+    Row-major vec(a_N F - F a_M) is that matrix times vec(F).  Every
+    generator and every entry of F enters; no component coordinates.
+    """
+    eye_m = np.eye(M.dim, dtype=np.int64)
+    eye_n = np.eye(N.dim, dtype=np.int64)
+    sysmat = np.concatenate([
+        np.kron(N.mats[g], eye_m) - np.kron(eye_n, M.mats[g].T)
+        for g in M.algebra.generators
+    ])
+    return flinalg.nullspace(sysmat % M.p, M.p)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_group_and_naive_hom_bases_span_the_same_space(p):
     rep = groups.uniserial_representation(p)
@@ -493,8 +491,35 @@ def test_group_and_naive_hom_bases_span_the_same_space(p):
     ]
     for M in mods:
         for N in mods:
-            jordan = fdmod._group_hom_basis(M, N)
-            naive = fdmod._naive_hom_basis(M, N)
-            vecs = [f.ravel() for f in jordan + naive]
-            both = np.column_stack(vecs) if vecs else np.zeros((0, 0))
-            assert len(jordan) == len(naive) == flinalg.rank(both, p)
+            homs = [f.ravel() for f in hom_space(M, N).basis]
+            ref = _kronecker_hom_basis(M, N)
+            both = np.column_stack(homs + list(ref.T))
+            assert len(homs) == ref.shape[1] == flinalg.rank(both, p)
+
+
+def test_hom_between_end_v_and_its_decomposition_at_p7():
+    """The three Hom spaces the p = 7 decomposition premise needs.
+
+    End V is isomorphic to X = T_0 + P_1 + ... + P_5 over the quotient
+    group, so all three have the dimension of End(X).  dim Hom(P_i, Y) is
+    the multiplicity of S_i in Y, and each 7-dimensional uniserial P_i
+    has S_i twice (top and socle) and every other label once: Hom(P_i, P_j)
+    is 2 for i = j and 1 otherwise, 5 * 2 + 20 = 30 over i, j >= 1.
+    End(T_0) adds 1, and the cross terms vanish because S_0 is neither
+    the top nor the socle of any P_i with i >= 1.  Total 31.
+    """
+    p = 7
+    rep = groups.uniserial_representation(p)
+    alg = groups.group_algebra(rep.table)
+    EndV = groups.conjugation_module(rep)
+    total = direct_sum([alg.simple_module(0)] + [
+        alg.projective_module(i) for i in range(1, p - 1)])
+    for M, N in [(EndV, total), (total, EndV), (EndV, EndV)]:
+        basis = hom_space(M, N).basis
+        assert len(basis) == 31
+        for f in basis:
+            for g in alg.generators:
+                assert not np.any((flinalg.matmul_mod(N.mats[g], f, p)
+                                   - flinalg.matmul_mod(f, M.mats[g], p)) % p)
+        vecs = np.column_stack([f.ravel() for f in basis])
+        assert flinalg.rank(vecs, p) == 31

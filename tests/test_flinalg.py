@@ -169,17 +169,6 @@ def test_in_span_matches_enumeration():
             )
 
 
-def test_intersect_col_spaces_matches_enumeration():
-    rng = np.random.default_rng(11)
-    p = 2
-    for _ in range(20):
-        u = rng.integers(0, p, (6, 3))
-        w = rng.integers(0, p, (6, 3))
-        both = flinalg.intersect_col_spaces(u, w, p)
-        expect = span_set(u, p) & span_set(w, p)
-        assert span_set(both, p) == expect
-
-
 def test_col_space_basis_preserves_span():
     rng = np.random.default_rng(8)
     p = 3

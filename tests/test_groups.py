@@ -385,6 +385,31 @@ def test_endo_module_facts(p):
     assert fdmod.is_isomorphic(EndV, fdmod.direct_sum(summands)).isomorphic
 
 
+def _doubled_v(p):
+    full = groups.build_group(p)
+    rep = groups.inflate(groups.uniserial_representation(p), full)
+    V = groups.rep_to_module(rep)
+    return full, fdmod.direct_sum([V, V])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_doubled_v_has_four_endomorphisms(p):
+    """Additivity control: End_G(V) = F_p (the endomorphisms-over-G
+    premise), so End_G(V + V) is the 2 x 2 matrices over F_p, of
+    dimension 4."""
+    _, VV = _doubled_v(p)
+    assert len(fdmod.hom_space(VV, VV).basis) == 4
+
+
+def test_doubled_v_has_four_first_cohomology_classes():
+    """Additivity control: End(V + V) is four copies of End(V) as a
+    G-module (the 2 x 2 blocks), and H^1(G, End(V)) = 1 at p = 3, so
+    H^1(G, End(V + V)) = 4."""
+    full, VV = _doubled_v(3)
+    EndVV = groups.conjugation_module(groups.module_rep(full, VV))
+    assert groups.h1_cocycles(full, EndVV).dim == 4
+
+
 def test_conjugation_module_requires_residue_ring(g3):
     one = np.eye(1, dtype=np.int64)
     rep = groups.GroupRep.from_generators(
