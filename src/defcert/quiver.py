@@ -7,15 +7,17 @@ degree-lexicographic with the lexicographic tie-break taken in arrow
 declaration order; it is admissible, so rewriting leading words to strictly
 smaller tails terminates.
 
-Completion runs overlap (critical-pair) closure on the relation set until
-every S-polynomial reduces to zero, keeping the rule set interreduced.  The
-irreducible words then form a basis of the quotient algebra; the basis
-search fails with CapExceededError as soon as an irreducible word reaches
-the configured length cap.  That is not a detector of infinite dimension:
-on a diverging presentation such as `family3_printed_spec()` a resource
-guard of the completion trips first ("rule of length 33 > 32" at cap 16,
-the S-pair budget at cap 24).  Either way CapExceededError reports that a
-guard tripped, not that the quotient is infinite-dimensional.
+Completion first looks for a loop witness: a loop alpha of which no
+relation contains a pure power.  Sending alpha to t and every other arrow
+to 0 then maps the quotient onto k[alpha], so it is infinite-dimensional,
+and `complete` raises InfiniteDimensionError naming the loop before any
+S-pair; `family3_printed_spec()` is caught this way.  Otherwise overlap
+(critical-pair) closure runs on the relation set until every S-polynomial
+reduces to zero, keeping the rule set interreduced, and the irreducible
+words form a basis of the quotient.  The witness sees only loops, so a
+quotient it passes may still be infinite-dimensional (a free 2-cycle, say):
+then a resource guard of the completion or the basis search's length cap
+raises a plain CapExceededError, which says only that a guard tripped.
 """
 
 from __future__ import annotations
@@ -26,6 +28,18 @@ from dataclasses import dataclass
 
 class CapExceededError(RuntimeError):
     """Completion or basis search hit the length cap."""
+
+
+class InfiniteDimensionError(CapExceededError):
+    """A loop witness: the quotient maps onto k[loop], so no cap holds it."""
+
+    def __init__(self, loop):
+        super().__init__(loop)
+        self.loop = loop
+
+    def __str__(self):
+        return (f"loop {self.loop}: the quotient maps onto k[{self.loop}], "
+                "so it is infinite-dimensional")
 
 
 @dataclass(frozen=True)
@@ -143,7 +157,7 @@ def builtin_family(family: str, d: int) -> QuiverSpec:
     4-cycle 2^(d-1)-1 times).  Family III exists only at d = 3; its loop
     needs a closure relation on top of the four printed strand relations,
     without which the loop powers alpha^k stay irreducible and the algebra
-    is infinite-dimensional (see tests).
+    is infinite-dimensional (`loop_witness` names alpha there).
     """
     cap = 8 * 2 ** (d - 1) + 8
     if family == "I":
@@ -340,12 +354,38 @@ def _find_reduction(word, rules_by_first):
     return None
 
 
+def loop_witness(spec: QuiverSpec):
+    """A loop of which no relation has a pure power as a term, or None.
+
+    Sending the loop to t, its vertex idempotent to 1 and every other arrow
+    and idempotent to 0 kills each relation (terms are stored one per
+    distinct word, so no pure power means image 0), so the quotient maps
+    onto k[loop].
+
+    >>> loop_witness(family3_printed_spec())
+    'alpha'
+    """
+    for name, (s, t) in spec.arrows.items():
+        if s == t and not any(
+            all(a == name for a in word)
+            for rel in spec.relations
+            for word in rel
+        ):
+            return name
+    return None
+
+
 def complete(spec: QuiverSpec, cap: int | None = None) -> CompletedSystem:
     """Overlap completion of the relation ideal, then the basis search.
 
-    Fails with CapExceededError if an irreducible word of length == cap
-    exists, or if the rule set refuses to converge within generous guards.
+    Fails with InfiniteDimensionError, before any rewriting, if a loop
+    witness exists; otherwise with CapExceededError if an irreducible word
+    of length == cap exists, or if the rule set refuses to converge within
+    generous guards.
     """
+    loop = loop_witness(spec)
+    if loop is not None:
+        raise InfiniteDimensionError(loop)
     if cap is None:
         cap = spec.suggested_cap or 64
     p = spec.p

@@ -13,11 +13,13 @@ import pytest
 from defcert import quiver
 from defcert.quiver import (
     CapExceededError,
+    InfiniteDimensionError,
     PathWord,
     QuiverSpec,
     builtin_family,
     complete,
     family3_printed_spec,
+    loop_witness,
     normal_form,
 )
 from conftest import completed_family
@@ -112,6 +114,95 @@ def test_printed_third_family_diverges():
     # the four strand relations alone leave every loop power irreducible
     with pytest.raises(CapExceededError):
         complete(family3_printed_spec(), cap=24)
+
+
+# ---------------------------------------------------------------------------
+# the loop witness of infinite dimension
+
+
+def test_loop_witness_names_only_the_printed_loop():
+    for family, d in sorted(FROZEN_DIMS):
+        assert loop_witness(builtin_family(family, d)) is None
+    assert loop_witness(family3_printed_spec()) == "alpha"
+
+
+def test_printed_third_family_raises_before_any_reduction(monkeypatch):
+    def no_rewriting(*args):
+        raise AssertionError("the witness must fire before any reduction")
+
+    monkeypatch.setattr(quiver, "_reduce", no_rewriting)
+    with pytest.raises(InfiniteDimensionError, match="alpha") as info:
+        complete(family3_printed_spec(), cap=24)
+    assert info.value.loop == "alpha"
+
+
+def test_free_loop_is_infinite_and_its_cube_is_not():
+    free = QuiverSpec(2, [0], {"a": (0, 0)})
+    with pytest.raises(InfiniteDimensionError, match="loop a") as info:
+        complete(free, cap=8)
+    assert info.value.loop == "a"
+    cubed = QuiverSpec(2, [0], {"a": (0, 0)}, [{("a", "a", "a"): 1}])
+    assert loop_witness(cubed) is None
+    assert complete(cubed, cap=8).dims_by_source() == {0: 3}
+
+
+def test_free_two_cycle_still_reaches_the_length_cap():
+    """The witness is one-sided: a loopless cycle falls through to a guard.
+
+    a: 0 -> 1 and b: 1 -> 0 with no relations span an infinite-dimensional
+    path algebra, but neither arrow is a loop, so the witness stays silent
+    and the basis search trips the length cap with a plain
+    CapExceededError.
+    """
+    spec = QuiverSpec(2, [0, 1], {"a": (0, 1), "b": (1, 0)})
+    assert loop_witness(spec) is None
+    message = "irreducible word of length 12 at vertex 0"
+    with pytest.raises(CapExceededError, match=message) as info:
+        complete(spec, cap=12)
+    assert not isinstance(info.value, InfiniteDimensionError)
+
+
+def evaluate_relation(spec, rel, mats):
+    """The relation's value on a representation, by numpy products only."""
+    acc = 0
+    for word, c in rel.items():
+        prod = mats[word[0]]
+        for a in word[1:]:
+            prod = prod @ mats[a]
+        acc = acc + c * prod
+    return acc % spec.p
+
+
+def test_printed_relations_vanish_on_every_jordan_block():
+    """An oracle that never rewrites: k[alpha]/alpha^n is a module for all n.
+
+    Put k^n at alpha's vertex and 0 at the others, let alpha act as the
+    nilpotent Jordan block J_n and every other arrow as the zero map.  Every
+    printed relation evaluates to the zero matrix, so this is a module over
+    the printed algebra, and the algebra's image in End(k^n) contains the n
+    independent powers I, J, ..., J^(n-1).  With n = 40, past any cap used
+    here, the printed algebra has dimension at least 40.  The same
+    evaluation does not vanish on the closure relation gamma*beta = alpha^3
+    of the built-in family III, whose alpha^3 side is J^3 != 0.
+    """
+    n = 40
+    printed = family3_printed_spec()
+    v = printed.source("alpha")
+    size = {u: n if u == v else 0 for u in printed.vertices}
+    mats = {
+        a: np.zeros((size[t], size[s]), dtype=np.int64)
+        for a, (s, t) in printed.arrows.items()
+    }
+    mats["alpha"] = np.eye(n, k=1, dtype=np.int64)
+    for rel in printed.relations:
+        assert not evaluate_relation(printed, rel, mats).any()
+    # J^k is the k-th superdiagonal, so the n powers have disjoint supports
+    for k in range(n):
+        power = np.linalg.matrix_power(mats["alpha"], k)
+        assert np.array_equal(power, np.eye(n, k=k, dtype=np.int64))
+    closed = builtin_family("III", 3)
+    assert any(evaluate_relation(closed, rel, mats).any()
+               for rel in closed.relations)
 
 
 # ---------------------------------------------------------------------------
