@@ -358,8 +358,9 @@ def first_order_class(L: LiftCandidate) -> fdmod.ExtClass:
     ref = fdmod.ext1_by_extensions(T, T)
     if ref.representative is None:
         return fdmod.ExtClass(1, T, T, ref.dim, None)
-    ctx = ref.representative[2]
-    return fdmod.ExtClass(1, T, T, ref.dim, ("cocycle", theta, ctx))
+    slots, cob = fdmod.extension_coboundaries(T, T)
+    vec = np.stack([theta[name] for name in T.algebra.generators])[slots]
+    return fdmod.ExtClass(1, T, T, ref.dim, (vec, cob))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,13 @@ this module derives once for both kinds of handle the radical and socle
 simple multiplicities of a section (`section_label_dims_quotient`) and
 the intertwiners (`hom_space`).
 
+Ext^1 has two independent routes: `ext_dim` through the minimal
+resolution and `ext1_by_extensions` through block-triangular extension
+structures, whose theta slots and coboundary columns
+`extension_coboundaries` states once.  Both give an `ExtClass` in one
+format, (vector, boundary columns): the class is zero exactly when the
+vector lies in the span of the boundary columns.
+
 All modules are graded by grading_labels via block_of; group-algebra
 modules use a single block.  Words act leftmost-last, so ``rho(word)`` is
 the matrix product taken in written order.
@@ -363,11 +370,6 @@ class HomBasis:
         return len(self.basis)
 
 
-def _grading_mask(M, N):
-    # allowed intertwiner support: rows and columns in matching blocks
-    return N.block_of.reshape(-1, 1) == M.block_of.reshape(1, -1)
-
-
 def hom_space(M: FdModule, N: FdModule) -> HomBasis:
     """All grading-preserving intertwiners M -> N.
 
@@ -444,37 +446,27 @@ def top_pick(M):
     return [(labels[co.labels[order[k]]], co.C[:, order[k]]) for k in keep]
 
 
-def _component_coordinates(M):
-    """(C^-1, {label: rows of C^-1}) for the component basis C of M."""
+def _label_ranks(M, cols):
     co = M.coordinates()
-    rows = {}
-    for i, label in enumerate(M.algebra.simple_labels):
-        idx = np.nonzero(co.labels == i)[0]
-        if idx.size:
-            rows[label] = idx
-    return co.C_inv, rows
-
-
-def _label_ranks(M, cols, coords):
-    C_inv, rows = coords
-    X = flinalg.matmul_mod(C_inv, cols, M.p)
-    out = {label: flinalg.rank(X[r], M.p) for label, r in rows.items()}
+    X = flinalg.matmul_mod(co.C_inv, cols, M.p)
+    out = {label: flinalg.rank(X[co.labels == i], M.p)
+           for i, label in enumerate(M.algebra.simple_labels)}
     if sum(out.values()) != cols.shape[1]:
         raise ValueError("span is not graded by the simple labels")
     return out
 
 
-def section_label_dims_quotient(M, upper, lower, coords):
+def section_label_dims_quotient(M, upper, lower):
     """Simple multiplicities of span(upper)/span(lower).
 
-    upper and lower are column bases, span(lower) inside span(upper);
-    coords is _component_coordinates(M), computed once per module.  A span's
-    multiplicity of a label is the rank of its component coordinates
-    C^-1 cols on that label's rows.  Those ranks sum to the column count
-    exactly when the span is graded; ValueError otherwise.
+    upper and lower are column bases, span(lower) inside span(upper).  A
+    span's multiplicity of a label is the rank of its component coordinates
+    C^-1 cols (from M.coordinates()) on that label's rows.  Those ranks sum
+    to the column count exactly when the span is graded; ValueError
+    otherwise.
     """
-    hi = _label_ranks(M, upper, coords)
-    lo = _label_ranks(M, lower, coords)
+    hi = _label_ranks(M, upper)
+    lo = _label_ranks(M, lower)
     return {label: hi[label] - lo[label] for label in hi
             if hi[label] > lo[label]}
 
@@ -530,19 +522,16 @@ def _syzygy_with_embedding(M: FdModule):
     P, phi = cover.projective, cover.surjection
     p = M.p
     # kernel of phi, blockwise so the grading carries over
-    cols = []
-    for i, _label in enumerate(M.algebra.grading_labels):
+    blocks = []
+    for i in range(len(M.algebra.grading_labels)):
         idx = P.block_indices(i)
-        if idx.size == 0:
-            continue
         ker = flinalg.nullspace(phi[:, idx], p)
-        for c in range(ker.shape[1]):
-            v = np.zeros(P.dim, dtype=np.int64)
-            v[idx] = ker[:, c]
-            cols.append(v)
-    if not cols:
-        return zero_module(M.algebra), np.zeros((P.dim, 0), dtype=np.int64), cover
-    incl = np.column_stack(cols)
+        blk = np.zeros((P.dim, ker.shape[1]), dtype=np.int64)
+        blk[idx] = ker
+        blocks.append(blk)
+    incl = np.concatenate(blocks, axis=1)
+    if incl.shape[1] == 0:
+        return zero_module(M.algebra), incl, cover
     omega = _submodule_from_columns(P, incl)
     if omega is None:
         raise RuntimeError("kernel not generator-stable")
@@ -572,30 +561,14 @@ class ExtClass:
     source: FdModule
     target: FdModule
     dim: int
-    representative: object  # ("syzygy_hom", mat, context) | ("cocycle", dict, context) | None
+    representative: object  # (vector, boundary columns) | None
 
     def representative_is_trivial(self):
+        """The class is zero when its vector lies in the boundaries' span."""
         if self.representative is None:
             return True
-        kind = self.representative[0]
-        if kind == "syzygy_hom":
-            _, mat, (restr, p) = self.representative
-            if not np.any(mat):
-                return True
-            if restr.size == 0:
-                return False
-            return flinalg.in_span(restr, mat.ravel() % p, p)
-        _, theta, (cob, p, slotmap, total) = self.representative
-        v = np.zeros(total, dtype=np.int64)
-        for name, (pos, off) in slotmap.items():
-            if pos.shape[0]:
-                v[off : off + pos.shape[0]] = theta[name][pos[:, 0], pos[:, 1]]
-        v %= p
-        if not np.any(v):
-            return True
-        if cob.size == 0:
-            return False
-        return flinalg.in_span(cob, v, p)
+        vec, boundaries = self.representative
+        return flinalg.in_span(boundaries, vec, self.source.p)
 
 
 def ext_dim(M: FdModule, N: FdModule, i: int) -> ExtClass:
@@ -624,7 +597,7 @@ def ext_dim(M: FdModule, N: FdModule, i: int) -> ExtClass:
     if dim > 0:
         homs = np.column_stack([f.ravel() for f in hom_omega])
         f = hom_omega[flinalg.extend_basis(restr, homs, p)[0]]
-        rep = ("syzygy_hom", f, (restr, p))
+        rep = (f.ravel(), restr)
     return ExtClass(1, M, N, dim, rep)
 
 
@@ -648,84 +621,73 @@ def stable_hom_dim(M: FdModule, N: FdModule) -> int:
     return flinalg.rank(all_vecs, p) - flinalg.rank(fac_vecs, p)
 
 
+def extension_coboundaries(M: FdModule, N: FdModule):
+    """The theta slots and coboundary columns of the extension route.
+
+    slots is boolean (generator, dim N, dim M): the entries of theta_a that
+    the arrow block of a allows, every entry on a group algebra.  cob has
+    one column per graded unit E_kl of Hom_k(M, N), the coboundary
+    a_N E_kl - E_kl a_M read on the slots in their row-major order.
+    """
+    gens = M.algebra.generators
+    slots = np.stack([
+        np.ones((N.dim, M.dim), dtype=bool) if mask is None else mask
+        for mask in (arrow_block_mask(M, N, name) for name in gens)
+    ])
+    g, i, j = (x[:, None] for x in np.nonzero(slots))
+    k, l = np.nonzero(N.block_of[:, None] == M.block_of[None, :])
+    a_n = np.stack([N.mats[name] for name in gens])
+    a_m = np.stack([M.mats[name] for name in gens])
+    # (a_N E_kl)[i, j] = a_N[i, k] [j = l];  (E_kl a_M)[i, j] = [i = k] a_M[l, j]
+    cob = a_n[g, i, k] * (j == l) - (i == k) * a_m[g, l, j]
+    return slots, cob % M.p
+
+
+def _relation_system(M, N, slots):
+    """The relations' top-right blocks as rows, linear in theta on the slots.
+
+    Along a word w the extension matrices [[a_N, theta_a], [0, a_M]]
+    multiply to the top-right block sum_k rho_N(w[:k]) theta_w_k
+    rho_M(w[k+1:]); one pass keeps the left product running and reads the
+    right one from the precomputed suffix products.
+    """
+    p = M.p
+    gens = list(M.algebra.generators)
+    g, i, j = np.nonzero(slots)
+    blocks = [np.zeros((0, g.size), dtype=np.int64)]
+    for _, combo in M.algebra.relation_items():
+        rows = np.zeros((N.dim, M.dim, g.size), dtype=np.int64)
+        for coeff, word in combo:
+            suffixes = [np.eye(M.dim, dtype=np.int64)]
+            for name in reversed(word[1:]):
+                suffixes.append(flinalg.matmul_mod(M.mats[name], suffixes[-1], p))
+            left = np.eye(N.dim, dtype=np.int64)
+            for name, right in zip(word, reversed(suffixes)):
+                s = g == gens.index(name)
+                # left E_ij right = outer(left[:, i], right[j, :]) per slot
+                contrib = np.einsum("as,sb->abs", left[:, i[s]], right[j[s], :])
+                rows[:, :, s] = (rows[:, :, s] + coeff * (contrib % p)) % p
+                left = flinalg.matmul_mod(left, N.mats[name], p)
+        blocks.append(rows.reshape(-1, g.size))
+    return np.concatenate(blocks)
+
+
 def ext1_by_extensions(M: FdModule, N: FdModule) -> ExtClass:
     """Independent Ext^1 oracle via block-triangular extension structures.
 
     theta assigns each generator an off-diagonal block; the extension
     matrices [[a_N, theta_a], [0, a_M]] must satisfy every relation, which
-    is linear in theta.  Quotient by the coboundaries theta_f.
+    is linear in theta.  Quotient by the coboundaries theta_f, the columns
+    of `extension_coboundaries`.
     """
-    alg = M.algebra
-    p = alg.p
     if M.dim == 0 or N.dim == 0:
         return ExtClass(1, M, N, 0, None)
-    names = list(alg.generators)
-    slots = {}
-    total = 0
-    for name in names:
-        mask = arrow_block_mask(M, N, name)
-        if mask is None:
-            mask = np.ones((N.dim, M.dim), dtype=bool)
-        pos = np.argwhere(mask)
-        slots[name] = (pos, total)
-        total += pos.shape[0]
-    if total == 0:
+    slots, cob = extension_coboundaries(M, N)
+    if not slots.any():
         return ExtClass(1, M, N, 0, None)
-
-    def theta_coeff_rows(combo):
-        """Linear map theta -> top-right block of sum c_w prod(ext mats)."""
-        rows = np.zeros((N.dim * M.dim, total), dtype=np.int64)
-        for coeff, word in combo:
-            L = len(word)
-            for k in range(L):
-                left = N.word_matrix(word[:k])
-                right = M.word_matrix(word[k + 1 :])
-                pos, off = slots[word[k]]
-                # contribution: left @ E_(i,j) @ right, E over theta slots
-                for t, (i, j) in enumerate(pos):
-                    contrib = np.outer(left[:, i], right[j, :]) % p
-                    rows[:, off + t] = (
-                        rows[:, off + t] + coeff * contrib.ravel()
-                    ) % p
-        return rows
-
-    blocks = [theta_coeff_rows(combo) for _, combo in alg.relation_items()]
-    sysmat = np.concatenate(blocks, axis=0) if blocks else np.zeros(
-        (1, total), dtype=np.int64
-    )
-    sol = flinalg.nullspace(sysmat, p)
-    # coboundaries: theta_f(a) = a_N f - f a_M over graded f
-    mask_f = _grading_mask(M, N)
-    fpos = np.argwhere(mask_f)
-    cob_cols = []
-    for i, j in fpos:
-        f = np.zeros((N.dim, M.dim), dtype=np.int64)
-        f[i, j] = 1
-        vec = np.zeros(total, dtype=np.int64)
-        for name in names:
-            tf = (
-                flinalg.matmul_mod(N.mats[name], f, p)
-                - flinalg.matmul_mod(f, M.mats[name], p)
-            ) % p
-            pos, off = slots[name]
-            vec[off : off + pos.shape[0]] = tf[pos[:, 0], pos[:, 1]]
-        cob_cols.append(vec)
-    cob = (
-        np.column_stack(cob_cols) % p
-        if cob_cols
-        else np.zeros((total, 0), dtype=np.int64)
-    )
-    picks = flinalg.extend_basis(cob, sol, p)
-    rep = None
-    if picks:
-        v = sol[:, picks[0]]
-        theta = {}
-        for name in names:
-            pos, off = slots[name]
-            m = np.zeros((N.dim, M.dim), dtype=np.int64)
-            m[pos[:, 0], pos[:, 1]] = v[off : off + pos.shape[0]]
-            theta[name] = m
-        rep = ("cocycle", theta, (cob, p, dict(slots), total))
+    sol = flinalg.nullspace(_relation_system(M, N, slots), M.p)
+    picks = flinalg.extend_basis(cob, sol, M.p)
+    rep = (sol[:, picks[0]], cob) if picks else None
     return ExtClass(1, M, N, len(picks), rep)
 
 
@@ -778,12 +740,11 @@ def module_structure(M: FdModule) -> StructureReport:
         return StructureReport({}, {}, [], [], {}, True)
     zero = np.zeros((M.dim, 0), dtype=np.int64)
     filt = _radical_filtration(M) + [zero]
-    coords = _component_coordinates(M)
     layer_mults = [
-        section_label_dims_quotient(M, filt[k], filt[k + 1], coords)
+        section_label_dims_quotient(M, filt[k], filt[k + 1])
         for k in range(len(filt) - 1)
     ]
-    soc = section_label_dims_quotient(M, socle_columns(M), zero, coords)
+    soc = section_label_dims_quotient(M, socle_columns(M), zero)
     comp = {}
     for mults in layer_mults:
         for label, m in mults.items():
@@ -886,14 +847,16 @@ def is_isomorphic(M: FdModule, N: FdModule, seed=0) -> IsoResult:
 
 
 def _submodule_from_columns(M, cols):
-    p = M.p
-    mats = {}
-    for name in M.algebra.generators:
-        img = flinalg.matmul_mod(M.mats[name], cols, p)
-        act = flinalg.solve(cols, img, p)
-        if act is None:
-            return None
-        mats[name] = act
+    """span(cols) as a module, or None unless every generator keeps it.
+
+    One solve of cols X = [a_1 cols | a_2 cols | ...] gives every action.
+    """
+    gens = M.algebra.generators
+    imgs = [flinalg.matmul_mod(M.mats[name], cols, M.p) for name in gens]
+    act = flinalg.solve(cols, np.concatenate(imgs, axis=1), M.p)
+    if act is None:
+        return None
+    mats = dict(zip(gens, np.split(act, len(gens), axis=1)))
     return FdModule(M.algebra, _blocks_of_columns(M, cols), mats, check=False)
 
 

@@ -265,6 +265,51 @@ def test_ext_class_representatives(T_I):
     assert not cocycle.representative_is_trivial()
 
 
+def test_ext_without_relations():
+    """One arrow a: 0 -> 1 and no relations: the relation system is empty."""
+    spec = quiver.QuiverSpec(3, (0, 1), {"a": (0, 1)})
+    alg = quiver_algebra(quiver.complete(spec))
+    S0, S1 = alg.simple_module(0), alg.simple_module(1)
+    for M, N, want in ((S0, S1, 1), (S1, S0, 0)):
+        assert ext_dim(M, N, 1).dim == want
+        assert ext1_by_extensions(M, N).dim == want
+
+
+def _reference_coboundaries(M, N, slots):
+    """a_N E - E a_M for each graded unit E, read on the slots, by loops."""
+    cols = []
+    for k in range(N.dim):
+        for l in range(M.dim):
+            if N.block_of[k] != M.block_of[l]:
+                continue
+            unit = np.zeros((N.dim, M.dim), dtype=np.int64)
+            unit[k, l] = 1
+            theta = np.stack([N.mats[g] @ unit - unit @ M.mats[g]
+                              for g in M.algebra.generators])
+            cols.append(theta[slots] % M.p)
+    return np.array(cols, dtype=np.int64).reshape(-1, slots.sum()).T
+
+
+def test_extension_coboundaries_match_a_reference_loop(algI, T_I):
+    V = groups.rep_to_module(groups.uniserial_representation(5))
+    for M, N in ((T_I, T_I), (T_I, algI.simple_module(0)), (V, V)):
+        slots, cob = fdmod.extension_coboundaries(M, N)
+        assert slots.shape == (len(M.algebra.generators), N.dim, M.dim)
+        for g, name in enumerate(M.algebra.generators):
+            mask = fdmod.arrow_block_mask(M, N, name)
+            assert np.all(slots[g] == (True if mask is None else mask))
+        assert np.array_equal(cob, _reference_coboundaries(M, N, slots))
+    assert slots.all()  # on a group algebra every entry is a slot
+
+
+def test_submodule_needs_every_generator_stable(T_I):
+    # span{db} is kept by beta, gamma and delta; only eta, the last
+    # generator, sends db to hdb outside it
+    assert T_I.algebra.generators[-1] == "eta"
+    db = np.eye(T_I.dim, dtype=np.int64)[:, [3]]
+    assert fdmod._submodule_from_columns(T_I, db) is None
+
+
 # ---------------------------------------------------------------------------
 # structure reports
 
@@ -319,13 +364,12 @@ def test_section_count_refuses_an_ungraded_span(side, T_I):
     else:
         M = groups.rep_to_module(groups.uniserial_representation(5))
     zero = np.zeros((M.dim, 0), dtype=np.int64)
-    coords = fdmod._component_coordinates(M)
     socle = fdmod.section_label_dims_quotient(
-        M, fdmod.socle_columns(M), zero, coords)
+        M, fdmod.socle_columns(M), zero)
     assert socle == module_structure(M).socle
     with pytest.raises(ValueError, match="not graded"):
         fdmod.section_label_dims_quotient(
-            M, _ungraded_column(M), zero, coords)
+            M, _ungraded_column(M), zero)
 
 
 def test_random_search_miss_is_not_definitive(monkeypatch):
