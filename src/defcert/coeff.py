@@ -155,6 +155,22 @@ def level_matmul(moduli, a, b):
     )
 
 
+def level_power(moduli, stack, e):
+    """The e-th power, e >= 0, of a level-last stack (..., d, d, L), by
+    squaring: every slice of the leading axes in one product per step."""
+    out = None
+    while e:
+        if e & 1:
+            out = stack if out is None else level_matmul(moduli, out, stack)
+        e >>= 1
+        if e:
+            stack = level_matmul(moduli, stack, stack)
+    if out is None:
+        out = np.zeros_like(stack)
+        out[..., 0] = np.eye(stack.shape[-2], dtype=np.int64)
+    return out
+
+
 def poly_str(coeffs) -> str:
     terms = []
     for i, c in enumerate(coeffs):
@@ -262,14 +278,7 @@ class Matrix:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        acc = Matrix.identity(self.desc, self.shape[0])
-        base = self
-        while e:
-            if e & 1:
-                acc = acc @ base
-            base = base @ base
-            e >>= 1
-        return acc
+        return Matrix(self.desc, level_power(self.desc.moduli, self.arr, e))
 
     def __eq__(self, other):
         return (

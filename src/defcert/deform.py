@@ -594,45 +594,66 @@ class ObstructionWitness:
         return self.verdict == "PASS"
 
 
-def obstruction_check(p, A, label="custom") -> ObstructionWitness:
-    """Exact power of I + t(E + pA) in the three-level obstruction ring.
+# Witnesses are powered in chunks of at most SWEEP_CHUNK_ELEMENTS matrix
+# entries.  On three 2000-draw sweeps (p = 3, 5, 7) the peak memory was
+# 40.2 MB unstacked, 55.6 MB at 2^16 and 40.6 MB at 2^12, in the same
+# time.  From p = 67 on a chunk holds a single matrix.
+SWEEP_CHUNK_ELEMENTS = 2**12
+
+
+def obstruction_witnesses(p, A, labels) -> list:
+    """Exact powers of I + t(E + pA) for a stack A (W, d, d) of residues.
 
     The identity (I + tE + ptA)^p = I + ptE holding for every A is what
-    kills the t^2 tangent direction; the witness records the full
-    computed power so a failure would be reproducible.
+    kills the t^2 tangent direction.  Each chunk of the stack is powered
+    at once in the three-level obstruction ring; each witness records its
+    full power so a failure would be reproducible.
     """
     desc = coeff.obstruction_ring(p)
+    d = p - 1
+    E = _shift_unit(d)
+    want = np.stack([np.eye(d, dtype=np.int64), p * E, 0 * E], axis=2)
+    step = max(1, SWEEP_CHUNK_ELEMENTS // (d * d))
+    out = []
+    for start in range(0, len(A), step):
+        chunk = A[start:start + step]
+        base = np.zeros((len(chunk), d, d, 3), dtype=np.int64)
+        base[..., 0] = np.eye(d, dtype=np.int64)
+        base[..., 1] = E + p * chunk
+        power = coeff.level_power(desc.moduli, base, p)
+        passed = (power == want).all(axis=(1, 2, 3))
+        out += [
+            ObstructionWitness(p, label, a, coeff.Matrix(desc, pw),
+                               "PASS" if ok else "FAIL")
+            for label, a, pw, ok in zip(labels[start:start + step], chunk,
+                                        power, passed)
+        ]
+    return out
+
+
+def obstruction_check(p, A, label="custom") -> ObstructionWitness:
+    """The obstruction witness of one A, a (p - 1) x (p - 1) matrix."""
     d = p - 1
     A = np.asarray(A, dtype=np.int64) % p
     if A.shape != (d, d):
         raise ValueError(f"A must be {d} x {d} mod {p}")
-    E = _shift_unit(d)
-    base = np.zeros((d, d, 3), dtype=np.int64)
-    base[:, :, 0] = np.eye(d, dtype=np.int64)
-    base[:, :, 1] = E + p * A
-    M = coeff.Matrix(desc, base)
-    power = M**p
-    want = np.zeros((d, d, 3), dtype=np.int64)
-    want[:, :, 0] = np.eye(d, dtype=np.int64)
-    want[:, :, 1] = p * E
-    expected = coeff.Matrix(desc, want)
-    verdict = "PASS" if power == expected else "FAIL"
-    return ObstructionWitness(p, label, A, power, verdict)
+    return obstruction_witnesses(p, A[None], [label])[0]
 
 
 def obstruction_sweep(p, samples=100, seed=0) -> list:
-    """Special matrices plus seeded-random draws, one witness each."""
+    """Special matrices plus seeded-random draws, one witness each.
+
+    The draws are one `rng.integers` call, which yields the same stream
+    as one (d, d) call per draw; each witness keeps its draw anyway."""
     d = p - 1
-    out = [
-        obstruction_check(p, np.zeros((d, d), dtype=np.int64), "zero"),
-        obstruction_check(p, np.eye(d, dtype=np.int64), "identity"),
-        obstruction_check(p, np.ones((d, d), dtype=np.int64), "all-ones"),
-    ]
+    special = np.stack([np.zeros((d, d)), np.eye(d), np.ones((d, d))])
     rng = np.random.default_rng(seed)
-    for k in range(samples):
-        A = rng.integers(0, p, size=(d, d))
-        out.append(obstruction_check(p, A, f"random[{k}]"))
-    return out
+    return obstruction_witnesses(
+        p, special.astype(np.int64), ["zero", "identity", "all-ones"]
+    ) + obstruction_witnesses(
+        p, rng.integers(0, p, size=(samples, d, d)),
+        [f"random[{k}]" for k in range(samples)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +662,14 @@ def obstruction_sweep(p, samples=100, seed=0) -> list:
 
 # Group and obstruction scenarios are refused past WORK_CEILING estimated
 # multiply-adds; int64-route products cost INT64_WORK_FACTOR float64 ones.
-# A sweep product costs at least SWEEP_CALL_FLOOR: at p = 3 a witness took
-# about 0.17 ms for its four 2 x 2 products on a 2-vCPU host, so about
-# 40 us of per-call cost each, which is 2^18 multiply-adds at the budget's
-# rate (10^11 in about 15 s).
+# Each sweep witness adds SWEEP_WITNESS_WORK for what its products do not
+# count: its share of the stacked calls and the witness object it keeps.
+# The stacked sweep took about 11 us a witness at p = 3 and 19-23 us at
+# p = 7 on a 2-vCPU host, and 2^17 is about 20 us at the budget's rate
+# (10^11 in about 15 s).
 WORK_CEILING = 10**11
 INT64_WORK_FACTOR = 16
-SWEEP_CALL_FLOOR = 2**18
+SWEEP_WITNESS_WORK = 2**17
 
 
 @dataclass(frozen=True)
@@ -688,20 +710,21 @@ class Scenario:
         """Products x rows x inner dimension x columns x level pairs.
 
         About 2 log2 p products per sweep witness over the obstruction
-        ring, each at least SWEEP_CALL_FLOOR; a group scenario adds |G|^2
-        over End(V) twice (its table and the H^1 basis) and over the mixed
-        ring once.  Raises OverflowError where int64 cannot hold a product,
-        as n >= 64 does for any p >= 3.
+        ring, plus SWEEP_WITNESS_WORK per witness; a group scenario adds
+        |G|^2 over End(V) twice (its table and the H^1 basis) and over the
+        mixed ring once.  Raises OverflowError where int64 cannot hold a
+        product, as n >= 64 does for any p >= 3.
         """
-        def cost(count, k, moduli, floor=0):
+        def cost(count, k, moduli):
             fits = flinalg.exact_product(k, moduli)
             pairs = len(moduli) * (len(moduli) + 1) // 2
-            return count * max(floor, k**3 * pairs * (
-                1 if fits else INT64_WORK_FACTOR))
+            return count * k**3 * pairs * (1 if fits else INT64_WORK_FACTOR)
 
         p, d = self.p, self.p - 1
-        work = cost((self.samples + 3) * 2 * p.bit_length(), d,
-                    coeff.ring_moduli("obstruction", p), SWEEP_CALL_FLOOR)
+        witnesses = self.samples + 3
+        work = witnesses * SWEEP_WITNESS_WORK + cost(
+            witnesses * 2 * p.bit_length(), d,
+            coeff.ring_moduli("obstruction", p))
         if self.kind == "group":
             G2 = (p * p * d) ** 2
             work += cost(2 * G2, d * d, (p,)) + cost(G2, d, coeff.ring_moduli(

@@ -407,8 +407,11 @@ def hom_space(M: FdModule, N: FdModule) -> HomBasis:
     ker = flinalg.nullspace(sysmat[sysmat.any(axis=1)], p)
     X = np.zeros((ker.shape[1], N.dim, M.dim), dtype=np.int64)
     X[:, ks, ls] = ker.T
-    F = flinalg.matmul_mod(flinalg.matmul_mod(cn.C, X, p), cm.C_inv, p)
-    return HomBasis(M, N, list(F))
+    # F = C_N X C_M^-1, which is X itself when both bases are unit bases
+    if not (np.array_equal(cn.C, np.eye(N.dim))
+            and np.array_equal(cm.C, np.eye(M.dim))):
+        X = flinalg.matmul_mod(flinalg.matmul_mod(cn.C, X, p), cm.C_inv, p)
+    return HomBasis(M, N, list(X))
 
 
 # ---------------------------------------------------------------------------

@@ -382,3 +382,20 @@ def test_level_matmul_float_route_is_exact_up_to_the_float_bound(desc, seed):
         got = coeff.level_matmul(moduli, a, b)
         assert np.array_equal(got.astype(object),
                               reference_level_product(moduli, a, b))
+
+
+@pytest.mark.parametrize("e", range(10))
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(ALL_KINDS), st.sampled_from([(1,), (3,), (2, 3)]),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_level_power_is_repeated_level_matmul(e, desc, lead, d, seed):
+    moduli = desc.moduli
+    stack = extreme_entries(np.random.default_rng(seed), (*lead, d, d),
+                            moduli)
+    # at e = 0 the reference is the identity on every slice
+    want = np.broadcast_to(Matrix.identity(desc, d).arr, stack.shape)
+    for _ in range(e):
+        want = coeff.level_matmul(moduli, want, stack)
+    got = coeff.level_power(moduli, stack, e)
+    assert got.shape == stack.shape
+    assert np.array_equal(got, want)

@@ -379,6 +379,50 @@ def test_obstruction_verdict_is_seed_independent():
         assert all(w.passed() for w in ws)
 
 
+def reference_sweep(p, samples, seed):
+    """The per-witness path: one (d, d) draw and one Matrix power each."""
+    desc = coeff.obstruction_ring(p)
+    d = p - 1
+    E = np.zeros((d, d), dtype=np.int64)
+    E[0, d - 1] = 1
+    want = coeff.Matrix(desc, np.stack([np.eye(d), p * E, 0 * E], axis=2))
+    draws = [("zero", np.zeros((d, d))), ("identity", np.eye(d)),
+             ("all-ones", np.ones((d, d)))]
+    rng = np.random.default_rng(seed)
+    draws += [(f"random[{k}]", rng.integers(0, p, size=(d, d)))
+              for k in range(samples)]
+    out = []
+    for label, A in draws:
+        A = np.asarray(A, dtype=np.int64) % p
+        base = np.zeros((d, d, 3), dtype=np.int64)
+        base[:, :, 0] = np.eye(d, dtype=np.int64)
+        base[:, :, 1] = E + p * A
+        power = coeff.Matrix(desc, base) ** p
+        out.append((label, A, power, "PASS" if power == want else "FAIL"))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("chunks", [0, 1, 2.5])
+def test_stacked_sweep_matches_the_per_witness_path(p, chunks):
+    # report bytes carry the labels and the failures, so the stacked sweep
+    # must give the per-witness draws and powers: with no draws, with
+    # exactly one chunk, and with a count that ends inside the third chunk
+    chunk = deform.SWEEP_CHUNK_ELEMENTS // (p - 1) ** 2
+    samples = int(chunks * chunk)
+    got = deform.obstruction_sweep(p, samples=samples, seed=7)
+    want = reference_sweep(p, samples, seed=7)
+    assert len(got) == len(want) == samples + 3
+    for w, (label, A, power, verdict) in zip(got, want):
+        assert w.p == p
+        assert w.label == label
+        assert np.array_equal(w.a_matrix, A)
+        assert isinstance(w.power, coeff.Matrix)
+        assert w.power.desc == power.desc
+        assert np.array_equal(w.power.arr, power.arr)
+        assert w.verdict == verdict == "PASS"
+
+
 def test_obstruction_rejects_wrong_shape():
     with pytest.raises(ValueError, match="must be"):
         deform.obstruction_check(5, np.zeros((2, 2), dtype=np.int64))
