@@ -387,7 +387,7 @@ def _witt_level(ring: coeff.RingDescriptor) -> int:
     return ring.n
 
 
-def hensel_lift_step(rho_m: groups.GroupRep, table=None) -> groups.GroupRep:
+def hensel_lift_step(rho_m: groups.GroupRep) -> groups.GroupRep:
     """One level of the chain: correct sigma so the table still closes.
 
     Writing the next level as rho(g) = (I + p^m c_g) rho_0(g), with
@@ -406,8 +406,7 @@ def hensel_lift_step(rho_m: groups.GroupRep, table=None) -> groups.GroupRep:
     length.  The rebuilt representation is re-verified on the whole
     multiplication table regardless.
     """
-    if table is None:
-        table = rho_m.table
+    table = rho_m.table
     if not table.quotient:
         raise ValueError("hensel steps run over the quotient-group table")
     p = table.p
@@ -434,13 +433,9 @@ def hensel_lift_step(rho_m: groups.GroupRep, table=None) -> groups.GroupRep:
     if np.any(R0 % p**m != rho_m.mats[:, :, :, 0] % p**m):
         raise ValueError("base representation is not coherent mod p^m")
 
+    # R0 agrees mod p with rho_m, so the table gives its inverses
     Rbar = R0 % p
-    Rbar_inv = np.empty_like(Rbar)
-    for g in range(n):
-        inv = flinalg.inv(Rbar[g], p)
-        if inv is None:
-            raise ValueError("residue representation is not invertible")
-        Rbar_inv[g] = inv
+    Rbar_inv = Rbar[table.inv]
 
     gens = table.generator_indices()
     sidx, eidx = gens["sigma"], gens["epsilon"]
@@ -454,10 +449,9 @@ def hensel_lift_step(rho_m: groups.GroupRep, table=None) -> groups.GroupRep:
         D = (diff // pm) % p
         return flinalg.matmul_mod(D, Rbar_inv[table.mul[:, s]], p)
 
+    # Ad[g] = kron(Rbar[g], Rbar_inv[g].T) on row-major flattenings
     dd = d * d
-    Ad = np.empty((n, dd, dd), dtype=np.int64)
-    for g in range(n):
-        Ad[g] = np.kron(Rbar[g], Rbar_inv[g].T) % p
+    Ad = np.einsum("gij,glk->gikjl", Rbar, Rbar_inv).reshape(n, dd, dd) % p
 
     # c_g is affine in the unknown c_sigma along the normal-form walk
     _, M, v = groups.cocycle_system(
@@ -576,7 +570,7 @@ def tangent_class_is_nonzero(rep: groups.GroupRep) -> bool:
     gens, cob = groups.coboundary_columns(groups.conjugation_module(res))
     # cocycle value at s in End coordinates: t-part times rho_bar(s)^(-1)
     target = np.concatenate([
-        flinalg.matmul_mod(lin[s], flinalg.inv(res.residue_matrix(s), p), p)
+        flinalg.matmul_mod(lin[s], res.residue_matrix(res.table.inv[s]), p)
         for s in gens
     ], axis=None)
     return not flinalg.in_span(cob, target, p)

@@ -96,7 +96,6 @@ class FdModule:
                 raise ValueError(f"matrix for {name} has shape {a.shape}")
             a.flags.writeable = False
             self.mats[name] = a
-        self._powers = {}
         self._coords = None
         if check and self.dim:
             validate_module(self).raise_if_invalid()
@@ -120,15 +119,6 @@ class FdModule:
         for name in word:
             out = flinalg.matmul_mod(out, self.mats[name], self.p)
         return out
-
-    def gen_power(self, name, k):
-        """The k-th power of a generator's action, cached on the module."""
-        pows = self._powers.get(name)
-        if pows is None:
-            pows = self._powers[name] = [np.eye(self.dim, dtype=np.int64)]
-        while len(pows) <= k:
-            pows.append(flinalg.matmul_mod(pows[-1], self.mats[name], self.p))
-        return pows[k]
 
     def coordinates(self) -> Coordinates:
         """The handle's component coordinates of this module, cached."""

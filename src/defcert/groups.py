@@ -11,9 +11,10 @@ generated by tau).  Distinguished elements: sigma = ((1,0),1),
 tau = ((0,1),1), epsilon = ((0,0),a).
 
 Nothing downstream trusts a presentation.  Groups are multiplication
-tables; representations carry one matrix per element, produced from
-generator matrices through the normal form sigma^x tau^y epsilon^j and
-then checked against the whole table.
+tables; representations carry one matrix per element.  `element_stack` is
+the one builder of those matrices, through the normal form
+sigma^x tau^y epsilon^j, and `table_mismatches` is the one check of a
+stack against all |G|^2 pairs of the table.
 """
 
 from __future__ import annotations
@@ -55,10 +56,12 @@ class GroupElement:
 class GroupTable:
     """Immutable multiplication table for one group of the family.
 
-    Elements are indexed in lexicographic (x, y, j) order where
-    a = a_eps^j, so the identity sits at index 0.  ``mul[g, h]`` is the
-    index of the product, ``inv[g]`` of the inverse.  ``sigma``, ``tau``
-    and ``eps`` are generator indices; ``tau`` is None in the quotient.
+    Element ((x, y), a_eps^j) sits at index (x py + y)(p - 1) + j, with
+    py = 1 on the quotient (where y = 0) and py = p on the full group:
+    lexicographic (x, y, j) order, so the identity sits at index 0.
+    ``mul[g, h]`` is the index of the product, ``inv[g]`` of the inverse.
+    ``sigma``, ``tau`` and ``eps`` are generator indices; ``tau`` is None
+    in the quotient.
     ``algebra`` is the table's one group-algebra handle, filled by
     `group_algebra`.
     """
@@ -161,50 +164,27 @@ def build_group(p: int, a_eps: int | None = None,
             f"need {p - 1}"
         )
 
+    py = 1 if quotient else p
+    xs, ys, js = (
+        c.ravel() for c in np.indices((p, py, p - 1), dtype=np.int64)
+    )
     apow = pow_table(a_eps, p)
-    dlog = np.zeros(p, dtype=np.int64)
-    dlog[apow] = np.arange(p - 1)
-
-    if quotient:
-        grid = [(x, 0, j) for x in range(p) for j in range(p - 1)]
-    else:
-        grid = [(x, y, j) for x in range(p) for y in range(p)
-                for j in range(p - 1)]
-    xs = np.array([g[0] for g in grid], dtype=np.int64)
-    ys = np.array([g[1] for g in grid], dtype=np.int64)
-    js = np.array([g[2] for g in grid], dtype=np.int64)
     avals = apow[js]
     ainw = apow[(-js) % (p - 1)]  # a^(-1) per element
 
-    x2 = (xs[:, None] + avals[:, None] * xs[None, :]) % p
-    y2 = (ys[:, None] + ainw[:, None] * ys[None, :]) % p
-    j2 = (js[:, None] + js[None, :]) % (p - 1)
-    if quotient:
-        mul = x2 * (p - 1) + j2
-    else:
-        mul = (x2 * p + y2) * (p - 1) + j2
+    def index(x, y, j):
+        return (x % p * py + y % p) * (p - 1) + j % (p - 1)
 
-    xinv = (-ainw * xs) % p
-    yinv = (-avals * ys) % p
-    jinv = (-js) % (p - 1)
-    if quotient:
-        inv = xinv * (p - 1) + jinv
-    else:
-        inv = (xinv * p + yinv) * (p - 1) + jinv
-
-    n = len(grid)
+    mul = index(xs[:, None] + avals[:, None] * xs[None, :],
+                ys[:, None] + ainw[:, None] * ys[None, :],
+                js[:, None] + js[None, :])
+    inv = index(-ainw * xs, -avals * ys, -js)
+    n = len(xs)
     table = GroupTable(p, a_eps, quotient, xs, ys, js, mul, inv,
-                       sigma=int(np.nonzero((xs == 1) & (ys == 0)
-                                            & (js == 0))[0][0]),
-                       tau=None if quotient else int(
-                           np.nonzero((xs == 0) & (ys == 1)
-                                      & (js == 0))[0][0]),
-                       eps=int(np.nonzero((xs == 0) & (ys == 0)
-                                          & (js == 1))[0][0]))
+                       sigma=int(index(1, 0, 0)),
+                       tau=None if quotient else int(index(0, 1, 0)),
+                       eps=int(index(0, 0, 1)))
 
-    expect = p * (p - 1) if quotient else p * p * (p - 1)
-    if n != expect:
-        raise ValueError("element count mismatch")
     ar = np.arange(n)
     if not (np.array_equal(mul[0], ar) and np.array_equal(mul[:, 0], ar)):
         raise ValueError("identity row or column broken")
@@ -292,23 +272,9 @@ class GroupRep:
         )
         if set(gen_mats) - {"sigma", "tau", "epsilon"} or need - set(gen_mats):
             raise ValueError(f"generator matrices must be keyed by {need}")
-        p = table.p
         norm = {k: _as_levels(v, ring) for k, v in gen_mats.items()}
-        d = norm["sigma"].shape[1]
-        spow = _power_list(norm["sigma"], p, ring)
-        epow = _power_list(norm["epsilon"], p - 1, ring)
-        tpow = (
-            _power_list(norm["tau"], p, ring) if "tau" in norm else None
-        )
-        mats = np.empty((table.size, d, d, ring.levels), dtype=np.int64)
-        for i in range(table.size):
-            m = spow[table.xs[i]]
-            if tpow is not None and table.ys[i]:
-                m = coeff.level_matmul(ring.moduli, m, tpow[table.ys[i]])
-            if table.js[i]:
-                m = coeff.level_matmul(ring.moduli, m, epow[table.js[i]])
-            mats[i] = m
-        return cls(table, ring, mats, check=check)
+        return cls(table, ring, element_stack(table, ring.moduli, norm),
+                   check=check)
 
     def matrix(self, i: int) -> coeff.Matrix:
         return coeff.Matrix(self.ring, self.mats[i])
@@ -322,15 +288,8 @@ class GroupRep:
 
     def check_table(self) -> list:
         """All (g, h) with rho(g)rho(h) != rho(gh); empty means verified."""
-        t, moduli = self.table, self.ring.moduli
-        a = self.mats
-        stack = a.reshape(t.size * self.dim, self.dim, -1)
-        bad = []
-        for h in range(t.size):
-            lhs = coeff.level_matmul(moduli, stack, a[h]).reshape(a.shape)
-            neq = np.nonzero(np.any(lhs != a[t.mul[:, h]], axis=(1, 2, 3)))[0]
-            bad.extend((int(g), h) for g in neq)
-        return sorted(bad)
+        return table_mismatches(self.table, self.ring.moduli, self.mats,
+                                self.mats)
 
     def convert(self, target: coeff.RingDescriptor) -> "GroupRep":
         """Reduce along a legal ring surjection (levelwise)."""
@@ -354,12 +313,59 @@ def _as_levels(m, ring: coeff.RingDescriptor) -> np.ndarray:
     return m % np.array(ring.moduli, dtype=np.int64)
 
 
-def _power_list(m: np.ndarray, upto: int,
-                ring: coeff.RingDescriptor) -> list:
-    out = [coeff.Matrix.identity(ring, m.shape[0]).arr]
-    for _ in range(upto - 1):
-        out.append(coeff.level_matmul(ring.moduli, out[-1], m))
-    return out
+def element_stack(table: GroupTable, moduli, gens: dict) -> np.ndarray:
+    """rho(g) for every element, as a (size, d, d, L) stack.
+
+    ``gens`` maps "sigma", "epsilon" and, on the full group, "tau" to
+    level-last (d, d, L) matrices.  Each generator is powered once, and
+    the normal forms sigma^x tau^y epsilon^j are two broadcast products
+    over the (x, y, j) grid, read at the table's coordinates.  The power
+    lists stay in broadcast shape, so the Toeplitz expansion of the right
+    operand covers p or p - 1 matrices, not one per element.
+    """
+    d = gens["sigma"].shape[0]
+    eye = np.zeros((d, d, len(moduli)), dtype=np.int64)
+    eye[:, :, 0] = np.eye(d, dtype=np.int64)
+
+    def powers(name, top):
+        out = [eye]
+        for _ in range(int(top)):
+            out.append(coeff.level_matmul(moduli, out[-1], gens[name]))
+        return np.stack(out)
+
+    s = powers("sigma", table.xs.max())
+    t = powers("tau", table.ys.max())
+    e = powers("epsilon", table.js.max())
+    st = coeff.level_matmul(moduli, s[:, None], t[None])
+    grid = coeff.level_matmul(moduli, st[:, :, None], e[None, None])
+    return grid[table.xs, table.ys, table.js]
+
+
+def table_mismatches(table: GroupTable, moduli, act, val,
+                     shift=None) -> list:
+    """Sorted pairs (g, h) with act(g) val(h) + shift(g) != val(gh).
+
+    act (size, r, k, L), val (size, k, c, L) and shift (size, r, c, L)
+    are level-last stacks of canonical coefficients.  Each h takes one
+    stacked product over every g.  The shifted sum is not reduced again:
+    it is right exactly when it is off by 0 or by the level modulus.
+    """
+    n, r, k, L = act.shape
+    c = val.shape[2]
+    stack = act.reshape(n * r, k, L)
+    mod = np.array(moduli)
+    bad = []
+    for h in range(n):
+        lhs = coeff.level_matmul(moduli, stack, val[h]).reshape(n, r, c, L)
+        want = val[table.mul[:, h]]
+        if shift is None:
+            wrong = lhs != want
+        else:
+            diff = lhs + shift - want
+            wrong = (diff != 0) & (diff != mod)
+        neq = np.nonzero(np.any(wrong, axis=(1, 2, 3)))[0]
+        bad.extend((int(g), h) for g in neq)
+    return sorted(bad)
 
 
 def uniserial_representation(p: int, a_eps: int | None = None,
@@ -526,16 +532,6 @@ class GroupAlgebra:
             self._cosets = left_cosets(self.table, H)
         return self._cosets
 
-    def element_action(self, M, g: int) -> np.ndarray:
-        """Action matrix of element g on M, from cached generator powers."""
-        t = self.table
-        m = M.gen_power("sigma", t.xs[g])
-        if t.tau is not None and t.ys[g]:
-            m = flinalg.matmul_mod(m, M.gen_power("tau", t.ys[g]), self.p)
-        if t.js[g]:
-            m = flinalg.matmul_mod(m, M.gen_power("epsilon", t.js[g]), self.p)
-        return m
-
     def yoneda_columns(self, label, N, x):
         """Hom(P_label, N) element sending the coset basis through x.
 
@@ -544,7 +540,8 @@ class GroupAlgebra:
         """
         reps, _, _ = self._eps_cosets()
         x = np.asarray(x, dtype=np.int64) % self.p
-        acts = np.stack([self.element_action(N, g) for g in reps])
+        gens = {name: N.mats[name][:, :, None] for name in self.generators}
+        acts = element_stack(self.table, (self.p,), gens)[reps, :, :, 0]
         return flinalg.matmul_mod(acts, x, self.p).T
 
 
@@ -706,6 +703,7 @@ def cocycle_system(table: GroupTable, act, sel: dict, delta=None):
     generator.  The walk sets c(g s) = c(g) + act[g] c(s) + delta_s(g)
     along sigma^x tau^y epsilon^j; the (x, y, j) index order makes every
     parent index smaller, so one forward pass writes c(g) = D[g] x + A[g].
+    By the table's index formula the parent of g along s sits at g - s.
     Returns D and the system L x = r stating that same relation for every
     g and every generator s in ``sel``.
     """
@@ -717,13 +715,9 @@ def cocycle_system(table: GroupTable, act, sel: dict, delta=None):
     D = np.zeros((n, m, k), dtype=np.int64)
     A = np.zeros((n, m), dtype=np.int64)
     for i in range(1, n):
-        x, y, j = int(table.xs[i]), int(table.ys[i]), int(table.js[i])
-        if j:
-            par, s = i - 1, table.eps
-        elif y:
-            par, s = table.find(x, y - 1, 1), table.tau
-        else:
-            par, s = table.find(x - 1, 0, 1), table.sigma
+        s = (table.eps if table.js[i] else table.tau if table.ys[i]
+             else table.sigma)
+        par = i - s
         D[i] = (D[par] + flinalg.matmul_mod(act[par], sel[s], p)) % p
         A[i] = (A[par] + flat[s][par]) % p
     rows, rhs = [], []
@@ -774,31 +768,20 @@ def h1_cocycles(table: GroupTable, M: fdmod.FdModule) -> H1Result:
     """
     rep = module_rep(table, M)
     p = table.p
-    n = table.size
     m = M.dim
-    rho = rep.mats[:, :, :, 0] % p
 
     gen_idx, bcols = coboundary_columns(M)
     eye = np.eye(len(gen_idx) * m, dtype=np.int64)
     sel = {g: eye[k * m:(k + 1) * m] for k, g in enumerate(gen_idx)}
 
-    D, system, _ = cocycle_system(table, rho, sel)
+    D, system, _ = cocycle_system(table, rep.mats[:, :, :, 0], sel)
     zpar = flinalg.nullspace(system, p)
     zdim = zpar.shape[1]
-
-    if zdim:
-        DS = flinalg.matmul_mod(D, zpar, p)
-        side = DS.swapaxes(0, 1).copy()  # side[:, h] = DS[h]
-        flat = side.reshape(m, n * zdim)
-        for g in range(n):
-            # g.d(h) + d(g) - d(gh) over canonical residues: 0 mod p
-            # exactly when it is 0 or p
-            diff = (flinalg.matmul_mod(rho[g], flat, p).reshape(side.shape)
-                    + DS[g][:, None, :] - side[:, table.mul[g]])
-            if np.any((diff != 0) & (diff != p)):
-                raise RuntimeError("verified cocycle basis failed the table")
-    else:
-        DS = np.zeros((n, m, 0), dtype=np.int64)
+    DS = flinalg.matmul_mod(D, zpar, p)
+    # g.d(h) + d(g) = d(gh) for every pair and every basis cocycle
+    cocycles = DS[..., None]
+    if table_mismatches(table, (p,), rep.mats, cocycles, shift=cocycles):
+        raise RuntimeError("verified cocycle basis failed the table")
 
     # coboundaries are written in the same generator-value parameters, so
     # the class representatives are the cocycles that extend their span

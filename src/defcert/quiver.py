@@ -139,8 +139,9 @@ def relation_str(spec: QuiverSpec, terms: dict) -> str:
 # builtin family presentations
 
 
-def _rel(*chunks, repeat=None):
-    """Concatenate pieces written left to right; repeat=(piece, k) expands."""
+def _rel(*chunks):
+    """Concatenate pieces written left to right; a (piece, k) chunk repeats
+    piece k times."""
     word = []
     for chunk in chunks:
         if isinstance(chunk, tuple) and len(chunk) == 2 and isinstance(chunk[1], int):

@@ -197,6 +197,62 @@ def test_check_table_finds_every_planted_pair_in_order(ring):
         groups.GroupRep.from_generators(rep.table, rep.ring, gens)
 
 
+def reference_element_stack(table, moduli, gens):
+    """Each normal form sigma^x tau^y epsilon^j as repeated products."""
+    d, L = gens["sigma"].shape[0], len(moduli)
+    out = []
+    for i in range(table.size):
+        m = np.zeros((d, d, L), dtype=np.int64)
+        m[:, :, 0] = np.eye(d, dtype=np.int64)
+        for name, k in (("sigma", table.xs[i]), ("tau", table.ys[i]),
+                        ("epsilon", table.js[i])):
+            for _ in range(k):
+                m = coeff.level_matmul(moduli, m, gens[name])
+        out.append(m)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("case", ["quotient-p5", "full-p3", "trivial"])
+def test_element_stack_matches_normal_form_products(case):
+    table, ring = {
+        "quotient-p5": (groups.build_group(5, quotient=True),
+                        coeff.prime_field(5)),
+        "full-p3": (groups.build_group(3), coeff.mixed_deform(3, 1, 3)),
+        "trivial": (groups.trivial_group(3), coeff.prime_field(3)),
+    }[case]
+    # arbitrary generator matrices: the stack is the normal form whether
+    # or not they define a representation
+    rng = np.random.default_rng(12)
+    names = ["sigma", "epsilon"] + ([] if table.tau is None else ["tau"])
+    gens = {name: rng.integers(0, 2**20, size=(2, 2, ring.levels))
+            % np.array(ring.moduli) for name in names}
+    stack = groups.element_stack(table, ring.moduli, gens)
+    assert stack.shape == (table.size, 2, 2, ring.levels)
+    assert np.array_equal(
+        stack, reference_element_stack(table, ring.moduli, gens)
+    )
+
+
+def test_table_mismatches_with_shift_finds_planted_pairs(q5):
+    # coboundaries g -> (rho(g) - 1) v satisfy c(gh) = rho(g) c(h) + c(g)
+    rep = groups.uniserial_representation(5, table=q5)
+    p, n, d = 5, q5.size, rep.dim
+    rho = rep.mats[:, :, :, 0]
+    V = np.random.default_rng(3).integers(0, p, size=(d, 2))
+    c = np.einsum("gij,jk->gik", rho - np.eye(d, dtype=np.int64), V) % p
+    stack = c[..., None]
+    assert groups.table_mismatches(q5, (p,), rep.mats, stack, stack) == []
+
+    c[5, 1, 0] = (c[5, 1, 0] + 1) % p
+    c[12, 3, 1] = (c[12, 3, 1] + 4) % p
+    want = [(g, h) for g in range(n) for h in range(n)
+            if np.any((rho[g].dot(c[h]) + c[g] - c[q5.mul[g, h]]) % p)]
+    assert want
+    planted = c[..., None]
+    assert groups.table_mismatches(q5, (p,), rep.mats, planted,
+                                   planted) == want
+
+
 def test_rep_over_witt_ring(g3):
     # diagonal characters lift to Z/9 through the Teichmuller points
     ring = coeff.trunc_witt(3, 2)
@@ -280,10 +336,10 @@ def test_cartan_is_identity_plus_ones(p):
 
 
 def test_induction_from_full_group_is_identity(g3):
-    alg = groups.group_algebra(g3)
     rep = groups.inflate(groups.uniserial_representation(3), g3)
     W = groups.rep_to_module(rep)
-    action = {g: alg.element_action(W, g) for g in range(g3.size)}
+    W_rep = groups.module_rep(g3, W)
+    action = {g: W_rep.residue_matrix(g) for g in range(g3.size)}
     ind = groups.induce(list(range(g3.size)), action, g3)
     assert ind.dim == W.dim
     assert fdmod.is_isomorphic(ind, W).isomorphic
@@ -353,11 +409,12 @@ def test_group_handle_is_owned_by_its_table():
     assert ref() is None
 
 
-def test_element_action_does_not_keep_the_module(g3):
+def test_yoneda_columns_does_not_keep_the_module(g3):
     alg = groups.group_algebra(g3)
     M = groups.simple_module(g3, 1)
-    g = g3.find(1, 1, g3.a_eps)
-    assert np.array_equal(alg.element_action(M, g), [[g3.a_eps]])
+    # the coset representatives of <epsilon> are the sigma^x tau^y, which
+    # fix the vector of this character
+    assert np.array_equal(alg.yoneda_columns(1, M, [1]), np.ones((1, 9)))
     ref = weakref.ref(M)
     del M
     gc.collect()
