@@ -265,10 +265,9 @@ class Matrix:
         return Matrix(self.desc, -self.arr)
 
     def scale(self, c: int) -> "Matrix":
-        e = Matrix.from_int_array(self.desc, [[c]]).arr
-        col = self.arr.reshape(-1, 1, self.desc.levels)
-        out = level_matmul(self.desc.moduli, col, e)
-        return Matrix(self.desc, out.reshape(self.arr.shape))
+        """Entrywise product with the constant c, exact or refused."""
+        flinalg.exact_product(1, self.desc.moduli)
+        return Matrix(self.desc, c % self.desc.moduli[0] * self.arr)
 
     def __matmul__(self, other):
         o = self._match(other)

@@ -455,9 +455,7 @@ def hensel_lift_step(rho_m: groups.GroupRep) -> groups.GroupRep:
 
     # c_g is affine in the unknown c_sigma along the normal-form walk
     _, M, v = groups.cocycle_system(
-        table, Ad,
-        {sidx: np.eye(dd, dtype=np.int64),
-         eidx: np.zeros((dd, dd), dtype=np.int64)},
+        table, Ad, [sidx],
         {sidx: defect_against(sidx), eidx: defect_against(eidx)},
     )
     sol = flinalg.solve(M, v, p)
@@ -576,78 +574,70 @@ def tangent_class_is_nonzero(rep: groups.GroupRep) -> bool:
     return not flinalg.in_span(cob, target, p)
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
-    p: int
-    label: str
-    a_matrix: np.ndarray
-    power: coeff.Matrix
-    verdict: str
+# The three special matrices that open every sweep, in order.
+SPECIAL_LABELS = ("zero", "identity", "all-ones")
 
-    def passed(self):
-        return self.verdict == "PASS"
-
-
-# Witnesses are powered in chunks of at most SWEEP_CHUNK_ELEMENTS matrix
-# entries.  On three 2000-draw sweeps (p = 3, 5, 7) the peak memory was
-# 40.2 MB unstacked, 55.6 MB at 2^16 and 40.6 MB at 2^12, in the same
-# time.  From p = 67 on a chunk holds a single matrix.
+# The sweep powers its matrices in chunks of at most SWEEP_CHUNK_ELEMENTS
+# matrix entries.  From p = 67 on a chunk holds a single matrix.
 SWEEP_CHUNK_ELEMENTS = 2**12
 
 
-def obstruction_witnesses(p, A, labels) -> list:
+def obstruction_powers(p, A):
     """Exact powers of I + t(E + pA) for a stack A (W, d, d) of residues.
 
     The identity (I + tE + ptA)^p = I + ptE holding for every A is what
-    kills the t^2 tangent direction.  Each chunk of the stack is powered
-    at once in the three-level obstruction ring; each witness records its
-    full power so a failure would be reproducible.
+    kills the t^2 tangent direction.  The whole stack is powered at once
+    in the three-level obstruction ring.  Returns the (W, d, d, 3) power
+    stack and the verdict of each slice.
     """
-    desc = coeff.obstruction_ring(p)
     d = p - 1
     E = _shift_unit(d)
+    base = np.zeros((len(A), d, d, 3), dtype=np.int64)
+    base[..., 0] = np.eye(d, dtype=np.int64)
+    base[..., 1] = E + p * A
+    power = coeff.level_power(coeff.obstruction_ring(p).moduli, base, p)
     want = np.stack([np.eye(d, dtype=np.int64), p * E, 0 * E], axis=2)
-    step = max(1, SWEEP_CHUNK_ELEMENTS // (d * d))
-    out = []
-    for start in range(0, len(A), step):
-        chunk = A[start:start + step]
-        base = np.zeros((len(chunk), d, d, 3), dtype=np.int64)
-        base[..., 0] = np.eye(d, dtype=np.int64)
-        base[..., 1] = E + p * chunk
-        power = coeff.level_power(desc.moduli, base, p)
-        passed = (power == want).all(axis=(1, 2, 3))
-        out += [
-            ObstructionWitness(p, label, a, coeff.Matrix(desc, pw),
-                               "PASS" if ok else "FAIL")
-            for label, a, pw, ok in zip(labels[start:start + step], chunk,
-                                        power, passed)
-        ]
-    return out
+    return power, (power == want).all(axis=(1, 2, 3))
 
 
-def obstruction_check(p, A, label="custom") -> ObstructionWitness:
-    """The obstruction witness of one A, a (p - 1) x (p - 1) matrix."""
+def obstruction_check(p, A):
+    """(passed, power) for one A, a (p - 1) x (p - 1) matrix."""
     d = p - 1
     A = np.asarray(A, dtype=np.int64) % p
     if A.shape != (d, d):
         raise ValueError(f"A must be {d} x {d} mod {p}")
-    return obstruction_witnesses(p, A[None], [label])[0]
+    power, passed = obstruction_powers(p, A[None])
+    return bool(passed[0]), power[0]
 
 
-def obstruction_sweep(p, samples=100, seed=0) -> list:
-    """Special matrices plus seeded-random draws, one witness each.
+def obstruction_sweep(p, samples=100, seed=0):
+    """The special matrices, then seeded-random draws, chunk by chunk.
 
-    The draws are one `rng.integers` call, which yields the same stream
-    as one (d, d) call per draw; each witness keeps its draw anyway."""
+    Returns (count, failures): the number of matrices powered and the
+    labels of those that failed, in order.  One `rng.integers` call per
+    chunk yields the same stream as one (d, d) call per draw, since d * d
+    is even; no draw or power outlives its chunk.
+    """
     d = p - 1
-    special = np.stack([np.zeros((d, d)), np.eye(d), np.ones((d, d))])
+    step = max(1, SWEEP_CHUNK_ELEMENTS // (d * d))
     rng = np.random.default_rng(seed)
-    return obstruction_witnesses(
-        p, special.astype(np.int64), ["zero", "identity", "all-ones"]
-    ) + obstruction_witnesses(
-        p, rng.integers(0, p, size=(samples, d, d)),
-        [f"random[{k}]" for k in range(samples)],
-    )
+
+    def chunks():
+        special = np.stack([np.zeros((d, d)), np.eye(d), np.ones((d, d))])
+        for start in range(0, 3, step):
+            yield special[start:start + step].astype(np.int64)
+        for start in range(0, samples, step):
+            yield rng.integers(0, p, size=(min(step, samples - start), d, d))
+
+    def label(i):
+        return SPECIAL_LABELS[i] if i < 3 else f"random[{i - 3}]"
+
+    count, failures = 0, []
+    for A in chunks():
+        _, passed = obstruction_powers(p, A)
+        failures += [label(count + k) for k in np.flatnonzero(~passed)]
+        count += len(A)
+    return count, failures
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +647,9 @@ def obstruction_sweep(p, samples=100, seed=0) -> list:
 # Group and obstruction scenarios are refused past WORK_CEILING estimated
 # multiply-adds; int64-route products cost INT64_WORK_FACTOR float64 ones.
 # Each sweep witness adds SWEEP_WITNESS_WORK for what its products do not
-# count: its share of the stacked calls and the witness object it keeps.
-# The stacked sweep took about 11 us a witness at p = 3 and 19-23 us at
-# p = 7 on a 2-vCPU host, and 2^17 is about 20 us at the budget's rate
-# (10^11 in about 15 s).
+# count: its share of the per-chunk calls.  The chunked sweep took about
+# 1, 6 and 15 us a witness at p = 3, 5 and 7 on a 2-vCPU host, and 2^17
+# is about 20 us at the budget's rate (10^11 in about 15 s).
 WORK_CEILING = 10**11
 INT64_WORK_FACTOR = 16
 SWEEP_WITNESS_WORK = 2**17
@@ -972,27 +961,25 @@ def _group_report(sc: Scenario) -> VerificationReport:
     return _finish(sc.id, premises, CLAIM_GROUP)
 
 
-def _obstruction_premise(sc: Scenario, labels_head=False) -> Premise:
+def _obstruction_premise(sc: Scenario) -> Premise:
     """The obstruction-identity premise over the scenario's sweep."""
-    witnesses = obstruction_sweep(sc.p, sc.samples, sc.seed)
-    failures = [w.label for w in witnesses if not w.passed()]
-    computed = {
-        "witnesses": len(witnesses),
-        "random_samples": sc.samples,
-        "seed": sc.seed,
-        "failures": failures,
-    }
-    if labels_head:
-        computed["labels_head"] = [w.label for w in witnesses[:3]]
+    count, failures = obstruction_sweep(sc.p, sc.samples, sc.seed)
     return Premise(
         "obstruction-identity", ANCHOR_OBSTRUCTION,
-        "PASS" if not failures else "FAIL", computed,
+        "PASS" if not failures else "FAIL",
+        {
+            "witnesses": count,
+            "random_samples": sc.samples,
+            "seed": sc.seed,
+            "failures": failures,
+        },
     )
 
 
 def _obstruction_report(sc: Scenario) -> VerificationReport:
-    premises = [_obstruction_premise(sc, labels_head=True)]
-    return _finish(sc.id, premises, "")
+    premise = _obstruction_premise(sc)
+    premise.computed["labels_head"] = list(SPECIAL_LABELS)
+    return _finish(sc.id, [premise], "")
 
 
 def scenario_report(scenario: Scenario) -> VerificationReport:

@@ -694,37 +694,43 @@ def conjugation_module(rho: GroupRep) -> fdmod.FdModule:
 # first cohomology by cocycles
 
 
-def cocycle_system(table: GroupTable, act, sel: dict, delta=None):
+def cocycle_system(table: GroupTable, act, free: list, delta=None):
     """Cocycle values along the normal form and the conditions they meet.
 
-    ``act[g]`` is the (m, m) action of element g, ``sel[s]`` writes the
-    value c(s) at generator index s as ``sel[s] @ x`` in k unknowns, and
+    ``act[g]`` is the (m, m) action of element g.  The value c(s) at the
+    j-th generator index s in ``free`` is the j-th m-block of the
+    m len(free) unknowns x; every other generator has c(s) = 0.
     ``delta[s]`` optionally gives an (size, ...) inhomogeneous term per
     generator.  The walk sets c(g s) = c(g) + act[g] c(s) + delta_s(g)
     along sigma^x tau^y epsilon^j; the (x, y, j) index order makes every
     parent index smaller, so one forward pass writes c(g) = D[g] x + A[g].
     By the table's index formula the parent of g along s sits at g - s.
     Returns D and the system L x = r stating that same relation for every
-    g and every generator s in ``sel``.
+    g and every generator s.
     """
     p = table.p
     n, m = act.shape[0], act.shape[1]
-    k = next(iter(sel.values())).shape[1]
+    block = {s: slice(j * m, (j + 1) * m) for j, s in enumerate(free)}
+    gens = [s for s in (table.sigma, table.tau, table.eps) if s is not None]
     flat = {s: np.zeros((n, m), dtype=np.int64) if delta is None
-            else np.asarray(delta[s]).reshape(n, m) for s in sel}
-    D = np.zeros((n, m, k), dtype=np.int64)
+            else np.asarray(delta[s]).reshape(n, m) for s in gens}
+    D = np.zeros((n, m, len(free) * m), dtype=np.int64)
     A = np.zeros((n, m), dtype=np.int64)
     for i in range(1, n):
         s = (table.eps if table.js[i] else table.tau if table.ys[i]
              else table.sigma)
         par = i - s
-        D[i] = (D[par] + flinalg.matmul_mod(act[par], sel[s], p)) % p
+        D[i] = D[par]
+        if s in block:
+            D[i, :, block[s]] = (D[i, :, block[s]] + act[par]) % p
         A[i] = (A[par] + flat[s][par]) % p
     rows, rhs = [], []
-    for s in sel:
+    for s in gens:
         gs = table.mul[:, s]
-        rows.append(((D[gs] - D - flinalg.matmul_mod(act, sel[s], p)) % p
-                     ).reshape(n * m, k))
+        L = D[gs] - D
+        if s in block:
+            L[:, :, block[s]] -= act
+        rows.append((L % p).reshape(n * m, -1))
         rhs.append((A + flat[s] - A[gs]).reshape(n * m) % p)
     return D, np.concatenate(rows, axis=0), np.concatenate(rhs)
 
@@ -768,13 +774,9 @@ def h1_cocycles(table: GroupTable, M: fdmod.FdModule) -> H1Result:
     """
     rep = module_rep(table, M)
     p = table.p
-    m = M.dim
 
     gen_idx, bcols = coboundary_columns(M)
-    eye = np.eye(len(gen_idx) * m, dtype=np.int64)
-    sel = {g: eye[k * m:(k + 1) * m] for k, g in enumerate(gen_idx)}
-
-    D, system, _ = cocycle_system(table, rep.mats[:, :, :, 0], sel)
+    D, system, _ = cocycle_system(table, rep.mats[:, :, :, 0], gen_idx)
     zpar = flinalg.nullspace(system, p)
     zdim = zpar.shape[1]
     DS = flinalg.matmul_mod(D, zpar, p)

@@ -127,12 +127,16 @@ def test_criterion_06_mixed_ring_representation_full_table():
 def test_criterion_07_obstruction_identity_sweeps():
     for p in (3, 5, 7):
         t0 = time.perf_counter()
-        witnesses = deform.obstruction_sweep(p, samples=100, seed=7)
+        report = deform.scenario_report(
+            deform.Scenario("obstruction", p=p, samples=100, seed=7))
         elapsed = time.perf_counter() - t0
-        randoms = [w for w in witnesses if w.label.startswith("random")]
-        assert len(randoms) == 100
-        assert {"zero", "all-ones"} <= {w.label for w in witnesses}
-        assert all(w.passed() for w in witnesses), p
+        (premise,) = report.premises
+        assert premise.name == "obstruction-identity"
+        assert premise.computed["witnesses"] == 103
+        assert premise.computed["labels_head"] == [
+            "zero", "identity", "all-ones"]
+        assert premise.computed["failures"] == [], p
+        assert premise.verdict == "PASS"
         assert elapsed < OBSTRUCTION_BUDGET, f"p={p}: {elapsed:.1f}s"
 
 

@@ -208,6 +208,17 @@ def test_matrix_inverse_random():
             assert a.inv() @ a == ident
 
 
+@pytest.mark.parametrize("desc", ALL_KINDS, ids=str)
+@pytest.mark.parametrize("c", [0, 1, -1, 7, 10**6 + 3])
+def test_scale_is_the_product_by_the_constant(desc, c):
+    rng = random.Random(c)
+    a = Matrix(desc, [[rand_coeffs(rng, desc) for _ in range(3)]
+                      for _ in range(2)])
+    col = a.arr.reshape(-1, 1, desc.levels)
+    want = coeff.level_matmul(desc.moduli, col, const(desc, c).arr)
+    assert np.array_equal(a.scale(c).arr, want.reshape(a.arr.shape))
+
+
 def test_matrix_inverse_needs_unit_residue():
     R = mixed_deform(3, 2, 2)
     m = Matrix.from_int_array(R, [[3, 0], [0, 1]])

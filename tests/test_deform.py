@@ -1,9 +1,9 @@
-"""Lift verification, Hensel chains, obstruction witnesses, reports."""
+"""Lift verification, Hensel chains, the obstruction sweep, reports."""
 
 import numpy as np
 import pytest
 
-from defcert import coeff, deform, fdmod, groups
+from defcert import cli, coeff, deform, fdmod, groups
 from defcert.fdmod import RelationViolated
 
 from conftest import E, small_module
@@ -357,26 +357,28 @@ def test_tangent_class_vanishes_for_a_conjugated_lift():
 
 
 def test_obstruction_power_is_frozen_for_zero_matrix():
-    w = deform.obstruction_check(3, np.zeros((2, 2), dtype=np.int64), "zero")
-    assert w.verdict == "PASS"
-    assert np.array_equal(w.power.arr[:, :, 0], np.eye(2, dtype=np.int64))
-    assert np.array_equal(w.power.arr[:, :, 1], np.array([[0, 3], [0, 0]]))
-    assert not w.power.arr[:, :, 2].any()
+    passed, power = deform.obstruction_check(
+        3, np.zeros((2, 2), dtype=np.int64))
+    assert passed
+    assert np.array_equal(power[:, :, 0], np.eye(2, dtype=np.int64))
+    assert np.array_equal(power[:, :, 1], np.array([[0, 3], [0, 0]]))
+    assert not power[:, :, 2].any()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_obstruction_holds_for_special_and_random_matrices(p):
-    witnesses = deform.obstruction_sweep(p, samples=100, seed=7)
-    assert len(witnesses) == 103
-    assert [w.label for w in witnesses[:3]] == ["zero", "identity", "all-ones"]
-    assert all(w.passed() for w in witnesses)
+    count, failures = deform.obstruction_sweep(p, samples=100, seed=7)
+    assert count == 103
+    assert failures == []
 
 
 def test_obstruction_verdict_is_seed_independent():
     rng = np.random.default_rng(952)
     for seed in rng.integers(0, 10**6, size=4):
-        ws = deform.obstruction_sweep(5, samples=10, seed=int(seed))
-        assert all(w.passed() for w in ws)
+        count, failures = deform.obstruction_sweep(5, samples=10,
+                                                   seed=int(seed))
+        assert count == 13
+        assert failures == []
 
 
 def reference_sweep(p, samples, seed):
@@ -402,25 +404,53 @@ def reference_sweep(p, samples, seed):
     return out
 
 
+def plant_failure(monkeypatch, p, A):
+    """Make `coeff.level_power`, as `deform` calls it, spoil every power
+    whose base is I + t(E + pA) for this one A."""
+    real = coeff.level_power
+    d = p - 1
+    E = np.zeros((d, d), dtype=np.int64)
+    E[0, d - 1] = 1
+
+    def planted(moduli, stack, e):
+        out = real(moduli, stack, e).copy()
+        hit = (stack[..., 1] == E + p * A).all(axis=(-2, -1))
+        out[hit, 0, 0, 0] += 1
+        return out
+
+    monkeypatch.setattr(coeff, "level_power", planted)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("chunks", [0, 1, 2.5])
-def test_stacked_sweep_matches_the_per_witness_path(p, chunks):
-    # report bytes carry the labels and the failures, so the stacked sweep
-    # must give the per-witness draws and powers: with no draws, with
-    # exactly one chunk, and with a count that ends inside the third chunk
+def test_stacked_sweep_matches_the_per_witness_path(
+        p, chunks, monkeypatch, capsys):
+    # report bytes carry the count and the failures, so the chunked sweep
+    # must see the per-witness draws in order.  A failure planted on one
+    # reference draw must come back as exactly the labels of the equal
+    # draws: with no draws (the plant hits a special matrix), with
+    # exactly one chunk, and with a count that ends inside the third
+    # chunk (the plant hits its last draw)
     chunk = deform.SWEEP_CHUNK_ELEMENTS // (p - 1) ** 2
     samples = int(chunks * chunk)
-    got = deform.obstruction_sweep(p, samples=samples, seed=7)
-    want = reference_sweep(p, samples, seed=7)
-    assert len(got) == len(want) == samples + 3
-    for w, (label, A, power, verdict) in zip(got, want):
-        assert w.p == p
-        assert w.label == label
-        assert np.array_equal(w.a_matrix, A)
-        assert isinstance(w.power, coeff.Matrix)
-        assert w.power.desc == power.desc
-        assert np.array_equal(w.power.arr, power.arr)
-        assert w.verdict == verdict == "PASS"
+    ref = reference_sweep(p, samples, seed=7)
+    assert all(verdict == "PASS" for *_, verdict in ref)
+    target = ref[-1][1]
+    want = [label for label, A, *_ in ref if np.array_equal(A, target)]
+    plant_failure(monkeypatch, p, target)
+
+    assert deform.obstruction_sweep(p, samples, seed=7) == (samples + 3, want)
+    report = deform.scenario_report(
+        deform.Scenario("obstruction", p=p, samples=samples, seed=7))
+    (premise,) = report.premises
+    assert premise.verdict == "FAIL"
+    assert premise.computed["failures"] == want
+    assert report.status == "DISCREPANCY"
+    assert report.conclusion == ""
+    code = cli.main(["obstruction", "--p", str(p), "--samples",
+                     str(samples), "--seed", "7"])
+    assert code == 1
+    assert "DISCREPANCY" in capsys.readouterr().out
 
 
 def test_obstruction_rejects_wrong_shape():
