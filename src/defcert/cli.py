@@ -22,27 +22,28 @@ FORMATS = ("json", "text")
 
 
 def emit_report(report, format="text") -> str:
-    """One report as a self-contained string in the requested format."""
+    """One report as a self-contained string in the requested format.
+
+    Both formats render the report's JSON dictionary.
+    """
+    data = report.to_json_dict()
     if format == "json":
         return json.dumps(
-            report.to_json_dict(), indent=2, sort_keys=True,
-            ensure_ascii=False,
+            data, indent=2, sort_keys=True, ensure_ascii=False,
         ) + "\n"
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
-    lines = [f"scenario {report.scenario_id}: {report.status}"]
-    for pr in report.premises:
-        lines.append(f"  {pr.verdict} {pr.name}")
-        lines.append(f"    anchor: {pr.anchor}")
-        if pr.computed:
+    lines = [f"scenario {data['scenario']}: {data['status']}"]
+    for pr in data["premises"]:
+        lines.append(f"  {pr['verdict']} {pr['name']}")
+        lines.append(f"    anchor: {pr['anchor']}")
+        if pr["computed"]:
             lines.append("    computed: " + json.dumps(
-                deform._jsonable(pr.computed), sort_keys=True,
-                ensure_ascii=False,
+                pr["computed"], sort_keys=True, ensure_ascii=False,
             ))
-    if report.conclusion:
-        lines.append(
-            f"  CONCLUSION ({deform.CONCLUSION_BASIS}): {report.conclusion}"
-        )
+    if data["conclusion"]:
+        lines.append(f"  CONCLUSION ({data['conclusion_basis']}): "
+                     f"{data['conclusion']}")
     return "\n".join(lines) + "\n"
 
 
@@ -139,8 +140,7 @@ def _cmd_module_check(args):
     with open(args.fixture, encoding="utf-8") as fh:
         text = fh.read()
     family, d = _resolve_fixture_algebra(args, text)
-    system = deform.completed_system(family, d)
-    algebra = fdmod.quiver_algebra(system)
+    algebra = fdmod.quiver_algebra(_builtin_case(family, d))
     try:
         module = fdmod.parse_module_fixture(text, algebra)
     except RelationViolated:
@@ -183,50 +183,31 @@ def _parse_optional_module(path, algebra, fallback):
         return fdmod.parse_module_fixture(fh.read(), algebra), path
 
 
-def _builtin_case(args):
-    """The --family/--d case (default I, 2), checked against the catalogue."""
-    family = "I" if args.family is None else args.family
-    d = 2 if args.d is None else args.d
+def _builtin_case(family, d):
+    """The completed system of (family, d), checked against the catalogue
+    before anything is completed."""
     if (family, d) not in deform.FAMILY_CASES:
         raise ValueError(f"no built-in case family {family} d={d}")
-    return family, d, deform.completed_system(family, d)
+    return deform.completed_system(family, d)
 
 
 def _cmd_ext(args):
-    family, d, system = _builtin_case(args)
+    system = _builtin_case(args.family, args.d)
     algebra = fdmod.quiver_algebra(system)
-    T = deform.base_module(family, system)
+    T = deform.base_module(args.family, system)
     M, src_name = _parse_optional_module(args.source, algebra, T)
     N, tgt_name = _parse_optional_module(args.target, algebra, T)
-    resolution = fdmod.ext_dim(M, N, 1)
-    extension = fdmod.ext1_by_extensions(M, N)
-    second = fdmod.ext_dim(M, N, 2)
-    stable = fdmod.stable_hom_dim(M, N)
-    agree = resolution.dim == extension.dim
-    premise = deform.Premise(
-        "ext-routes-agree",
-        "the resolution and extension-structure routes compute "
-        "the same Ext^1 dimension",
-        "PASS" if agree else "FAIL",
-        {
-            "source": src_name,
-            "target": tgt_name,
-            "ext1_resolution": resolution.dim,
-            "ext1_extension_route": extension.dim,
-            "ext2": second.dim,
-            "stable_hom": stable,
-        },
-    )
-    report = deform._finish(f"ext-{family}-d{d}", [premise], "")
+    premise = deform.ext_routes_premise(M, N, src_name, tgt_name)
+    report = deform.report(f"ext-{args.family}-d{args.d}", [premise], "")
     return _emit_and_exit(args, [report])
 
 
 def _cmd_lift_verify(args):
-    family, d, system = _builtin_case(args)
+    system = _builtin_case(args.family, args.d)
     premises = deform.lift_premises(
-        deform.builtin_lift(family, d, system), system
+        deform.builtin_lift(args.family, args.d, system), system
     )
-    report = deform._finish(f"lift-{family}-d{d}", premises, "")
+    report = deform.report(f"lift-{args.family}-d{args.d}", premises, "")
     return _emit_and_exit(args, [report])
 
 
@@ -239,9 +220,9 @@ def _add_output_flags(p):
     p.add_argument("--out", default=None, metavar="PATH")
 
 
-def _add_family_flags(p):
-    p.add_argument("--family", choices=("I", "II", "III"), default=None)
-    p.add_argument("--d", type=int, default=None)
+def _add_family_flags(p, family=None, d=None):
+    p.add_argument("--family", choices=("I", "II", "III"), default=family)
+    p.add_argument("--d", type=int, default=d)
 
 
 def _add_group_flags(p):
@@ -288,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.set_defaults(func=_cmd_module_check)
 
     ext = sub.add_parser("ext", help="Ext dimensions by both routes")
-    _add_family_flags(ext)
+    _add_family_flags(ext, "I", 2)
     ext.add_argument("--source", default=None, metavar="PATH")
     ext.add_argument("--target", default=None, metavar="PATH")
     _add_output_flags(ext)
@@ -297,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     lift = sub.add_parser("lift", help="built-in lift verification")
     lsub = lift.add_subparsers(dest="action", required=True)
     lv = lsub.add_parser("verify")
-    _add_family_flags(lv)
+    _add_family_flags(lv, "I", 2)
     _add_output_flags(lv)
     lv.set_defaults(func=_cmd_lift_verify)
 

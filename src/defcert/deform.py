@@ -9,9 +9,20 @@ Z/p -> Z/p^2 -> ... by solving the linear correction system at each level,
 and the characteristic-zero obstruction identity (I + tE + ptA)^p = I + ptE
 is checked by exact arithmetic in a three-level coefficient ring.
 
-Reports bundle the individual checks into premise lists.  Every premise
-carries the statement it certifies (its anchor); the final conclusion is
-never computed, only recorded as following from the verified premises.
+A report is a list of premises assembled by `report`.  Each premise kind
+has one builder, a premise function that judges the modules or
+representations it is given: `stable_endomorphisms_premise`,
+`self_ext1_premise`, `self_ext2_premise`, `lift_premises` (the flat lift
+and its first-order class), `ext_routes_premise`,
+`endomorphisms_over_g_premise`, `quotient_rigidity_premise`,
+`endomorphism_decomposition_premise`, `first_cohomology_premise`,
+`mixed_ring_premise`, `tangent_direction_premise` and
+`obstruction_premise`.  Every premise carries the statement it certifies
+(its anchor); the final conclusion is never computed, only recorded as
+following from the verified premises.  The group report's one `try`
+surrounds the Hensel chain and the mixed-ring construction and catches
+only HenselObstruction and groups.NotAHomomorphism, the mathematical
+failures; any other error is a broken invariant and propagates.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +48,10 @@ ANCHOR_FIRST_ORDER = (
     "the class of L/t^2L in Ext^1_Λ(T,T) is non-zero"
 )
 CLAIM_FAMILY = "R(Λ,T) ≅ k[[t]]"
+ANCHOR_EXT_ROUTES = (
+    "the resolution and extension-structure routes compute "
+    "the same Ext^1 dimension"
+)
 
 ANCHOR_END_G = "End_{F_p G}(V) ≅ F_p"
 ANCHOR_EXT_VANISH = (
@@ -645,14 +660,16 @@ def obstruction_sweep(p, samples=100, seed=0):
 
 
 # Group and obstruction scenarios are refused past WORK_CEILING estimated
-# multiply-adds; int64-route products cost INT64_WORK_FACTOR float64 ones.
-# Each sweep witness adds SWEEP_WITNESS_WORK for what its products do not
-# count: its share of the per-chunk calls.  The chunked sweep took about
-# 1, 6 and 15 us a witness at p = 3, 5 and 7 on a 2-vCPU host, and 2^17
-# is about 20 us at the budget's rate (10^11 in about 15 s).
+# multiply-adds (about 15 s of products on a 2-vCPU host); int64-route
+# products cost INT64_WORK_FACTOR float64 ones.  Every sweep witness has a
+# Toeplitz operand of its own, so each of its products also charges
+# SWEEP_ENTRY_WORK per operand entry for building it and reducing the
+# result.  On that host the sweep took about 1, 6, 13, 50-80, 490-760 and
+# 3200-4300 us a witness at p = 3, 5, 7, 13, 31 and 61 as its speed
+# drifted; the entries dominate below p = 31, the multiply-adds above.
 WORK_CEILING = 10**11
 INT64_WORK_FACTOR = 16
-SWEEP_WITNESS_WORK = 2**17
+SWEEP_ENTRY_WORK = 2**6
 
 
 @dataclass(frozen=True)
@@ -690,24 +707,24 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
 
     def work_estimate(self) -> int:
-        """Products x rows x inner dimension x columns x level pairs.
+        """Products x rows x inner dimension x columns x L^2 level blocks.
 
         About 2 log2 p products per sweep witness over the obstruction
-        ring, plus SWEEP_WITNESS_WORK per witness; a group scenario adds
-        |G|^2 over End(V) twice (its table and the H^1 basis) and over the
-        mixed ring once.  Raises OverflowError where int64 cannot hold a
-        product, as n >= 64 does for any p >= 3.
+        ring, each also charged SWEEP_ENTRY_WORK per entry of its (3 d)^2
+        Toeplitz operand; a group scenario adds |G|^2 over End(V) twice
+        (its table and the H^1 basis) and over the mixed ring once.
+        Raises OverflowError where int64 cannot hold a product, as n >= 64
+        does for any p >= 3.
         """
         def cost(count, k, moduli):
             fits = flinalg.exact_product(k, moduli)
-            pairs = len(moduli) * (len(moduli) + 1) // 2
-            return count * k**3 * pairs * (1 if fits else INT64_WORK_FACTOR)
+            blocks = len(moduli) ** 2
+            return count * k**3 * blocks * (1 if fits else INT64_WORK_FACTOR)
 
         p, d = self.p, self.p - 1
-        witnesses = self.samples + 3
-        work = witnesses * SWEEP_WITNESS_WORK + cost(
-            witnesses * 2 * p.bit_length(), d,
-            coeff.ring_moduli("obstruction", p))
+        products = (self.samples + 3) * 2 * p.bit_length()
+        work = products * (3 * d) ** 2 * SWEEP_ENTRY_WORK + cost(
+            products, d, coeff.ring_moduli("obstruction", p))
         if self.kind == "group":
             G2 = (p * p * d) ** 2
             work += cost(2 * G2, d * d, (p,)) + cost(G2, d, coeff.ring_moduli(
@@ -777,7 +794,12 @@ def _jsonable(x):
     raise TypeError(f"not JSON-safe: {type(x)!r}")
 
 
-def _finish(scenario_id, premises, claim):
+def report(scenario_id, premises, claim) -> VerificationReport:
+    """Assemble premises into a report; the claim stands only if all pass.
+
+    Any failure downgrades the report to DISCREPANCY and the conclusion is
+    withheld, never weakened.
+    """
     ok = all(pr.verdict == "PASS" for pr in premises)
     return VerificationReport(
         scenario_id,
@@ -787,42 +809,37 @@ def _finish(scenario_id, premises, claim):
     )
 
 
-def _family_report(sc: Scenario) -> VerificationReport:
-    system = completed_system(sc.family, sc.d)
-    T = base_module(sc.family, system)
-    premises = []
+def _premise(name, anchor, passed, computed) -> Premise:
+    # the one verdict rule: PASS exactly when the check held
+    return Premise(name, anchor, "PASS" if passed else "FAIL", computed)
 
+
+# ---------------------------------------------------------------------------
+# premise functions: each judges the modules or representations it is given
+
+
+def stable_endomorphisms_premise(T) -> Premise:
+    """Stable End(T) is one-dimensional."""
     stable = fdmod.stable_hom_dim(T, T)
-    full_end = len(fdmod.hom_space(T, T).basis)
-    cover = fdmod.projective_cover(T)
-    premises.append(Premise(
-        "stable-endomorphisms", ANCHOR_STABLE_END,
-        "PASS" if stable == 1 else "FAIL",
-        {
-            "stable_end_dim": stable,
-            "end_dim": full_end,
-            "dim_T": T.dim,
-            "cover_summands": [str(l) for l in cover.summand_labels],
-        },
-    ))
+    return _premise("stable-endomorphisms", ANCHOR_STABLE_END, stable == 1, {
+        "stable_end_dim": stable,
+        "end_dim": len(fdmod.hom_space(T, T).basis), "dim_T": T.dim,
+        "cover_summands": [
+            str(l) for l in fdmod.projective_cover(T).summand_labels]})
 
-    e1 = fdmod.ext_dim(T, T, 1)
-    e1b = fdmod.ext1_by_extensions(T, T)
-    premises.append(Premise(
-        "self-extensions-degree-1", ANCHOR_EXT1,
-        "PASS" if e1.dim == 1 and e1b.dim == 1 else "FAIL",
-        {"resolution_route": e1.dim, "extension_route": e1b.dim},
-    ))
 
-    e2 = fdmod.ext_dim(T, T, 2)
-    premises.append(Premise(
-        "self-extensions-degree-2", ANCHOR_EXT2,
-        "PASS" if e2.dim == 1 else "FAIL",
-        {"resolution_route": e2.dim},
-    ))
+def self_ext1_premise(T) -> Premise:
+    """Ext^1(T, T) is one-dimensional by both routes."""
+    e1, e1b = fdmod.ext_dim(T, T, 1).dim, fdmod.ext1_by_extensions(T, T).dim
+    return _premise("self-extensions-degree-1", ANCHOR_EXT1, e1 == e1b == 1,
+                    {"resolution_route": e1, "extension_route": e1b})
 
-    premises += lift_premises(builtin_lift(sc.family, sc.d, system), system)
-    return _finish(sc.id, premises, CLAIM_FAMILY)
+
+def self_ext2_premise(T) -> Premise:
+    """Ext^2(T, T) is one-dimensional."""
+    e2 = fdmod.ext_dim(T, T, 2).dim
+    return _premise("self-extensions-degree-2", ANCHOR_EXT2, e2 == 1,
+                    {"resolution_route": e2})
 
 
 def lift_premises(lift: LiftCandidate, system) -> list:
@@ -835,162 +852,152 @@ def lift_premises(lift: LiftCandidate, system) -> list:
         cert = verify_quiver_lift(lift, system)
         cls = first_order_class(lift)
     except RelationViolated as err:
-        return [
-            Premise(
-                "flat-lift", ANCHOR_LIFT, "FAIL",
-                {
-                    "relation": str(err.relation_id),
-                    "position": list(err.position),
-                },
-            ),
-            Premise(
-                "first-order-class", ANCHOR_FIRST_ORDER, "FAIL",
-                {"reason": "lift invalid"},
-            ),
-        ]
-    nonzero = not cls.representative_is_trivial()
-    return [
-        Premise(
-            "flat-lift", ANCHOR_LIFT, "PASS",
-            {
-                "relations_checked": cert.relations_checked,
-                "max_t_degree": cert.max_degree,
-                "truncation_levels": list(cert.truncation_levels),
-            },
-        ),
-        Premise(
-            "first-order-class", ANCHOR_FIRST_ORDER,
-            "PASS" if nonzero and cls.dim == 1 else "FAIL",
-            {"ext1_dim": cls.dim, "class_is_zero": not nonzero},
-        ),
-    ]
+        flat = False, {"relation": str(err.relation_id),
+                       "position": list(err.position)}
+        first = False, {"reason": "lift invalid"}
+    else:
+        flat = True, {"relations_checked": cert.relations_checked,
+                      "max_t_degree": cert.max_degree,
+                      "truncation_levels": list(cert.truncation_levels)}
+        zero = cls.representative_is_trivial()
+        first = not zero and cls.dim == 1, {"ext1_dim": cls.dim,
+                                            "class_is_zero": zero}
+    return [_premise("flat-lift", ANCHOR_LIFT, *flat),
+            _premise("first-order-class", ANCHOR_FIRST_ORDER, *first)]
+
+
+def ext_routes_premise(M, N, source="T", target="T") -> Premise:
+    """The resolution and extension routes agree on dim Ext^1(M, N)."""
+    x1, x1b = fdmod.ext_dim(M, N, 1).dim, fdmod.ext1_by_extensions(M, N).dim
+    return _premise("ext-routes-agree", ANCHOR_EXT_ROUTES, x1 == x1b, {
+        "source": source, "target": target,
+        "ext1_resolution": x1, "ext1_extension_route": x1b,
+        "ext2": fdmod.ext_dim(M, N, 2).dim,
+        "stable_hom": fdmod.stable_hom_dim(M, N),
+    })
+
+
+def endomorphisms_over_g_premise(VG) -> Premise:
+    """End(V) over the full group is the scalars."""
+    end_dim = len(fdmod.hom_space(VG, VG).basis)
+    return _premise("endomorphisms-over-G", ANCHOR_END_G, end_dim == 1,
+                    {"end_dim_over_G": end_dim, "dim_V": VG.dim})
+
+
+def quotient_rigidity_premise(V) -> Premise:
+    """Ext^1 (by both routes) and Ext^2 of V with itself vanish."""
+    x1, x1b = fdmod.ext_dim(V, V, 1).dim, fdmod.ext1_by_extensions(V, V).dim
+    x2 = fdmod.ext_dim(V, V, 2).dim
+    return _premise("quotient-rigidity", ANCHOR_EXT_VANISH,
+                    x1 == x1b == x2 == 0, {"ext1_resolution": x1,
+                                           "ext1_extension_route": x1b,
+                                           "ext2": x2})
+
+
+def endomorphism_decomposition_premise(EndV, target) -> Premise:
+    """End(V) is isomorphic to target and has every simple once in its
+    socle; the report's target is T_0 + P_1 + ... + P_(p-2)."""
+    iso = bool(fdmod.is_isomorphic(EndV, target).isomorphic)
+    socle = fdmod.module_structure(EndV).socle
+    simple_once = socle == {i: 1 for i in range(EndV.p - 1)}
+    return _premise("endomorphism-decomposition", ANCHOR_DECOMP,
+                    iso and simple_once, {
+                        "is_isomorphic": iso,
+                        "socle_multiplicities": {
+                            str(k): int(v) for k, v in sorted(socle.items())},
+                        "end_dim_over_quotient": EndV.dim})
+
+
+def first_cohomology_premise(table, M) -> Premise:
+    """H^1 of the group table with coefficients in M is one-dimensional."""
+    h1 = groups.h1_cocycles(table, M)
+    return _premise("first-cohomology", ANCHOR_H1, h1.dim == 1, {
+        "h1_dim": h1.dim, "cocycle_dim": h1.cocycle_dim,
+        "coboundary_dim": h1.coboundary_dim})
+
+
+def mixed_ring_premise(rep) -> Premise:
+    """The mixed-ring representation and its two named identities.
+
+    rep is the representation, verified on its whole table when it was
+    built, or the HenselObstruction or NotAHomomorphism that stopped its
+    construction; the latter fails with the error's message.
+    """
+    if isinstance(rep, groups.GroupRep):
+        ids = mixed_identity_checks(rep)
+        passed = ids["tau_power_p_is_identity"] and (
+            ids["eps_conjugates_tau_to_power"])
+        n = rep.table.size
+        computed = {"group_order": n, "pairs_checked": n * n, **ids}
+    else:
+        passed, computed = False, {"error": str(rep)}
+    return _premise("mixed-ring-representation", ANCHOR_RHO, passed, computed)
+
+
+def tangent_direction_premise(rep) -> Premise:
+    """rep mod (t^2, p) is a non-trivial first-order deformation; rep is
+    as for mixed_ring_premise, and an error fails here too."""
+    moved = isinstance(rep, groups.GroupRep) and tangent_class_is_nonzero(rep)
+    return _premise("tangent-direction", ANCHOR_TANGENT, moved,
+                    {"first_order_nontrivial": bool(moved)})
+
+
+def obstruction_premise(p, samples, seed) -> Premise:
+    """The obstruction identity over the special matrices and the draws."""
+    count, failures = obstruction_sweep(p, samples, seed)
+    return _premise("obstruction-identity", ANCHOR_OBSTRUCTION, not failures, {
+        "witnesses": count, "random_samples": samples, "seed": seed,
+        "failures": failures})
+
+
+# ---------------------------------------------------------------------------
+# scenario reports: each input built once, then the premise list
+
+
+def _family_report(sc: Scenario) -> VerificationReport:
+    system = completed_system(sc.family, sc.d)
+    T = base_module(sc.family, system)
+    return report(sc.id, [
+        stable_endomorphisms_premise(T),
+        self_ext1_premise(T),
+        self_ext2_premise(T),
+        *lift_premises(builtin_lift(sc.family, sc.d, system), system),
+    ], CLAIM_FAMILY)
 
 
 def _group_report(sc: Scenario) -> VerificationReport:
     p = sc.p
-    a_eps = sc.a_eps or None
-    quot = groups.build_group(p, a_eps, quotient=True)
+    quot = groups.build_group(p, sc.a_eps or None, quotient=True)
     full = groups.build_group(p, quot.a_eps, quotient=False)
     rho_bar = groups.uniserial_representation(p, table=quot)
-    V = groups.rep_to_module(rho_bar)
     rho_full = groups.inflate(rho_bar, full)
-    VG = groups.rep_to_module(rho_full)
-    premises = []
-
-    end_dim = len(fdmod.hom_space(VG, VG).basis)
-    premises.append(Premise(
-        "endomorphisms-over-G", ANCHOR_END_G,
-        "PASS" if end_dim == 1 else "FAIL",
-        {"end_dim_over_G": end_dim, "dim_V": V.dim},
-    ))
-
-    x1 = fdmod.ext_dim(V, V, 1)
-    x1b = fdmod.ext1_by_extensions(V, V)
-    x2 = fdmod.ext_dim(V, V, 2)
-    premises.append(Premise(
-        "quotient-rigidity", ANCHOR_EXT_VANISH,
-        "PASS" if x1.dim == 0 and x1b.dim == 0 and x2.dim == 0 else "FAIL",
-        {
-            "ext1_resolution": x1.dim,
-            "ext1_extension_route": x1b.dim,
-            "ext2": x2.dim,
-        },
-    ))
-
     EndV = groups.conjugation_module(rho_bar)
-    alg = EndV.algebra
-    summands = [alg.simple_module(0)] + [
-        alg.projective_module(i) for i in range(1, p - 1)
-    ]
-    iso = fdmod.is_isomorphic(EndV, fdmod.direct_sum(summands))
-    socle = fdmod.module_structure(EndV).socle
-    socle_ok = socle == {i: 1 for i in range(p - 1)}
-    premises.append(Premise(
-        "endomorphism-decomposition", ANCHOR_DECOMP,
-        "PASS" if iso.isomorphic and socle_ok else "FAIL",
-        {
-            "is_isomorphic": bool(iso.isomorphic),
-            "socle_multiplicities": {str(k): int(v)
-                                     for k, v in sorted(socle.items())},
-            "end_dim_over_quotient": EndV.dim,
-        },
-    ))
-
-    h1 = groups.h1_cocycles(full, groups.conjugation_module(rho_full))
-    premises.append(Premise(
-        "first-cohomology", ANCHOR_H1,
-        "PASS" if h1.dim == 1 else "FAIL",
-        {
-            "h1_dim": h1.dim,
-            "cocycle_dim": h1.cocycle_dim,
-            "coboundary_dim": h1.coboundary_dim,
-        },
-    ))
-
+    target = fdmod.direct_sum([EndV.algebra.simple_module(0)] + [
+        EndV.algebra.projective_module(i) for i in range(1, p - 1)])
+    # only a mathematical failure of the chain or of the full-table check
+    # becomes a FAIL; any other error is a broken invariant and propagates
     try:
         chain = hensel_chain(p, sc.n, quot.a_eps, table=quot)
         rep = mixed_representation(p, sc.n, sc.N, chain=chain, full_table=full)
-        ids = mixed_identity_checks(rep)
-        rho_ok = ids["tau_power_p_is_identity"] and (
-            ids["eps_conjugates_tau_to_power"]
-        )
-        premises.append(Premise(
-            "mixed-ring-representation", ANCHOR_RHO,
-            "PASS" if rho_ok else "FAIL",
-            {
-                "group_order": full.size,
-                "pairs_checked": full.size * full.size,
-                **ids,
-            },
-        ))
-        tangent = tangent_class_is_nonzero(rep)
-    except (HenselObstruction, ValueError) as err:
-        premises.append(Premise(
-            "mixed-ring-representation", ANCHOR_RHO, "FAIL",
-            {"error": str(err)},
-        ))
-        tangent = False
-
-    premises.append(_obstruction_premise(sc))
-
-    premises.append(Premise(
-        "tangent-direction", ANCHOR_TANGENT,
-        "PASS" if tangent else "FAIL",
-        {"first_order_nontrivial": bool(tangent)},
-    ))
-    return _finish(sc.id, premises, CLAIM_GROUP)
-
-
-def _obstruction_premise(sc: Scenario) -> Premise:
-    """The obstruction-identity premise over the scenario's sweep."""
-    count, failures = obstruction_sweep(sc.p, sc.samples, sc.seed)
-    return Premise(
-        "obstruction-identity", ANCHOR_OBSTRUCTION,
-        "PASS" if not failures else "FAIL",
-        {
-            "witnesses": count,
-            "random_samples": sc.samples,
-            "seed": sc.seed,
-            "failures": failures,
-        },
-    )
-
-
-def _obstruction_report(sc: Scenario) -> VerificationReport:
-    premise = _obstruction_premise(sc)
-    premise.computed["labels_head"] = list(SPECIAL_LABELS)
-    return _finish(sc.id, [premise], "")
+    except (HenselObstruction, groups.NotAHomomorphism) as err:
+        rep = err
+    return report(sc.id, [
+        endomorphisms_over_g_premise(groups.rep_to_module(rho_full)),
+        quotient_rigidity_premise(groups.rep_to_module(rho_bar)),
+        endomorphism_decomposition_premise(EndV, target),
+        first_cohomology_premise(full, groups.conjugation_module(rho_full)),
+        mixed_ring_premise(rep),
+        obstruction_premise(p, sc.samples, sc.seed),
+        tangent_direction_premise(rep),
+    ], CLAIM_GROUP)
 
 
 def scenario_report(scenario: Scenario) -> VerificationReport:
-    """Run every check of a scenario and assemble the premise report.
-
-    The conclusion field only appears when every premise passed; any
-    failure downgrades the report to DISCREPANCY and the conclusion is
-    withheld, never weakened.
-    """
+    """Run every check of a scenario and assemble the premise report."""
     if scenario.kind == "family":
         return _family_report(scenario)
     if scenario.kind == "group":
         return _group_report(scenario)
-    return _obstruction_report(scenario)
+    premise = obstruction_premise(scenario.p, scenario.samples, scenario.seed)
+    premise.computed["labels_head"] = list(SPECIAL_LABELS)
+    return report(scenario.id, [premise], "")

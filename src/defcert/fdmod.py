@@ -890,7 +890,10 @@ def parse_module_fixture(text: str, algebra) -> FdModule:
         if low.startswith("matrix"):
             if current is not None:
                 mats[current] = rows
-            current = stripped.split(None, 1)[1].rstrip(":").strip()
+            parts = stripped.split(None, 1)
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: matrix names no generator")
+            current = parts[1].rstrip(":").strip()
             rows = []
             continue
         if current is None:

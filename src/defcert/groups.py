@@ -235,6 +235,10 @@ def quotient_projection(full: GroupTable, quot: GroupTable) -> np.ndarray:
 # representations
 
 
+class NotAHomomorphism(ValueError):
+    """A matrix stack breaks rho(g)rho(h) = rho(gh) on its table."""
+
+
 class GroupRep:
     """One matrix per group element over a coefficient ring.
 
@@ -259,7 +263,7 @@ class GroupRep:
             bad = self.check_table()
             if bad:
                 g, h = bad[0]
-                raise ValueError(
+                raise NotAHomomorphism(
                     f"not a homomorphism: rho(g)rho(h) != rho(gh) at "
                     f"pair ({g}, {h}) and {len(bad) - 1} more"
                 )

@@ -213,6 +213,7 @@ def test_non_prime_parameter_exits_two(capsys):
     ["obstruction", "--p", "509", "--samples", "0"],
     ["group", "verify", "--p", "11", "--samples", "0"],
     ["obstruction", "--p", "3", "--samples", "100000000"],
+    ["obstruction", "--p", "31", "--samples", "57104"],
 ])
 def test_out_of_range_scenario_parameters_exit_two(argv, capsys):
     code, out, err = run(argv, capsys)
@@ -263,3 +264,28 @@ def test_text_report_lists_every_anchor(capsys):
     text = cli.emit_report(report, "text")
     for premise in report.premises:
         assert premise.anchor in text
+
+
+@pytest.mark.parametrize("algebra", ["I 5", "I 9"])
+def test_module_check_refuses_an_algebra_outside_the_catalogue(
+        algebra, tmp_path, capsys):
+    # (I, 5) completes but is no built-in case; (I, 9) would exhaust the
+    # completion cap after seconds.  Both are refused before completing.
+    fixture = tmp_path / "far.qmod"
+    fixture.write_text(f"algebra: {algebra}\ndim: 1\nvertices: 0\n")
+    family, d = algebra.split()
+    code, out, err = run(["module", "check", str(fixture)], capsys)
+    assert (code, out) == (2, "")
+    assert f"no built-in case family {family} d={d}" in err
+    code, _, err = run(["module", "check", str(DATA / "quotient_module.qmod"),
+                        "--family", family, "--d", d], capsys)
+    assert code == 2
+    assert "no built-in case" in err
+
+
+def test_module_check_bare_matrix_line_is_a_parse_error(tmp_path, capsys):
+    fixture = tmp_path / "bare.qmod"
+    fixture.write_text("algebra: II 2\ndim: 1\nvertices: 0\nmatrix\n  0\n")
+    code, out, err = run(["module", "check", str(fixture)], capsys)
+    assert (code, out) == (2, "")
+    assert "fixture parse error: line 4: matrix names no generator" in err

@@ -1,5 +1,7 @@
 """Lift verification, Hensel chains, the obstruction sweep, reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -518,7 +520,7 @@ def test_premises_must_carry_anchors():
 def test_failed_premise_downgrades_and_withholds_the_conclusion():
     good = deform.Premise("a", "x = x", "PASS")
     bad = deform.Premise("b", "x = y", "FAIL", {"left": 1, "right": 2})
-    report = deform._finish("demo", [good, bad], "anything")
+    report = deform.report("demo", [good, bad], "anything")
     assert report.status == "DISCREPANCY"
     assert report.conclusion == ""
 
@@ -526,10 +528,17 @@ def test_failed_premise_downgrades_and_withholds_the_conclusion():
 def test_work_budget_admits_the_largest_level_count_and_refuses_past_it():
     heavy = deform.Scenario("group", p=7, N=64, samples=0)
     assert heavy.work_estimate() <= deform.WORK_CEILING
-    # exit 2 for both is pinned in test_cli; here, that the budget refuses
-    for kind, p in (("group", 11), ("obstruction", 509)):
+    deform.Scenario("obstruction", p=3, samples=761820)
+    # exit 2 is pinned in test_cli; here, that the budget refuses.  The
+    # sweeps were admitted while the estimate charged each witness 2^17
+    # and L(L+1)/2 level blocks; at about 80 us, 0.7 ms and 4 ms a witness
+    # on a 2-vCPU host they ran 26-40 s
+    for kind, p, samples in (("group", 11, 0), ("obstruction", 509, 0),
+                             ("obstruction", 13, 467251),
+                             ("obstruction", 31, 57104),
+                             ("obstruction", 61, 6373)):
         with pytest.raises(ValueError, match="budget"):
-            deform.Scenario(kind, p=p, samples=0)
+            deform.Scenario(kind, p=p, samples=samples)
 
 
 def test_scenario_validation():
@@ -539,3 +548,275 @@ def test_scenario_validation():
         deform.Scenario("family", family="I", d=7)
     with pytest.raises(ValueError, match="odd prime"):
         deform.Scenario("group", p=4)
+
+
+# ---------------------------------------------------------------------------
+# FAIL controls: each premise function fed a wrong input
+
+
+@pytest.fixture(scope="module")
+def TT():
+    T = deform.base_module("I", deform.completed_system("I", 2))
+    return fdmod.direct_sum([T, T])
+
+
+def test_stable_endomorphisms_fails_on_t_plus_t(TT):
+    """Stable End(T + T) is the 2 x 2 matrices over stable End(T) = k, so
+    dimension 4; the full End(T) is 2-dimensional, hence 8 here."""
+    premise = deform.stable_endomorphisms_premise(TT)
+    assert (premise.name, premise.verdict) == ("stable-endomorphisms", "FAIL")
+    assert premise.computed == {"stable_end_dim": 4, "end_dim": 8,
+                                "dim_T": 10, "cover_summands": ["1", "1"]}
+
+
+@pytest.mark.parametrize("build,name,computed", [
+    (deform.self_ext1_premise, "self-extensions-degree-1",
+     {"resolution_route": 4, "extension_route": 4}),
+    (deform.self_ext2_premise, "self-extensions-degree-2",
+     {"resolution_route": 4}),
+])
+def test_self_extensions_fail_on_t_plus_t(TT, build, name, computed):
+    """Ext^i is additive in both arguments: Ext^i(T + T, T + T) is four
+    copies of Ext^i(T, T) = k, so dimension 4 by every route."""
+    premise = build(TT)
+    assert (premise.name, premise.verdict) == (name, "FAIL")
+    assert premise.computed == computed
+
+
+@pytest.fixture(scope="module")
+def group_inputs():
+    """Tables and representations of the p = 3 group scenario."""
+    quot = groups.build_group(3, quotient=True)
+    full = groups.build_group(3, quot.a_eps, quotient=False)
+    rho_bar = groups.uniserial_representation(3, table=quot)
+    return quot, full, rho_bar, groups.inflate(rho_bar, full)
+
+
+def test_endomorphisms_over_g_fails_on_v_plus_v(group_inputs):
+    """End_G(V + V) is the 2 x 2 matrices over End_G(V) = F_p: 4."""
+    *_, rho_full = group_inputs
+    VG = groups.rep_to_module(rho_full)
+    premise = deform.endomorphisms_over_g_premise(fdmod.direct_sum([VG, VG]))
+    assert (premise.name, premise.verdict) == ("endomorphisms-over-G", "FAIL")
+    assert premise.computed == {"end_dim_over_G": 4, "dim_V": 4}
+
+
+@pytest.mark.parametrize("j,omega,computed", [
+    (1, False, {"ext1_resolution": 1, "ext1_extension_route": 1, "ext2": 1}),
+    (2, True, {"ext1_resolution": 0, "ext1_extension_route": 0, "ext2": 1}),
+    (3, True, {"ext1_resolution": 1, "ext1_extension_route": 1, "ext2": 0}),
+])
+def test_quotient_rigidity_fails_on_sums_with_a_simple(j, omega, computed):
+    """Over the quotient at p = 5 (indices mod 4) the projective P_i is
+    uniserial with radical layers S_i, S_(i+1), ..., S_i.  So
+    Ext^1(S_i, S_k) = Hom(Omega S_i, S_k) is F_p exactly for k = i + 1,
+    and Omega^2 S_i = soc P_(i+1) = S_(i+1) gives Ext^2 the same block.
+    Omega is a stable equivalence: Ext^n(Omega X, Y) = Ext^(n+1)(X, Y),
+    Ext^1(X, Omega Y) = stable Hom(X, Y) and Ext^2(X, Omega Y) =
+    Ext^1(X, Y).  No diagonal block survives, since i + 1 != i mod 4,
+    and of the cross blocks only these do:
+    S_0 + S_1: Ext^1(S_0, S_1) and Ext^2(S_0, S_1), so 1 and 1;
+    S_0 + Omega S_2: Ext^2(Omega S_2, S_0) = Ext^3(S_2, S_0) =
+    Ext^1(S_3, S_0), so 0 and 1;
+    S_0 + Omega S_3: Ext^1(Omega S_3, S_0) = Ext^2(S_3, S_0), so 1 and 0.
+    """
+    alg = groups.group_algebra(groups.build_group(5, quotient=True))
+    second = fdmod.module_structure(alg.projective_module(0)).radical_layers[1]
+    assert second == {1: 1}
+    other = alg.simple_module(j)
+    if omega:
+        other = fdmod.syzygy(other)
+    premise = deform.quotient_rigidity_premise(
+        fdmod.direct_sum([alg.simple_module(0), other]))
+    assert (premise.name, premise.verdict) == ("quotient-rigidity", "FAIL")
+    assert premise.computed == computed
+
+
+def test_endomorphism_decomposition_fails_against_t1_for_t0(group_inputs):
+    """T_1 + P_1 has the dimension (p - 1)^2 = 4 of End(V) at p = 3, but
+    composition factors S_1 three times and S_0 once, where End(V) has
+    each twice: not isomorphic, although the socle of End(V) is still one
+    copy of each simple."""
+    _, _, rho_bar, _ = group_inputs
+    EndV = groups.conjugation_module(rho_bar)
+    alg = EndV.algebra
+    wrong = fdmod.direct_sum([alg.simple_module(1), alg.projective_module(1)])
+    premise = deform.endomorphism_decomposition_premise(EndV, wrong)
+    assert (premise.name, premise.verdict) == (
+        "endomorphism-decomposition", "FAIL")
+    assert premise.computed == {
+        "is_isomorphic": False,
+        "socle_multiplicities": {"0": 1, "1": 1},
+        "end_dim_over_quotient": 4,
+    }
+
+
+def test_endomorphism_decomposition_also_checks_the_socle(group_inputs):
+    """S_0 + S_0 is isomorphic to itself, but its socle holds S_0 twice
+    and S_1 not at all: the socle check fails on its own."""
+    quot, *_ = group_inputs
+    alg = groups.group_algebra(quot)
+    M = fdmod.direct_sum([alg.simple_module(0), alg.simple_module(0)])
+    premise = deform.endomorphism_decomposition_premise(M, M)
+    assert premise.verdict == "FAIL"
+    assert premise.computed["is_isomorphic"] is True
+    assert premise.computed["socle_multiplicities"] == {"0": 2}
+
+
+def test_first_cohomology_fails_on_the_trivial_module(group_inputs):
+    """H^1(G, F_p) = Hom(G, F_p) = Hom(G^ab, F_p).  The scalar part acts
+    on the plane by a and 1/a with a != 1, so the commutators fill F_p^2
+    and G^ab = F_p^* has order p - 1, prime to p: every cocycle is 0, and
+    on a trivial module so is every coboundary."""
+    _, full, _, _ = group_inputs
+    premise = deform.first_cohomology_premise(
+        full, groups.simple_module(full, 0))
+    assert (premise.name, premise.verdict) == ("first-cohomology", "FAIL")
+    assert premise.computed == {"h1_dim": 0, "cocycle_dim": 0,
+                                "coboundary_dim": 0}
+
+
+def test_first_cohomology_fails_on_end_v_twice(group_inputs):
+    """Z^1, B^1 and H^1 are additive in the module: End(V) has 4, 3 and 1
+    at p = 3 (the scenario report's numbers), so End(V) + End(V) has 8, 6
+    and 2."""
+    _, full, _, rho_full = group_inputs
+    M = groups.conjugation_module(rho_full)
+    premise = deform.first_cohomology_premise(full, fdmod.direct_sum([M, M]))
+    assert premise.verdict == "FAIL"
+    assert premise.computed == {"h1_dim": 2, "cocycle_dim": 8,
+                                "coboundary_dim": 6}
+
+
+def test_first_order_class_fails_on_a_lift_of_t_plus_t(TT):
+    """The built-in direction on the first copy of T lifts T + T flatly
+    with a non-zero class, but Ext^1(T + T, T + T) has dimension 4."""
+    system = deform.completed_system("I", 2)
+    name, i, j = deform._LIFT_DIRECTION["I"]
+    flat, first = deform.lift_premises(
+        deform.LiftCandidate(TT, {name: E(10, i, j)}), system)
+    assert flat.verdict == "PASS"
+    assert (first.name, first.verdict) == ("first-order-class", "FAIL")
+    assert first.computed == {"ext1_dim": 4, "class_is_zero": False}
+
+
+@pytest.mark.parametrize("route", ["ext_dim", "ext1_by_extensions"])
+def test_premises_comparing_ext_routes_fail_when_the_routes_disagree(
+        route, group_inputs, monkeypatch):
+    """The resolution and extension routes are dual oracles; with either
+    planted one too high, every premise that compares them fails."""
+    real = getattr(fdmod, route)
+
+    def off_by_one(*args):
+        ext = real(*args)
+        return dataclasses.replace(ext, dim=ext.dim + 1)
+
+    monkeypatch.setattr(fdmod, route, off_by_one)
+    T = deform.base_module("I", deform.completed_system("I", 2))
+    V = groups.rep_to_module(group_inputs[2])
+    for premise in (deform.ext_routes_premise(T, T),
+                    deform.self_ext1_premise(T),
+                    deform.quotient_rigidity_premise(V)):
+        assert premise.verdict == "FAIL", premise.name
+
+
+def mixed_generators(rep):
+    return {name: rep.generator_matrix(name).copy()
+            for name in ("sigma", "tau", "epsilon")}
+
+
+def test_mixed_ring_fails_on_an_altered_sigma(group_inputs):
+    """One altered entry of sigma breaks the full-table check; the premise
+    reports the NotAHomomorphism, which names the first bad pair."""
+    _, full, _, _ = group_inputs
+    rep = deform.mixed_representation(3, 2, 3, full_table=full)
+    gens = mixed_generators(rep)
+    gens["sigma"][0, 0, 0] += 1
+    first = groups.GroupRep.from_generators(
+        full, rep.ring, gens, check=False).check_table()[0]
+    with pytest.raises(groups.NotAHomomorphism) as exc:
+        groups.GroupRep.from_generators(full, rep.ring, gens)
+    premise = deform.mixed_ring_premise(exc.value)
+    assert (premise.name, premise.verdict) == (
+        "mixed-ring-representation", "FAIL")
+    assert f"pair {first}" in premise.computed["error"]
+    assert deform.tangent_direction_premise(exc.value).verdict == "FAIL"
+
+
+@pytest.mark.parametrize("level,scale,broken", [
+    (0, 2, ["tau_power_p_is_identity", "eps_conjugates_tau_to_power"]),
+    (2, 1, ["eps_conjugates_tau_to_power"]),
+])
+def test_mixed_ring_fails_on_a_tau_that_breaks_an_identity(
+        level, scale, broken, group_inputs):
+    """tau put together without the table check, at p = 3 with a = 2.
+    tau = 2I + tE: tau^3 = 2I mod (3, t), not I, and epsilon conjugates
+    tau to 2I + 2tE where tau^2 = 4I + tE.  tau = I + tE + t^2 I: every
+    t-coefficient of tau^3 is a multiple of 3, so tau^3 = I, but epsilon
+    fixes the t^2 part I while tau^(1/a) = tau^2 doubles it."""
+    _, full, _, _ = group_inputs
+    rep = deform.mixed_representation(3, 2, 3, full_table=full)
+    gens = mixed_generators(rep)
+    gens["tau"][:, :, level] = scale * np.eye(2, dtype=np.int64)
+    unchecked = groups.GroupRep.from_generators(
+        full, rep.ring, gens, check=False)
+    premise = deform.mixed_ring_premise(unchecked)
+    assert premise.verdict == "FAIL"
+    assert [k for k in ("tau_power_p_is_identity",
+                        "eps_conjugates_tau_to_power")
+            if not premise.computed[k]] == broken
+
+
+def test_tangent_direction_fails_when_tau_does_not_move(group_inputs):
+    """With tau = I the representation is the inflation of the Hensel lift:
+    still multiplicative, tau^p = I and eps tau eps^-1 = tau^(1/a) = I,
+    but its t-part is 0, so the first-order deformation is trivial."""
+    _, full, _, _ = group_inputs
+    rep = deform.mixed_representation(3, 2, 3, full_table=full)
+    gens = mixed_generators(rep)
+    gens["tau"] = coeff.Matrix.identity(rep.ring, rep.dim).arr
+    still = groups.GroupRep.from_generators(full, rep.ring, gens)
+    assert deform.mixed_ring_premise(still).verdict == "PASS"
+    premise = deform.tangent_direction_premise(still)
+    assert (premise.name, premise.verdict) == ("tangent-direction", "FAIL")
+    assert premise.computed == {"first_order_nontrivial": False}
+
+
+# ---------------------------------------------------------------------------
+# the group report's try catches mathematical failures only
+
+
+def test_a_broken_invariant_in_the_chain_propagates(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("planted invariant failure")
+
+    monkeypatch.setattr(deform, "hensel_chain", broken)
+    with pytest.raises(ValueError, match="planted"):
+        deform.scenario_report(deform.Scenario("group", p=3))
+    assert cli.main(["group", "verify", "--p", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "planted invariant failure" in err
+
+
+@pytest.mark.parametrize("target,error", [
+    ("hensel_chain", deform.HenselObstruction(3, 1)),
+    ("mixed_representation",
+     groups.NotAHomomorphism("not a homomorphism: planted")),
+])
+def test_a_mathematical_failure_becomes_a_fail(
+        target, error, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(deform, target, failing)
+    report = deform.scenario_report(deform.Scenario("group", p=3))
+    verdicts = {pr.name: pr.verdict for pr in report.premises}
+    assert verdicts.pop("mixed-ring-representation") == "FAIL"
+    assert verdicts.pop("tangent-direction") == "FAIL"
+    assert set(verdicts.values()) == {"PASS"}
+    assert report.premises[4].computed == {"error": str(error)}
+    assert report.status == "DISCREPANCY"
+    assert report.conclusion == ""
+    assert cli.main(["group", "verify", "--p", "3"]) == 1
+    assert "DISCREPANCY" in capsys.readouterr().out
