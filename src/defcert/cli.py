@@ -115,39 +115,44 @@ def _cmd_scenarios(args):
     return _emit_and_exit(args, [deform.scenario_report(s) for s in scenarios])
 
 
-def _resolve_fixture_algebra(args, text):
-    family, d = args.family, args.d
+def _read_fixture(path, family, d):
+    """The module a fixture describes and the built-in case it lives over.
+
+    family and d are the case the request names, None where unset; the
+    fixture's algebra: line fills in what is unset and must otherwise name
+    the same case.  The case is checked against the catalogue first.
+    Returns (module, family, d).
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    named = (None, None)
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line.lower().startswith("algebra:"):
             tokens = line.split(":", 1)[1].split()
             if len(tokens) != 2:
-                raise ValueError(
-                    "algebra: line needs a family and a parameter, "
-                    "for example 'algebra: II 2'"
-                )
-            family = tokens[0] if family is None else family
-            d = int(tokens[1]) if d is None else d
+                raise ValueError("algebra: line needs a family and a "
+                                 "parameter, for example 'algebra: II 2'")
+            named = tokens[0], int(tokens[1])
             break
-    if family is None or d is None:
-        raise ValueError(
-            "fixture does not name its algebra; pass --family and --d"
-        )
-    return family, d
-
-
-def _cmd_module_check(args):
-    with open(args.fixture, encoding="utf-8") as fh:
-        text = fh.read()
-    family, d = _resolve_fixture_algebra(args, text)
-    algebra = fdmod.quiver_algebra(_builtin_case(family, d))
+    case = tuple(n if f is None else f for f, n in zip((family, d), named))
+    if None in case:
+        raise ValueError("fixture does not name its algebra; "
+                         "pass --family and --d")
+    algebra = fdmod.quiver_algebra(_builtin_case(*case))
+    if named not in ((None, None), case):
+        raise ValueError(f"fixture names algebra {named[0]} {named[1]}, "
+                         f"not family {case[0]} d={case[1]}")
     try:
-        module = fdmod.parse_module_fixture(text, algebra)
+        return fdmod.parse_module_fixture(text, algebra), *case
     except RelationViolated:
         raise
     except ValueError as err:
-        sys.stderr.write(f"fixture parse error: {err}\n")
-        return 2
+        raise ValueError(f"fixture parse error: {err}") from err
+
+
+def _cmd_module_check(args):
+    module, family, d = _read_fixture(args.fixture, args.family, args.d)
     lines = [
         f"module fixture: {args.fixture}",
         f"algebra: family {family}, parameter {d}",
@@ -156,7 +161,7 @@ def _cmd_module_check(args):
     dv = module.dimension_vector()
     lines.append("dimension vector: " + ", ".join(
         f"{label}:{dv.get(label, 0)}"
-        for label in algebra.grading_labels
+        for label in module.algebra.grading_labels
     ))
     lines.append("status: valid")
     payload = "\n".join(lines) + "\n"
@@ -176,13 +181,6 @@ def _cmd_module_check(args):
     return 0
 
 
-def _parse_optional_module(path, algebra, fallback):
-    if path is None:
-        return fallback, "T"
-    with open(path, encoding="utf-8") as fh:
-        return fdmod.parse_module_fixture(fh.read(), algebra), path
-
-
 def _builtin_case(family, d):
     """The completed system of (family, d), checked against the catalogue
     before anything is completed."""
@@ -193,11 +191,11 @@ def _builtin_case(family, d):
 
 def _cmd_ext(args):
     system = _builtin_case(args.family, args.d)
-    algebra = fdmod.quiver_algebra(system)
     T = deform.base_module(args.family, system)
-    M, src_name = _parse_optional_module(args.source, algebra, T)
-    N, tgt_name = _parse_optional_module(args.target, algebra, T)
-    premise = deform.ext_routes_premise(M, N, src_name, tgt_name)
+    M, N = (T if path is None else _read_fixture(path, args.family, args.d)[0]
+            for path in (args.source, args.target))
+    premise = deform.ext_routes_premise(M, N, args.source or "T",
+                                        args.target or "T")
     report = deform.report(f"ext-{args.family}-d{args.d}", [premise], "")
     return _emit_and_exit(args, [report])
 
@@ -248,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = families.add_subparsers(dest="action", required=True)
     fv = fsub.add_parser("verify")
     _add_family_flags(fv)
-    _add_sampling_flags(fv)
+    fv.add_argument("--seed", type=int, default=0)
     _add_output_flags(fv)
     fv.set_defaults(func=_cmd_scenarios, kinds=("family",))
 
@@ -316,9 +314,6 @@ def run_command(argv) -> int:
         sys.stderr.write(
             f"RelationViolated: {err}\n"
         )
-        return 1
-    except deform.HenselObstruction as err:
-        sys.stderr.write(f"obstruction: {err}\n")
         return 1
     except (ValueError, OverflowError) as err:
         sys.stderr.write(f"invalid request: {err}\n")

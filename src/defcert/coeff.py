@@ -224,10 +224,6 @@ class Matrix:
         self.arr = arr
 
     @classmethod
-    def zeros(cls, desc, rows, cols):
-        return cls(desc, np.zeros((rows, cols, desc.levels), dtype=np.int64))
-
-    @classmethod
     def identity(cls, desc, dim):
         a = np.zeros((dim, dim, desc.levels), dtype=np.int64)
         a[np.arange(dim), np.arange(dim), 0] = 1

@@ -3,7 +3,10 @@
 Two kinds of deformation are verified here.  On the quiver side a lift of
 the distinguished small module T is a family of action matrices polynomial
 in t; validity means every defining relation of the completed system
-vanishes identically, with the t = 0 slice recovering T on the nose.  On
+vanishes identically, with the t = 0 slice recovering T on the nose.  Route
+one of that check keeps its own exact polynomial arithmetic as the dual
+oracle; route two, the truncated replay, and the mod-t^2 cocycle check of
+the first-order class evaluate relations through `fdmod.relation_values`.  On
 the group side a residue representation is pushed up the chain
 Z/p -> Z/p^2 -> ... by solving the linear correction system at each level,
 and the characteristic-zero obstruction identity (I + tE + ptA)^p = I + ptE
@@ -258,40 +261,41 @@ def _poly_word(polys, word, dim, p):
     return acc
 
 
-def _first_violation(value, p):
-    # report the lowest-degree offending coefficient, row-major inside it
-    for k in range(value.shape[2]):
-        sl = value[:, :, k] % p
-        if sl.any():
-            i, j = np.argwhere(sl)[0]
-            return int(i), int(j), k, int(sl[i, j])
-    return None
+def _graded_polys(L: LiftCandidate):
+    """The action polynomials of L, each degree checked against its arrow
+    block."""
+    polys = {name: L.action_poly(name) for name in L.base.algebra.generators}
+    bad = fdmod.grading_violation(L.base, polys)
+    if bad is not None:
+        name, (i, j, k, v) = bad
+        raise RelationViolated(f"grading:{name}", (i, j, k), v)
+    return polys
 
 
-def _check_grading(L: LiftCandidate):
-    """Every t-coefficient must respect the arrow's vertex block."""
-    for name, arr in L.t_parts.items():
-        mask = fdmod.arrow_block_mask(L.base, L.base, name)
-        if mask is None:
-            continue
-        bad = arr.copy()
-        bad[mask, :] = 0
-        if bad.any():
-            i, j, k = [int(v) for v in np.argwhere(bad)[0]]
-            raise RelationViolated(
-                f"grading:{name}", (i, j, k + 1), int(arr[i, j, k])
-            )
+def _truncated(polys, N):
+    """The action polynomials mod t^N: cut or zero-padded to N levels."""
+    return {name: np.pad(poly[..., :N],
+                         [(0, 0), (0, 0), (0, max(0, N - poly.shape[2]))])
+            for name, poly in polys.items()}
+
+
+def _raise_on_violation(rel_id, value):
+    hit = fdmod.first_violation(value)
+    if hit is not None:
+        i, j, k, v = hit
+        raise RelationViolated(rel_id, (i, j, k), v)
 
 
 def verify_quiver_lift(L: LiftCandidate, system=None) -> LiftVerification:
     """Certify a lift: exact polynomial identities plus truncated replay.
 
     Route one evaluates every defining relation as an exact polynomial in
-    t and demands the zero polynomial; route two replays the same
-    relations over the truncated rings TruncPoly(p, N) for N in {2, 3, 4}
-    through the independent coefficient-matrix arithmetic.  Either route
-    failing raises RelationViolated with the offending relation, entry,
-    and t-degree.
+    t with its own arithmetic (`_poly_mul`, `_poly_word`) and demands the
+    zero polynomial; route two replays the same relations over the
+    truncated rings TruncPoly(p, N) for N in {2, 3, 4} through
+    `fdmod.relation_values`.  Either route failing raises RelationViolated
+    with the offending relation, entry, and t-degree, the lowest degree
+    first.
     """
     alg = L.base.algebra
     if system is not None and alg.system is not system:
@@ -300,50 +304,23 @@ def verify_quiver_lift(L: LiftCandidate, system=None) -> LiftVerification:
             raise ValueError("lift base does not live over this system")
     p = L.base.p
     d = L.base.dim
-    _check_grading(L)
+    polys = _graded_polys(L)
     for name in alg.generators:
         if not np.array_equal(L.t_coefficient(name, 0), L.base.mats[name]):
             raise RelationViolated(f"residue:{name}", (0, 0, 0))
-    polys = {name: L.action_poly(name) for name in alg.generators}
     rels = alg.relation_items()
     for rid, combo in rels:
-        deg = 1 + sum(
-            max((polys[n].shape[2] - 1) for n in word) * len(word)
-            for _, word in combo if word
-        )
-        acc = np.zeros((d, d, max(deg, 1)), dtype=np.int64)
-        for c, word in combo:
-            term = _poly_word(polys, word, d, p)
-            acc[:, :, : term.shape[2]] = (
-                acc[:, :, : term.shape[2]] + c * term
-            ) % p
-        hit = _first_violation(acc, p)
-        if hit is not None:
-            i, j, k, v = hit
-            raise RelationViolated(rid, (i, j, k), v)
+        terms = [(c, _poly_word(polys, word, d, p)) for c, word in combo]
+        acc = np.zeros((d, d, max(t.shape[2] for _, t in terms)), np.int64)
+        for c, term in terms:
+            acc[:, :, : term.shape[2]] += c * term
+        _raise_on_violation(rid, acc % p)
     levels = (2, 3, 4)
     for N in levels:
-        desc = coeff.trunc_poly(p, N)
-        mats = {}
-        for name in alg.generators:
-            poly = polys[name]
-            a = np.zeros((d, d, N), dtype=np.int64)
-            take = min(N, poly.shape[2])
-            a[:, :, :take] = poly[:, :, :take]
-            mats[name] = coeff.Matrix(desc, a)
-        for rid, combo in rels:
-            acc = coeff.Matrix.zeros(desc, d, d)
-            for c, word in combo:
-                term = coeff.Matrix.identity(desc, d)
-                for name in word:
-                    term = term @ mats[name]
-                acc = acc + term.scale(c % p)
-            if not acc.is_zero():
-                hit = _first_violation(
-                    np.ascontiguousarray(acc.arr), p
-                )
-                i, j, k, v = hit
-                raise RelationViolated(f"trunc[{N}] {rid}", (i, j, k), v)
+        moduli = coeff.trunc_poly(p, N).moduli
+        for rid, value in fdmod.relation_values(alg, _truncated(polys, N),
+                                                moduli, d):
+            _raise_on_violation(f"trunc[{N}] {rid}", value)
     return LiftVerification(
         relations_checked=len(rels),
         max_degree=L.max_degree(),
@@ -361,20 +338,17 @@ def first_order_class(L: LiftCandidate) -> fdmod.ExtClass:
     t-part to class is linear by construction.
     """
     T = L.base
-    _check_grading(L)
-    theta = {name: L.t_coefficient(name, 1) for name in T.algebra.generators}
-    # cocycle condition: L/t^2 L, acting by the block matrices
-    # [[X_a, theta_a], [0, X_a]], must be a module (validated on build)
-    zero = np.zeros((T.dim, T.dim), dtype=np.int64)
-    FdModule(T.algebra, np.tile(T.block_of, 2), {
-        name: np.block([[X, theta[name]], [zero, X]])
-        for name, X in T.mats.items()
-    })
+    # cocycle condition: every relation vanishes on X_a + t theta_a mod t^2
+    stacks = _truncated(_graded_polys(L), 2)
+    for rid, value in fdmod.relation_values(T.algebra, stacks, (T.p, T.p),
+                                            T.dim):
+        _raise_on_violation(rid, value)
     ref = fdmod.ext1_by_extensions(T, T)
     if ref.representative is None:
         return fdmod.ExtClass(1, T, T, ref.dim, None)
     slots, cob = fdmod.extension_coboundaries(T, T)
-    vec = np.stack([theta[name] for name in T.algebra.generators])[slots]
+    vec = np.stack([stacks[name][..., 1]
+                    for name in T.algebra.generators])[slots]
     return fdmod.ExtClass(1, T, T, ref.dim, (vec, cob))
 
 

@@ -34,6 +34,10 @@ vector lies in the span of the boundary columns.
 All modules are graded by grading_labels via block_of; group-algebra
 modules use a single block.  Words act leftmost-last, so ``rho(word)`` is
 the matrix product taken in written order.
+
+Relations are evaluated in one place, `relation_values`, on level-last
+action stacks: module validation, the extension route's relation system
+and, in `deform`, the lift's truncated replay and mod-t^2 cocycle check.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flinalg
+from . import coeff, flinalg
 from .quiver import CompletedSystem, relation_str
 
 
@@ -62,7 +66,7 @@ class RelationViolated(ValueError):
 @dataclass
 class ValidationReport:
     ok: bool
-    violations: list
+    violations: list  # the first violation found, if any
 
     def raise_if_invalid(self):
         if not self.ok:
@@ -111,15 +115,6 @@ class FdModule:
     def block_indices(self, label_idx):
         return np.nonzero(self.block_of == label_idx)[0]
 
-    def gen(self, name):
-        return self.mats[name]
-
-    def word_matrix(self, word):
-        out = np.eye(self.dim, dtype=np.int64)
-        for name in word:
-            out = flinalg.matmul_mod(out, self.mats[name], self.p)
-        return out
-
     def coordinates(self) -> Coordinates:
         """The handle's component coordinates of this module, cached."""
         if self._coords is None:
@@ -159,36 +154,68 @@ def direct_sum(modules):
 # validation
 
 
-def validate_module(M: FdModule) -> ValidationReport:
-    """Check grading blocks and every defining relation of the algebra."""
-    alg = M.algebra
-    p = alg.p
-    violations = []
-    for name in alg.generators:
-        a = M.mats[name]
-        if np.any(a < 0) or np.any(a >= p):
-            violations.append(RelationViolated(f"range:{name}", (0, 0)))
-            continue
+def relation_values(algebra, stacks, moduli, dim):
+    """Yield (relation id, value) for each defining relation of algebra.
+
+    stacks maps each generator to a level-last (..., dim, dim, L) stack of
+    canonical coefficients over the level moduli, leading axes broadcast.
+    A word's value is the `coeff.level_matmul` product of its generators
+    in written order, the empty word's the identity of size dim.
+    """
+    ident = np.zeros((dim, dim, len(moduli)), dtype=np.int64)
+    ident[..., 0] = np.eye(dim, dtype=np.int64)
+
+    def word_value(word):
+        term = stacks[word[0]] if word else ident
+        for name in word[1:]:
+            term = coeff.level_matmul(moduli, term, stacks[name])
+        return term
+
+    for rel_id, combo in algebra.relation_items():
+        yield rel_id, sum((c * word_value(w) for c, w in combo),
+                          0 * ident) % np.array(moduli)
+
+
+def first_violation(value):
+    """The first non-zero entry of a level-last (d, d, L) array, lowest
+    level first and row-major inside it, as (i, j, level, entry); None
+    when every entry is zero."""
+    hits = np.argwhere(np.moveaxis(value, -1, 0))
+    if not len(hits):
+        return None
+    k, i, j = (int(x) for x in hits[0])
+    return i, j, k, int(value[i, j, k])
+
+
+def grading_violation(M, stacks):
+    """The first entry of a generator's level stack on M outside its arrow
+    block, generators in order, as (name, first_violation); None when
+    every level is graded."""
+    for name in M.algebra.generators:
         mask = arrow_block_mask(M, M, name)
         if mask is None:
             continue
-        bad = np.where(mask, 0, a)
-        if np.any(bad):
-            pos = np.argwhere(bad)[0]
-            violations.append(
-                RelationViolated(f"grading:{name}", tuple(int(x) for x in pos))
-            )
-    for rel_id, combo in alg.relation_items():
-        acc = np.zeros((M.dim, M.dim), dtype=np.int64)
-        for coeff, word in combo:
-            acc = (acc + coeff * M.word_matrix(word)) % p
-        if np.any(acc):
-            pos = np.argwhere(acc)[0]
-            violations.append(
-                RelationViolated(rel_id, tuple(int(x) for x in pos),
-                                 int(acc[pos[0], pos[1]]))
-            )
-    return ValidationReport(not violations, violations)
+        hit = first_violation(np.where(mask[..., None], 0, stacks[name]))
+        if hit is not None:
+            return name, hit
+    return None
+
+
+def validate_module(M: FdModule) -> ValidationReport:
+    """Check grading blocks, then every defining relation of the algebra;
+    the report lists the first violation, if any."""
+    stacks = {name: M.mats[name][..., None] for name in M.algebra.generators}
+    bad = grading_violation(M, stacks)
+    if bad is not None:
+        name, hit = bad
+        return ValidationReport(False, [
+            RelationViolated(f"grading:{name}", hit[:2])])
+    for rel_id, value in relation_values(M.algebra, stacks, (M.p,), M.dim):
+        hit = first_violation(value)
+        if hit is not None:
+            return ValidationReport(False, [
+                RelationViolated(rel_id, hit[:2], hit[3])])
+    return ValidationReport(True, [])
 
 
 def arrow_block_mask(M, N, name):
@@ -636,33 +663,39 @@ def extension_coboundaries(M: FdModule, N: FdModule):
     return slots, cob % M.p
 
 
+# The extension route evaluates its slots in chunks of at most this many
+# extension-matrix entries, so large modules' stacks stay small.
+SLOT_CHUNK_ELEMENTS = 2**14
+
+
 def _relation_system(M, N, slots):
     """The relations' top-right blocks as rows, linear in theta on the slots.
 
-    Along a word w the extension matrices [[a_N, theta_a], [0, a_M]]
-    multiply to the top-right block sum_k rho_N(w[:k]) theta_w_k
-    rho_M(w[k+1:]); one pass keeps the left product running and reads the
-    right one from the precomputed suffix products.
+    Slot s = (g, i, j) gives generator a the extension matrix
+    diag(a_N, a_M) + t E_s, with E_s the unit at (i, j) of the top-right
+    block when a = g and zero otherwise.  Stacked evaluations over the
+    slots at L = 2 read each relation's t-linear top-right block, the
+    value at theta = E_s of the linear map the relation imposes on theta.
     """
-    p = M.p
-    gens = list(M.algebra.generators)
+    gens = M.algebra.generators
+    n, dim = N.dim, N.dim + M.dim
+    base = np.zeros((len(gens), 1, dim, dim, 2), dtype=np.int64)
+    for a, name in enumerate(gens):
+        base[a, 0, :n, :n, 0] = N.mats[name]
+        base[a, 0, n:, n:, 0] = M.mats[name]
     g, i, j = np.nonzero(slots)
-    blocks = [np.zeros((0, g.size), dtype=np.int64)]
-    for _, combo in M.algebra.relation_items():
-        rows = np.zeros((N.dim, M.dim, g.size), dtype=np.int64)
-        for coeff, word in combo:
-            suffixes = [np.eye(M.dim, dtype=np.int64)]
-            for name in reversed(word[1:]):
-                suffixes.append(flinalg.matmul_mod(M.mats[name], suffixes[-1], p))
-            left = np.eye(N.dim, dtype=np.int64)
-            for name, right in zip(word, reversed(suffixes)):
-                s = g == gens.index(name)
-                # left E_ij right = outer(left[:, i], right[j, :]) per slot
-                contrib = np.einsum("as,sb->abs", left[:, i[s]], right[j[s], :])
-                rows[:, :, s] = (rows[:, :, s] + coeff * (contrib % p)) % p
-                left = flinalg.matmul_mod(left, N.mats[name], p)
-        blocks.append(rows.reshape(-1, g.size))
-    return np.concatenate(blocks)
+
+    def rows(s):
+        stacks = np.repeat(base, s.size, axis=1)
+        stacks[g[s], np.arange(s.size), i[s], n + j[s], 1] = 1
+        values = relation_values(M.algebra, dict(zip(gens, stacks)),
+                                 (M.p, M.p), dim)
+        return np.concatenate([np.zeros((0, s.size), dtype=np.int64)] + [
+            value[:, :n, n:, 1].reshape(s.size, -1).T for _, value in values])
+
+    step = max(1, SLOT_CHUNK_ELEMENTS // dim**2)
+    return np.concatenate([rows(np.arange(k, min(k + step, g.size)))
+                           for k in range(0, g.size, step)], axis=1)
 
 
 def ext1_by_extensions(M: FdModule, N: FdModule) -> ExtClass:
@@ -807,11 +840,12 @@ def _first_invertible(basis, p, n):
     return None
 
 
-def is_isomorphic(M: FdModule, N: FdModule, seed=0) -> IsoResult:
+def is_isomorphic(M: FdModule, N: FdModule) -> IsoResult:
     """Search for an invertible intertwiner M -> N.
 
     Exhaustive when the Hom space has at most 2^20 elements, otherwise
-    1000 seeded random draws; a miss there is reported as not definitive.
+    1000 random draws seeded with 0; a miss there is reported as not
+    definitive.
     """
     if M.algebra is not N.algebra:
         raise ValueError("is_isomorphic across different algebra handles")
@@ -829,7 +863,7 @@ def is_isomorphic(M: FdModule, N: FdModule, seed=0) -> IsoResult:
             return IsoResult(False, None, "exhaustive", True)
         method = "exhaustive"
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         W = _invertible_in_span(homs, p, rng, 1000)
         if W is None:
             return IsoResult(False, None, "random", False)

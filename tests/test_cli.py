@@ -289,3 +289,34 @@ def test_module_check_bare_matrix_line_is_a_parse_error(tmp_path, capsys):
     code, out, err = run(["module", "check", str(fixture)], capsys)
     assert (code, out) == (2, "")
     assert "fixture parse error: line 4: matrix names no generator" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "--family", "I", "--d", "2", "--source"],
+    ["ext", "--family", "I", "--d", "2", "--target"],
+    ["module", "check", "--family", "I", "--d", "2"],
+    ["module", "check", "--family", "I"],
+])
+def test_a_fixture_naming_another_case_exits_two(argv, capsys):
+    # the fixture says algebra: II 2
+    code, out, err = run(argv + [str(DATA / "quotient_module.qmod")], capsys)
+    assert (code, out) == (2, "")
+    assert "fixture names algebra II 2, not family I d=2" in err
+
+
+def test_a_fixture_agreeing_with_the_flags_is_read(tmp_path, capsys):
+    fixture = DATA / "quotient_module.qmod"
+    code, out, _ = run(["module", "check", str(fixture), "--family", "II",
+                        "--d", "2"], capsys)
+    assert code == 0 and "status: valid" in out
+    anon = tmp_path / "anon.qmod"
+    anon.write_text(fixture.read_text().replace("algebra: II 2\n", ""))
+    code, out, _ = run(["ext", "--family", "II", "--d", "2", "--source",
+                        str(anon), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["premises"][0]["computed"]["source"] == str(anon)
+
+
+def test_families_verify_takes_no_sample_count(capsys):
+    code, out, _ = run(["families", "verify", "--samples", "5"], capsys)
+    assert (code, out) == (2, "")

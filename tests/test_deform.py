@@ -188,6 +188,39 @@ def test_invalid_mod_t2_lift_fails_the_class_extraction(completed):
         deform.first_order_class(bad)
 
 
+def test_a_lift_valid_mod_t2_can_break_a_relation_at_t2(completed):
+    # the in-block entry E(0, 4) of gamma that breaks a relation at t
+    # breaks it at t^2 when it sits there; mod t^2 this is the built-in lift
+    system = completed("I", 2)
+    T = deform.base_module("I", system)
+    gamma = np.stack([E(5, 2, 4), E(5, 0, 4)], axis=2)
+    L = deform.LiftCandidate(T, {"gamma": gamma})
+    with pytest.raises(RelationViolated) as exc:
+        deform.verify_quiver_lift(L, system)
+    assert exc.value.relation_id.startswith("rel[")
+    assert exc.value.position[2] == 2
+    cls = deform.first_order_class(L)
+    ref = deform.first_order_class(deform.builtin_lift("I", 2, system))
+    assert cls.dim == 1 and not cls.representative_is_trivial()
+    assert np.array_equal(cls.representative[0], ref.representative[0])
+
+
+def test_grading_violations_at_two_degrees_report_the_lower(completed):
+    # gamma: 0 -> 1 may not read basis vector 3 (vertex 2); the degree-2
+    # entry (0, 3) comes first row-major, the degree-1 entry (2, 3) first
+    # by degree
+    system = completed("I", 2)
+    T = deform.base_module("I", system)
+    gamma = np.stack([E(5, 2, 4) + E(5, 2, 3), E(5, 0, 3)], axis=2)
+    L = deform.LiftCandidate(T, {"gamma": gamma})
+    for check in (lambda: deform.verify_quiver_lift(L, system),
+                  lambda: deform.first_order_class(L)):
+        with pytest.raises(RelationViolated) as exc:
+            check()
+        assert exc.value.relation_id == "grading:gamma"
+        assert exc.value.position == (2, 3, 1)
+
+
 # ---------------------------------------------------------------------------
 # Hensel chains
 

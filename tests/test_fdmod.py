@@ -567,3 +567,125 @@ def test_hom_between_end_v_and_its_decomposition_at_p7():
                                    - flinalg.matmul_mod(f, M.mats[g], p)) % p)
         vecs = np.column_stack([f.ravel() for f in basis])
         assert flinalg.rank(vecs, p) == 31
+
+
+# ---------------------------------------------------------------------------
+# the relation evaluator
+
+
+def _reference_relation_values(algebra, stacks, moduli, dim):
+    """Each relation by plain per-level convolution, words from the
+    identity."""
+    L = len(moduli)
+
+    def convolve(a, b):
+        lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+        out = np.zeros(lead + (dim, dim, L), dtype=np.int64)
+        for level in range(L):
+            for i in range(level + 1):
+                out[..., level] += a[..., i] @ b[..., level - i]
+        return out % np.array(moduli)
+
+    ident = np.zeros((dim, dim, L), dtype=np.int64)
+    ident[:, :, 0] = np.eye(dim, dtype=np.int64)
+    out = []
+    for rel_id, combo in algebra.relation_items():
+        acc = ident * 0
+        for c, word in combo:
+            term = ident
+            for name in word:
+                term = convolve(term, stacks[name])
+            acc = (acc + c * term) % np.array(moduli)
+        out.append((rel_id, acc))
+    return out
+
+
+def _a2_algebra():
+    spec = quiver.QuiverSpec(3, (0, 1), {"a": (0, 1)})
+    return quiver_algebra(quiver.complete(spec))
+
+
+@pytest.mark.parametrize("ring", ["trunc_poly", "mixed"])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (4,), "first"])
+@pytest.mark.parametrize("which", ["I", "A2", "group-p3"])
+def test_relation_values_match_a_per_level_reference(which, lead, levels,
+                                                     ring):
+    alg = {"I": lambda: quiver_algebra(completed_family("I", 2)),
+           "A2": _a2_algebra,
+           "group-p3": lambda: groups.group_algebra(
+               groups.build_group(3, quotient=False))}[which]()
+    # F_p[t]/(t^L), or moduli p^L, ..., p^2, p falling level by level
+    p, dim = alg.p, 3
+    moduli = tuple(p ** (levels - l if ring == "mixed" else 1)
+                   for l in range(levels))
+    rng = np.random.default_rng(levels)
+    stacks = {}
+    for k, name in enumerate(alg.generators):
+        # "first": only the first generator carries the leading axis
+        shape = (4,) if lead == "first" and k == 0 else (
+            () if lead == "first" else lead)
+        stacks[name] = rng.integers(0, 2**20, size=shape + (
+            dim, dim, levels)) % np.array(moduli)
+    got = list(fdmod.relation_values(alg, stacks, moduli, dim))
+    want = _reference_relation_values(alg, stacks, moduli, dim)
+    assert [rid for rid, _ in got] == [rid for rid, _ in want]
+    for (_, value), (_, ref) in zip(got, want):
+        assert value.shape == ref.shape
+        assert np.array_equal(value, ref)
+
+
+def test_first_violation_takes_the_lowest_level_first():
+    value = np.zeros((3, 3, 3), dtype=np.int64)
+    assert fdmod.first_violation(value) is None
+    value[0, 1, 2] = 4
+    value[2, 0, 1] = 5
+    value[2, 2, 1] = 6
+    assert fdmod.first_violation(value) == (2, 0, 1, 5)
+
+
+def test_a_quiver_without_arrows_validates_its_modules():
+    alg = quiver_algebra(quiver.complete(quiver.QuiverSpec(3, ["v"], {})))
+    M = fdmod.FdModule(alg, np.zeros(2, dtype=np.int64), {})
+    report = validate_module(M)
+    assert report.ok and report.violations == []
+    assert list(fdmod.relation_values(alg, {}, (3,), 2)) == []
+
+
+def test_validation_reports_only_the_first_violation(algI):
+    # vertex 0 then vertex 1; beta: 1 -> 0 and gamma: 0 -> 1 both act
+    # against their arrows, and beta, the first generator, is reported
+    labels = list(algI.grading_labels)
+    M = fdmod.FdModule(algI, [labels.index(0), labels.index(1)],
+                       {"beta": E(2, 1, 0), "gamma": E(2, 0, 1)}, check=False)
+    report = validate_module(M)
+    assert not report.ok and len(report.violations) == 1
+    err = report.violations[0]
+    assert (err.relation_id, err.position, err.value) == (
+        "grading:beta", (1, 0), None)
+    # a relation's violation carries its first non-zero entry: x^2 = 0
+    # at p = 3 fails at (2, 0) with the value 1 * 2
+    loop = quiver_algebra(quiver.complete(quiver.QuiverSpec(
+        3, ["v"], {"x": ("v", "v")}, [{("x", "x"): 1}])))
+    M = fdmod.FdModule(loop, [0, 0, 0], {"x": 2 * E(3, 1, 0) + E(3, 2, 1)},
+                       check=False)
+    err, = validate_module(M).violations
+    assert (err.position, err.value) == ((2, 0), 2)
+    assert str(err) == (
+        "relation rel[0]: x*x violated at entry (2, 0) (value 2)")
+
+
+@pytest.mark.parametrize("chunk", [1, 7 * 12**2])
+def test_relation_system_does_not_depend_on_the_slot_chunks(
+        chunk, monkeypatch, algI, T_I):
+    # 1 puts each slot in a chunk of its own; 7 * 12^2 splits V's slots
+    # (12 x 12 extension matrices at p = 7) into chunks of 7
+    V = groups.rep_to_module(groups.uniserial_representation(7))
+    pairs = ((T_I, T_I), (T_I, algI.simple_module(0)), (V, V))
+    whole = [
+        fdmod._relation_system(M, N, fdmod.extension_coboundaries(M, N)[0])
+        for M, N in pairs]
+    monkeypatch.setattr(fdmod, "SLOT_CHUNK_ELEMENTS", chunk)
+    for (M, N), want in zip(pairs, whole):
+        slots, _ = fdmod.extension_coboundaries(M, N)
+        assert np.array_equal(fdmod._relation_system(M, N, slots), want)
