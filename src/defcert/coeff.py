@@ -20,7 +20,8 @@ Matrix products are exact or refused: with inner dimension k,
 `level_matmul` raises OverflowError unless k * max_l sum_{i<=l}
 (m_i - 1)(m_{l-i} - 1) < 2^63, the rule `flinalg.exact_product` states.
 Each product is one matmul against a block-Toeplitz expansion of the
-right operand, in float64 BLAS where that rule admits it.
+right operand, on the route that rule names: float32 BLAS when that sum
+is below 2^24, float64 BLAS below 2^53, int64 otherwise.
 
 >>> d = mixed_deform(3, 2, 3)
 >>> t = Matrix.from_int_array(d, [[1]], level=1)
@@ -123,23 +124,24 @@ def obstruction_ring(p: int) -> RingDescriptor:
     return RingDescriptor("obstruction", p)
 
 
-def convolve_levels(moduli, a, b, fits_float):
-    """C_l = sum_{i+j=l} A_i @ B_j reduced mod moduli[l], as one matmul.
+def convolve_levels(a, b, route):
+    """Unreduced C_l = sum_{i+j=l} A_i @ B_j, as one matmul on `route`.
 
     a (..., r, k, L) folds its levels into the inner axis as it lies; b
     (..., k, c, L) expands to the block lower-triangular Toeplitz operand
-    (..., k L, c L) whose block (i, l) is B_{l-i}, zero above the diagonal.
+    (..., k L, c L) whose block (i, l) is B_{l-i}, zero above the diagonal,
+    in b's dtype.  The product comes back unreduced, (..., r, c, L), in the
+    dtype `flinalg.routed_matmul` computes it in.
     """
-    L = len(moduli)
-    *lead, k, c, _ = b.shape
-    toeplitz = np.zeros((*lead, k, L, c, L), dtype=np.int64)
+    *lead, k, c, L = b.shape
+    toeplitz = np.zeros((*lead, k, L, c, L), dtype=b.dtype)
     for i in range(L):
         toeplitz[..., i, :, i:] = b[..., : L - i]
     out = flinalg.routed_matmul(
         a.reshape(*a.shape[:-2], k * L),
-        toeplitz.reshape(*lead, k * L, c * L), fits_float,
+        toeplitz.reshape(*lead, k * L, c * L), route,
     )
-    return out.reshape(*out.shape[:-1], c, L) % np.array(moduli)
+    return out.reshape(*out.shape[:-1], c, L)
 
 
 def level_matmul(moduli, a, b):
@@ -150,9 +152,8 @@ def level_matmul(moduli, a, b):
     the one matrix product over the rings above, exact or refused.  Put
     a stack on the left: the right operand is expanded L-fold.
     """
-    return convolve_levels(
-        moduli, a, b, flinalg.exact_product(a.shape[-2], moduli)
-    )
+    out = convolve_levels(a, b, flinalg.exact_product(a.shape[-2], moduli))
+    return out.astype(np.int64, copy=False) % np.array(moduli)
 
 
 def level_power(moduli, stack, e):

@@ -635,12 +635,13 @@ def obstruction_sweep(p, samples=100, seed=0):
 
 # Group and obstruction scenarios are refused past WORK_CEILING estimated
 # multiply-adds (about 15 s of products on a 2-vCPU host); int64-route
-# products cost INT64_WORK_FACTOR float64 ones.  Every sweep witness has a
-# Toeplitz operand of its own, so each of its products also charges
-# SWEEP_ENTRY_WORK per operand entry for building it and reducing the
-# result.  On that host the sweep took about 1, 6, 13, 50-80, 490-760 and
-# 3200-4300 us a witness at p = 3, 5, 7, 13, 31 and 61 as its speed
-# drifted; the entries dominate below p = 31, the multiply-adds above.
+# products cost INT64_WORK_FACTOR float32- or float64-route ones.  Every
+# sweep witness has a Toeplitz operand of its own, so each of its products
+# also charges SWEEP_ENTRY_WORK per operand entry for building it and
+# reducing the result.  On that host the sweep took about 1, 6, 13, 50-80,
+# 490-760 and 3200-4300 us a witness at p = 3, 5, 7, 13, 31 and 61 as its
+# speed drifted; the entries dominate below p = 31, the multiply-adds
+# above.
 WORK_CEILING = 10**11
 INT64_WORK_FACTOR = 16
 SWEEP_ENTRY_WORK = 2**6
@@ -691,9 +692,9 @@ class Scenario:
         does for any p >= 3.
         """
         def cost(count, k, moduli):
-            fits = flinalg.exact_product(k, moduli)
+            slow = flinalg.exact_product(k, moduli) == np.int64
             blocks = len(moduli) ** 2
-            return count * k**3 * blocks * (1 if fits else INT64_WORK_FACTOR)
+            return count * k**3 * blocks * (INT64_WORK_FACTOR if slow else 1)
 
         p, d = self.p, self.p - 1
         products = (self.samples + 3) * 2 * p.bit_length()

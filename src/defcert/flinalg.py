@@ -1,9 +1,11 @@
 """Exact linear algebra over F_p on numpy int64 arrays.
 
 Row reduction is vectorized per pivot.  `exact_product` is the one
-exactness rule of every product here and in `coeff.level_matmul`; large
-products route through float64 BLAS where it admits them.  All functions
-expect and return canonical residues.
+exactness rule of every product here, in `coeff.level_matmul` and in the
+group table checks.  It names one of three routes by the largest partial
+sum a product can reach: float32 BLAS below 2^24, float64 BLAS below
+2^53 and int64 below 2^63; past that a product is refused.  All
+functions expect and return canonical residues.
 """
 
 from __future__ import annotations
@@ -22,44 +24,73 @@ def _level_peak(m: tuple) -> int:
                for l in range(len(m)))
 
 
-def exact_product(k: int, moduli: tuple) -> bool:
-    """Refuse a product int64 cannot hold; say whether float64 holds it.
+def exact_product(k: int, moduli: tuple, slack: int = 0):
+    """The dtype that holds a product exactly: float32, float64 or int64.
 
     Canonical operands with inner dimension k over level moduli m_0..m_{L-1}
     sum at most k * max_l sum_{i<=l} (m_i - 1)(m_{l-i} - 1) before
-    reduction, partial sums included.  OverflowError unless that is below
-    2^63; True when it is below 2^53, where float64 is exact too (the FFPACK
-    bound of Dumas, Giorgi and Pernet, ISSAC 2004).
+    reduction, partial sums included; `slack` adds what a caller sums on
+    top of the product.  Every integer of magnitude below 2^24 is a
+    float32, below 2^53 a float64, so the route is float32 when that total
+    is below 2^24, float64 when it is below 2^53 (the FFPACK bound of
+    Dumas, Giorgi and Pernet, ISSAC 2004) and int64 when it is below 2^63.
+    OverflowError past that.
     """
-    peak = k * _level_peak(moduli)
+    peak = k * _level_peak(moduli) + slack
     if peak >= 2**63:
         raise OverflowError(
             f"a product of inner dimension {k} over moduli {moduli} "
             "is too large for exact int64 arithmetic"
         )
-    return peak < 2**53
+    if peak < 2**24:
+        return np.float32
+    return np.float64 if peak < 2**53 else np.int64
+
+
+def is_multiple(d, m) -> np.ndarray:
+    """Entrywise m | d for integer-valued d, in d's own dtype.
+
+    m broadcasts over d's last axis.  On int64 this is d % m == 0.  On a
+    float dtype with t mantissa bits (24 for float32, 53 for float64) it
+    is m * rint(d / m) == d, exact while |d| + m < 2^t:
+    - if m | d, the quotient d / m is an integer of magnitude below 2^t,
+      so the correctly rounded division returns it, rint keeps it and the
+      product gives d back;
+    - if m does not divide d, rint returns some integer q with
+      |m q| <= |d| + m < 2^t, so m q is computed exactly and is a
+      multiple of m, hence not d.
+    """
+    if d.dtype.kind != "f":
+        return d % m == 0
+    m = np.asarray(m, dtype=d.dtype)
+    q = np.divide(d, m)
+    np.rint(q, out=q)
+    q *= m
+    return q == d
 
 
 def asmod(a, p: int) -> np.ndarray:
     return np.asarray(a, dtype=np.int64) % p
 
 
-def routed_matmul(a, b, fits_float: bool) -> np.ndarray:
-    """Unreduced a @ b of int64 arrays; the one place that takes float64
-    BLAS, when fits_float (`exact_product`'s answer) and flops allow."""
+def routed_matmul(a, b, route) -> np.ndarray:
+    """Unreduced a @ b of integer-valued arrays, in the dtype `route` that
+    `exact_product` named: the one place that takes BLAS.  Products under
+    _BLAS_CUTOFF flops keep their operands' dtype, where converting costs
+    more than BLAS saves."""
     k = a.shape[-1]
     flops = a.size // max(k, 1) * k * (b.size // max(k, 1))
-    if flops > _BLAS_CUTOFF and fits_float:
-        c = np.matmul(a.astype(np.float64), b.astype(np.float64))
-        return c.astype(np.int64)
+    if flops > _BLAS_CUTOFF:
+        a, b = a.astype(route, copy=False), b.astype(route, copy=False)
     return np.matmul(a, b)
 
 
 def matmul_mod(a, b, m: int) -> np.ndarray:
-    """Exact a @ b mod m, via BLAS float64 where safe and worthwhile."""
+    """Exact a @ b mod m, via float BLAS where safe and worthwhile."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    return routed_matmul(a, b, exact_product(a.shape[-1], (m,))) % m
+    c = routed_matmul(a, b, exact_product(a.shape[-1], (m,)))
+    return c.astype(np.int64, copy=False) % m
 
 
 def rref(a, p: int):

@@ -350,23 +350,36 @@ def table_mismatches(table: GroupTable, moduli, act, val,
     """Sorted pairs (g, h) with act(g) val(h) + shift(g) != val(gh).
 
     act (size, r, k, L), val (size, k, c, L) and shift (size, r, c, L)
-    are level-last stacks of canonical coefficients.  Each h takes one
-    stacked product over every g.  The shifted sum is not reduced again:
-    it is right exactly when it is off by 0 or by the level modulus.
+    are level-last stacks of canonical coefficients.  Each is converted
+    once, to the dtype `flinalg.exact_product` names for inner dimension k
+    with a slack of 2 max m; then each h takes one unreduced stacked
+    product over every g through `coeff.convolve_levels`.  Pair (g, h) is
+    right exactly when d = act(g) val(h) + shift(g) - val(gh) is 0 mod m_l
+    at every level l, which `flinalg.is_multiple` decides in that dtype.
+    On a float route with t mantissa bits (24 for float32, 53 for
+    float64) the test is m rint(d / m) == d, exact because the product
+    stays below its bound in `exact_product` and shift and val(gh) lie in
+    [0, m), so |d| + m stays below that bound plus the slack, below 2^t:
+    if m | d, d / m is an integer below 2^t, so the correctly rounded
+    division returns it and m rint(d / m) gives d back; if not,
+    m rint(d / m) is an exact multiple of m, so it is not d.  On int64
+    the test is d % m == 0.
     """
     n, r, k, L = act.shape
     c = val.shape[2]
-    stack = act.reshape(n * r, k, L)
+    route = flinalg.exact_product(k, moduli, 2 * max(moduli))
+    stack = act.reshape(n * r, k, L).astype(route, copy=False)
+    val = val.astype(route, copy=False)
+    if shift is not None:
+        shift = shift.astype(route, copy=False)
     mod = np.array(moduli)
     bad = []
     for h in range(n):
-        lhs = coeff.level_matmul(moduli, stack, val[h]).reshape(n, r, c, L)
-        want = val[table.mul[:, h]]
-        if shift is None:
-            wrong = lhs != want
-        else:
-            diff = lhs + shift - want
-            wrong = (diff != 0) & (diff != mod)
+        d = coeff.convolve_levels(stack, val[h], route).reshape(n, r, c, L)
+        d -= val[table.mul[:, h]]
+        if shift is not None:
+            d += shift
+        wrong = ~flinalg.is_multiple(d, mod)
         neq = np.nonzero(np.any(wrong, axis=(1, 2, 3)))[0]
         bad.extend((int(g), h) for g in neq)
     return sorted(bad)

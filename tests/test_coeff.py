@@ -346,29 +346,30 @@ FLOAT_BOUND_KNOBS = {
 
 
 @lru_cache(maxsize=None)
-def ring_near_float_bound(kind, k, knob):
-    """The ring of this kind with the largest modulus float64 holds at k."""
+def ring_near_float_bound(kind, k, knob, limit=FLOAT_LIMIT):
+    """The ring of this kind with the largest modulus a float type holds at
+    k: float64 at the default limit, float32 at 2^24."""
     if kind in ("trunc_witt", "mixed_deform"):
         p, N = knob if kind == "mixed_deform" else (knob, 1)
         n = 1
         while k * unreduced_peak(
-                coeff.ring_moduli(kind, p, n + 1, N)) < FLOAT_LIMIT:
+                coeff.ring_moduli(kind, p, n + 1, N)) < limit:
             n += 1
         return coeff.RingDescriptor(kind, p, n=n, N=N)
     root = 6 if kind == "obstruction" else 2
-    q = int((FLOAT_LIMIT // (k * knob)) ** (1 / root)) + 2
+    q = int((limit // (k * knob)) ** (1 / root)) + 2
     while not (coeff.is_prime(q) and k * unreduced_peak(
-            coeff.ring_moduli(kind, q, 1, knob)) < FLOAT_LIMIT):
+            coeff.ring_moduli(kind, q, 1, knob)) < limit):
         q -= 1
     return coeff.RingDescriptor(kind, q, N=knob if kind == "trunc_poly" else 1)
 
 
 @st.composite
-def rings_near_float_bound(draw):
+def rings_near_float_bound(draw, limit=FLOAT_LIMIT):
     kind = draw(st.sampled_from(sorted(FLOAT_BOUND_KNOBS)))
     k = draw(st.integers(1, 3))
     knob = draw(st.sampled_from(FLOAT_BOUND_KNOBS[kind]))
-    return ring_near_float_bound(kind, k, knob)
+    return ring_near_float_bound(kind, k, knob, limit)
 
 
 @settings(max_examples=40, deadline=None)
@@ -384,6 +385,33 @@ def test_level_matmul_float_route_is_exact_up_to_the_float_bound(desc, seed):
     assert 1 <= k_max < 200
     rng = np.random.default_rng(seed)
     for k in (k_max, k_max + 1):
+        side = isqrt(flinalg._BLAS_CUTOFF // (k * L * L)) + 2
+        a = extreme_entries(rng, (side, k), moduli)
+        b = extreme_entries(rng, (k, side), moduli)
+        a[:2], b[:, :2] = top, top
+        a[1, 0, 0] -= 1
+        b[0, 1] -= 1
+        got = coeff.level_matmul(moduli, a, b)
+        assert np.array_equal(got.astype(object),
+                              reference_level_product(moduli, a, b))
+
+
+FLOAT32_LIMIT = 2**24
+
+
+@settings(max_examples=40, deadline=None)
+@given(rings_near_float_bound(FLOAT32_LIMIT), st.integers(0, 2**32 - 1))
+def test_level_matmul_float32_route_is_exact_up_to_its_bound(desc, seed):
+    # as the float64 test above, at 2^24: the largest k whose peak float32
+    # holds takes the float32 route, k + 1 another one, both exact
+    moduli, L = desc.moduli, desc.levels
+    top = np.array(moduli, dtype=np.int64) - 1
+    k_max = (FLOAT32_LIMIT - 1) // unreduced_peak(moduli)
+    assert 1 <= k_max < 200
+    rng = np.random.default_rng(seed)
+    for k in (k_max, k_max + 1):
+        route = flinalg.exact_product(k, moduli)
+        assert (route == np.float32) == (k == k_max)
         side = isqrt(flinalg._BLAS_CUTOFF // (k * L * L)) + 2
         a = extreme_entries(rng, (side, k), moduli)
         b = extreme_entries(rng, (k, side), moduli)

@@ -574,6 +574,20 @@ def test_work_budget_admits_the_largest_level_count_and_refuses_past_it():
             deform.Scenario(kind, p=p, samples=samples)
 
 
+@pytest.mark.parametrize("params, work", [
+    (dict(kind="group", p=5), 93731456),
+    (dict(kind="group", p=7, N=64), 84552573168),
+    (dict(kind="group", p=7, n=10, N=17), 94410426096),
+    (dict(kind="obstruction", p=3), 978912),
+    (dict(kind="obstruction", p=31), 784242000),
+    (dict(kind="obstruction", p=241, samples=0), 97144012800),
+])
+def test_work_estimate_charges_both_float_routes_alike(params, work):
+    # float32 and float64 products cost one, int64 ones INT64_WORK_FACTOR;
+    # the n = 10 mixed ring and the p = 241 sweep run on int64
+    assert deform.Scenario(**params).work_estimate() == work
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError, match="kind"):
         deform.Scenario("mystery")

@@ -213,3 +213,20 @@ def test_extend_basis_is_the_greedy_rank_choice(case):
     assert flinalg.extend_basis(base, cands, p) == greedy_extension(
         base, cands, p
     )
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 49, 343])
+@pytest.mark.parametrize("dtype, bits", [(np.float32, 24), (np.float64, 53),
+                                         (np.int64, 63)])
+def test_is_multiple_is_exact_at_the_largest_admitted_magnitude(
+        m, dtype, bits):
+    # a float route admits |d| + m < 2^t; take multiples of m and their
+    # neighbours, of both signs, at the top of that range
+    top = 2**bits - m - 1
+    q = (top - 1) // m
+    values = [x for v in (m * q, m * q - 1, m * q + 1, top, 0, 1)
+              for x in (v, -v)]
+    d = np.array(values, dtype=dtype)
+    assert d.astype(object).tolist() == values
+    got = flinalg.is_multiple(d[:, None], np.array([m]))[:, 0]
+    assert got.tolist() == [v % m == 0 for v in values]

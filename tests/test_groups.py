@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from defcert import coeff, deform, fdmod, groups
+from defcert import coeff, deform, fdmod, flinalg, groups
 
 
 @pytest.fixture(scope="module")
@@ -592,3 +592,58 @@ def test_h1_invariant_under_base_change():
         )
         r = groups.h1_cocycles(G, groups.conjugation_module(moved))
         assert r.dim == 1
+
+
+def reference_shift_pairs(table, moduli, act, val, shift):
+    """All (g, h) with act(g) val(h) + shift(g) != val(gh), in Python ints."""
+    act, val = act.astype(object), val.astype(object)
+    shift = None if shift is None else shift.astype(object)
+    bad = []
+    for g in range(table.size):
+        for h in range(table.size):
+            for l, m in enumerate(moduli):
+                level = sum(act[g][..., i].dot(val[h][..., l - i])
+                            for i in range(l + 1))
+                if shift is not None:
+                    level = level + shift[g][..., l]
+                if np.any((level - val[table.mul[g, h]][..., l]) % m):
+                    bad.append((g, h))
+                    break
+    return bad
+
+
+@pytest.mark.parametrize("route", [np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_table_mismatches_finds_planted_pairs_on_every_route(route, shifted):
+    # the prime field at p = 5 takes float32; Z/3^n at n = 8 takes
+    # float64 and at n = 17 int64, where 2 (3^n - 1)^2 passes 2^53
+    if route == np.float32:
+        rep = groups.uniserial_representation(5)
+    else:
+        rep = deform.mixed_representation(3, 8 if route == np.float64
+                                          else 17, 3)
+    table, moduli = rep.table, rep.ring.moduli
+    k, L = rep.dim, rep.ring.levels
+    assert flinalg.exact_product(k, moduli, 2 * max(moduli)) == route
+    mod = np.array(moduli)
+    rng = np.random.default_rng(5)
+    if shifted:
+        # coboundaries c(g) = (rho(g) - 1) v satisfy c(gh) = rho(g) c(h) + c(g)
+        eye = np.zeros((k, k, L), dtype=np.int64)
+        eye[:, :, 0] = np.eye(k, dtype=np.int64)
+        v = rng.integers(0, 2**40, size=(k, 2, L)) % mod
+        val = coeff.level_matmul(moduli, (rep.mats - eye) % mod, v)
+        shift = val
+    else:
+        val, shift = rep.mats, None
+    assert groups.table_mismatches(table, moduli, rep.mats, val, shift) == []
+
+    val = val.copy()
+    val[5, 1, 0, L - 1] = (val[5, 1, 0, L - 1] + 1) % mod[L - 1]
+    val[11, 0, 1, 0] = (val[11, 0, 1, 0] + mod[0] - 1) % mod[0]
+    if shifted:
+        shift = val
+    want = reference_shift_pairs(table, moduli, rep.mats, val, shift)
+    assert want
+    assert groups.table_mismatches(table, moduli, rep.mats, val,
+                                   shift) == want
