@@ -1,11 +1,12 @@
 """Exact linear algebra over F_p on numpy int64 arrays.
 
-Row reduction is vectorized per pivot.  `exact_product` is the one
-exactness rule of every product here, in `coeff.level_matmul` and in the
-group table checks.  It names one of three routes by the largest partial
-sum a product can reach: float32 BLAS below 2^24, float64 BLAS below
-2^53 and int64 below 2^63; past that a product is refused.  All
-functions expect and return canonical residues.
+Row reduction is vectorized per pivot; `row_space_basis` reduces a tall
+matrix block by block against the basis found so far.  `exact_product`
+is the one exactness rule of every product here, in `coeff.level_matmul`
+and in the group table checks.  It names one of three routes by the
+largest partial sum a product can reach: float32 BLAS below 2^24,
+float64 BLAS below 2^53 and int64 below 2^63; past that a product is
+refused.  All functions expect and return canonical residues.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 _BLAS_CUTOFF = 1 << 16  # flops below this: plain int64 matmul is fine
-_ROW_BLOCK = 2048  # row_space_basis reduces taller matrices in row blocks
+_ROW_BLOCK = 256  # row_space_basis reduces taller matrices in row blocks
 
 
 @lru_cache(maxsize=64)
@@ -96,7 +97,7 @@ def matmul_mod(a, b, m: int) -> np.ndarray:
 def rref(a, p: int):
     """Reduced row echelon form mod p.  Returns (R, pivot_columns)."""
     exact_product(1, (p,))  # pivot scaling and row updates multiply entries
-    r = asmod(a, p).copy()
+    r = asmod(a, p)
     rows, cols = r.shape
     pivots = []
     lead = 0
@@ -114,10 +115,8 @@ def rref(a, p: int):
         other = np.nonzero(r[:, c])[0]
         other = other[other != lead]
         if other.size:
-            r[np.ix_(other, range(c, cols))] = (
-                r[np.ix_(other, range(c, cols))]
-                - np.outer(r[other, c], r[lead, c:])
-            ) % p
+            r[other, c:] = (
+                r[other, c:] - np.outer(r[other, c], r[lead, c:])) % p
         pivots.append(c)
         lead += 1
     return r[: len(pivots)], pivots
@@ -126,14 +125,29 @@ def rref(a, p: int):
 def row_space_basis(a, p: int):
     """Row space basis (rref rows) and its pivot columns.
 
-    Tall matrices are reduced _ROW_BLOCK rows at a time; the pivots are
-    those of the last reduction.
+    Each row block after the first is reduced against the basis R so far
+    by one product, blk - blk[:, pivots] @ R, zero at the pivots; only its
+    nonzero rows go with R into `rref`.  Each step keeps the row space and
+    an rref is unique, so the result is one `rref` of the whole matrix.  A
+    tall matrix whose products (inner dimension at most its column count)
+    could pass int64 raises OverflowError before any work.
+
+    >>> a = np.array([[0, 1, 2]] * _ROW_BLOCK + [[1, 0, 1]])
+    >>> row_space_basis(a, 5)  # the second block brings pivot 0
+    (array([[1, 0, 1],
+           [0, 1, 2]]), [0, 1])
     """
-    a = asmod(a, p)
-    acc = a[:0], []
-    for i in range(0, a.shape[0], _ROW_BLOCK):
-        acc = rref(np.vstack([acc[0], a[i : i + _ROW_BLOCK]]), p)
-    return acc
+    a = np.asarray(a)
+    if a.shape[0] > _ROW_BLOCK:
+        exact_product(a.shape[1], (p,))
+    r, pivots = rref(a[:_ROW_BLOCK], p)
+    for i in range(_ROW_BLOCK, a.shape[0], _ROW_BLOCK):
+        blk = asmod(a[i : i + _ROW_BLOCK], p)
+        blk = blk - matmul_mod(blk[:, pivots], r, p)  # in (-p, p)
+        blk = blk[blk.any(axis=1)]
+        if len(blk):
+            r, pivots = rref(np.vstack([r, blk]), p)
+    return r, pivots
 
 
 def rank(a, p: int) -> int:
@@ -145,17 +159,14 @@ def rank(a, p: int) -> int:
 
 def nullspace(a, p: int) -> np.ndarray:
     """Kernel basis as columns of an (n, k) array, from the rref of a."""
-    a = asmod(a, p)
+    a = np.asarray(a)
     n = a.shape[1]
     if a.shape[0] == 0 or n == 0:
         return np.eye(n, dtype=np.int64)
     r, pivots = row_space_basis(a, p)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-r[i, fc]) % p
+    free = np.delete(np.arange(n), pivots)
+    basis = np.eye(n, dtype=np.int64)[:, free]
+    basis[pivots] = (-r[:, free]) % p
     return basis
 
 
@@ -164,8 +175,8 @@ def solve(a, b, p: int):
 
     b may be a vector or a matrix of stacked right-hand sides (as columns).
     """
-    a = asmod(a, p)
-    b1 = asmod(b, p)
+    a = np.asarray(a)
+    b1 = np.asarray(b)
     vec = b1.ndim == 1
     if vec:
         b1 = b1[:, None]
@@ -174,14 +185,13 @@ def solve(a, b, p: int):
     if any(c >= n for c in pivots):
         return None
     x = np.zeros((n, b1.shape[1]), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, n:]
+    x[pivots] = r[:, n:]
     return x[:, 0] if vec else x
 
 
 def inv(a, p: int):
     """Inverse mod p, or None if singular."""
-    a = asmod(a, p)
+    a = np.asarray(a)
     n = a.shape[0]
     r, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
     if pivots != list(range(n)):
@@ -196,8 +206,8 @@ def extend_basis(base, cands, p: int) -> list:
     columns before it.  Those are exactly the pivot columns past base of
     one rref of [base | cands].
     """
-    base = asmod(base, p)
-    _, pivots = rref(np.hstack([base, asmod(cands, p)]), p)
+    base = np.asarray(base)
+    _, pivots = rref(np.hstack([base, cands]), p)
     return [c - base.shape[1] for c in pivots if c >= base.shape[1]]
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from defcert import flinalg
+from defcert.coeff import is_prime
 
 
 def test_rref_known():
@@ -79,6 +80,116 @@ def test_row_blocks_give_the_one_reduction(monkeypatch):
     assert not np.any(flinalg.matmul_mod(a, ker, p))
     b = flinalg.matmul_mod(a, x, p)
     assert np.array_equal(flinalg.matmul_mod(a, flinalg.solve(a, b, p), p), b)
+
+
+def one_rref_answers(a, b, p):
+    """Basis, pivots, kernel and a solution of a x = b, read entry by
+    entry off single rrefs of a and of [a | b], with no row blocks."""
+    r, pivots = flinalg.rref(a, p)
+    n = a.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    ker = np.zeros((n, len(free)), dtype=np.int64)
+    for k, fc in enumerate(free):
+        ker[fc, k] = 1
+        for i, pc in enumerate(pivots):
+            ker[pc, k] = (-r[i, fc]) % p
+    rb, pb = flinalg.rref(np.hstack([a, b[:, None]]), p)
+    x = None
+    if all(c < n for c in pb):
+        x = np.zeros(n, dtype=np.int64)
+        for i, pc in enumerate(pb):
+            x[pc] = rb[i, n]
+    return r, pivots, ker, x
+
+
+def count_rref_calls(monkeypatch):
+    """Patch flinalg.rref to record each input's shape; return the record."""
+    calls, rref = [], flinalg.rref
+    monkeypatch.setattr(flinalg, "rref",
+                        lambda m, q: calls.append(m.shape) or rref(m, q))
+    return calls
+
+
+def tall_cases(p, rng, block):
+    """Tall systems whose row blocks each exercise one step of the
+    blocked reduction; each is checked to be the case it names."""
+    right = rng.integers(0, p, (block, 6))
+    right[:, :2] = 0
+    right[0, 2] = right[1, 4] = 1
+    zero = np.zeros((block, 6), dtype=np.int64)
+    span = flinalg.matmul_mod(rng.integers(0, p, (block, block)), right, p)
+    left = rng.integers(0, p, (block, 6))
+    left[0, 0] = 1
+    mixed = np.vstack([right, zero, span, left, rng.integers(0, p, (2, 6))])
+    assert min(flinalg.rref(right, p)[1]) >= 2
+    assert 0 in flinalg.rref(mixed, p)[1]
+    basis = rng.integers(0, p, (2, 6))
+    basis[0, 1] = basis[1, 3] = 1
+    basis[1, 1] = 0
+    kept = flinalg.matmul_mod(
+        rng.integers(0, p, (31 * block, 2)), basis, p)
+    kept[:block] = flinalg.matmul_mod(
+        np.eye(block, 2, dtype=np.int64), basis, p)
+    assert flinalg.rank(kept[:block], p) == 2
+    return {"left pivot, zero block, span block": mixed,
+            "rank kept through 30 blocks": kept}
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 241])
+def test_tall_systems_reduce_block_by_block_to_the_one_rref(monkeypatch, p):
+    rng = np.random.default_rng(p)
+    block = 3
+    for name, a in tall_cases(p, rng, block).items():
+        x = rng.integers(0, p, a.shape[1])
+        rhs = [flinalg.matmul_mod(a, x, p), rng.integers(0, p, a.shape[0])]
+        want = [one_rref_answers(a, b, p) for b in rhs]
+        monkeypatch.setattr(flinalg, "_ROW_BLOCK", block)
+        calls = count_rref_calls(monkeypatch)
+        rows, pivots = flinalg.row_space_basis(a, p)
+        assert np.array_equal(rows, want[0][0]), name
+        assert pivots == want[0][1], name
+        if name == "rank kept through 30 blocks":
+            assert calls == [(block, 6)]  # later blocks cost a product only
+        assert flinalg.rank(a, p) == len(want[0][1])
+        assert np.array_equal(flinalg.nullspace(a, p), want[0][2]), name
+        for b, (_, _, _, sol) in zip(rhs, want):
+            got = flinalg.solve(a, b, p)
+            assert (got is None) == (sol is None), name
+            assert sol is None or np.array_equal(got, sol), name
+        monkeypatch.undo()
+
+
+def test_blocked_reduction_is_exact_below_the_bound_and_refuses_past_it(
+        monkeypatch):
+    # with 4 columns the pre-reduction's products have inner dimension at
+    # most 4, exact in int64 while 4 (p - 1)^2 < 2^63; both primes are
+    # below the per-pivot bound (p - 1)^2 < 2^63 of one rref
+    below, above = 1518500213, 1518500279
+    for q in (below, above):
+        assert is_prime(q) and (q - 1) ** 2 < 2**63
+    assert 4 * (below - 1) ** 2 < 2**63 <= 4 * (above - 1) ** 2
+    rng = np.random.default_rng(11)
+    for p in (below, above):
+        a = np.where(rng.random((8, 4)) < 0.6, p - 1,
+                     rng.integers(0, p, (8, 4)))
+        a[:2, 0] = 0  # the first block leaves column 0 to a later one
+        coef = rng.integers(1, p, 3).astype(object)
+        a[:, 3] = a[:, :3].astype(object) @ coef % p  # rank 3, one kernel
+        rows, pivots = flinalg.rref(a, p)
+        monkeypatch.setattr(flinalg, "_ROW_BLOCK", 2)
+        calls = count_rref_calls(monkeypatch)
+        if p == above:
+            with pytest.raises(OverflowError):
+                flinalg.row_space_basis(a, p)
+            assert calls == []  # refused before any reduction
+        else:
+            blocked_rows, blocked_pivots = flinalg.row_space_basis(a, p)
+            assert np.array_equal(blocked_rows, rows)
+            assert blocked_pivots == pivots == [0, 1, 2]
+            ker = flinalg.nullspace(a, p)
+            assert ker.shape == (4, 1)
+            assert not np.any(a.astype(object) @ ker.astype(object) % p)
+        monkeypatch.undo()
 
 
 def test_inverse_random():
