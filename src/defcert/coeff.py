@@ -23,11 +23,11 @@ Each product is one matmul against a block-Toeplitz expansion of the
 right operand, on the route that rule names: float32 BLAS when that sum
 is below 2^24, float64 BLAS below 2^53, int64 otherwise.
 
->>> d = mixed_deform(3, 2, 3)
->>> t = Matrix.from_int_array(d, [[1]], level=1)
->>> print((Matrix.from_int_array(d, [[3]]) + t) @ t)
-Matrix over MixedDeform(p=3,n=2,N=3)
-[t^2]
+>>> m = mixed_deform(3, 2, 3).moduli
+>>> three_plus_t = np.array([[[3, 1, 0]]])
+>>> t = np.array([[[0, 1, 0]]])
+>>> level_matmul(m, three_plus_t, t).tolist()
+[[[0, 0, 1]]]
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ from math import isqrt
 import numpy as np
 
 from . import flinalg
-
-
-class NonUnitError(ZeroDivisionError):
-    """Raised when inverting an element whose residue mod p is zero."""
 
 
 class DescriptorMismatch(ValueError):
@@ -172,19 +168,6 @@ def level_power(moduli, stack, e):
     return out
 
 
-def poly_str(coeffs) -> str:
-    terms = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            tpow = "t" if i == 1 else f"t^{i}"
-            terms.append(tpow if c == 1 else f"{c}*{tpow}")
-    return " + ".join(terms) if terms else "0"
-
-
 def reduce_levels(src: RingDescriptor, dst: RingDescriptor, arr):
     """Reduce a level-last coefficient array along the surjection src -> dst.
 
@@ -206,113 +189,23 @@ def teichmuller(p: int, n: int, a: int) -> int:
 
 
 class Matrix:
-    """Dense matrix over a RingDescriptor ring.
+    """A level-last (rows, cols, levels) stack tagged with its ring; its
+    product and power are `level_matmul` and `level_power` (e >= 0).
 
-    Backed by an int64 array of shape (rows, cols, levels) holding canonical
-    coefficients; the level axis is the t-degree.  Products convolve the
-    level slices and reduce each mod its level modulus, which is exact.
+    The package itself multiplies level stacks directly.  The class stays
+    because the benchmark's tracer (`bench/spans.py`) names its `__matmul__`
+    and `__pow__`.
     """
 
     __slots__ = ("desc", "arr")
 
     def __init__(self, desc: RingDescriptor, arr: np.ndarray):
-        arr = np.asarray(arr, dtype=np.int64)
-        if arr.ndim != 3 or arr.shape[2] != desc.levels:
-            raise ValueError(f"expected (rows, cols, {desc.levels}) array")
-        arr = arr % np.array(desc.moduli, dtype=np.int64)
-        arr.flags.writeable = False
         self.desc = desc
-        self.arr = arr
-
-    @classmethod
-    def identity(cls, desc, dim):
-        a = np.zeros((dim, dim, desc.levels), dtype=np.int64)
-        a[np.arange(dim), np.arange(dim), 0] = 1
-        return cls(desc, a)
-
-    @classmethod
-    def from_int_array(cls, desc, mat2d, level: int = 0):
-        """Embed a plain integer matrix at the given t-degree."""
-        m = np.asarray(mat2d, dtype=np.int64)
-        a = np.zeros(m.shape + (desc.levels,), dtype=np.int64)
-        if level < desc.levels:
-            a[:, :, level] = m
-        return cls(desc, a)
-
-    @property
-    def shape(self):
-        return self.arr.shape[:2]
-
-    def _match(self, other) -> "Matrix":
-        if not isinstance(other, Matrix):
-            raise TypeError(f"expected Matrix, got {type(other)!r}")
-        if other.desc != self.desc:
-            raise DescriptorMismatch(f"{self.desc} vs {other.desc}")
-        return other
-
-    def __add__(self, other):
-        o = self._match(other)
-        return Matrix(self.desc, self.arr + o.arr)
-
-    def __sub__(self, other):
-        o = self._match(other)
-        return Matrix(self.desc, self.arr - o.arr)
-
-    def __neg__(self):
-        return Matrix(self.desc, -self.arr)
-
-    def scale(self, c: int) -> "Matrix":
-        """Entrywise product with the constant c, exact or refused."""
-        flinalg.exact_product(1, self.desc.moduli)
-        return Matrix(self.desc, c % self.desc.moduli[0] * self.arr)
+        self.arr = np.asarray(arr, dtype=np.int64) % np.array(desc.moduli)
 
     def __matmul__(self, other):
-        o = self._match(other)
-        out = level_matmul(self.desc.moduli, self.arr, o.arr)
+        out = level_matmul(self.desc.moduli, self.arr, other.arr)
         return Matrix(self.desc, out)
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
         return Matrix(self.desc, level_power(self.desc.moduli, self.arr, e))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and other.desc == self.desc
-            and self.shape == other.shape
-            and bool(np.array_equal(self.arr, other.arr))
-        )
-
-    def is_zero(self) -> bool:
-        return not self.arr.any()
-
-    def residue(self) -> np.ndarray:
-        """Entrywise residue mod p as a plain 2d int64 array."""
-        return self.arr[:, :, 0] % self.desc.p
-
-    def convert(self, target: RingDescriptor) -> "Matrix":
-        return Matrix(target, reduce_levels(self.desc, target, self.arr))
-
-    def inv(self) -> "Matrix":
-        """Newton lift of the residue inverse; requires unit determinant."""
-        r = flinalg.inv(self.residue(), self.desc.p)
-        if r is None:
-            raise NonUnitError("matrix is not invertible over the residue field")
-        x = Matrix.from_int_array(self.desc, r)
-        ident = Matrix.identity(self.desc, self.shape[0])
-        for _ in range(12):
-            if (self @ x - ident).is_zero():
-                return x
-            x = x @ (ident + ident - self @ x)
-        raise RuntimeError("Newton matrix inversion failed to converge")
-
-    def __str__(self):
-        rows = []
-        for i in range(self.shape[0]):
-            rows.append(
-                "[" + ", ".join(poly_str(self.arr[i, j]) for j in range(self.shape[1])) + "]"
-            )
-        return f"Matrix over {self.desc}\n" + "\n".join(rows)
-
-    __repr__ = __str__

@@ -217,10 +217,6 @@ class LiftCandidate:
         )
 
 
-def trivial_lift(base: FdModule) -> LiftCandidate:
-    return LiftCandidate(base, {})
-
-
 def builtin_lift(family, d, system=None) -> LiftCandidate:
     """The one-parameter lift of T shipped with each family.
 
@@ -526,18 +522,22 @@ def mixed_representation(p, n, N, a_eps=None, chain=None,
 
 def mixed_identity_checks(rep: groups.GroupRep) -> dict:
     """The two named identities of the mixed-ring representation."""
-    table = rep.table
+    table, moduli = rep.table, rep.ring.moduli
     p = table.p
-    tau_m = rep.matrix(table.tau)
-    ident = coeff.Matrix.identity(rep.ring, rep.dim)
+    tau, eps = rep.mats[table.tau], rep.mats[table.eps]
     ainv = pow(table.a_eps, -1, p)
-    eps_m = rep.matrix(table.eps)
-    lhs = eps_m @ tau_m @ eps_m.inv()
-    rhs = rep.matrix(table.power(table.tau, ainv))
+    tau_ainv = rep.mats[table.power(table.tau, ainv)]
+    # eps tau eps^-1 = tau^(1/a) is eps tau = tau^(1/a) eps once eps is a
+    # unit, which it is exactly when its residue has full rank
+    conjugates = flinalg.rank(eps[..., 0] % p, p) == rep.dim and (
+        np.array_equal(coeff.level_matmul(moduli, eps, tau),
+                       coeff.level_matmul(moduli, tau_ainv, eps)))
     return {
-        "tau_power_p_is_identity": bool(tau_m**p == ident),
+        "tau_power_p_is_identity": np.array_equal(
+            coeff.level_power(moduli, tau, p),
+            coeff.level_power(moduli, tau, 0)),
         "eps_conjugation_exponent": int(ainv),
-        "eps_conjugates_tau_to_power": bool(lhs == rhs),
+        "eps_conjugates_tau_to_power": bool(conjugates),
     }
 
 

@@ -63,16 +63,6 @@ class RelationViolated(ValueError):
         )
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list  # the first violation found, if any
-
-    def raise_if_invalid(self):
-        if not self.ok:
-            raise self.violations[0]
-
-
 # A module in a basis C of component vectors: labels[j] indexes
 # simple_labels for column j of C, and mats[name] is C^-1 a C.
 Coordinates = namedtuple("Coordinates", "C C_inv labels mats")
@@ -102,7 +92,9 @@ class FdModule:
             self.mats[name] = a
         self._coords = None
         if check and self.dim:
-            validate_module(self).raise_if_invalid()
+            bad = validate_module(self)
+            if bad is not None:
+                raise bad
 
     @property
     def p(self):
@@ -201,21 +193,19 @@ def grading_violation(M, stacks):
     return None
 
 
-def validate_module(M: FdModule) -> ValidationReport:
+def validate_module(M: FdModule):
     """Check grading blocks, then every defining relation of the algebra;
-    the report lists the first violation, if any."""
+    returns the first violation as a RelationViolated, or None."""
     stacks = {name: M.mats[name][..., None] for name in M.algebra.generators}
     bad = grading_violation(M, stacks)
     if bad is not None:
         name, hit = bad
-        return ValidationReport(False, [
-            RelationViolated(f"grading:{name}", hit[:2])])
+        return RelationViolated(f"grading:{name}", hit[:2])
     for rel_id, value in relation_values(M.algebra, stacks, (M.p,), M.dim):
         hit = first_violation(value)
         if hit is not None:
-            return ValidationReport(False, [
-                RelationViolated(rel_id, hit[:2], hit[3])])
-    return ValidationReport(True, [])
+            return RelationViolated(rel_id, hit[:2], hit[3])
+    return None
 
 
 def arrow_block_mask(M, N, name):

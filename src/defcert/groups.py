@@ -280,9 +280,6 @@ class GroupRep:
         return cls(table, ring, element_stack(table, ring.moduli, norm),
                    check=check)
 
-    def matrix(self, i: int) -> coeff.Matrix:
-        return coeff.Matrix(self.ring, self.mats[i])
-
     def generator_matrix(self, name: str) -> np.ndarray:
         idx = self.table.generator_indices()[name]
         return self.mats[idx]
@@ -303,10 +300,6 @@ class GroupRep:
 
 
 def _as_levels(m, ring: coeff.RingDescriptor) -> np.ndarray:
-    if isinstance(m, coeff.Matrix):
-        if m.desc != ring:
-            raise coeff.DescriptorMismatch(f"{m.desc} vs {ring}")
-        return m.arr.copy()
     m = np.asarray(m, dtype=np.int64)
     if m.ndim == 2:
         out = np.zeros(m.shape + (ring.levels,), dtype=np.int64)
@@ -438,7 +431,7 @@ def inflate(rep: GroupRep, full: GroupTable) -> GroupRep:
         full, rep.ring,
         {
             "sigma": rep.generator_matrix("sigma"),
-            "tau": coeff.Matrix.identity(rep.ring, rep.dim),
+            "tau": np.eye(rep.dim, dtype=np.int64),
             "epsilon": rep.generator_matrix("epsilon"),
         },
     )

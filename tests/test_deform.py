@@ -72,7 +72,7 @@ def test_builtin_lift_satisfies_every_relation(family, d, completed):
 def test_trivial_lift_is_valid_with_zero_class(completed):
     system = completed("I", 2)
     T = deform.base_module("I", system)
-    L = deform.trivial_lift(T)
+    L = deform.LiftCandidate(T, {})
     assert deform.verify_quiver_lift(L, system).ok
     cls = deform.first_order_class(L)
     assert cls.dim == 1
@@ -145,7 +145,7 @@ def test_coboundary_conjugate_of_trivial_lift_has_zero_class(completed):
     system = completed("I", 2)
     T = deform.base_module("I", system)
     f = E(5, 4, 1)  # block-preserving, radical-lowering, f^2 = 0
-    L = _conjugate_lift(T, deform.trivial_lift(T), f)
+    L = _conjugate_lift(T, deform.LiftCandidate(T, {}), f)
     assert L.t_parts  # genuinely moved
     assert deform.verify_quiver_lift(L, system).ok
     assert deform.first_order_class(L).representative_is_trivial()
@@ -156,7 +156,7 @@ def test_first_order_class_is_additive_in_the_t_part(completed):
     T = deform.base_module("I", system)
     p = T.p
     Lb = deform.builtin_lift("I", 2, system)
-    Lc = _conjugate_lift(T, deform.trivial_lift(T), E(5, 4, 1))
+    Lc = _conjugate_lift(T, deform.LiftCandidate(T, {}), E(5, 4, 1))
     summed = {}
     for name in set(Lb.t_parts) | set(Lc.t_parts):
         deg = max(Lb.degree(name), Lc.degree(name))
@@ -327,11 +327,11 @@ def test_mixed_representation_p3_table_and_identities():
     assert ids["tau_power_p_is_identity"]
     assert ids["eps_conjugates_tau_to_power"]
     assert ids["eps_conjugation_exponent"] == 2
-    tau = rep.matrix(rep.table.tau)
-    assert np.array_equal(tau.arr[:, :, 0], np.eye(2, dtype=np.int64))
-    assert np.array_equal(tau.arr[:, :, 1], np.array([[0, 1], [0, 0]]))
-    assert not tau.arr[:, :, 2].any()
-    eps0 = rep.matrix(rep.table.eps).arr[:, :, 0]
+    tau = rep.mats[rep.table.tau]
+    assert np.array_equal(tau[:, :, 0], np.eye(2, dtype=np.int64))
+    assert np.array_equal(tau[:, :, 1], np.array([[0, 1], [0, 0]]))
+    assert not tau[:, :, 2].any()
+    eps0 = rep.mats[rep.table.eps][:, :, 0]
     assert list(np.diagonal(eps0)) == [8, 1]
 
 
@@ -417,12 +417,12 @@ def test_obstruction_verdict_is_seed_independent():
 
 
 def reference_sweep(p, samples, seed):
-    """The per-witness path: one (d, d) draw and one Matrix power each."""
+    """The per-witness path: one (d, d) draw and one (d, d) power each."""
     desc = coeff.obstruction_ring(p)
     d = p - 1
     E = np.zeros((d, d), dtype=np.int64)
     E[0, d - 1] = 1
-    want = coeff.Matrix(desc, np.stack([np.eye(d), p * E, 0 * E], axis=2))
+    want = np.stack([np.eye(d, dtype=np.int64), p * E, 0 * E], axis=2)
     draws = [("zero", np.zeros((d, d))), ("identity", np.eye(d)),
              ("all-ones", np.ones((d, d)))]
     rng = np.random.default_rng(seed)
@@ -434,8 +434,9 @@ def reference_sweep(p, samples, seed):
         base = np.zeros((d, d, 3), dtype=np.int64)
         base[:, :, 0] = np.eye(d, dtype=np.int64)
         base[:, :, 1] = E + p * A
-        power = coeff.Matrix(desc, base) ** p
-        out.append((label, A, power, "PASS" if power == want else "FAIL"))
+        power = coeff.level_power(desc.moduli, base, p)
+        out.append((label, A, power,
+                    "PASS" if np.array_equal(power, want) else "FAIL"))
     return out
 
 
@@ -814,6 +815,22 @@ def test_mixed_ring_fails_on_a_tau_that_breaks_an_identity(
             if not premise.computed[k]] == broken
 
 
+def test_mixed_ring_fails_on_a_singular_eps(group_inputs):
+    """epsilon = 0 put together without the table check, at p = 3.  Then
+    eps tau = tau^(1/a) eps = 0 holds, but a non-unit epsilon conjugates
+    nothing, so the conjugation identity fails while tau^3 = I still holds."""
+    _, full, _, _ = group_inputs
+    rep = deform.mixed_representation(3, 2, 3, full_table=full)
+    gens = mixed_generators(rep)
+    gens["epsilon"][:] = 0
+    unchecked = groups.GroupRep.from_generators(
+        full, rep.ring, gens, check=False)
+    premise = deform.mixed_ring_premise(unchecked)
+    assert premise.computed["tau_power_p_is_identity"]
+    assert not premise.computed["eps_conjugates_tau_to_power"]
+    assert premise.verdict == "FAIL"
+
+
 def test_tangent_direction_fails_when_tau_does_not_move(group_inputs):
     """With tau = I the representation is the inflation of the Hensel lift:
     still multiplicative, tau^p = I and eps tau eps^-1 = tau^(1/a) = I,
@@ -821,7 +838,7 @@ def test_tangent_direction_fails_when_tau_does_not_move(group_inputs):
     _, full, _, _ = group_inputs
     rep = deform.mixed_representation(3, 2, 3, full_table=full)
     gens = mixed_generators(rep)
-    gens["tau"] = coeff.Matrix.identity(rep.ring, rep.dim).arr
+    gens["tau"] = np.eye(rep.dim, dtype=np.int64)
     still = groups.GroupRep.from_generators(full, rep.ring, gens)
     assert deform.mixed_ring_premise(still).verdict == "PASS"
     premise = deform.tangent_direction_premise(still)
