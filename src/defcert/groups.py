@@ -19,6 +19,8 @@ stack against all |G|^2 pairs of the table.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,6 +340,15 @@ def element_stack(table: GroupTable, moduli, gens: dict) -> np.ndarray:
     return grid[table.xs, table.ys, table.js]
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def table_mismatches(table: GroupTable, moduli, act, val,
                      shift=None) -> list:
     """Sorted pairs (g, h) with act(g) val(h) + shift(g) != val(gh).
@@ -345,8 +356,8 @@ def table_mismatches(table: GroupTable, moduli, act, val,
     act (size, r, k, L), val (size, k, c, L) and shift (size, r, c, L)
     are level-last stacks of canonical coefficients.  Each is converted
     once, to the dtype `flinalg.exact_product` names for inner dimension k
-    with a slack of 2 max m; then each h takes one unreduced stacked
-    product over every g through `coeff.convolve_levels`.  Pair (g, h) is
+    with a slack of 2 max m; then each h takes one unreduced product per g,
+    stacked over every g, through `coeff.convolve_levels`.  Pair (g, h) is
     right exactly when d = act(g) val(h) + shift(g) - val(gh) is 0 mod m_l
     at every level l, which `flinalg.is_multiple` decides in that dtype.
     On a float route with t mantissa bits (24 for float32, 53 for
@@ -357,25 +368,53 @@ def table_mismatches(table: GroupTable, moduli, act, val,
     division returns it and m rint(d / m) gives d back; if not,
     m rint(d / m) is an exact multiple of m, so it is not d.  On int64
     the test is d % m == 0.
+
+    The h range is split into one strided share per CPU the process may
+    use: the calling thread checks one share and helper threads the rest.
+    The per-g products are small, so BLAS mostly runs them in the thread
+    that asks instead of waking threads of its own.  Every pair is
+    checked once whatever the split, each verdict depends on its own pair
+    alone, and the merged pairs are sorted, so the result does not depend
+    on the number of shares.  Every helper is joined before the return,
+    and an exception in any share is raised here rather than read as a
+    share without mismatches.
     """
-    n, r, k, L = act.shape
-    c = val.shape[2]
+    n, k = act.shape[0], act.shape[2]
     route = flinalg.exact_product(k, moduli, 2 * max(moduli))
-    stack = act.reshape(n * r, k, L).astype(route, copy=False)
+    act = act.astype(route, copy=False)
     val = val.astype(route, copy=False)
     if shift is not None:
         shift = shift.astype(route, copy=False)
     mod = np.array(moduli)
-    bad = []
-    for h in range(n):
-        d = coeff.convolve_levels(stack, val[h], route).reshape(n, r, c, L)
-        d -= val[table.mul[:, h]]
-        if shift is not None:
-            d += shift
-        wrong = ~flinalg.is_multiple(d, mod)
-        neq = np.nonzero(np.any(wrong, axis=(1, 2, 3)))[0]
-        bad.extend((int(g), h) for g in neq)
-    return sorted(bad)
+    shares = min(_worker_count(), n)
+    found = [None] * shares  # per share: its bad pairs, or what it raised
+
+    def check(first):
+        bad = []
+        try:
+            for h in range(first, n, shares):
+                d = coeff.convolve_levels(act, val[h], route)
+                d -= val[table.mul[:, h]]
+                if shift is not None:
+                    d += shift
+                wrong = ~flinalg.is_multiple(d, mod)
+                neq = np.nonzero(np.any(wrong, axis=(1, 2, 3)))[0]
+                bad.extend((int(g), h) for g in neq)
+        except BaseException as exc:
+            bad = exc
+        found[first] = bad
+
+    helpers = [threading.Thread(target=check, args=(first,))
+               for first in range(1, shares)]
+    for helper in helpers:
+        helper.start()
+    check(0)
+    for helper in helpers:
+        helper.join()
+    for bad in found:
+        if isinstance(bad, BaseException):
+            raise bad
+    return sorted(pair for bad in found for pair in bad)
 
 
 def uniserial_representation(p: int, a_eps: int | None = None,
@@ -734,15 +773,17 @@ def cocycle_system(table: GroupTable, act, free: list, delta=None):
         if s in block:
             D[i, :, block[s]] = (D[i, :, block[s]] + act[par]) % p
         A[i] = (A[par] + flat[s][par]) % p
-    rows, rhs = [], []
-    for s in gens:
+    rows = np.empty((len(gens), n, m, D.shape[2]), dtype=np.int64)
+    rhs = []
+    for out, s in zip(rows, gens):
         gs = table.mul[:, s]
-        L = D[gs] - D
+        np.take(D, gs, axis=0, out=out)
+        out -= D
         if s in block:
-            L[:, :, block[s]] -= act
-        rows.append((L % p).reshape(n * m, -1))
+            out[:, :, block[s]] -= act
+        out %= p
         rhs.append((A + flat[s] - A[gs]).reshape(n * m) % p)
-    return D, np.concatenate(rows, axis=0), np.concatenate(rhs)
+    return D, rows.reshape(len(gens) * n * m, -1), np.concatenate(rhs)
 
 
 def coboundary_columns(M: fdmod.FdModule):

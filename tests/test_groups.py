@@ -2,6 +2,8 @@
 
 import gc
 import re
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -147,6 +149,7 @@ def test_rep_is_table_verified(q5):
             {"sigma": rep.generator_matrix("sigma")[:, :, 0],
              "epsilon": bad_eps},
         )
+
 
 
 def reference_bad_pairs(rep):
@@ -647,3 +650,75 @@ def test_table_mismatches_finds_planted_pairs_on_every_route(route, shifted):
     assert want
     assert groups.table_mismatches(table, moduli, rep.mats, val,
                                    shift) == want
+
+
+
+def planted_stacks(route, rows):
+    """A representation on `route` and table values corrupted at `rows`:
+    its own matrices, or coboundaries with themselves as the shift."""
+    if route == np.float32:
+        rep = groups.uniserial_representation(5)
+    else:
+        rep = deform.mixed_representation(3, 8 if route == np.float64
+                                          else 17, 3)
+    moduli, k, L = rep.ring.moduli, rep.dim, rep.ring.levels
+    assert flinalg.exact_product(k, moduli, 2 * max(moduli)) == route
+    mod = np.array(moduli)
+    eye = np.zeros((k, k, L), dtype=np.int64)
+    eye[:, :, 0] = np.eye(k, dtype=np.int64)
+    v = np.random.default_rng(9).integers(0, 2**40, size=(k, 2, L)) % mod
+    cob = coeff.level_matmul(moduli, (rep.mats - eye) % mod, v)
+    vals = []
+    for val in (rep.mats.copy(), cob):
+        for i, h in enumerate(rows):
+            l = i % L
+            val[h, 0, 1, l] = (val[h, 0, 1, l] + 1) % mod[l]
+        vals.append(val)
+    return rep, vals
+
+
+@pytest.mark.parametrize("route", [np.float32, np.float64, np.int64])
+def test_table_mismatches_does_not_depend_on_the_worker_count(
+        monkeypatch, route):
+    # rows 6, 7 and 5 open the shares of two and three workers: h = 0, 1
+    # mod 2 and h = 0, 1, 2 mod 3 all carry planted mismatches
+    rows = (6, 7, 5)
+    rep, (val, cob) = planted_stacks(route, rows)
+    table, moduli = rep.table, rep.ring.moduli
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the lock between bytecodes
+    try:
+        for stack, shift in ((val, None), (cob, cob)):
+            want = reference_shift_pairs(table, moduli, rep.mats, stack,
+                                         shift)
+            assert set(rows) <= {h for _, h in want}
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(groups, "_worker_count",
+                                    lambda: workers)
+                assert groups.table_mismatches(table, moduli, rep.mats,
+                                               stack, shift) == want
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("fail_at", [2, 3])
+def test_table_mismatches_raises_a_failure_in_any_share(monkeypatch,
+                                                        fail_at):
+    # with two workers the calling thread checks even h, a helper odd h
+    rep = groups.uniserial_representation(5)
+    route = flinalg.exact_product(rep.dim, rep.ring.moduli, 10)
+    target = rep.mats[fail_at].astype(route)
+    convolve = coeff.convolve_levels
+
+    def failing(a, b, r):
+        if np.array_equal(b, target):
+            raise ArithmeticError(f"planted at h = {fail_at}")
+        return convolve(a, b, r)
+
+    monkeypatch.setattr(groups, "_worker_count", lambda: 2)
+    monkeypatch.setattr(coeff, "convolve_levels", failing)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match=f"planted at h = {fail_at}"):
+        groups.table_mismatches(rep.table, rep.ring.moduli, rep.mats,
+                                rep.mats)
+    assert threading.active_count() == before
