@@ -1,10 +1,12 @@
 """Command-line front end for the verification scenarios.
 
-Exit codes separate three situations: 0 means every requested check
-verified, 1 means some check ran and failed (a DISCREPANCY), and 2 means
-the request itself was malformed (unknown flags, bad fixture grammar,
+Exit codes separate four situations: 0 means every requested check
+verified, 1 means some check ran and failed (a DISCREPANCY), 2 means the
+request itself was malformed (unknown flags, bad fixture grammar,
 parameters outside the built-in catalogue or too large for exact int64
-arithmetic, a file that cannot be read or written).
+arithmetic, a file that cannot be read or written), and 3 means an
+internal invariant broke (a RuntimeError nothing else caught): the
+program is at fault, not the mathematics or the request.
 """
 
 import argparse
@@ -159,10 +161,9 @@ def _cmd_module_check(args):
         f"dim: {module.dim}",
     ]
     dv = module.dimension_vector()
+    counts = {v: dv.get(v, 0) for v in module.algebra.grading_labels}
     lines.append("dimension vector: " + ", ".join(
-        f"{label}:{dv.get(label, 0)}"
-        for label in module.algebra.grading_labels
-    ))
+        f"{v}:{n}" for v, n in counts.items()))
     lines.append("status: valid")
     payload = "\n".join(lines) + "\n"
     if args.format == "json":
@@ -172,7 +173,7 @@ def _cmd_module_check(args):
                 "fixture": args.fixture,
                 "algebra": {"family": family, "d": d},
                 "dim": module.dim,
-                "dimension_vector": {str(k): int(v) for k, v in dv.items()},
+                "dimension_vector": {str(v): n for v, n in counts.items()},
                 "status": "valid",
             },
             indent=2, sort_keys=True, ensure_ascii=False,
@@ -321,6 +322,9 @@ def run_command(argv) -> int:
     except OSError as err:
         sys.stderr.write(f"cannot read or write a file: {err}\n")
         return 2
+    except RuntimeError as err:
+        sys.stderr.write(f"broken invariant: {err}\n")
+        return 3
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,6 @@ A handle provides:
   relation_items()           -> [(id, [(coeff, word), ...]), ...]
   projective_module(label)   -> FdModule (cached per handle)
   simple_module(label)       -> FdModule
-  module_dim_vector(M)       -> {label: multiplicity} of the simples in M
   radical_generators(M)      -> matrices on M whose images span rad M
   component_vectors(N, label)-> basis of the label component of N
   component_coordinates(N)   -> Coordinates of N in a basis of component
@@ -101,8 +100,13 @@ class FdModule:
         return self.algebra.p
 
     def dimension_vector(self):
-        """Per-simple dims: block sizes (quiver) or eigenspace dims (group)."""
-        return self.algebra.module_dim_vector(self)
+        """{label: multiplicity} of the simples in this module, zeros left
+        out: the labels of its component coordinates, counted."""
+        if not self.dim:
+            return {}
+        counts = np.bincount(self.coordinates().labels)
+        return {self.algebra.simple_labels[i]: int(n)
+                for i, n in enumerate(counts) if n}
 
     def block_indices(self, label_idx):
         return np.nonzero(self.block_of == label_idx)[0]
@@ -285,12 +289,6 @@ class QuiverAlgebra:
     def simple_module(self, label):
         idx = list(self.grading_labels).index(label)
         return FdModule(self, np.array([idx]), {}, check=False)
-
-    def module_dim_vector(self, M):
-        return {
-            v: int(np.sum(M.block_of == i))
-            for i, v in enumerate(self.grading_labels)
-        }
 
     def radical_generators(self, M):
         return [M.mats[name] for name in self.generators]

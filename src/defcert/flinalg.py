@@ -1,12 +1,18 @@
 """Exact linear algebra over F_p on numpy int64 arrays.
 
-Row reduction is vectorized per pivot; `row_space_basis` reduces a tall
-matrix block by block against the basis found so far.  `exact_product`
-is the one exactness rule of every product here, in `coeff.level_matmul`
-and in the group table checks.  It names one of three routes by the
-largest partial sum a product can reach: float32 BLAS below 2^24,
-float64 BLAS below 2^53 and int64 below 2^63; past that a product is
-refused.  All functions expect and return canonical residues.
+Every answer here (`rank`, `nullspace`, `solve`, `inv`, `extend_basis`,
+`in_span`, `col_space_basis`) is read off one `(R, pivots)` from
+`row_space_basis`, the one elimination: it reduces a tall matrix block
+by block against the basis found so far and is the only caller of the
+per-pivot `rref`.  An rref is unique, so every answer is the one of a
+single rref of the whole matrix.
+
+`routed_matmul` is the one product route.  `exact_product` is the one
+exactness rule of every product here, in `coeff.level_matmul` and in the
+group table checks.  It names one of three routes by the largest partial
+sum a product can reach: float32 BLAS below 2^24, float64 BLAS below
+2^53 and int64 below 2^63; past that a product is refused.  All
+functions expect and return canonical residues.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-_BLAS_CUTOFF = 1 << 16  # flops below this: plain int64 matmul is fine
 _ROW_BLOCK = 256  # row_space_basis reduces taller matrices in row blocks
 
 
@@ -76,14 +81,8 @@ def asmod(a, p: int) -> np.ndarray:
 
 def routed_matmul(a, b, route) -> np.ndarray:
     """Unreduced a @ b of integer-valued arrays, in the dtype `route` that
-    `exact_product` named: the one place that takes BLAS.  Products under
-    _BLAS_CUTOFF flops keep their operands' dtype, where converting costs
-    more than BLAS saves."""
-    k = a.shape[-1]
-    flops = a.size // max(k, 1) * k * (b.size // max(k, 1))
-    if flops > _BLAS_CUTOFF:
-        a, b = a.astype(route, copy=False), b.astype(route, copy=False)
-    return np.matmul(a, b)
+    `exact_product` named: the one place that takes BLAS."""
+    return np.matmul(a.astype(route, copy=False), b.astype(route, copy=False))
 
 
 def matmul_mod(a, b, m: int) -> np.ndarray:
@@ -151,19 +150,13 @@ def row_space_basis(a, p: int):
 
 
 def rank(a, p: int) -> int:
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0
     return len(row_space_basis(a, p)[1])
 
 
 def nullspace(a, p: int) -> np.ndarray:
     """Kernel basis as columns of an (n, k) array, from the rref of a."""
-    a = np.asarray(a)
-    n = a.shape[1]
-    if a.shape[0] == 0 or n == 0:
-        return np.eye(n, dtype=np.int64)
     r, pivots = row_space_basis(a, p)
+    n = r.shape[1]
     free = np.delete(np.arange(n), pivots)
     basis = np.eye(n, dtype=np.int64)[:, free]
     basis[pivots] = (-r[:, free]) % p
@@ -190,13 +183,17 @@ def solve(a, b, p: int):
 
 
 def inv(a, p: int):
-    """Inverse mod p, or None if singular."""
+    """Inverse mod p, or None if singular: the one solution of a x = I.
+
+    >>> inv([[1, 0, 0], [0, 1, 0]], 5)
+    Traceback (most recent call last):
+    ...
+    ValueError: inv needs a square matrix, not shape (2, 3)
+    """
     a = np.asarray(a)
-    n = a.shape[0]
-    r, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
-    if pivots != list(range(n)):
-        return None
-    return r[:, n:]
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"inv needs a square matrix, not shape {a.shape}")
+    return solve(a, np.eye(len(a), dtype=np.int64), p)
 
 
 def extend_basis(base, cands, p: int) -> list:
@@ -207,7 +204,7 @@ def extend_basis(base, cands, p: int) -> list:
     one rref of [base | cands].
     """
     base = np.asarray(base)
-    _, pivots = rref(np.hstack([base, cands]), p)
+    _, pivots = row_space_basis(np.hstack([base, cands]), p)
     return [c - base.shape[1] for c in pivots if c >= base.shape[1]]
 
 

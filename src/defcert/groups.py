@@ -558,16 +558,6 @@ class GroupAlgebra:
         return fdmod.Coordinates(C, C_inv, np.array([i for i, _ in pairs]),
                                  mats)
 
-    def module_dim_vector(self, M):
-        out = {}
-        for i in self.simple_labels:
-            k = len(self.component_vectors(M, i))
-            if k:
-                out[i] = k
-        if sum(out.values()) != M.dim:
-            raise ValueError("scalar generator does not act semisimply")
-        return out
-
     def radical_generators(self, M):
         # rad = augmentation ideal of the normal p-Sylow; over modules
         # that is generated by u - 1 for the unipotent generators u.

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from defcert import cli, deform
+from defcert import cli, deform, groups
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -63,6 +63,15 @@ def test_module_check_accepts_the_shipped_fixture(capsys):
     assert code == 0
     assert "status: valid" in out
     assert "dimension vector: 0:2, 1:1, 2:1" in out
+
+
+def test_module_check_json_counts_every_vertex(tmp_path, capsys):
+    fixture = tmp_path / "simple.qmod"
+    fixture.write_text("algebra: II 2\ndim: 1\nvertices: 1\n")
+    code, out, _ = run(["module", "check", str(fixture), "--format", "json"],
+                       capsys)
+    assert code == 0
+    assert json.loads(out)["dimension_vector"] == {"0": 0, "1": 1, "2": 0}
 
 
 def test_module_check_names_the_violated_relation(capsys):
@@ -163,6 +172,17 @@ def test_unwritable_out_path_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "cannot read or write" in err
+
+
+def test_a_broken_invariant_exits_three(monkeypatch, capsys):
+    def broken(table, M):
+        raise RuntimeError("planted: coboundaries escaped the cocycle space")
+
+    monkeypatch.setattr(groups, "h1_cocycles", broken)
+    code, out, err = run(["group", "verify", "--p", "3"], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("broken invariant: planted: coboundaries escaped the "
+                   "cocycle space\n")
 
 
 def test_unknown_flag_exits_two(capsys):

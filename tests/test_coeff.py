@@ -353,7 +353,7 @@ def rings_near_float_bound(draw, limit=FLOAT_LIMIT):
 @settings(max_examples=40, deadline=None)
 @given(rings_near_float_bound(), st.integers(0, 2**32 - 1))
 def test_level_matmul_float_route_is_exact_up_to_the_float_bound(desc, seed):
-    # operands wide enough for the float64 route, at the largest k whose
+    # operands of about 2^16 flops on the float64 route, at the largest k whose
     # peak float64 holds and at k + 1, where only int64 is exact.  Entry
     # (0, 0) sums every peak term; entry (1, 1) swaps one term per level
     # for an odd one, so past 2^53 its sum is odd and float64 would round
@@ -363,7 +363,7 @@ def test_level_matmul_float_route_is_exact_up_to_the_float_bound(desc, seed):
     assert 1 <= k_max < 200
     rng = np.random.default_rng(seed)
     for k in (k_max, k_max + 1):
-        side = isqrt(flinalg._BLAS_CUTOFF // (k * L * L)) + 2
+        side = isqrt((1 << 16) // (k * L * L)) + 2
         a = extreme_entries(rng, (side, k), moduli)
         b = extreme_entries(rng, (k, side), moduli)
         a[:2], b[:, :2] = top, top
@@ -390,7 +390,7 @@ def test_level_matmul_float32_route_is_exact_up_to_its_bound(desc, seed):
     for k in (k_max, k_max + 1):
         route = flinalg.exact_product(k, moduli)
         assert (route == np.float32) == (k == k_max)
-        side = isqrt(flinalg._BLAS_CUTOFF // (k * L * L)) + 2
+        side = isqrt((1 << 16) // (k * L * L)) + 2
         a = extreme_entries(rng, (side, k), moduli)
         b = extreme_entries(rng, (k, side), moduli)
         a[:2], b[:, :2] = top, top

@@ -207,6 +207,103 @@ def test_inverse_random():
             assert not np.any((inv @ a - np.eye(6, dtype=np.int64)) % p)
 
 
+def test_inverse_refuses_a_non_square_matrix():
+    # a non-square matrix has no two-sided inverse, whatever its rank
+    for a in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(ValueError, match="square"):
+            flinalg.inv(a, 5)
+    assert flinalg.inv([[2, 1], [4, 2]], 5) is None
+    assert flinalg.inv(np.zeros((0, 0), dtype=np.int64), 5).shape == (0, 0)
+
+
+def plain_solution(a, b, p):
+    """The solution of a x = b with free variables 0 read off one plain
+    rref of [a | b], or None."""
+    r, pivots = flinalg.rref(np.hstack([a, b]), p)
+    n = a.shape[1]
+    if any(c >= n for c in pivots):
+        return None
+    x = np.zeros((n, b.shape[1]), dtype=np.int64)
+    x[pivots] = r[:, n:]
+    return x
+
+
+@pytest.mark.parametrize("p", [2, 7])
+def test_tall_inverse_solve_and_extension_are_the_plain_rref_answers(
+        monkeypatch, p):
+    rng = np.random.default_rng(p + 40)
+    n = 11
+    square = rng.integers(0, p, (n, n))
+    square[np.tril_indices(n)] = 0
+    square[np.diag_indices(n)] = 1
+    square = flinalg.matmul_mod(square, rng.permutation(np.eye(n, dtype=int)),
+                                p)
+    singular = square.copy()
+    singular[:, 3] = singular[:, 1]
+    tall = flinalg.matmul_mod(rng.integers(0, p, (n, 3)),
+                              rng.integers(0, p, (3, 6)), p)
+    rhs = np.column_stack([flinalg.matmul_mod(tall, rng.integers(0, p, 6), p),
+                           rng.integers(0, p, n)])
+    base, cands = tall[:, :2], np.hstack([tall, rng.integers(0, p, (n, 2))])
+    want_inv = [plain_solution(m, np.eye(n, dtype=np.int64), p)
+                for m in (square, singular)]
+    want_solve = [plain_solution(tall, rhs[:, :k], p) for k in (1, 2)]
+    pivots = flinalg.rref(np.hstack([base, cands]), p)[1]
+    want_extension = [c - 2 for c in pivots if c >= 2]
+    assert want_inv[0] is not None and want_inv[1] is None
+    assert want_solve[0] is not None and len(want_extension) > 1
+    monkeypatch.setattr(flinalg, "_ROW_BLOCK", 4)
+    assert np.array_equal(flinalg.inv(square, p), want_inv[0])
+    assert flinalg.inv(singular, p) is None
+    assert np.array_equal(flinalg.solve(tall, rhs[:, :1], p), want_solve[0])
+    assert np.array_equal(flinalg.solve(tall, rhs[:, 0], p),
+                          want_solve[0][:, 0])
+    got = flinalg.solve(tall, rhs, p)
+    assert (got is None) == (want_solve[1] is None)
+    assert got is None or np.array_equal(got, want_solve[1])
+    assert flinalg.extend_basis(base, cands, p) == want_extension
+
+
+def test_every_answer_is_read_off_one_row_space_basis(monkeypatch):
+    # each public answer calls row_space_basis once and reaches rref only
+    # through it, so a check of that one (R, pivots) covers every answer
+    log, depth = [], []
+    basis, rref = flinalg.row_space_basis, flinalg.rref
+
+    def traced_basis(a, p):
+        log.append("row_space_basis")
+        depth.append(1)
+        try:
+            return basis(a, p)
+        finally:
+            depth.pop()
+
+    def traced_rref(a, p):
+        log.append("rref" if depth else "bare rref")
+        return rref(a, p)
+
+    monkeypatch.setattr(flinalg, "row_space_basis", traced_basis)
+    monkeypatch.setattr(flinalg, "rref", traced_rref)
+    monkeypatch.setattr(flinalg, "_ROW_BLOCK", 4)
+    p = 5
+    a = np.random.default_rng(9).integers(0, p, (9, 6))
+    square = np.triu(np.ones((9, 9), dtype=np.int64))  # unit triangular
+    answers = {
+        "rank": lambda: flinalg.rank(a, p),
+        "nullspace": lambda: flinalg.nullspace(a, p),
+        "solve": lambda: flinalg.solve(a, a[:, 0], p),
+        "inv": lambda: flinalg.inv(square, p),
+        "extend_basis": lambda: flinalg.extend_basis(a[:, :2], a[:, 2:], p),
+        "in_span": lambda: flinalg.in_span(a[:, :2], a[:, 3], p),
+        "col_space_basis": lambda: flinalg.col_space_basis(a, p),
+    }
+    for name, answer in answers.items():
+        log.clear()
+        answer()
+        assert log.count("row_space_basis") == 1, (name, log)
+        assert "rref" in log and "bare rref" not in log, (name, log)
+
+
 def test_matmul_mod_matches_naive():
     rng = np.random.default_rng(2)
     for p in (2, 3, 251):
@@ -222,9 +319,9 @@ def test_matmul_mod_is_exact_up_to_the_bound_and_refuses_past_it(
         k, bits, wide, seed):
     # the largest top entry whose products fit 2^bits, then the next odd
     # one past it, whose odd products float64 would round; wide operands
-    # take the float64 route wherever the rule admits it
+    # make products of about 2^16 flops, narrow ones of 9 k
     top = isqrt((2**bits - 1) // k)
-    side = isqrt(flinalg._BLAS_CUTOFF // k) + 2 if wide else 3
+    side = isqrt((1 << 16) // k) + 2 if wide else 3
     rng = np.random.default_rng(seed)
     for high in (top, top + 1 + top % 2):
         mod = high + 1
