@@ -373,22 +373,22 @@ def _witt_level(ring: coeff.RingDescriptor) -> int:
 
 
 def hensel_lift_step(rho_m: groups.GroupRep) -> groups.GroupRep:
-    """One level of the chain: correct sigma so the table still closes.
+    """One level of the chain: correct sigma so the relations still hold.
 
-    Writing the next level as rho(g) = (I + p^m c_g) rho_0(g), with
-    rho_0 rebuilt from the integer lift of sigma and the Teichmueller
-    epsilon, multiplicativity forces
+    The next level keeps the Teichmueller epsilon and takes
+    sigma_next = (I + p^m X) sigma_m.  Over Z/p^(m+1) the relations at
+    (sigma_m, epsilon) must vanish mod p^m; their value divided by p^m is
+    the defect.  Since p^(2m) = 0 there, a relation at sigma_next is its
+    value at sigma_m plus p^m times its derivative at
+    theta_sigma = X sigma_bar, the rows of `fdmod.relation_derivative`
+    over F_p on the sigma slots, so X solves
+    derivative(X sigma_bar) = -defect mod p.
 
-        c_(gh) = c_g + Ad(rho_bar(g)) c_h + defect(g, h)   (mod p).
-
-    Fixing c_epsilon = 0 loses no solutions: the restriction of any
-    solution to the subgroup generated by epsilon is a cocycle of a
+    Fixing epsilon loses no solutions: the restriction of any solution's
+    correction to the subgroup generated by epsilon is a cocycle of a
     group of order prime to p with p-torsion coefficients, hence a
-    coboundary, and subtracting that coboundary globally re-normalizes.
-    c_sigma is the free unknown; every other c_g is an affine function
-    of it along the normal-form walk, and the conditions on all pairs
-    (g, generator) force full multiplicativity by induction on word
-    length.  The rebuilt representation is re-verified on the whole
+    coboundary, and conjugating by that coboundary re-normalizes.  The
+    relations hold in the table, and the lift is re-verified on the whole
     multiplication table regardless.
     """
     table = rho_m.table
@@ -396,61 +396,37 @@ def hensel_lift_step(rho_m: groups.GroupRep) -> groups.GroupRep:
         raise ValueError("hensel steps run over the quotient-group table")
     p = table.p
     m = _witt_level(rho_m.ring)
-    ring_next = coeff.trunc_witt(p, m + 1)
+    pm, pm1 = p**m, p ** (m + 1)
     d = rho_m.dim
-    n = table.size
 
     eps_m = rho_m.generator_matrix("epsilon")[:, :, 0]
-    if np.any(eps_m != np.diag(np.diagonal(eps_m))):
-        raise ValueError("epsilon is not in the diagonal Teichmueller form")
     eps_next = np.diag([coeff.teichmuller(p, m + 1, int(r) % p)
                         for r in np.diagonal(eps_m)])
-    if np.any(eps_next % p**m != eps_m % p**m):
+    if np.any(eps_next % pm != eps_m % pm):  # off-diagonal entries too
         raise ValueError("epsilon is not in the diagonal Teichmueller form")
     sigma_m = rho_m.generator_matrix("sigma")[:, :, 0]
 
-    rho0 = groups.GroupRep.from_generators(
-        table, ring_next,
-        {"sigma": sigma_m, "epsilon": eps_next},
-        check=False,
-    )
-    R0 = rho0.mats[:, :, :, 0]
-    if np.any(R0 % p**m != rho_m.mats[:, :, :, 0] % p**m):
-        raise ValueError("base representation is not coherent mod p^m")
-
-    # R0 agrees mod p with rho_m, so the table gives its inverses
-    Rbar = R0 % p
-    Rbar_inv = Rbar[table.inv]
-
-    gens = table.generator_indices()
-    sidx, eidx = gens["sigma"], gens["epsilon"]
-    pm, pm1 = p**m, p ** (m + 1)
-
-    def defect_against(s):
-        prod = flinalg.matmul_mod(R0, R0[s], pm1)
-        diff = (prod - R0[table.mul[:, s]]) % pm1
-        if np.any(diff % pm):
-            raise HenselObstruction(p, m, "defect not divisible by p^m")
-        D = (diff // pm) % p
-        return flinalg.matmul_mod(D, Rbar_inv[table.mul[:, s]], p)
-
-    # Ad[g] = kron(Rbar[g], Rbar_inv[g].T) on row-major flattenings
-    dd = d * d
-    Ad = np.einsum("gij,glk->gikjl", Rbar, Rbar_inv).reshape(n, dd, dd) % p
-
-    # c_g is affine in the unknown c_sigma along the normal-form walk
-    _, M, v = groups.cocycle_system(
-        table, Ad, [sidx],
-        {sidx: defect_against(sidx), eidx: defect_against(eidx)},
-    )
-    sol = flinalg.solve(M, v, p)
+    alg = groups.group_algebra(table)
+    values = fdmod.relation_values(
+        alg, {"sigma": sigma_m[..., None], "epsilon": eps_next[..., None]},
+        (pm1,), d)
+    defect = np.concatenate([value.ravel() for _, value in values])
+    if np.any(defect % pm):
+        raise HenselObstruction(p, m, "defect not divisible by p^m")
+    bar = {"sigma": sigma_m % p, "epsilon": eps_next % p}
+    slots = np.zeros((len(alg.generators), d, d), dtype=bool)
+    slots[alg.generators.index("sigma")] = True
+    # theta_sigma = X sigma_bar is kron(I, sigma_bar^T) vec(X), row-major
+    rows = flinalg.matmul_mod(
+        fdmod.relation_derivative(alg, bar, bar, slots, p),
+        np.kron(np.eye(d, dtype=np.int64), bar["sigma"].T), p)
+    sol = flinalg.solve(rows, -(defect // pm) % p, p)
     if sol is None:
         raise HenselObstruction(p, m)
-    c_sigma = sol.reshape(d, d)
-    correction = (np.eye(d, dtype=np.int64) + pm * c_sigma) % pm1
+    correction = (np.eye(d, dtype=np.int64) + pm * sol.reshape(d, d)) % pm1
     sigma_next = flinalg.matmul_mod(correction, sigma_m, pm1)
     out = groups.GroupRep.from_generators(
-        table, ring_next,
+        table, coeff.trunc_witt(p, m + 1),
         {"sigma": sigma_next, "epsilon": eps_next},
     )
     back = out.convert(rho_m.ring)
@@ -546,7 +522,8 @@ def tangent_class_is_nonzero(rep: groups.GroupRep) -> bool:
 
     The t-linear part of the reduced representation is a cocycle for the
     conjugation action; the deformation is trivial exactly when that
-    cocycle is a coboundary, a span test against (Ad(g) - I) columns.
+    cocycle is a coboundary, a span test against the (Ad(g) - I) columns
+    of `fdmod.extension_coboundaries` from the trivial module.
     """
     p = rep.table.p
     lin = rep.convert(coeff.mixed_deform(p, 1, 2)).mats[:, :, :, 1] % p
@@ -554,11 +531,13 @@ def tangent_class_is_nonzero(rep: groups.GroupRep) -> bool:
     if not lin.any():
         return False
     res = rep.convert(coeff.prime_field(p))
-    gens, cob = groups.coboundary_columns(groups.conjugation_module(res))
+    endo = groups.conjugation_module(res)
+    _, cob = fdmod.extension_coboundaries(endo.algebra.simple_module(0), endo)
+    index = res.table.generator_indices()
     # cocycle value at s in End coordinates: t-part times rho_bar(s)^(-1)
     target = np.concatenate([
         flinalg.matmul_mod(lin[s], res.residue_matrix(res.table.inv[s]), p)
-        for s in gens
+        for s in (index[name] for name in endo.algebra.generators)
     ], axis=None)
     return not flinalg.in_span(cob, target, p)
 

@@ -35,12 +35,17 @@ modules use a single block.  Words act leftmost-last, so ``rho(word)`` is
 the matrix product taken in written order.
 
 Relations are evaluated in one place, `relation_values`, on level-last
-action stacks: module validation, the extension route's relation system
-and, in `deform`, the lift's truncated replay and mod-t^2 cocycle check.
+action stacks: module validation and, in `deform`, the lift's truncated
+replay, its mod-t^2 cocycle check and the Hensel defect.  They are
+linearised in one place, `relation_derivative`, which gives the linear
+system of every caller that solves for extension data: the extension
+route, and in `groups` and `deform` the cocycles of H^1 and the Hensel
+correction.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
@@ -102,8 +107,6 @@ class FdModule:
     def dimension_vector(self):
         """{label: multiplicity} of the simples in this module, zeros left
         out: the labels of its component coordinates, counted."""
-        if not self.dim:
-            return {}
         counts = np.bincount(self.coordinates().labels)
         return {self.algebra.simple_labels[i]: int(n)
                 for i, n in enumerate(counts) if n}
@@ -170,6 +173,50 @@ def relation_values(algebra, stacks, moduli, dim):
     for rel_id, combo in algebra.relation_items():
         yield rel_id, sum((c * word_value(w) for c, w in combo),
                           0 * ident) % np.array(moduli)
+
+
+def relation_derivative(algebra, left, right, slots, p):
+    """Each relation's t-linear top-right block as rows over the slots.
+
+    Generator a acts by [[left_a, t theta_a], [0, right_a]], left_a
+    (n, n), right_a (m, m), theta_a on slots[a] of a boolean (generators,
+    n, m) mask.  A word s_1 ... s_k has the block (Fox's free derivative)
+    sum_i left(s_1 ... s_(i-1)) theta_(s_i) right(s_(i+1) ... s_k).  Each
+    relation gives its n m entries row-major as rows, over the slots
+    (a, i, j) row-major; each prefix and suffix product is built once,
+    and only the slot entries of theta are ever formed.
+    """
+    gens = algebra.generators
+    n, m = slots.shape[1:]
+
+    @functools.cache
+    def prefix(word):
+        return (np.eye(n, dtype=np.int64) if not word else
+                flinalg.matmul_mod(prefix(word[:-1]), left[word[-1]], p))
+
+    @functools.cache
+    def suffix(word):
+        return (np.eye(m, dtype=np.int64) if not word else
+                flinalg.matmul_mod(right[word[0]], suffix(word[1:]), p))
+
+    rels = algebra.relation_items()
+    # letter s = w[k] of a word c w of relation r adds
+    # c left(w[:k])[:, i] right(w[k + 1:])[j, :] to the rows of r at each
+    # slot (s, i, j); an entry sums at most one such product per letter
+    terms = [(r, gens.index(s), c, w[:k], w[k + 1:])
+             for r, (_, combo) in enumerate(rels)
+             for c, w in combo for k, s in enumerate(w)]
+    flinalg.exact_product(len(terms), (p,))
+    g, i, j = np.nonzero(slots)
+    rel, gen = np.array([x[:2] for x in terms], np.int64).reshape(-1, 2).T
+    t, at = np.nonzero(gen[:, None] == g)  # each term at each of its slots
+    pre = np.array([c * prefix(u) % p for *_, c, u, _ in terms],
+                   np.int64).reshape(len(terms), n, n)
+    suf = np.array([suffix(v) for *_, v in terms],
+                   np.int64).reshape(len(terms), m, m)
+    out = np.zeros((len(rels), g.size, n, m), dtype=np.int64)
+    np.add.at(out, (rel[t], at), pre[t, :, i[at], None] * suf[t, None, j[at]])
+    return out.transpose(0, 2, 3, 1).reshape(len(rels) * n * m, g.size) % p
 
 
 def first_violation(value):
@@ -390,8 +437,6 @@ def hom_space(M: FdModule, N: FdModule) -> HomBasis:
     """
     if M.algebra is not N.algebra:
         raise ValueError("hom_space across different algebra handles")
-    if M.dim == 0 or N.dim == 0:
-        return HomBasis(M, N, [])
     p = M.p
     cm, cn = M.coordinates(), N.coordinates()
     unknowns = np.argwhere(cn.labels[:, None] == cm.labels[None, :])
@@ -611,8 +656,6 @@ def ext_dim(M: FdModule, N: FdModule, i: int) -> ExtClass:
 
 def stable_hom_dim(M: FdModule, N: FdModule) -> int:
     """dim of Hom(M, N) modulo maps factoring through a projective."""
-    if M.dim == 0 or N.dim == 0:
-        return 0
     p = M.p
     homs = hom_space(M, N).basis
     if not homs:
@@ -651,41 +694,6 @@ def extension_coboundaries(M: FdModule, N: FdModule):
     return slots, cob % M.p
 
 
-# The extension route evaluates its slots in chunks of at most this many
-# extension-matrix entries, so large modules' stacks stay small.
-SLOT_CHUNK_ELEMENTS = 2**14
-
-
-def _relation_system(M, N, slots):
-    """The relations' top-right blocks as rows, linear in theta on the slots.
-
-    Slot s = (g, i, j) gives generator a the extension matrix
-    diag(a_N, a_M) + t E_s, with E_s the unit at (i, j) of the top-right
-    block when a = g and zero otherwise.  Stacked evaluations over the
-    slots at L = 2 read each relation's t-linear top-right block, the
-    value at theta = E_s of the linear map the relation imposes on theta.
-    """
-    gens = M.algebra.generators
-    n, dim = N.dim, N.dim + M.dim
-    base = np.zeros((len(gens), 1, dim, dim, 2), dtype=np.int64)
-    for a, name in enumerate(gens):
-        base[a, 0, :n, :n, 0] = N.mats[name]
-        base[a, 0, n:, n:, 0] = M.mats[name]
-    g, i, j = np.nonzero(slots)
-
-    def rows(s):
-        stacks = np.repeat(base, s.size, axis=1)
-        stacks[g[s], np.arange(s.size), i[s], n + j[s], 1] = 1
-        values = relation_values(M.algebra, dict(zip(gens, stacks)),
-                                 (M.p, M.p), dim)
-        return np.concatenate([np.zeros((0, s.size), dtype=np.int64)] + [
-            value[:, :n, n:, 1].reshape(s.size, -1).T for _, value in values])
-
-    step = max(1, SLOT_CHUNK_ELEMENTS // dim**2)
-    return np.concatenate([rows(np.arange(k, min(k + step, g.size)))
-                           for k in range(0, g.size, step)], axis=1)
-
-
 def ext1_by_extensions(M: FdModule, N: FdModule) -> ExtClass:
     """Independent Ext^1 oracle via block-triangular extension structures.
 
@@ -699,7 +707,8 @@ def ext1_by_extensions(M: FdModule, N: FdModule) -> ExtClass:
     slots, cob = extension_coboundaries(M, N)
     if not slots.any():
         return ExtClass(1, M, N, 0, None)
-    sol = flinalg.nullspace(_relation_system(M, N, slots), M.p)
+    sol = flinalg.nullspace(
+        relation_derivative(M.algebra, N.mats, M.mats, slots, M.p), M.p)
     picks = flinalg.extend_basis(cob, sol, M.p)
     rep = (sol[:, picks[0]], cob) if picks else None
     return ExtClass(1, M, N, len(picks), rep)

@@ -14,11 +14,15 @@ Nothing downstream trusts a presentation.  Groups are multiplication
 tables; representations carry one matrix per element.  `element_stack` is
 the one builder of those matrices, through the normal form
 sigma^x tau^y epsilon^j, and `table_mismatches` is the one check of a
-stack against all |G|^2 pairs of the table.
+stack against all |G|^2 pairs of the table.  `build_group` checks that
+the handle's defining relations hold in the table, so the systems read
+off them bound H^1 cocycles and Hensel corrections from above; each
+solution is then verified on the table.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -196,6 +200,12 @@ def build_group(p: int, a_eps: int | None = None,
     g, h, k = rng.integers(0, n, size=(3, 256))
     if not np.array_equal(mul[mul[g, h], k], mul[g, mul[h, k]]):
         raise ValueError("associativity spot check failed")
+    gens = table.generator_indices()
+    for rid, combo in group_algebra(table).relation_items():
+        ends = {functools.reduce(lambda e, s: int(mul[e, gens[s]]), w, 0)
+                for _, w in combo}
+        if len(ends) != 1:
+            raise ValueError(f"relation {rid} fails in the table")
     return table
 
 
@@ -549,14 +559,15 @@ class GroupAlgebra:
         p = self.p
         pairs = [(i, v) for i in self.simple_labels
                  for v in self.component_vectors(N, i)]
-        C = np.column_stack([v for _, v in pairs])
+        C = np.column_stack([np.zeros((N.dim, 0), dtype=np.int64)]
+                            + [v for _, v in pairs])
         C_inv = flinalg.inv(C, p) if C.shape[1] == N.dim else None
         if C_inv is None:
             raise ValueError("the component bases do not span the module")
         mats = {name: flinalg.matmul_mod(flinalg.matmul_mod(C_inv, a, p), C, p)
                 for name, a in N.mats.items()}
-        return fdmod.Coordinates(C, C_inv, np.array([i for i, _ in pairs]),
-                                 mats)
+        labels = np.array([i for i, _ in pairs], dtype=np.int64)
+        return fdmod.Coordinates(C, C_inv, labels, mats)
 
     def radical_generators(self, M):
         # rad = augmentation ideal of the normal p-Sylow; over modules
@@ -733,67 +744,28 @@ def conjugation_module(rho: GroupRep) -> fdmod.FdModule:
 # first cohomology by cocycles
 
 
-def cocycle_system(table: GroupTable, act, free: list, delta=None):
-    """Cocycle values along the normal form and the conditions they meet.
+def cocycle_system(table: GroupTable, act) -> np.ndarray:
+    """Cocycle values at every element, linear in the generator values.
 
-    ``act[g]`` is the (m, m) action of element g.  The value c(s) at the
-    j-th generator index s in ``free`` is the j-th m-block of the
-    m len(free) unknowns x; every other generator has c(s) = 0.
-    ``delta[s]`` optionally gives an (size, ...) inhomogeneous term per
-    generator.  The walk sets c(g s) = c(g) + act[g] c(s) + delta_s(g)
+    ``act[g]`` is the (m, m) action of element g.  The unknowns x stack
+    the values c(s) of the generators of `group_algebra(table)`, in its
+    order, m entries each.  The walk sets c(g s) = c(g) + act[g] c(s)
     along sigma^x tau^y epsilon^j; the (x, y, j) index order makes every
-    parent index smaller, so one forward pass writes c(g) = D[g] x + A[g].
-    By the table's index formula the parent of g along s sits at g - s.
-    Returns D and the system L x = r stating that same relation for every
-    g and every generator s.
+    parent index smaller, so one forward pass writes c(g) = D[g] x.  By
+    the table's index formula the parent of g along s sits at g - s.
+    Returns D, (size, m, m len(generators)).
     """
-    p = table.p
+    names = group_algebra(table).generators
+    index = table.generator_indices()
     n, m = act.shape[0], act.shape[1]
-    block = {s: slice(j * m, (j + 1) * m) for j, s in enumerate(free)}
-    gens = [s for s in (table.sigma, table.tau, table.eps) if s is not None]
-    flat = {s: np.zeros((n, m), dtype=np.int64) if delta is None
-            else np.asarray(delta[s]).reshape(n, m) for s in gens}
-    D = np.zeros((n, m, len(free) * m), dtype=np.int64)
-    A = np.zeros((n, m), dtype=np.int64)
+    D = np.zeros((n, m, len(names), m), dtype=np.int64)
     for i in range(1, n):
-        s = (table.eps if table.js[i] else table.tau if table.ys[i]
-             else table.sigma)
-        par = i - s
+        name = ("epsilon" if table.js[i] else "tau" if table.ys[i]
+                else "sigma")
+        par, a = i - index[name], names.index(name)
         D[i] = D[par]
-        if s in block:
-            D[i, :, block[s]] = (D[i, :, block[s]] + act[par]) % p
-        A[i] = (A[par] + flat[s][par]) % p
-    rows = np.empty((len(gens), n, m, D.shape[2]), dtype=np.int64)
-    rhs = []
-    for out, s in zip(rows, gens):
-        gs = table.mul[:, s]
-        np.take(D, gs, axis=0, out=out)
-        out -= D
-        if s in block:
-            out[:, :, block[s]] -= act
-        out %= p
-        rhs.append((A + flat[s] - A[gs]).reshape(n * m) % p)
-    return D, rows.reshape(len(gens) * n * m, -1), np.concatenate(rhs)
-
-
-def coboundary_columns(M: fdmod.FdModule):
-    """Generator values of the coboundaries g -> (g - 1)v of M.
-
-    Returns the distinct generator element indices, in sigma, tau,
-    epsilon order, and one column per basis vector v of M stacking the
-    blocks (s - 1)v in that order.
-    """
-    t = M.algebra.table
-    gens = {}
-    for name in ("sigma", "tau", "epsilon"):
-        g = t.generator_indices().get(name)
-        if g is not None:
-            gens.setdefault(g, name)
-    eye = np.eye(M.dim, dtype=np.int64)
-    cols = np.concatenate(
-        [(M.mats[name] - eye) % t.p for name in gens.values()], axis=0
-    )
-    return list(gens), cols
+        D[i, :, a] = (D[i, :, a] + act[par]) % table.p
+    return D.reshape(n, m, -1)
 
 
 @dataclass
@@ -807,18 +779,28 @@ class H1Result:
 def h1_cocycles(table: GroupTable, M: fdmod.FdModule) -> H1Result:
     """dim Z^1 - dim B^1 for the action of table on M, with class reps.
 
-    A cocycle is determined by its generator values, so the solve runs
-    over those parameters; every surviving basis cocycle is then checked
-    against d(gh) = d(g) + g.d(h) for all |G|^2 pairs, which keeps the
-    computed dimension honest in both directions (the parameter system
-    bounds it above, the verified basis below).
+    H^1(G, M) = Ext^1(k, M), k trivial: a cocycle is its generator values
+    x, the theta slots of the extension route, and solves the relation
+    rows of `fdmod.relation_derivative` for (k, M) with the read-back rows
+    D[s] x = x_s (zero on `build_group` tables; they force 0 on the
+    one-element table, whose generators are all the identity).  Each basis
+    cocycle, expanded by `cocycle_system`, is checked against
+    d(gh) = d(g) + g.d(h) for all |G|^2 pairs: the rows bound Z^1 above,
+    the verified basis below.  B^1 is `fdmod.extension_coboundaries`.
     """
     rep = module_rep(table, M)
     p = table.p
-
-    gen_idx, bcols = coboundary_columns(M)
-    D, system, _ = cocycle_system(table, rep.mats[:, :, :, 0], gen_idx)
-    zpar = flinalg.nullspace(system, p)
+    alg = M.algebra
+    trivial = alg.simple_module(0)
+    slots, bcols = fdmod.extension_coboundaries(trivial, M)
+    D = cocycle_system(table, rep.mats[:, :, :, 0])
+    index = table.generator_indices()
+    at_gens = D[[index[name] for name in alg.generators]].reshape(
+        D.shape[2], -1)
+    rows = np.vstack([
+        fdmod.relation_derivative(alg, M.mats, trivial.mats, slots, p),
+        (at_gens - np.eye(D.shape[2], dtype=np.int64)) % p])
+    zpar = flinalg.nullspace(rows, p)
     zdim = zpar.shape[1]
     DS = flinalg.matmul_mod(D, zpar, p)
     # g.d(h) + d(g) = d(gh) for every pair and every basis cocycle
@@ -826,8 +808,8 @@ def h1_cocycles(table: GroupTable, M: fdmod.FdModule) -> H1Result:
     if table_mismatches(table, (p,), rep.mats, cocycles, shift=cocycles):
         raise RuntimeError("verified cocycle basis failed the table")
 
-    # coboundaries are written in the same generator-value parameters, so
-    # the class representatives are the cocycles that extend their span
+    # the class representatives are the cocycles that extend the span of
+    # the coboundaries
     bdim = flinalg.rank(bcols, p)
     picks = flinalg.extend_basis(bcols, zpar, p)
     if bdim + len(picks) != zdim:

@@ -300,6 +300,18 @@ def test_hensel_step_requires_diagonal_teichmuller_eps():
         deform.hensel_lift_step(moved)
 
 
+def test_hensel_step_refuses_a_sigma_whose_p_th_power_is_not_one():
+    # the level-one sigma read over Z/9: its cube is [[1, 3], [0, 1]]
+    qt = groups.build_group(3, quotient=True)
+    bad = groups.GroupRep.from_generators(
+        qt, coeff.trunc_witt(3, 2),
+        {"sigma": np.array([[1, 1], [0, 1]]), "epsilon": np.diag([8, 1])},
+        check=False)
+    with pytest.raises(deform.HenselObstruction,
+                       match=r"defect not divisible by p\^m"):
+        deform.hensel_lift_step(bad)
+
+
 def test_hensel_rejects_full_group_table():
     full = groups.build_group(3, quotient=False)
     qt = groups.build_group(3, quotient=True)

@@ -672,17 +672,58 @@ def test_validation_reports_only_the_first_violation(algI):
         "relation rel[0]: x*x violated at entry (2, 0) (value 2)")
 
 
-@pytest.mark.parametrize("chunk", [1, 7 * 12**2])
-def test_relation_system_does_not_depend_on_the_slot_chunks(
-        chunk, monkeypatch, algI, T_I):
-    # 1 puts each slot in a chunk of its own; 7 * 12^2 splits V's slots
-    # (12 x 12 extension matrices at p = 7) into chunks of 7
-    V = groups.rep_to_module(groups.uniserial_representation(7))
-    pairs = ((T_I, T_I), (T_I, algI.simple_module(0)), (V, V))
-    whole = [
-        fdmod._relation_system(M, N, fdmod.extension_coboundaries(M, N)[0])
-        for M, N in pairs]
-    monkeypatch.setattr(fdmod, "SLOT_CHUNK_ELEMENTS", chunk)
-    for (M, N), want in zip(pairs, whole):
+# ---------------------------------------------------------------------------
+# the relation derivative
+
+
+def _reference_relation_rows(M, N, slots):
+    """The relations' t-linear top-right blocks by stacked evaluation at
+    L = 2: slot s = (a, i, j) gives generator a the extension matrix
+    diag(a_N, a_M) + t E with E the unit at (i, j) of the top-right block,
+    and every other generator diag(a_N, a_M)."""
+    gens = M.algebra.generators
+    n, dim = N.dim, N.dim + M.dim
+    g, i, j = np.nonzero(slots)
+    stacks = np.zeros((len(gens), g.size, dim, dim, 2), dtype=np.int64)
+    for a, name in enumerate(gens):
+        stacks[a, :, :n, :n, 0] = N.mats[name]
+        stacks[a, :, n:, n:, 0] = M.mats[name]
+    stacks[g, np.arange(g.size), i, n + j, 1] = 1
+    values = fdmod.relation_values(M.algebra, dict(zip(gens, stacks)),
+                                   (M.p, M.p), dim)
+    return np.concatenate([np.zeros((0, g.size), dtype=np.int64)] + [
+        value[:, :n, n:, 1].reshape(g.size, -1).T for _, value in values])
+
+
+def _derivative_pairs(case):
+    if case == "EndV-p3":
+        G = groups.build_group(3)
+        EndV = groups.conjugation_module(
+            groups.inflate(groups.uniserial_representation(3), G))
+        return [(EndV, EndV), (groups.simple_module(G, 0), EndV)]
+    family, d = case
+    T = small_module(family, completed_family(family, d))
+    simples = [T.algebra.simple_module(v) for v in T.algebra.simple_labels]
+    return [(T, T)] + [(T, S) for S in simples] + [(S, T) for S in simples]
+
+
+@pytest.mark.parametrize("case", list(deform.FAMILY_CASES) + ["EndV-p3"])
+def test_relation_derivative_matches_the_stacked_evaluation(case):
+    for M, N in _derivative_pairs(case):
         slots, _ = fdmod.extension_coboundaries(M, N)
-        assert np.array_equal(fdmod._relation_system(M, N, slots), want)
+        got = fdmod.relation_derivative(M.algebra, N.mats, M.mats, slots,
+                                        M.p)
+        want = _reference_relation_rows(M, N, slots)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("handle", ["quiver", "group"])
+def test_zero_module_has_empty_coordinates(handle, algI):
+    alg = (algI if handle == "quiver"
+           else groups.group_algebra(groups.build_group(3)))
+    Z = zero_module(alg)
+    co = Z.coordinates()
+    assert co.C.shape == co.C_inv.shape == (0, 0)
+    assert co.labels.shape == (0,) and co.labels.dtype == np.int64
+    assert Z.dimension_vector() == {}

@@ -44,6 +44,22 @@ def test_rejects_bad_parameters():
         groups.build_group(5, 0)
 
 
+@pytest.mark.parametrize("quotient", [False, True])
+def test_build_group_checks_every_relation_in_the_table(monkeypatch,
+                                                        quotient):
+    # sigma^(p-1) = 1 is false in every table of the family
+    items = groups.GroupAlgebra.relation_items
+
+    def planted(self):
+        return items(self) + [("planted:sigma^(p-1)=1",
+                               [(1, ("sigma",) * (self.p - 1)), (-1, ())])]
+
+    monkeypatch.setattr(groups.GroupAlgebra, "relation_items", planted)
+    with pytest.raises(ValueError, match=re.escape(
+            "relation planted:sigma^(p-1)=1 fails in the table")):
+        groups.build_group(5, quotient=quotient)
+
+
 def test_generator_orders(g3):
     G5 = groups.build_group(5)
     assert G5.order_of(G5.sigma) == 5
@@ -502,19 +518,30 @@ def test_h1_quotient_agrees_with_ext(p):
     assert r.dim == fdmod.ext_dim(V, V, 1).dim == 0
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_h1_agrees_with_both_ext_routes_from_the_trivial_module(p):
+    # H^1(G, M) = Ext^1(k, M): the cocycle count against the resolution
+    # route and the extension route
+    G = groups.build_group(p)
+    M = groups.conjugation_module(
+        groups.inflate(groups.uniserial_representation(p), G))
+    k = groups.simple_module(G, 0)
+    assert groups.h1_cocycles(G, M).dim == fdmod.ext_dim(k, M, 1).dim \
+        == fdmod.ext1_by_extensions(k, M).dim == 1
+
+
 def test_h1_table_check_catches_a_corrupted_cocycle(monkeypatch):
-    # the walk's D feeds the |G|^2 check of the basis; one bad value at an
-    # element must fail it
+    # the forward pass's D feeds the |G|^2 check of the basis; one bad
+    # value at an element must fail it
     rep = groups.uniserial_representation(3)
     G = groups.build_group(3)
     M = groups.conjugation_module(groups.inflate(rep, G))
     walk = groups.cocycle_system
 
     def corrupted(*args, **kwargs):
-        D, system, rhs = walk(*args, **kwargs)
-        D = D.copy()
+        D = walk(*args, **kwargs).copy()
         D[5] = (D[5] + 1) % 3
-        return D, system, rhs
+        return D
 
     monkeypatch.setattr(groups, "cocycle_system", corrupted)
     with pytest.raises(RuntimeError, match="cocycle basis failed the table"):
