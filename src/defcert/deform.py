@@ -923,6 +923,7 @@ def _group_report(sc: Scenario) -> VerificationReport:
     p = sc.p
     quot = groups.build_group(p, sc.a_eps or None, quotient=True)
     full = groups.build_group(p, quot.a_eps, quotient=False)
+    groups.quotient_projection(full, quot)  # inflate reads quot as full/<tau>
     rho_bar = groups.uniserial_representation(p, table=quot)
     rho_full = groups.inflate(rho_bar, full)
     EndV = groups.conjugation_module(rho_bar)

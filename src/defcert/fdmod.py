@@ -317,16 +317,17 @@ class QuiverAlgebra:
         self.simple_labels = self.grading_labels
         self.generators = tuple(system.spec.arrow_names)
         self._proj_cache = {}
+        self._relation_items = [
+            (f"rel[{i}]: {relation_str(system.spec, rel)}",
+             [(c, w) for w, c in rel.items()])
+            for i, rel in enumerate(system.spec.relations)
+        ]
 
     def gen_block(self, name):
         return self.system.spec.arrows[name]
 
     def relation_items(self):
-        out = []
-        for i, rel in enumerate(self.system.spec.relations):
-            rid = f"rel[{i}]: {relation_str(self.system.spec, rel)}"
-            out.append((rid, [(c, w) for w, c in rel.items()]))
-        return out
+        return self._relation_items
 
     def projective_module(self, label):
         if label not in self._proj_cache:
@@ -681,14 +682,15 @@ def extension_coboundaries(M: FdModule, N: FdModule):
     a_N E_kl - E_kl a_M read on the slots in their row-major order.
     """
     gens = M.algebra.generators
-    slots = np.stack([
-        np.ones((N.dim, M.dim), dtype=bool) if mask is None else mask
-        for mask in (arrow_block_mask(M, N, name) for name in gens)
-    ])
+    slots = np.ones((len(gens), N.dim, M.dim), dtype=bool)
+    a_n = np.zeros((len(gens), N.dim, N.dim), dtype=np.int64)
+    a_m = np.zeros((len(gens), M.dim, M.dim), dtype=np.int64)
+    for s, name in enumerate(gens):
+        mask = arrow_block_mask(M, N, name)
+        slots[s] = True if mask is None else mask
+        a_n[s], a_m[s] = N.mats[name], M.mats[name]
     g, i, j = (x[:, None] for x in np.nonzero(slots))
     k, l = np.nonzero(N.block_of[:, None] == M.block_of[None, :])
-    a_n = np.stack([N.mats[name] for name in gens])
-    a_m = np.stack([M.mats[name] for name in gens])
     # (a_N E_kl)[i, j] = a_N[i, k] [j = l];  (E_kl a_M)[i, j] = [i = k] a_M[l, j]
     cob = a_n[g, i, k] * (j == l) - (i == k) * a_m[g, l, j]
     return slots, cob % M.p

@@ -196,11 +196,20 @@ def build_group(p: int, a_eps: int | None = None,
         raise ValueError("identity row or column broken")
     if not np.array_equal(mul[ar, inv], np.zeros(n, dtype=np.int64)):
         raise ValueError("inverse table broken")
-    rng = np.random.default_rng(0)
-    g, h, k = rng.integers(0, n, size=(3, 256))
-    if not np.array_equal(mul[mul[g, h], k], mul[g, mul[h, k]]):
-        raise ValueError("associativity spot check failed")
+    # Light's test: (xy)s = x(ys) for all x, y and each generator s.  The
+    # elements passing it are closed under products, so once the generators
+    # reach every element from the identity the table is associative.
     gens = table.generator_indices()
+    for name, s in gens.items():
+        if not np.array_equal(mul[mul, s], mul[:, mul[:, s]]):
+            raise ValueError(f"associativity fails at generator {name}")
+    reached, frontier = np.zeros(n, dtype=bool), np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached[frontier] = True
+        frontier = np.unique(mul[np.ix_(frontier, list(gens.values()))])
+        frontier = frontier[~reached[frontier]]
+    if not reached.all():
+        raise ValueError("the generators do not reach every element")
     for rid, combo in group_algebra(table).relation_items():
         ends = {functools.reduce(lambda e, s: int(mul[e, gens[s]]), w, 0)
                 for _, w in combo}

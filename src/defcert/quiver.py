@@ -7,6 +7,11 @@ degree-lexicographic with the lexicographic tie-break taken in arrow
 declaration order; it is admissible, so rewriting leading words to strictly
 smaller tails terminates.
 
+Completion, the basis search and `CompletedSystem` share one rule store,
+an insertion-ordered dict lead -> tail, and one first-letter index of its
+leads.  A normal form is one pass, largest word first: a word is final if
+no lead occurs in it, else its leftmost lead rewrites it to smaller words.
+
 Completion first looks for a loop witness: a loop alpha of which no
 relation contains a pure power.  Sending alpha to t and every other arrow
 to 0 then maps the quotient onto k[alpha], so it is infinite-dimensional,
@@ -259,22 +264,22 @@ class CompletedSystem:
     """A confluent rewriting system plus the irreducible-word basis.
 
     rules: list of (lead, tail) with lead an int-tuple word and tail a dict
-    of strictly smaller words; basis_by_source[v] lists irreducible words
-    with source v in length-then-lex order (index 0 is the empty word e_v).
-    algebra is the system's one module-algebra handle, filled by
-    `fdmod.quiver_algebra`.
+    of strictly smaller words, in the order of the completion's rule store,
+    which `reduce_terms` rewrites with through its first-letter lead index;
+    basis_by_source[v] lists irreducible words with source v in
+    length-then-lex order (index 0 is the empty word e_v).  algebra is the
+    system's one module-algebra handle, filled by `fdmod.quiver_algebra`.
     """
 
-    def __init__(self, spec, rules, basis_by_source, cap):
+    def __init__(self, spec, store, by_first, basis_by_source, cap):
         self.spec = spec
-        self.rules = rules
+        self.rules = list(store.items())
         self.basis_by_source = basis_by_source
         self.cap = cap
         self.dim = sum(len(ws) for ws in basis_by_source.values())
         self.algebra = None
-        self._rules_by_first = {}
-        for lead, tail in rules:
-            self._rules_by_first.setdefault(lead[0], []).append((lead, tail))
+        self._store = store
+        self._by_first = by_first
 
     def dims_by_source(self):
         return {v: len(ws) for v, ws in self.basis_by_source.items()}
@@ -290,7 +295,7 @@ class CompletedSystem:
 
     def reduce_terms(self, terms: dict) -> dict:
         """Full normal form of {int-word: coeff}; exercised by everything."""
-        return _reduce(terms, self._rules_by_first, self.spec.p)
+        return _reduce(terms, self._store, self._by_first, self.spec.p)
 
     def normal_form_word(self, word: PathWord) -> dict:
         """Normal form of a path as {int-word: coeff}; empty word is itself."""
@@ -318,41 +323,48 @@ def normal_form(sys: CompletedSystem, word) -> dict:
     return {sys._names(w) if w else (): c for w, c in nf.items()}
 
 
-def _reduce(terms, rules_by_first, p):
-    terms = {w: c % p for w, c in terms.items() if c % p}
-    changed = True
-    while changed:
-        changed = False
-        for word in sorted(terms, key=lambda w: (len(w), w), reverse=True):
-            c = terms.get(word)
-            if not c:
-                continue
-            hit = _find_reduction(word, rules_by_first)
-            if hit is None:
-                continue
-            pos, lead, tail = hit
-            del terms[word]
-            pre, suf = word[:pos], word[pos + len(lead) :]
-            for tw, tc in tail.items():
-                nw = pre + tw + suf
-                nc = (terms.get(nw, 0) + c * tc) % p
-                if nc:
-                    terms[nw] = nc
-                else:
-                    terms.pop(nw, None)
-            changed = True
-            break
-    return terms
+def _lead_index(store):
+    """First letter -> the store's leads that start with it, in store order."""
+    by_first = {}
+    for lead in store:
+        by_first.setdefault(lead[0], []).append(lead)
+    return by_first
 
 
-def _find_reduction(word, rules_by_first):
-    n = len(word)
-    for pos in range(n):
-        for lead, tail in rules_by_first.get(word[pos], ()):
-            L = len(lead)
-            if pos + L <= n and word[pos : pos + L] == lead:
-                return pos, lead, tail
+def _find_reduction(word, by_first):
+    """(pos, lead) of the leftmost lead occurring in word, or None."""
+    for pos in range(len(word)):
+        for lead in by_first.get(word[pos], ()):
+            if word[pos : pos + len(lead)] == lead:
+                return pos, lead
     return None
+
+
+def _reduce(terms, store, by_first, p):
+    """Normal form of {word: coeff} in one pass, largest word first.
+
+    A rewrite only makes words smaller than the one it rewrites, so the
+    largest word left is final once irreducible.
+    """
+    terms = {w: c % p for w, c in terms.items() if c % p}
+    out = {}
+    while terms:
+        word = max(terms, key=lambda w: (len(w), w))
+        c = terms.pop(word)
+        hit = _find_reduction(word, by_first)
+        if hit is None:
+            out[word] = c
+            continue
+        pos, lead = hit
+        pre, suf = word[:pos], word[pos + len(lead) :]
+        for tw, tc in store[lead].items():
+            nw = pre + tw + suf
+            nc = (terms.get(nw, 0) + c * tc) % p
+            if nc:
+                terms[nw] = nc
+            else:
+                terms.pop(nw, None)
+    return out
 
 
 def loop_witness(spec: QuiverSpec):
@@ -390,22 +402,12 @@ def complete(spec: QuiverSpec, cap: int | None = None) -> CompletedSystem:
     if cap is None:
         cap = spec.suggested_cap or 64
     p = spec.p
-    iword = lambda w: tuple(spec.arrow_index[a] for a in w)
-
-    rules: list = []  # parallel lists: leads[i] -> tails[i], active flag
-    rules_by_first: dict = {}
-
-    def rebuild_index():
-        rules_by_first.clear()
-        for lead, tail in rules:
-            rules_by_first.setdefault(lead[0], []).append((lead, tail))
-
-    pending = deque(
-        {iword(w): c for w, c in rel.items()} for rel in spec.relations
-    )
+    store, by_first = {}, {}  # the rule store lead -> tail and its index
+    pending = deque({tuple(spec.arrow_index[a] for a in w): c
+                     for w, c in rel.items()} for rel in spec.relations)
     spairs_done = 0
     while pending:
-        poly = _reduce(pending.popleft(), rules_by_first, p)
+        poly = _reduce(pending.popleft(), store, by_first, p)
         if not poly:
             continue
         lead = max(poly, key=lambda w: (len(w), w))
@@ -416,92 +418,59 @@ def complete(spec: QuiverSpec, cap: int | None = None) -> CompletedSystem:
         inv = pow(poly[lead], -1, p)
         tail = {w: (-c * inv) % p for w, c in poly.items() if w != lead}
         # retire rules whose lead the new lead reduces; requeue them whole
-        keep = []
-        for old_lead, old_tail in rules:
-            if _find_reduction(old_lead, {lead[0]: [(lead, tail)]}) is not None:
-                requeued = dict(old_tail)
-                requeued[old_lead] = (requeued.get(old_lead, 0) - 1) % p
-                pending.append({w: -c % p for w, c in requeued.items()})
-            else:
-                keep.append((old_lead, old_tail))
-        rules[:] = keep
-        rules.append((lead, tail))
-        if len(rules) > 600:
+        for old in [w for w in store if _find_reduction(w, {lead[0]: [lead]})]:
+            pending.append({old: 1} | {w: -c % p for w, c in
+                                       store.pop(old).items()})
+        store[lead] = tail
+        if len(store) > 600:
             raise CapExceededError("completion exceeded 600 rules")
-        rebuild_index()
-        # reduce all tails against the updated system
-        for i, (ld, tl) in enumerate(rules):
-            red = _reduce(dict(tl), rules_by_first, p)
-            if red != tl:
-                rules[i] = (ld, red)
-        rebuild_index()
-        # overlap S-polynomials of the new rule with every active rule
-        new_idx = len(rules) - 1
-        snapshot = list(rules)
-        for other_lead, other_tail in snapshot:
-            for first, second in ((rules[new_idx], (other_lead, other_tail)),
-                                  ((other_lead, other_tail), rules[new_idx])):
-                u, tu = first
-                v, tv = second
+        by_first = _lead_index(store)
+        # reduce every tail against the updated system, reading all tails
+        # before any is replaced
+        store.update({ld: _reduce(tl, store, by_first, p)
+                      for ld, tl in store.items()})
+        # overlap S-polynomials of the new rule with every rule, itself in
+        # both orders included
+        for other in store:
+            for u, v in ((lead, other), (other, lead)):
                 for ell in range(1, min(len(u), len(v))):
-                    if u[len(u) - ell :] != v[:ell]:
+                    if u[-ell:] != v[:ell]:
                         continue
-                    rest = v[ell:]
-                    prefix = u[: len(u) - ell]
-                    s = {}
-                    for tw, tc in tu.items():
-                        w = tw + rest
-                        s[w] = (s.get(w, 0) + tc) % p
-                    for tw, tc in tv.items():
-                        w = prefix + tw
-                        s[w] = (s.get(w, 0) - tc) % p
-                    s = {w: c for w, c in s.items() if c}
-                    if s:
-                        pending.append(s)
+                    s = {w + v[ell:]: c for w, c in store[u].items()}
+                    for w, c in store[v].items():
+                        s[u[:-ell] + w] = (s.get(u[:-ell] + w, 0) - c) % p
+                    pending.append(s)  # _reduce drops its zero terms
                     spairs_done += 1
                     if spairs_done > 200000:
                         raise CapExceededError("completion S-pair budget exhausted")
 
-    basis = _irreducible_basis(spec, rules_by_first, cap)
-    return CompletedSystem(spec, list(rules), basis, cap)
+    basis = _irreducible_basis(spec, by_first, cap)
+    return CompletedSystem(spec, store, by_first, basis, cap)
 
 
-def _irreducible_basis(spec, rules_by_first, cap):
-    src = {spec.arrow_index[a]: s for a, (s, t) in spec.arrows.items()}
-    tgt = {spec.arrow_index[a]: t for a, (s, t) in spec.arrows.items()}
-    leads_by_first = {
-        a: [lead for lead, _ in rl] for a, rl in rules_by_first.items()
-    }
-
-    def extendable(word, v):
-        # target vertex of the word as a path from v
-        return tgt[word[0]] if word else v
-
+def _irreducible_basis(spec, by_first, cap):
+    """Irreducible words by source in length-then-lex order, one sorted
+    level per length: a word grown by one arrow on the left is reducible
+    only if a lead is a prefix of it."""
+    ends = list(spec.arrows.values())  # (source, target) by arrow index
     basis = {}
     for v in spec.vertices:
-        words = [()]
-        frontier = [()]
+        words, frontier = [()], [()]
         while frontier:
             nxt = []
             for w in frontier:
-                at = extendable(w, v)
-                for name, idx in spec.arrow_index.items():
-                    if src[idx] != at:
-                        continue
+                at = ends[w[0]][1] if w else v
+                for idx, (s, _) in enumerate(ends):
                     cand = (idx,) + w
-                    ok = True
-                    for lead in leads_by_first.get(idx, ()):
-                        if len(lead) <= len(cand) and cand[: len(lead)] == lead:
-                            ok = False
-                            break
-                    if ok:
-                        if len(cand) >= cap:
-                            raise CapExceededError(
-                                f"irreducible word of length {cap} at vertex {v}"
-                            )
-                        nxt.append(cand)
-            words.extend(sorted(nxt))
-            frontier = nxt
-        basis[v] = sorted(words, key=lambda w: (len(w), w))
+                    if s != at or any(cand[: len(lead)] == lead
+                                      for lead in by_first.get(idx, ())):
+                        continue
+                    if len(cand) >= cap:
+                        raise CapExceededError(
+                            f"irreducible word of length {cap} at vertex {v}"
+                        )
+                    nxt.append(cand)
+            frontier = sorted(nxt)
+            words.extend(frontier)
+        basis[v] = words
     return basis
-

@@ -274,6 +274,15 @@ def test_ext_without_relations():
         assert ext1_by_extensions(M, N).dim == want
 
 
+def test_ext_over_an_algebra_without_arrows():
+    """k itself (one vertex, no arrows): no theta slots and no Ext^1."""
+    alg = quiver_algebra(quiver.complete(quiver.QuiverSpec(3, ["v"], {})))
+    S = alg.simple_module("v")
+    M = direct_sum([S, S])
+    assert fdmod.extension_coboundaries(M, M)[0].shape == (0, 2, 2)
+    assert ext_dim(M, M, 1).dim == ext1_by_extensions(M, M).dim == 0
+
+
 def _reference_coboundaries(M, N, slots):
     """a_N E - E a_M for each graded unit E, read on the slots, by loops."""
     cols = []

@@ -60,6 +60,36 @@ def test_build_group_checks_every_relation_in_the_table(monkeypatch,
         groups.build_group(5, quotient=quotient)
 
 
+def test_build_group_refuses_row_swapped_tables(monkeypatch):
+    """Swapping mul[g, h1] and mul[g, h2] keeps every row a permutation;
+    with g, h1, h2 != 0 and neither h the inverse of g, the identity row
+    and column and every inverse entry stay valid too.  Light's test must
+    refuse each of 40 such tables at p = 5."""
+    G5 = groups.build_group(5)
+    rng = np.random.default_rng(5)
+    swaps = [(g, h1, h2) for g, h1, h2 in rng.integers(1, G5.size, (80, 3))
+             if h1 != h2 and G5.inv[g] not in (h1, h2)][:40]
+    assert len(swaps) == 40
+    original = groups.GroupTable
+    for g, h1, h2 in swaps:
+        def swapped(*args, g=g, h1=h1, h2=h2, **kwargs):
+            table = original(*args, **kwargs)
+            table.mul[g, [h1, h2]] = table.mul[g, [h2, h1]]
+            return table
+
+        monkeypatch.setattr(groups, "GroupTable", swapped)
+        with pytest.raises(ValueError, match="associativity fails"):
+            groups.build_group(5)
+
+
+def test_build_group_needs_generators_that_reach_every_element(monkeypatch):
+    # Light's test proves associativity only on what the generators reach
+    monkeypatch.setattr(groups.GroupTable, "generator_indices",
+                        lambda self: {"sigma": self.sigma})
+    with pytest.raises(ValueError, match="do not reach every element"):
+        groups.build_group(5)
+
+
 def test_generator_orders(g3):
     G5 = groups.build_group(5)
     assert G5.order_of(G5.sigma) == 5

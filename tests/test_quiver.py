@@ -5,12 +5,14 @@ linear-algebra quotient computed with bitset Gaussian elimination, shared
 with nothing in the package.
 """
 
+import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
 
-from defcert import quiver
+from defcert import deform, quiver
 from defcert.quiver import (
     CapExceededError,
     InfiniteDimensionError,
@@ -92,6 +94,22 @@ def test_completion_dimensions(family, d):
     assert sys.dim == total
     assert sys.dims_by_source() == by_source
     assert sys.dim == sum(sys.dims_by_source().values())
+    for words in sys.basis_by_source.values():
+        assert words == sorted(words, key=lambda w: (len(w), w))
+
+
+def test_rule_lists_are_unchanged():
+    # each built-in's rules in store order, tails sorted, beyond the counts
+    # and dimensions pinned above
+    rules = json.dumps([
+        [[list(lead), sorted([list(w), c] for w, c in tail.items())]
+         for lead, tail in complete(builtin_family(f, d)).rules]
+        for f, d in deform.FAMILY_CASES
+    ], separators=(",", ":"))
+    assert [len(r) for r in json.loads(rules)] == [11, 11, 22, 22, 16]
+    assert len(rules) == 1660
+    assert hashlib.sha256(rules.encode()).hexdigest() == (
+        "2073ac86912f7c34e0ece9fa1bd9c242cf8c10d940f6a4d7b159c74470a026e2")
 
 
 def test_relation_generators_reduce_to_zero():
