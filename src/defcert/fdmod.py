@@ -79,6 +79,10 @@ class FdModule:
     Idempotents are not stored; they are the 0/1 diagonal projectors of the
     grading, which validate_module checks against any fixture-supplied
     idempotent matrices before construction.
+
+    The action matrices are read-only, so the module keeps what is derived
+    from them, each built on first use with read-only arrays: its component
+    coordinates, its projective cover and its syzygy.
     """
 
     def __init__(self, algebra, block_of, mats, check=True):
@@ -94,7 +98,7 @@ class FdModule:
                 raise ValueError(f"matrix for {name} has shape {a.shape}")
             a.flags.writeable = False
             self.mats[name] = a
-        self._coords = None
+        self._coords = self._cover = self._syzygy = None
         if check and self.dim:
             bad = validate_module(self)
             if bad is not None:
@@ -447,8 +451,10 @@ def hom_space(M: FdModule, N: FdModule) -> HomBasis:
     ks, ls = unknowns[:, 0], unknowns[:, 1]
     u = np.arange(ucount)
     gens = M.algebra.generators
-    a_n = np.stack([cn.mats[g] for g in gens])
-    a_m = np.stack([cm.mats[g] for g in gens])
+    a_n = np.zeros((len(gens), N.dim, N.dim), dtype=np.int64)
+    a_m = np.zeros((len(gens), M.dim, M.dim), dtype=np.int64)
+    for s, g in enumerate(gens):
+        a_n[s], a_m[s] = cn.mats[g], cm.mats[g]
     # entry (g, i, j) of a_N X - X a_M = 0: unknown X[k, l] enters the rows
     # (g, ., l) through a_N[:, k] and the rows (g, k, .) through -a_M[l, :]
     sysmat = np.zeros((len(gens), N.dim, M.dim, ucount), dtype=np.int64)
@@ -539,6 +545,13 @@ class CoverResult:
 
 
 def projective_cover(M: FdModule) -> CoverResult:
+    """M's minimal projective cover, built once per module."""
+    if M._cover is None:
+        M._cover = _build_cover(M)
+    return M._cover
+
+
+def _build_cover(M):
     if M.dim == 0:
         raise ValueError("zero module has no projective cover")
     alg = M.algebra
@@ -558,18 +571,29 @@ def projective_cover(M: FdModule) -> CoverResult:
         labels_order.append(label)
         offsets.append(at)
         at += P_l.dim
-    P = direct_sum(parts)
-    phi = np.concatenate(cols, axis=1) % p
+    # a zero-width start lets a pick list that came back empty fail "onto"
+    phi = np.concatenate([np.zeros((M.dim, 0), dtype=np.int64)] + cols,
+                         axis=1) % p
     if flinalg.rank(phi, p) != M.dim:
-        raise ValueError("cover surjection failed to be onto")
+        raise RuntimeError("cover surjection failed to be onto")
+    P = direct_sum(parts)
     radP = radical_image_columns(P)
     ker = flinalg.nullspace(phi, p)
     if not flinalg.in_span(radP, ker, p):
-        raise ValueError("cover kernel escapes the radical (not minimal)")
+        raise RuntimeError("cover kernel escapes the radical (not minimal)")
+    phi.flags.writeable = False
     return CoverResult(P, phi, mult, labels_order, offsets)
 
 
 def _syzygy_with_embedding(M: FdModule):
+    """(Omega M, its inclusion into the cover, the cover), built once."""
+    if M._syzygy is None:
+        M._syzygy = _build_syzygy(M)
+        M._syzygy[1].flags.writeable = False
+    return M._syzygy
+
+
+def _build_syzygy(M):
     if M.dim == 0:
         return zero_module(M.algebra), np.zeros((0, 0), dtype=np.int64), None
     cover = projective_cover(M)
@@ -639,13 +663,9 @@ def ext_dim(M: FdModule, N: FdModule, i: int) -> ExtClass:
         return ExtClass(1, M, N, 0, None)
     p = M.p
     hom_omega = hom_space(omega, N).basis
-    restr_mats = [
-        flinalg.matmul_mod(f, incl, p) for f in _hom_from_projective(cover, N)
-    ]
-    if restr_mats:
-        restr = np.column_stack([m.ravel() for m in restr_mats]) % p
-    else:
-        restr = np.zeros((N.dim * omega.dim, 0), dtype=np.int64)
+    restr = np.array([flinalg.matmul_mod(f, incl, p).ravel()
+                      for f in _hom_from_projective(cover, N)], np.int64)
+    restr = restr.reshape(-1, N.dim * omega.dim).T
     dim = len(hom_omega) - flinalg.rank(restr, p)
     rep = None
     if dim > 0:

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from defcert import cli, deform, groups
+from defcert import cli, deform, fdmod, groups
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -183,6 +183,14 @@ def test_a_broken_invariant_exits_three(monkeypatch, capsys):
     assert (code, out) == (3, "")
     assert err == ("broken invariant: planted: coboundaries escaped the "
                    "cocycle space\n")
+
+
+def test_a_broken_cover_exits_three(monkeypatch, capsys):
+    top = fdmod.top_pick
+    monkeypatch.setattr(fdmod, "top_pick", lambda M: top(M)[1:])
+    code, out, err = run(["ext", "--family", "I", "--d", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "broken invariant: cover surjection failed to be onto\n"
 
 
 def test_unknown_flag_exits_two(capsys):

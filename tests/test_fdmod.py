@@ -182,6 +182,77 @@ def test_syzygy_dimension_count(algI, T_I):
     assert om2.dim == cov.projective.dim - om.dim
 
 
+def test_the_resolution_is_built_once_per_module(monkeypatch):
+    system = completed_family("II", 2)
+    T = small_module("II", system)
+    assert projective_cover(T) is projective_cover(T)
+    assert syzygy(T) is syzygy(T)
+    builds = {"_build_cover": 0, "_build_syzygy": 0}
+    for name in builds:
+        def counted(M, _build=getattr(fdmod, name), _name=name):
+            builds[_name] += 1
+            return _build(M)
+        monkeypatch.setattr(fdmod, name, counted)
+    T = small_module("II", system)
+    first = deform.ext_routes_premise(T, T)
+    after_first = dict(builds)
+    assert after_first["_build_cover"] > 0
+    assert after_first["_build_syzygy"] > 0
+    assert deform.ext_routes_premise(T, T) == first
+    assert builds == after_first
+    _, incl, cover = fdmod._syzygy_with_embedding(T)
+    assert cover is projective_cover(T)
+    for kept in (cover.surjection, incl):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 1
+    assert builds == after_first
+
+
+def _fresh(M):
+    """A copy of M with nothing derived kept on it yet."""
+    return fdmod.FdModule(M.algebra, M.block_of, M.mats, check=False)
+
+
+def _answers(M, N):
+    classes = (ext_dim(M, N, 1), ext_dim(M, N, 2), ext1_by_extensions(M, N))
+    reps = [c.representative for c in classes]
+    return ([c.dim for c in classes] + [stable_hom_dim(M, N)],
+            [() if r is None else r for r in reps])
+
+
+def test_kept_resolutions_give_the_answers_of_cold_modules():
+    system = completed_family("II", 2)
+    alg = quiver_algebra(system)
+    mods = [small_module("II", system)] + [
+        alg.simple_module(v) for v in alg.grading_labels]
+    pairs = [(M, N) for M in mods for N in mods]
+    order = np.random.default_rng(23).permutation(len(pairs))
+    for k in np.concatenate([order, order[::-1]]):
+        M, N = pairs[k]
+        dims, reps = _answers(M, N)
+        cold_dims, cold_reps = _answers(_fresh(M), _fresh(N))
+        assert dims == cold_dims, (k, dims, cold_dims)
+        for rep, cold in zip(reps, cold_reps):
+            assert len(rep) == len(cold)
+            for a, b in zip(rep, cold):
+                assert np.array_equal(a, b)
+
+
+def test_the_cover_self_checks_are_broken_invariants(monkeypatch, algI):
+    top = fdmod.top_pick
+    M = direct_sum([algI.simple_module(0), algI.simple_module(0),
+                    algI.simple_module(2)])
+    monkeypatch.setattr(fdmod, "top_pick", lambda M: top(M)[:-1])
+    with pytest.raises(RuntimeError, match="onto"):
+        projective_cover(M)
+    monkeypatch.setattr(fdmod, "top_pick", lambda M: top(M) + top(M)[:1])
+    with pytest.raises(RuntimeError, match="not minimal"):
+        projective_cover(M)
+    # a failed build keeps nothing, so the next call builds again
+    monkeypatch.setattr(fdmod, "top_pick", top)
+    assert projective_cover(M).multiplicities == {0: 2, 2: 1}
+
+
 # ---------------------------------------------------------------------------
 # ext
 
@@ -281,6 +352,19 @@ def test_ext_over_an_algebra_without_arrows():
     M = direct_sum([S, S])
     assert fdmod.extension_coboundaries(M, M)[0].shape == (0, 2, 2)
     assert ext_dim(M, M, 1).dim == ext1_by_extensions(M, M).dim == 0
+
+
+def test_hom_over_an_algebra_without_arrows():
+    """On k^2 over k every linear map intertwines and each one factors
+    through the projective k^2 itself."""
+    alg = quiver_algebra(quiver.complete(quiver.QuiverSpec(3, ["v"], {})))
+    S = alg.simple_module("v")
+    M = direct_sum([S, S])
+    assert hom_space(M, M).dim == 4
+    assert stable_hom_dim(M, M) == 0
+    assert is_isomorphic(M, M).isomorphic
+    assert ext_dim(M, M, 1).dim == ext1_by_extensions(M, M).dim == 0
+    assert ext_dim(M, M, 2).dim == 0
 
 
 def _reference_coboundaries(M, N, slots):
