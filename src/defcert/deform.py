@@ -774,10 +774,10 @@ def _premise(name, anchor, passed, computed) -> Premise:
 
 def stable_endomorphisms_premise(T) -> Premise:
     """Stable End(T) is one-dimensional."""
-    stable = fdmod.stable_hom_dim(T, T)
+    homs = fdmod.hom_space(T, T).basis
+    stable = fdmod.stable_rank(T, T, homs)
     return _premise("stable-endomorphisms", ANCHOR_STABLE_END, stable == 1, {
-        "stable_end_dim": stable,
-        "end_dim": len(fdmod.hom_space(T, T).basis), "dim_T": T.dim,
+        "stable_end_dim": stable, "end_dim": len(homs), "dim_T": T.dim,
         "cover_summands": [
             str(l) for l in fdmod.projective_cover(T).summand_labels]})
 

@@ -139,17 +139,12 @@ def direct_sum(modules):
     if any(m.algebra is not alg for m in modules):
         raise ValueError("direct sum across different algebra handles")
     block_of = np.concatenate([m.block_of for m in modules])
-    mats = {}
-    for name in alg.generators:
-        blocks = [m.mats[name] for m in modules]
-        n = sum(b.shape[0] for b in blocks)
-        out = np.zeros((n, n), dtype=np.int64)
-        at = 0
-        for b in blocks:
-            k = b.shape[0]
-            out[at : at + k, at : at + k] = b
-            at += k
-        mats[name] = out
+    n, at = len(block_of), 0
+    mats = {name: np.zeros((n, n), dtype=np.int64) for name in alg.generators}
+    for m in modules:
+        for name in alg.generators:
+            mats[name][at : at + m.dim, at : at + m.dim] = m.mats[name]
+        at += m.dim
     return FdModule(alg, block_of, mats, check=False)
 
 
@@ -347,22 +342,15 @@ class QuiverAlgebra:
 
     def yoneda_columns(self, label, N, x):
         """Columns of the Hom(P_label, N) element sending e_label to x."""
-        sysm = self.system
-        words = sysm.basis_by_source[label]
-        pos = {w: i for i, w in enumerate(words)}
+        words = self.system.basis_by_source[label]
         out = np.zeros((N.dim, len(words)), dtype=np.int64)
         vals = {(): np.asarray(x, dtype=np.int64) % self.p}
-        for w in words:
-            if w == ():
-                out[:, pos[w]] = vals[()]
-                continue
-            parent = w[1:]
-            name = sysm.spec.arrow_names[w[0]]
-            v = flinalg.matmul_mod(
-                N.mats[name], vals[parent].reshape(-1, 1), self.p
-            ).ravel()
-            vals[w] = v
-            out[:, pos[w]] = v
+        for col, w in enumerate(words):
+            if w:  # its parent w[1:] comes first in the basis
+                name = self.generators[w[0]]
+                vals[w] = flinalg.matmul_mod(
+                    N.mats[name], vals[w[1:]].reshape(-1, 1), self.p).ravel()
+            out[:, col] = vals[w]
         return out
 
     def component_vectors(self, N, label):
@@ -677,20 +665,19 @@ def ext_dim(M: FdModule, N: FdModule, i: int) -> ExtClass:
 
 def stable_hom_dim(M: FdModule, N: FdModule) -> int:
     """dim of Hom(M, N) modulo maps factoring through a projective."""
-    p = M.p
-    homs = hom_space(M, N).basis
+    return stable_rank(M, N, hom_space(M, N).basis)
+
+
+def stable_rank(M: FdModule, N: FdModule, homs: list) -> int:
+    """dim of span(homs), a basis of Hom(M, N), modulo the maps that
+    factor through a projective: those through the cover of N."""
     if not homs:
         return 0
     cover = projective_cover(N)
-    through = hom_space(M, cover.projective).basis
-    if not through:
-        return len(homs)
-    factored = [
-        flinalg.matmul_mod(cover.surjection, f, p) for f in through
-    ]
-    all_vecs = np.column_stack([f.ravel() for f in homs]) % p
-    fac_vecs = np.column_stack([f.ravel() for f in factored]) % p
-    return flinalg.rank(all_vecs, p) - flinalg.rank(fac_vecs, p)
+    factored = np.array([
+        flinalg.matmul_mod(cover.surjection, f, M.p).ravel()
+        for f in hom_space(M, cover.projective).basis], dtype=np.int64)
+    return len(homs) - flinalg.rank(factored.reshape(-1, homs[0].size), M.p)
 
 
 def extension_coboundaries(M: FdModule, N: FdModule):

@@ -11,8 +11,10 @@ single rref of the whole matrix.
 exactness rule of every product here, in `coeff.level_matmul` and in the
 group table checks.  It names one of three routes by the largest partial
 sum a product can reach: float32 BLAS below 2^24, float64 BLAS below
-2^53 and int64 below 2^63; past that a product is refused.  All
-functions expect and return canonical residues.
+2^53 and int64 below 2^63; past that a product is refused.  Beside it,
+`exact_word` names the smallest unsigned word, uint16, uint32 or uint64,
+that holds the same bound, and `is_multiple` decides divisibility in that
+word.  All functions expect and return canonical residues.
 """
 
 from __future__ import annotations
@@ -53,26 +55,34 @@ def exact_product(k: int, moduli: tuple, slack: int = 0):
     return np.float64 if peak < 2**53 else np.int64
 
 
-def is_multiple(d, m) -> np.ndarray:
-    """Entrywise m | d for integer-valued d, in d's own dtype.
+def exact_word(k: int, moduli: tuple, slack: int = 0):
+    """The smallest of uint16, uint32 and uint64 that holds the bound of
+    `exact_product(k, moduli, slack)`, which raises past int64; ValueError
+    on an even modulus, which `is_multiple` cannot decide."""
+    exact_product(k, moduli, slack)
+    if any(m % 2 == 0 for m in moduli):
+        raise ValueError(f"is_multiple needs odd moduli, not {moduli}")
+    peak = k * _level_peak(moduli) + slack
+    return next(w for w in (np.uint16, np.uint32, np.uint64)
+                if peak <= np.iinfo(w).max)
 
-    m broadcasts over d's last axis.  On int64 this is d % m == 0.  On a
-    float dtype with t mantissa bits (24 for float32, 53 for float64) it
-    is m * rint(d / m) == d, exact while |d| + m < 2^t:
-    - if m | d, the quotient d / m is an integer of magnitude below 2^t,
-      so the correctly rounded division returns it, rint keeps it and the
-      product gives d back;
-    - if m does not divide d, rint returns some integer q with
-      |m q| <= |d| + m < 2^t, so m q is computed exactly and is a
-      multiple of m, hence not d.
+
+def is_multiple(d, moduli) -> np.ndarray:
+    """Entrywise m | d for d in an unsigned word of w bits; d is overwritten.
+
+    The odd moduli m broadcast over d's last axis; an even one raises
+    ValueError before any arithmetic.  d is multiplied in place by m^-1
+    mod 2^w, a wrap that is deliberate, exact modular arithmetic: an odd
+    m^-1 permutes Z/2^w and takes the multiples m q in [0, 2^w) onto
+    q = 0..floor((2^w - 1) / m), so m | d exactly when the product is at
+    most that (Granlund and Montgomery, PLDI 1994).
     """
-    if d.dtype.kind != "f":
-        return d % m == 0
-    m = np.asarray(m, dtype=d.dtype)
-    q = np.divide(d, m)
-    np.rint(q, out=q)
-    q *= m
-    return q == d
+    moduli = np.atleast_1d(moduli).tolist()
+    if d.dtype.kind != "u" or any(m % 2 == 0 for m in moduli):
+        raise ValueError(f"need unsigned d and odd moduli: {d.dtype}, {moduli}")
+    top = int(np.iinfo(d.dtype).max)
+    d *= np.array([pow(m, -1, top + 1) for m in moduli], dtype=d.dtype)
+    return d <= np.array([top // m for m in moduli], dtype=d.dtype)
 
 
 def asmod(a, p: int) -> np.ndarray:

@@ -14,7 +14,9 @@ Nothing downstream trusts a presentation.  Groups are multiplication
 tables; representations carry one matrix per element.  `element_stack` is
 the one builder of those matrices, through the normal form
 sigma^x tau^y epsilon^j, and `table_mismatches` is the one check of a
-stack against all |G|^2 pairs of the table.  `build_group` checks that
+stack against all |G|^2 pairs of the table: an exact product, decided in
+the unsigned word that holds it by `flinalg.is_multiple`'s multiplication
+by the inverse of each odd modulus mod 2^w.  `build_group` checks that
 the handle's defining relations hold in the table, so the systems read
 off them bound H^1 cocycles and Hensel corrections from above; each
 solution is then verified on the table.
@@ -373,20 +375,19 @@ def table_mismatches(table: GroupTable, moduli, act, val,
     """Sorted pairs (g, h) with act(g) val(h) + shift(g) != val(gh).
 
     act (size, r, k, L), val (size, k, c, L) and shift (size, r, c, L)
-    are level-last stacks of canonical coefficients.  Each is converted
-    once, to the dtype `flinalg.exact_product` names for inner dimension k
-    with a slack of 2 max m; then each h takes one unreduced product per g,
-    stacked over every g, through `coeff.convolve_levels`.  Pair (g, h) is
-    right exactly when d = act(g) val(h) + shift(g) - val(gh) is 0 mod m_l
-    at every level l, which `flinalg.is_multiple` decides in that dtype.
-    On a float route with t mantissa bits (24 for float32, 53 for
-    float64) the test is m rint(d / m) == d, exact because the product
-    stays below its bound in `exact_product` and shift and val(gh) lie in
-    [0, m), so |d| + m stays below that bound plus the slack, below 2^t:
-    if m | d, d / m is an integer below 2^t, so the correctly rounded
-    division returns it and m rint(d / m) gives d back; if not,
-    m rint(d / m) is an exact multiple of m, so it is not d.  On int64
-    the test is d % m == 0.
+    are level-last stacks of canonical coefficients.  act and val are
+    converted once, to the dtype `flinalg.exact_product` names for inner
+    dimension k with a slack of 2 max m; then each h takes one unreduced
+    product per g, stacked over every g, through `coeff.convolve_levels`.
+    The product is cast to the unsigned word of w bits that
+    `flinalg.exact_word` names for the same bound, and the complement
+    m - val(gh), in (0, m], and shift(g), in [0, m), are added: the sum d
+    stays below the bound plus the slack, below 2^w, so it never wraps.
+    Pair (g, h) is right exactly when m_l divides d, which is
+    act(g) val(h) + shift(g) - val(gh) mod m_l, at every level l;
+    `flinalg.is_multiple` decides that exactly for odd m, by a
+    multiplication by m^-1 that wraps mod 2^w on purpose.  An even
+    modulus raises ValueError before any product.
 
     The h range is split into one strided share per CPU the process may
     use: the calling thread checks one share and helper threads the rest.
@@ -399,12 +400,13 @@ def table_mismatches(table: GroupTable, moduli, act, val,
     share without mismatches.
     """
     n, k = act.shape[0], act.shape[2]
+    word = flinalg.exact_word(k, moduli, 2 * max(moduli))
     route = flinalg.exact_product(k, moduli, 2 * max(moduli))
+    complement = (np.array(moduli) - val).astype(word)
     act = act.astype(route, copy=False)
     val = val.astype(route, copy=False)
     if shift is not None:
-        shift = shift.astype(route, copy=False)
-    mod = np.array(moduli)
+        shift = shift.astype(word)
     shares = min(_worker_count(), n)
     found = [None] * shares  # per share: its bad pairs, or what it raised
 
@@ -412,13 +414,12 @@ def table_mismatches(table: GroupTable, moduli, act, val,
         bad = []
         try:
             for h in range(first, n, shares):
-                d = coeff.convolve_levels(act, val[h], route)
-                d -= val[table.mul[:, h]]
+                d = coeff.convolve_levels(act, val[h], route).astype(word)
+                d += complement[table.mul[:, h]]
                 if shift is not None:
                     d += shift
-                wrong = ~flinalg.is_multiple(d, mod)
-                neq = np.nonzero(np.any(wrong, axis=(1, 2, 3)))[0]
-                bad.extend((int(g), h) for g in neq)
+                right = flinalg.is_multiple(d, moduli).all(axis=(1, 2, 3))
+                bad.extend((int(g), h) for g in np.nonzero(~right)[0])
         except BaseException as exc:
             bad = exc
         found[first] = bad

@@ -629,6 +629,23 @@ def test_stable_endomorphisms_fails_on_t_plus_t(TT):
                                 "dim_T": 10, "cover_summands": ["1", "1"]}
 
 
+@pytest.mark.parametrize("family, d", deform.FAMILY_CASES)
+def test_stable_endomorphisms_solves_hom_t_t_once(monkeypatch, family, d):
+    T = deform.base_module(family, deform.completed_system(family, d))
+    want = {"stable_end_dim": fdmod.stable_hom_dim(T, T),
+            "end_dim": len(fdmod.hom_space(T, T).basis)}
+    hom_space, calls = fdmod.hom_space, []
+
+    def counted(M, N):
+        calls.append((M, N))
+        return hom_space(M, N)
+
+    monkeypatch.setattr(fdmod, "hom_space", counted)
+    premise = deform.stable_endomorphisms_premise(T)
+    assert sum(M is T and N is T for M, N in calls) == 1
+    assert {key: premise.computed[key] for key in want} == want
+
+
 @pytest.mark.parametrize("build,name,computed", [
     (deform.self_ext1_premise, "self-extensions-degree-1",
      {"resolution_route": 4, "extension_route": 4}),

@@ -428,13 +428,66 @@ def test_extend_basis_is_the_greedy_rank_choice(case):
                                          (np.int64, 63)])
 def test_is_multiple_is_exact_at_the_largest_admitted_magnitude(
         m, dtype, bits):
-    # a float route admits |d| + m < 2^t; take multiples of m and their
-    # neighbours, of both signs, at the top of that range
-    top = 2**bits - m - 1
+    # a slack that brings the bound to 2^t - 1 keeps the product on the
+    # route with t bits; sums up to that bound, computed on the route and
+    # cast to the word named for the same bound, are decided exactly
+    slack = 2**bits - 1 - (m - 1) ** 2
+    assert flinalg.exact_product(1, (m,), slack) == dtype
+    word = flinalg.exact_word(1, (m,), slack)
+    top = 2**bits - 1
     q = (top - 1) // m
-    values = [x for v in (m * q, m * q - 1, m * q + 1, top, 0, 1)
-              for x in (v, -v)]
-    d = np.array(values, dtype=dtype)
+    values = [m * q, m * q - 1, m * q + 1, top, 0, 1]
+    d = np.array(values, dtype=dtype).astype(word)
     assert d.astype(object).tolist() == values
-    got = flinalg.is_multiple(d[:, None], np.array([m]))[:, 0]
+    got = flinalg.is_multiple(d[:, None], (m,))[:, 0]
     assert got.tolist() == [v % m == 0 for v in values]
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 49, 343, 3**17])
+@pytest.mark.parametrize("word", [np.uint16, np.uint32, np.uint64])
+def test_is_multiple_is_exact_at_the_top_of_each_word(m, word):
+    # multiples of m and their neighbours at the top of the word, plus 0
+    # and 1, against Python's %; the product by m^-1 wraps mod 2^w
+    top = int(np.iinfo(word).max)
+    q = top // m
+    values = sorted({v for v in (m * q - 1, m * q, m * q + 1, m - 1, m,
+                                 m + 1, top - 1, top, 0, 1) if 0 <= v <= top})
+    d = np.array(values, dtype=word)
+    got = flinalg.is_multiple(d, (m,))
+    assert got.tolist() == [v % m == 0 for v in values]
+    assert d.dtype == word
+
+
+@pytest.mark.parametrize("moduli", [(2,), (4,), (49, 7, 8)])
+def test_is_multiple_refuses_an_even_modulus_before_any_arithmetic(moduli):
+    d = np.arange(6 * len(moduli), dtype=np.uint16).reshape(6, -1)
+    before = d.copy()
+    with pytest.raises(ValueError, match="odd moduli"):
+        flinalg.is_multiple(d, moduli)
+    assert np.array_equal(d, before)
+    with pytest.raises(ValueError, match="odd moduli"):
+        flinalg.exact_word(2, moduli, 2 * max(moduli))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_is_multiple_refuses_a_signed_or_float_word(dtype):
+    with pytest.raises(ValueError, match="unsigned"):
+        flinalg.is_multiple(np.array([0, 3, 6], dtype=dtype), (3,))
+
+
+@pytest.mark.parametrize("k, moduli, slack, word", [
+    (4, (5,), 10, np.uint16),            # 4 * 16 + 10
+    (1, (3,), 2**16 - 1 - 4, np.uint16),  # the bound at the top of a word
+    (1, (3,), 2**16 - 4, np.uint32),      # and one past it
+    (2, (243, 3, 3), 486, np.uint32),    # 2 * 242^2 + 486 > 2^16
+    (2, (3**12, 3), 2 * 3**12, np.uint64),
+    (1, (3**19,), 0, np.uint64),         # the int64 route
+])
+def test_exact_word_is_the_smallest_that_holds_the_bound(k, moduli, slack,
+                                                         word):
+    assert flinalg.exact_word(k, moduli, slack) == word
+
+
+def test_exact_word_refuses_past_int64():
+    with pytest.raises(OverflowError):
+        flinalg.exact_word(2, (3**30,), 0)

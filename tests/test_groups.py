@@ -672,19 +672,26 @@ def reference_shift_pairs(table, moduli, act, val, shift):
     return bad
 
 
-@pytest.mark.parametrize("route", [np.float32, np.float64, np.int64])
-@pytest.mark.parametrize("shifted", [False, True])
-def test_table_mismatches_finds_planted_pairs_on_every_route(route, shifted):
-    # the prime field at p = 5 takes float32; Z/3^n at n = 8 takes
-    # float64 and at n = 17 int64, where 2 (3^n - 1)^2 passes 2^53
+def route_representation(route):
+    """A representation whose table check multiplies on `route`: the
+    prime field at p = 5 takes float32; Z/3^n at n = 8 takes float64 and
+    at n = 17 int64, where 2 (3^n - 1)^2 passes 2^53."""
     if route == np.float32:
         rep = groups.uniserial_representation(5)
     else:
         rep = deform.mixed_representation(3, 8 if route == np.float64
                                           else 17, 3)
+    moduli = rep.ring.moduli
+    assert flinalg.exact_product(rep.dim, moduli, 2 * max(moduli)) == route
+    return rep
+
+
+@pytest.mark.parametrize("route", [np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_table_mismatches_finds_planted_pairs_on_every_route(route, shifted):
+    rep = route_representation(route)
     table, moduli = rep.table, rep.ring.moduli
     k, L = rep.dim, rep.ring.levels
-    assert flinalg.exact_product(k, moduli, 2 * max(moduli)) == route
     mod = np.array(moduli)
     rng = np.random.default_rng(5)
     if shifted:
@@ -710,16 +717,10 @@ def test_table_mismatches_finds_planted_pairs_on_every_route(route, shifted):
 
 
 
-def planted_stacks(route, rows):
-    """A representation on `route` and table values corrupted at `rows`:
-    its own matrices, or coboundaries with themselves as the shift."""
-    if route == np.float32:
-        rep = groups.uniserial_representation(5)
-    else:
-        rep = deform.mixed_representation(3, 8 if route == np.float64
-                                          else 17, 3)
+def planted_stacks(rep, rows):
+    """Table values of rep corrupted at `rows`: its own matrices, or
+    coboundaries with themselves as the shift."""
     moduli, k, L = rep.ring.moduli, rep.dim, rep.ring.levels
-    assert flinalg.exact_product(k, moduli, 2 * max(moduli)) == route
     mod = np.array(moduli)
     eye = np.zeros((k, k, L), dtype=np.int64)
     eye[:, :, 0] = np.eye(k, dtype=np.int64)
@@ -731,16 +732,14 @@ def planted_stacks(route, rows):
             l = i % L
             val[h, 0, 1, l] = (val[h, 0, 1, l] + 1) % mod[l]
         vals.append(val)
-    return rep, vals
+    return vals
 
 
-@pytest.mark.parametrize("route", [np.float32, np.float64, np.int64])
-def test_table_mismatches_does_not_depend_on_the_worker_count(
-        monkeypatch, route):
+def check_planted_pairs_under_every_worker_count(monkeypatch, rep):
     # rows 6, 7 and 5 open the shares of two and three workers: h = 0, 1
     # mod 2 and h = 0, 1, 2 mod 3 all carry planted mismatches
     rows = (6, 7, 5)
-    rep, (val, cob) = planted_stacks(route, rows)
+    val, cob = planted_stacks(rep, rows)
     table, moduli = rep.table, rep.ring.moduli
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the lock between bytecodes
@@ -756,6 +755,56 @@ def test_table_mismatches_does_not_depend_on_the_worker_count(
                                                stack, shift) == want
     finally:
         sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("route", [np.float32, np.float64, np.int64])
+def test_table_mismatches_does_not_depend_on_the_worker_count(
+        monkeypatch, route):
+    check_planted_pairs_under_every_worker_count(
+        monkeypatch, route_representation(route))
+
+
+@pytest.mark.parametrize("n, route, word, narrower", [
+    (5, np.float32, np.uint32, np.uint16),   # 2 * 242^2 + 486 > 2^16
+    (12, np.float64, np.uint64, np.uint32),  # 2 * (3^12 - 1)^2 > 2^32
+])
+def test_table_mismatches_on_float32_in_uint32_and_float64_in_uint64(
+        monkeypatch, n, route, word, narrower):
+    # the route and word pairs the tests above do not reach: there
+    # uniserial(5) takes float32 in uint16 and Z/3^8 float64 in uint32
+    rep = deform.mixed_representation(3, n, 3)
+    k, moduli, L = rep.dim, rep.ring.moduli, rep.ring.levels
+    assert flinalg.exact_product(k, moduli, 2 * max(moduli)) == route
+    assert flinalg.exact_word(k, moduli, 2 * max(moduli)) == word
+    # conjugating by a unit with large entries keeps a representation
+    # whose products pass the narrower word
+    c = np.array([[moduli[0] - 2, moduli[0] // 2], [moduli[0] // 3, 1]])
+    det = int(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
+    c_inv = np.array([[c[1, 1], -c[0, 1]], [-c[1, 0], c[0, 0]]]) * pow(
+        det, -1, moduli[0])
+    conj = []
+    for x in (c, c_inv):
+        stack = np.zeros((k, k, L), dtype=np.int64)
+        stack[..., 0] = x % moduli[0]
+        conj.append(stack)
+    mats = coeff.level_matmul(
+        moduli, coeff.level_matmul(moduli, conj[0], rep.mats), conj[1])
+    rep = groups.GroupRep(rep.table, rep.ring, mats)
+    products = coeff.convolve_levels(mats[:, None], mats[None], np.int64)
+    assert products.max() > np.iinfo(narrower).max
+    check_planted_pairs_under_every_worker_count(monkeypatch, rep)
+
+
+def test_table_mismatches_refuses_an_even_modulus_before_any_product(
+        monkeypatch, q5):
+    rep = groups.uniserial_representation(5, table=q5)
+
+    def no_product(*args):
+        raise AssertionError("a product ran")
+
+    monkeypatch.setattr(coeff, "convolve_levels", no_product)
+    with pytest.raises(ValueError, match="odd moduli"):
+        groups.table_mismatches(q5, (4,), rep.mats % 4, rep.mats % 4)
 
 
 @pytest.mark.parametrize("fail_at", [2, 3])
