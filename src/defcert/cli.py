@@ -10,6 +10,7 @@ program is at fault, not the mathematics or the request.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,6 +24,11 @@ FORMATS = ("json", "text")
 # rendering
 
 
+def _json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True,
+                      ensure_ascii=False) + "\n"
+
+
 def emit_report(report, format="text") -> str:
     """One report as a self-contained string in the requested format.
 
@@ -30,9 +36,7 @@ def emit_report(report, format="text") -> str:
     """
     data = report.to_json_dict()
     if format == "json":
-        return json.dumps(
-            data, indent=2, sort_keys=True, ensure_ascii=False,
-        ) + "\n"
+        return _json(data)
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
     lines = [f"scenario {data['scenario']}: {data['status']}"]
@@ -53,13 +57,8 @@ def emit_reports(reports, format="text") -> str:
     """A bundle of reports, ordered by scenario id before rendering."""
     reports = sorted(reports, key=lambda r: r.scenario_id)
     if format == "json":
-        return json.dumps(
-            {
-                "schema": 1,
-                "reports": [r.to_json_dict() for r in reports],
-            },
-            indent=2, sort_keys=True, ensure_ascii=False,
-        ) + "\n"
+        return _json({"schema": 1,
+                      "reports": [r.to_json_dict() for r in reports]})
     return "".join(emit_report(r, format) for r in reports)
 
 
@@ -167,17 +166,14 @@ def _cmd_module_check(args):
     lines.append("status: valid")
     payload = "\n".join(lines) + "\n"
     if args.format == "json":
-        payload = json.dumps(
-            {
-                "schema": 1,
-                "fixture": args.fixture,
-                "algebra": {"family": family, "d": d},
-                "dim": module.dim,
-                "dimension_vector": {str(v): n for v, n in counts.items()},
-                "status": "valid",
-            },
-            indent=2, sort_keys=True, ensure_ascii=False,
-        ) + "\n"
+        payload = _json({
+            "schema": 1,
+            "fixture": args.fixture,
+            "algebra": {"family": family, "d": d},
+            "dim": module.dim,
+            "dimension_vector": {str(v): n for v, n in counts.items()},
+            "status": "valid",
+        })
     _write(args, payload)
     return 0
 
@@ -302,11 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_parser = functools.cache(build_parser)  # reused: parsing never changes it
+
+
 def run_command(argv) -> int:
     """Parse argv and run one subcommand, mapping errors to exit codes."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return 0 if err.code in (0, None) else 2
     try:

@@ -372,24 +372,17 @@ def projective_from_system(system: CompletedSystem, v):
     words = system.basis_by_source[v]
     pos = {w: i for i, w in enumerate(words)}
     spec = system.spec
-    labels = list(spec.vertices)
-    block_of = []
-    for w in words:
-        tgt = v if not w else spec.target(spec.arrow_names[w[0]])
-        block_of.append(labels.index(tgt))
+    targets = [spec.target(spec.arrow_names[w[0]]) if w else v for w in words]
     mats = {}
-    for name in spec.arrow_names:
-        ai = spec.arrow_index[name]
-        src = spec.source(name)
+    for ai, name in enumerate(spec.arrow_names):
         m = np.zeros((len(words), len(words)), dtype=np.int64)
-        for w in words:
-            tgt_w = v if not w else spec.target(spec.arrow_names[w[0]])
-            if tgt_w != src:
-                continue
-            nf = system.reduce_terms({(ai,) + w: 1})
-            for nw, c in nf.items():
-                m[pos[nw], pos[w]] = c % spec.p
+        for w, tgt in zip(words, targets):
+            if tgt == spec.source(name):
+                for nw, c in system.reduce_terms({(ai,) + w: 1}).items():
+                    m[pos[nw], pos[w]] = c % spec.p
         mats[name] = m
+    labels = list(spec.vertices)
+    block_of = [labels.index(tgt) for tgt in targets]
     return FdModule(handle, np.array(block_of, dtype=np.int64), mats)
 
 

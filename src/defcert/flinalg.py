@@ -13,8 +13,8 @@ group table checks.  It names one of three routes by the largest partial
 sum a product can reach: float32 BLAS below 2^24, float64 BLAS below
 2^53 and int64 below 2^63; past that a product is refused.  Beside it,
 `exact_word` names the smallest unsigned word, uint16, uint32 or uint64,
-that holds the same bound, and `is_multiple` decides divisibility in that
-word.  All functions expect and return canonical residues.
+that holds the same bound, and `multiple_test` decides divisibility in
+that word.  All functions expect and return canonical residues.
 """
 
 from __future__ import annotations
@@ -67,6 +67,21 @@ def exact_word(k: int, moduli: tuple, slack: int = 0):
                 if peak <= np.iinfo(w).max)
 
 
+def multiple_test(moduli, word, shape=None):
+    """`is_multiple`'s decision for d in the unsigned `word`, with m^-1 and
+    the limits built once; for L > 1 levels they are tiled to `shape`
+    (..., L), so each step is one long inner loop, not many of length L."""
+    moduli, word = np.atleast_1d(moduli).tolist(), np.dtype(word)
+    if word.kind != "u" or any(m % 2 == 0 for m in moduli):
+        raise ValueError(f"need unsigned d and odd moduli: {word}, {moduli}")
+    top = int(np.iinfo(word).max)
+    inv = np.array([pow(m, -1, top + 1) for m in moduli], dtype=word)
+    limit = np.array([top // m for m in moduli], dtype=word)
+    if shape is not None and len(moduli) > 1:
+        inv, limit = (np.broadcast_to(c, shape).copy() for c in (inv, limit))
+    return lambda d: np.multiply(d, inv, out=d) <= limit
+
+
 def is_multiple(d, moduli) -> np.ndarray:
     """Entrywise m | d for d in an unsigned word of w bits; d is overwritten.
 
@@ -77,12 +92,7 @@ def is_multiple(d, moduli) -> np.ndarray:
     q = 0..floor((2^w - 1) / m), so m | d exactly when the product is at
     most that (Granlund and Montgomery, PLDI 1994).
     """
-    moduli = np.atleast_1d(moduli).tolist()
-    if d.dtype.kind != "u" or any(m % 2 == 0 for m in moduli):
-        raise ValueError(f"need unsigned d and odd moduli: {d.dtype}, {moduli}")
-    top = int(np.iinfo(d.dtype).max)
-    d *= np.array([pow(m, -1, top + 1) for m in moduli], dtype=d.dtype)
-    return d <= np.array([top // m for m in moduli], dtype=d.dtype)
+    return multiple_test(moduli, d.dtype)(d)
 
 
 def asmod(a, p: int) -> np.ndarray:

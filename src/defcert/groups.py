@@ -385,7 +385,8 @@ def table_mismatches(table: GroupTable, moduli, act, val,
     stays below the bound plus the slack, below 2^w, so it never wraps.
     Pair (g, h) is right exactly when m_l divides d, which is
     act(g) val(h) + shift(g) - val(gh) mod m_l, at every level l;
-    `flinalg.is_multiple` decides that exactly for odd m, by a
+    `flinalg.multiple_test`, built once per check with its constants
+    tiled over (r, c, L) when L > 1, decides that exactly for odd m, by a
     multiplication by m^-1 that wraps mod 2^w on purpose.  An even
     modulus raises ValueError before any product.
 
@@ -403,6 +404,8 @@ def table_mismatches(table: GroupTable, moduli, act, val,
     word = flinalg.exact_word(k, moduli, 2 * max(moduli))
     route = flinalg.exact_product(k, moduli, 2 * max(moduli))
     complement = (np.array(moduli) - val).astype(word)
+    decide = flinalg.multiple_test(moduli, word,
+                                   (act.shape[1],) + val.shape[2:])
     act = act.astype(route, copy=False)
     val = val.astype(route, copy=False)
     if shift is not None:
@@ -418,7 +421,7 @@ def table_mismatches(table: GroupTable, moduli, act, val,
                 d += complement[table.mul[:, h]]
                 if shift is not None:
                     d += shift
-                right = flinalg.is_multiple(d, moduli).all(axis=(1, 2, 3))
+                right = decide(d).all(axis=(1, 2, 3))
                 bad.extend((int(g), h) for g in np.nonzero(~right)[0])
         except BaseException as exc:
             bad = exc

@@ -11,6 +11,11 @@ Completion, the basis search and `CompletedSystem` share one rule store,
 an insertion-ordered dict lead -> tail, and one first-letter index of its
 leads.  A normal form is one pass, largest word first: a word is final if
 no lead occurs in it, else its leftmost lead rewrites it to smaller words.
+Rewriting words are byte strings, one byte per arrow index (so at most
+256 arrows), which compare like the int tuples that `CompletedSystem`
+shows; every occurrence, overlap and prefix test is a C substring search.
+A new rule re-reduces only the tails its lead occurs in: the others are
+irreducible against the store less the rules that lead retires.
 
 Completion first looks for a loop witness: a loop alpha of which no
 relation contains a pure power.  Sending alpha to t and every other arrow
@@ -72,6 +77,8 @@ class QuiverSpec:
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
         self.arrows = dict(arrows)  # name -> (src, tgt), insertion ordered
+        if len(self.arrows) > 256:
+            raise ValueError("over 256 arrows: words hold a byte per arrow")
         for name, (s, t) in self.arrows.items():
             if s not in self.vertices or t not in self.vertices:
                 raise ValueError(f"arrow {name} references unknown vertex")
@@ -273,8 +280,10 @@ class CompletedSystem:
 
     def __init__(self, spec, store, by_first, basis_by_source, cap):
         self.spec = spec
-        self.rules = list(store.items())
-        self.basis_by_source = basis_by_source
+        self.rules = [(tuple(lead), {tuple(w): c for w, c in tail.items()})
+                      for lead, tail in store.items()]
+        self.basis_by_source = {v: [tuple(w) for w in words]
+                                for v, words in basis_by_source.items()}
         self.cap = cap
         self.dim = sum(len(ws) for ws in basis_by_source.values())
         self.algebra = None
@@ -287,15 +296,14 @@ class CompletedSystem:
     def _names(self, iword):
         return tuple(self.spec.arrow_names[i] for i in iword)
 
-    def _iword(self, word):
-        return tuple(self.spec.arrow_index[a] for a in word)
-
     def basis_words(self, v):
         return [PathWord(v, self._names(w)) for w in self.basis_by_source[v]]
 
     def reduce_terms(self, terms: dict) -> dict:
         """Full normal form of {int-word: coeff}; exercised by everything."""
-        return _reduce(terms, self._store, self._by_first, self.spec.p)
+        nf = _reduce({bytes(w): c for w, c in terms.items()}, self._store,
+                     self._by_first, self.spec.p)
+        return {tuple(w): c for w, c in nf.items()}
 
     def normal_form_word(self, word: PathWord) -> dict:
         """Normal form of a path as {int-word: coeff}; empty word is itself."""
@@ -304,7 +312,8 @@ class CompletedSystem:
                 raise ValueError(f"unknown vertex {word.source!r}")
             return {(): 1}
         self.spec.word_endpoints(tuple(word.arrows))
-        return self.reduce_terms({self._iword(word.arrows): 1})
+        return self.reduce_terms(
+            {tuple(self.spec.arrow_index[a] for a in word.arrows): 1})
 
 
 def normal_form(sys: CompletedSystem, word) -> dict:
@@ -313,14 +322,11 @@ def normal_form(sys: CompletedSystem, word) -> dict:
     Returned keys are arrow-name tuples ((),) meaning the idempotent at the
     word's source.
     """
-    if isinstance(word, PathWord):
-        pw = word
-    else:
+    if not isinstance(word, PathWord):
         word = tuple(word)
-        src = sys.spec.word_endpoints(word)[0] if word else None
-        pw = PathWord(src, word)
-    nf = sys.normal_form_word(pw)
-    return {sys._names(w) if w else (): c for w, c in nf.items()}
+        word = PathWord(sys.spec.word_endpoints(word)[0] if word else None,
+                        word)
+    return {sys._names(w): c for w, c in sys.normal_form_word(word).items()}
 
 
 def _lead_index(store):
@@ -333,9 +339,9 @@ def _lead_index(store):
 
 def _find_reduction(word, by_first):
     """(pos, lead) of the leftmost lead occurring in word, or None."""
-    for pos in range(len(word)):
-        for lead in by_first.get(word[pos], ()):
-            if word[pos : pos + len(lead)] == lead:
+    for pos, letter in enumerate(word):
+        for lead in by_first.get(letter, ()):
+            if word.startswith(lead, pos):
                 return pos, lead
     return None
 
@@ -403,7 +409,7 @@ def complete(spec: QuiverSpec, cap: int | None = None) -> CompletedSystem:
         cap = spec.suggested_cap or 64
     p = spec.p
     store, by_first = {}, {}  # the rule store lead -> tail and its index
-    pending = deque({tuple(spec.arrow_index[a] for a in w): c
+    pending = deque({bytes(spec.arrow_index[a] for a in w): c
                      for w, c in rel.items()} for rel in spec.relations)
     spairs_done = 0
     while pending:
@@ -418,27 +424,29 @@ def complete(spec: QuiverSpec, cap: int | None = None) -> CompletedSystem:
         inv = pow(poly[lead], -1, p)
         tail = {w: (-c * inv) % p for w, c in poly.items() if w != lead}
         # retire rules whose lead the new lead reduces; requeue them whole
-        for old in [w for w in store if _find_reduction(w, {lead[0]: [lead]})]:
+        for old in [w for w in store if lead in w]:
             pending.append({old: 1} | {w: -c % p for w, c in
                                        store.pop(old).items()})
         store[lead] = tail
         if len(store) > 600:
             raise CapExceededError("completion exceeded 600 rules")
         by_first = _lead_index(store)
-        # reduce every tail against the updated system, reading all tails
-        # before any is replaced
+        # reduce the tails the new lead occurs in, reading them all before
+        # any is replaced; the others are irreducible against the store
         store.update({ld: _reduce(tl, store, by_first, p)
-                      for ld, tl in store.items()})
+                      for ld, tl in store.items()
+                      if any(lead in w for w in tl)})
         # overlap S-polynomials of the new rule with every rule, itself in
-        # both orders included
+        # both orders included: u[i:] = v[:len(u) - i], in ascending overlap
         for other in store:
             for u, v in ((lead, other), (other, lead)):
-                for ell in range(1, min(len(u), len(v))):
-                    if u[-ell:] != v[:ell]:
+                lo, i = len(u) - min(len(u), len(v)) + 1, len(u)
+                while (i := u.rfind(v[:1], lo, i)) >= 0:
+                    if not v.startswith(u[i:]):
                         continue
-                    s = {w + v[ell:]: c for w, c in store[u].items()}
+                    s = {w + v[len(u) - i :]: c for w, c in store[u].items()}
                     for w, c in store[v].items():
-                        s[u[:-ell] + w] = (s.get(u[:-ell] + w, 0) - c) % p
+                        s[u[:i] + w] = (s.get(u[:i] + w, 0) - c) % p
                     pending.append(s)  # _reduce drops its zero terms
                     spairs_done += 1
                     if spairs_done > 200000:
@@ -455,14 +463,14 @@ def _irreducible_basis(spec, by_first, cap):
     ends = list(spec.arrows.values())  # (source, target) by arrow index
     basis = {}
     for v in spec.vertices:
-        words, frontier = [()], [()]
+        words, frontier = [b""], [b""]
         while frontier:
             nxt = []
             for w in frontier:
                 at = ends[w[0]][1] if w else v
                 for idx, (s, _) in enumerate(ends):
-                    cand = (idx,) + w
-                    if s != at or any(cand[: len(lead)] == lead
+                    cand = bytes((idx,)) + w
+                    if s != at or any(cand.startswith(lead)
                                       for lead in by_first.get(idx, ())):
                         continue
                     if len(cand) >= cap:

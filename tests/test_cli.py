@@ -348,3 +348,25 @@ def test_a_fixture_agreeing_with_the_flags_is_read(tmp_path, capsys):
 def test_families_verify_takes_no_sample_count(capsys):
     code, out, _ = run(["families", "verify", "--samples", "5"], capsys)
     assert (code, out) == (2, "")
+
+
+def test_back_to_back_commands_match_separate_ones(capsys):
+    # run_command reuses one parser; a sequence of different subcommands
+    # and flags, a parse failure among them, must give each command's
+    # exit code and bytes as if it ran alone on a freshly built parser
+    argvs = [
+        ["obstruction", "--p", "3", "--samples", "20", "--seed", "4",
+         "--format", "json"],
+        ["module", "check", str(DATA / "quotient_module.qmod")],
+        ["families", "verify", "--bogus"],
+        ["obstruction", "--p", "5", "--samples", "10", "--format", "text"],
+        ["ext", "--family", "II", "--d", "2", "--format", "json"],
+        ["obstruction", "--p", "9"],
+    ]
+    together = [run(argv, capsys) for argv in argvs]
+    alone = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        alone.append(run(argv, capsys))
+    assert [code for code, _, _ in together] == [0, 0, 2, 0, 0, 2]
+    assert together == alone

@@ -491,3 +491,19 @@ def test_exact_word_is_the_smallest_that_holds_the_bound(k, moduli, slack,
 def test_exact_word_refuses_past_int64():
     with pytest.raises(OverflowError):
         flinalg.exact_word(2, (3**30,), 0)
+
+
+@pytest.mark.parametrize("moduli", [(7,), (49, 7, 7), (3, 5, 343)])
+def test_multiple_test_on_tiled_constants_agrees_with_is_multiple(moduli):
+    # half the entries multiples of their level's modulus, half one past
+    rng = np.random.default_rng(11)
+    shape = (5, 2, 3, len(moduli))
+    q = rng.integers(0, 60, size=shape) * np.array(moduli)
+    d = (q + (rng.random(shape) < 0.5)).astype(np.uint16)
+    want = d.astype(np.int64) % np.array(moduli) == 0
+    assert np.array_equal(flinalg.is_multiple(d.copy(), moduli), want)
+    decide = flinalg.multiple_test(moduli, np.uint16, shape[1:])
+    for _ in range(2):  # the constants outlive each call
+        assert np.array_equal(decide(d.copy()), want)
+    with pytest.raises(ValueError, match="odd moduli"):
+        flinalg.multiple_test(moduli + (2,), np.uint16, shape[1:])

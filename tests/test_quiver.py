@@ -8,9 +8,12 @@ with nothing in the package.
 import hashlib
 import json
 import random
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defcert import deform, quiver
 from defcert.quiver import (
@@ -301,6 +304,202 @@ def test_reduction_is_confluent():
             fast = sys.reduce_terms({iword: 1})
             slow = naive_random_order_reduce(sys, {iword: 1}, rng)
             assert fast == slow
+
+
+# ---------------------------------------------------------------------------
+# the completion against a tuple-word reference
+#
+# The reference is the plain loop: words are int tuples, every occurrence
+# test slices, and after each new rule every tail is re-reduced.  The
+# package's completion must agree with it rule for rule, in store order
+# and tail order, basis for basis and error for error.
+
+
+def reference_find(word, by_first):
+    for pos in range(len(word)):
+        for lead in by_first.get(word[pos], ()):
+            if word[pos : pos + len(lead)] == lead:
+                return pos, lead
+    return None
+
+
+def reference_reduce(terms, store, by_first, p):
+    terms = {w: c % p for w, c in terms.items() if c % p}
+    out = {}
+    while terms:
+        word = max(terms, key=lambda w: (len(w), w))
+        c = terms.pop(word)
+        hit = reference_find(word, by_first)
+        if hit is None:
+            out[word] = c
+            continue
+        pos, lead = hit
+        for tw, tc in store[lead].items():
+            nw = word[:pos] + tw + word[pos + len(lead) :]
+            nc = (terms.get(nw, 0) + c * tc) % p
+            if nc:
+                terms[nw] = nc
+            else:
+                terms.pop(nw, None)
+    return out
+
+
+def reference_index(store):
+    by_first = {}
+    for lead in store:
+        by_first.setdefault(lead[0], []).append(lead)
+    return by_first
+
+
+def reference_complete(spec, cap):
+    """(rules in store order, basis by source) with int-tuple words."""
+    loop = loop_witness(spec)
+    if loop is not None:
+        raise InfiniteDimensionError(loop)
+    p, store, by_first = spec.p, {}, {}
+    pending = deque({tuple(spec.arrow_index[a] for a in w): c
+                     for w, c in rel.items()} for rel in spec.relations)
+    spairs_done = 0
+    while pending:
+        poly = reference_reduce(pending.popleft(), store, by_first, p)
+        if not poly:
+            continue
+        lead = max(poly, key=lambda w: (len(w), w))
+        if len(lead) > 2 * cap:
+            raise CapExceededError(
+                f"completion produced a rule of length {len(lead)} > {2 * cap}"
+            )
+        inv = pow(poly[lead], -1, p)
+        tail = {w: (-c * inv) % p for w, c in poly.items() if w != lead}
+        for old in [w for w in store
+                    if reference_find(w, {lead[0]: [lead]})]:
+            pending.append({old: 1} | {w: -c % p for w, c in
+                                       store.pop(old).items()})
+        store[lead] = tail
+        if len(store) > 600:
+            raise CapExceededError("completion exceeded 600 rules")
+        by_first = reference_index(store)
+        store.update({ld: reference_reduce(tl, store, by_first, p)
+                      for ld, tl in store.items()})
+        for other in store:
+            for u, v in ((lead, other), (other, lead)):
+                for ell in range(1, min(len(u), len(v))):
+                    if u[-ell:] != v[:ell]:
+                        continue
+                    s = {w + v[ell:]: c for w, c in store[u].items()}
+                    for w, c in store[v].items():
+                        s[u[:-ell] + w] = (s.get(u[:-ell] + w, 0) - c) % p
+                    pending.append(s)
+                    spairs_done += 1
+                    if spairs_done > 200000:
+                        raise CapExceededError(
+                            "completion S-pair budget exhausted")
+    ends = list(spec.arrows.values())
+    basis = {}
+    for v in spec.vertices:
+        words, frontier = [()], [()]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                at = ends[w[0]][1] if w else v
+                for idx, (src, _) in enumerate(ends):
+                    cand = (idx,) + w
+                    if src != at or any(cand[: len(lead)] == lead
+                                        for lead in by_first.get(idx, ())):
+                        continue
+                    if len(cand) >= cap:
+                        raise CapExceededError(
+                            f"irreducible word of length {cap} at vertex {v}"
+                        )
+                    nxt.append(cand)
+            frontier = sorted(nxt)
+            words.extend(frontier)
+        basis[v] = words
+    return [(lead, list(tail.items())) for lead, tail in store.items()], basis
+
+
+@st.composite
+def small_presentations(draw):
+    """A quiver of 1 or 2 vertices and 1 to 4 arrows over F_2 or F_3 with
+    up to 6 relations of 1 to 4 parallel words of length 2 to 4, and most
+    of the time a pure power of each loop, so the loop witness does not
+    end most draws."""
+    p = draw(st.sampled_from([2, 3]))
+    vertices = list(range(draw(st.integers(1, 2))))
+    vertex = st.sampled_from(vertices)
+    ends = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4))
+    arrows = {f"a{i}": end for i, end in enumerate(ends)}
+
+    def word(start):
+        # grown by prepending an arrow leaving the current target
+        out, at = [], start
+        for _ in range(draw(st.integers(2, 4))):
+            options = [a for a, (s, _) in arrows.items() if s == at]
+            if not options:
+                return None
+            out.insert(0, draw(st.sampled_from(options)))
+            at = arrows[out[0]][1]
+        return tuple(out), at
+
+    relations = [{(a,) * draw(st.integers(2, 4)): 1}
+                 for a, (s, t) in arrows.items()
+                 if s == t and draw(st.integers(0, 3))]
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(vertex)
+        terms, end = {}, None
+        for _ in range(draw(st.integers(1, 4))):
+            grown = word(start)
+            if grown is None or end not in (None, grown[1]):
+                continue
+            end = grown[1]
+            terms[grown[0]] = draw(st.integers(1, p - 1))
+        if terms:
+            relations.append(terms)
+    return QuiverSpec(p, vertices, arrows, relations)
+
+
+def outcome(run):
+    try:
+        return run()
+    except CapExceededError as err:
+        return type(err), str(err)
+
+
+# caps 3 and 4 keep each draw under a second: at cap 6 about one draw in
+# a few thousand rewrites for a minute before a guard trips
+@settings(max_examples=300, deadline=None)
+@given(small_presentations(), st.integers(3, 4))
+def test_completion_matches_the_tuple_reference(spec, cap):
+    def package():
+        system = complete(spec, cap)
+        return ([(lead, list(tail.items())) for lead, tail in system.rules],
+                system.basis_by_source)
+
+    assert outcome(package) == outcome(lambda: reference_complete(spec, cap))
+
+
+def test_public_words_are_int_tuples():
+    system = complete(builtin_family("II", 2))
+    words = [lead for lead, _ in system.rules]
+    words += [w for _, tail in system.rules for w in tail]
+    words += [w for ws in system.basis_by_source.values() for w in ws]
+    spec = system.spec
+    for rel in spec.relations:
+        nf = system.reduce_terms({tuple(spec.arrow_index[a] for a in w): c
+                                  for w, c in rel.items()})
+        assert nf == {}
+    product = (spec.arrow_index["beta"], spec.arrow_index["gamma"])
+    nf = system.reduce_terms({product * 2: 1})
+    words += list(nf)
+    assert nf and words
+    assert all(type(w) is tuple and all(type(a) is int for a in w)
+               for w in words)
+
+
+def test_more_arrows_than_a_byte_holds_are_refused():
+    QuiverSpec(2, [0], {f"a{i}": (0, 0) for i in range(256)})
+    with pytest.raises(ValueError, match="over 256 arrows"):
+        QuiverSpec(2, [0], {f"a{i}": (0, 0) for i in range(257)})
 
 
 # ---------------------------------------------------------------------------
