@@ -121,21 +121,22 @@ def _read_fixture(path, family, d):
 
     family and d are the case the request names, None where unset; the
     fixture's algebra: line fills in what is unset and must otherwise name
-    the same case.  The case is checked against the catalogue first.
-    Returns (module, family, d).
+    the same case.  The case is checked against the catalogue first; a
+    second algebra: line is refused.  Returns (module, family, d).
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     named = (None, None)
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line.lower().startswith("algebra:"):
+            if named != (None, None):
+                raise ValueError(f"line {lineno}: second algebra: line")
             tokens = line.split(":", 1)[1].split()
             if len(tokens) != 2:
                 raise ValueError("algebra: line needs a family and a "
                                  "parameter, for example 'algebra: II 2'")
             named = tokens[0], int(tokens[1])
-            break
     case = tuple(n if f is None else f for f, n in zip((family, d), named))
     if None in case:
         raise ValueError("fixture does not name its algebra; "

@@ -452,12 +452,6 @@ def hensel_chain(p, n, a_eps=None, table=None) -> list:
 # the mixed-ring representation and the obstruction identity
 
 
-def _shift_unit(d):
-    e = np.zeros((d, d), dtype=np.int64)
-    e[0, d - 1] = 1
-    return e
-
-
 def mixed_representation(p, n, N, a_eps=None, chain=None,
                          full_table=None) -> groups.GroupRep:
     """The full-group representation over the mixed deformation ring.
@@ -489,7 +483,7 @@ def mixed_representation(p, n, N, a_eps=None, chain=None,
     ])
     tau = np.zeros((d, d, N), dtype=np.int64)
     tau[:, :, 0] = np.eye(d, dtype=np.int64)
-    tau[:, :, 1] = _shift_unit(d)
+    tau[:, :, 1] = _unit(d, 0, d - 1)
     return groups.GroupRep.from_generators(
         full_table, ring,
         {"sigma": sigma, "tau": tau, "epsilon": eps},
@@ -559,7 +553,7 @@ def obstruction_powers(p, A):
     stack and the verdict of each slice.
     """
     d = p - 1
-    E = _shift_unit(d)
+    E = _unit(d, 0, d - 1)
     base = np.zeros((len(A), d, d, 3), dtype=np.int64)
     base[..., 0] = np.eye(d, dtype=np.int64)
     base[..., 1] = E + p * A

@@ -729,10 +729,6 @@ class StructureReport:
     composition_factors: dict
     uniserial: bool
 
-    @property
-    def length(self):
-        return sum(self.composition_factors.values())
-
 
 def _radical_filtration(M):
     """Column bases of M >= rad M >= rad^2 M >= ... (strictly, down to 0)."""
@@ -898,45 +894,50 @@ def _as_vertex(tok: str):
 
 
 def parse_module_fixture(text: str, algebra) -> FdModule:
-    """dim:/vertices:/matrix <gen>: sections; omitted generators act as 0."""
-    dim = None
-    block_labels = None
-    mats = {}
-    current = None
-    rows = []
+    """dim:/vertices:/matrix <gen>: sections; omitted generators act as 0.
+
+    A header given twice raises ValueError naming the second one's line.
+    """
+    labels = list(algebra.grading_labels)
+    dim = block_labels = current = None
+    mats = {}  # generator -> its rows, filled as they are read
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
             continue
-        stripped = line.strip()
         low = stripped.lower()
         if low.startswith("algebra:"):
             continue  # resolved by the caller
         if low.startswith("dim:"):
+            if dim is not None:
+                raise ValueError(f"line {lineno}: second dim: line")
             dim = int(stripped.split(":", 1)[1])
             continue
         if low.startswith("vertices:"):
+            if block_labels is not None:
+                raise ValueError(f"line {lineno}: second vertices: line")
             block_labels = [
                 _as_vertex(t) for t in stripped.split(":", 1)[1].split()
             ]
+            for b in block_labels:
+                if b not in labels:
+                    raise ValueError(f"line {lineno}: unknown vertex {b}")
             continue
         if low.startswith("matrix"):
-            if current is not None:
-                mats[current] = rows
             parts = stripped.split(None, 1)
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: matrix names no generator")
             current = parts[1].rstrip(":").strip()
-            rows = []
+            if current in mats:
+                raise ValueError(
+                    f"line {lineno}: second matrix {current}: section")
+            mats[current] = []
             continue
         if current is None:
             raise ValueError(f"line {lineno}: unexpected {stripped!r}")
-        rows.append([int(t) for t in stripped.split()])
-    if current is not None:
-        mats[current] = rows
+        mats[current].append([int(t) for t in stripped.split()])
     if dim is None:
         raise ValueError("missing dim: line")
-    labels = list(algebra.grading_labels)
     if block_labels is None:
         if len(labels) != 1:
             raise ValueError("missing vertices: line for a graded algebra")
@@ -954,19 +955,3 @@ def parse_module_fixture(text: str, algebra) -> FdModule:
             raise ValueError(f"matrix {name} has shape {m.shape}")
         built[name] = m
     return FdModule(algebra, block_of, built)
-
-
-def print_module_fixture(M: FdModule) -> str:
-    lines = [f"dim: {M.dim}"]
-    labels = list(M.algebra.grading_labels)
-    if len(labels) > 1:
-        lines.append(
-            "vertices: " + " ".join(str(labels[i]) for i in M.block_of)
-        )
-    for name in M.algebra.generators:
-        if not np.any(M.mats[name]):
-            continue
-        lines.append(f"matrix {name}:")
-        for row in M.mats[name]:
-            lines.append("  " + " ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"

@@ -13,8 +13,9 @@ group table checks.  It names one of three routes by the largest partial
 sum a product can reach: float32 BLAS below 2^24, float64 BLAS below
 2^53 and int64 below 2^63; past that a product is refused.  Beside it,
 `exact_word` names the smallest unsigned word, uint16, uint32 or uint64,
-that holds the same bound, and `multiple_test` decides divisibility in
-that word.  All functions expect and return canonical residues.
+that holds the same bound, and `multiple_test` builds the exact
+divisibility test in that word.  All functions expect and return
+canonical residues.
 """
 
 from __future__ import annotations
@@ -58,19 +59,27 @@ def exact_product(k: int, moduli: tuple, slack: int = 0):
 def exact_word(k: int, moduli: tuple, slack: int = 0):
     """The smallest of uint16, uint32 and uint64 that holds the bound of
     `exact_product(k, moduli, slack)`, which raises past int64; ValueError
-    on an even modulus, which `is_multiple` cannot decide."""
+    on an even modulus, which `multiple_test` cannot decide."""
     exact_product(k, moduli, slack)
     if any(m % 2 == 0 for m in moduli):
-        raise ValueError(f"is_multiple needs odd moduli, not {moduli}")
+        raise ValueError(f"multiple_test needs odd moduli, not {moduli}")
     peak = k * _level_peak(moduli) + slack
     return next(w for w in (np.uint16, np.uint32, np.uint64)
                 if peak <= np.iinfo(w).max)
 
 
 def multiple_test(moduli, word, shape=None):
-    """`is_multiple`'s decision for d in the unsigned `word`, with m^-1 and
-    the limits built once; for L > 1 levels they are tiled to `shape`
-    (..., L), so each step is one long inner loop, not many of length L."""
+    """The test m | d, entrywise, that overwrites d in the unsigned `word`.
+
+    The odd moduli m broadcast over d's last axis; an even one raises
+    ValueError before any arithmetic.  m^-1 and the limits are built once,
+    and tiled to `shape` (..., L) for L > 1 levels, so each step is one
+    long inner loop.  d is multiplied in place by m^-1 mod 2^w, a wrap that
+    is deliberate, exact modular arithmetic: an odd m^-1 permutes Z/2^w and
+    takes the multiples m q in [0, 2^w) onto q = 0..floor((2^w - 1) / m),
+    so m | d exactly when the product is at most that (Granlund and
+    Montgomery, PLDI 1994).
+    """
     moduli, word = np.atleast_1d(moduli).tolist(), np.dtype(word)
     if word.kind != "u" or any(m % 2 == 0 for m in moduli):
         raise ValueError(f"need unsigned d and odd moduli: {word}, {moduli}")
@@ -80,19 +89,6 @@ def multiple_test(moduli, word, shape=None):
     if shape is not None and len(moduli) > 1:
         inv, limit = (np.broadcast_to(c, shape).copy() for c in (inv, limit))
     return lambda d: np.multiply(d, inv, out=d) <= limit
-
-
-def is_multiple(d, moduli) -> np.ndarray:
-    """Entrywise m | d for d in an unsigned word of w bits; d is overwritten.
-
-    The odd moduli m broadcast over d's last axis; an even one raises
-    ValueError before any arithmetic.  d is multiplied in place by m^-1
-    mod 2^w, a wrap that is deliberate, exact modular arithmetic: an odd
-    m^-1 permutes Z/2^w and takes the multiples m q in [0, 2^w) onto
-    q = 0..floor((2^w - 1) / m), so m | d exactly when the product is at
-    most that (Granlund and Montgomery, PLDI 1994).
-    """
-    return multiple_test(moduli, d.dtype)(d)
 
 
 def asmod(a, p: int) -> np.ndarray:

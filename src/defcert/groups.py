@@ -11,15 +11,17 @@ generated by tau).  Distinguished elements: sigma = ((1,0),1),
 tau = ((0,1),1), epsilon = ((0,0),a).
 
 Nothing downstream trusts a presentation.  Groups are multiplication
-tables; representations carry one matrix per element.  `element_stack` is
-the one builder of those matrices, through the normal form
-sigma^x tau^y epsilon^j, and `table_mismatches` is the one check of a
-stack against all |G|^2 pairs of the table: an exact product, decided in
-the unsigned word that holds it by `flinalg.is_multiple`'s multiplication
-by the inverse of each odd modulus mod 2^w.  `build_group` checks that
-the handle's defining relations hold in the table, so the systems read
-off them bound H^1 cocycles and Hensel corrections from above; each
-solution is then verified on the table.
+tables, and `build_group` is their one builder, so every table has an odd
+prime p and p (p - 1) or p^2 (p - 1) elements; representations carry one
+matrix per element.  `element_stack` is the one builder of those
+matrices, through the normal form sigma^x tau^y epsilon^j, and
+`table_mismatches` is the one check of a stack against all |G|^2 pairs
+of the table: an exact product, decided in the unsigned word that holds
+it by `flinalg.multiple_test`'s multiplication by the inverse of each odd
+modulus mod 2^w.  `build_group` checks that the handle's defining
+relations hold in the table, so the systems read off them bound H^1
+cocycles and Hensel corrections from above; each solution is then
+verified on the table.
 """
 
 from __future__ import annotations
@@ -52,15 +54,6 @@ def smallest_primitive_root(p: int) -> int:
     raise ValueError(f"no primitive root mod {p}")
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """One element ((x, y), a); y is always 0 in the quotient."""
-
-    x: int
-    y: int
-    a: int
-
-
 class GroupTable:
     """Immutable multiplication table for one group of the family.
 
@@ -90,13 +83,7 @@ class GroupTable:
         self.size = len(xs)
         self.identity = 0
         self.algebra = None
-        self.avals = pow_table(a_eps, p)[js] if self.size > 1 else np.ones(
-            1, dtype=np.int64
-        )
-
-    def element(self, i: int) -> GroupElement:
-        return GroupElement(int(self.xs[i]), int(self.ys[i]),
-                            int(self.avals[i]))
+        self.avals = pow_table(a_eps, p)[js]
 
     def find(self, x: int, y: int, a: int) -> int:
         hits = np.nonzero(
@@ -126,13 +113,6 @@ class GroupTable:
             k >>= 1
         return acc
 
-    def order_of(self, g: int) -> int:
-        k, x = 1, g
-        while x != self.identity:
-            x = int(self.mul[x, g])
-            k += 1
-        return k
-
     def eps_subgroup(self) -> list:
         """Indices of the cyclic p'-complement generated by epsilon."""
         out = [self.identity]
@@ -145,7 +125,7 @@ class GroupTable:
 
 def pow_table(a: int, p: int) -> np.ndarray:
     """a^j mod p for j = 0..p-2."""
-    out = np.ones(max(p - 1, 1), dtype=np.int64)
+    out = np.ones(p - 1, dtype=np.int64)
     for j in range(1, p - 1):
         out[j] = out[j - 1] * a % p
     return out
@@ -218,14 +198,6 @@ def build_group(p: int, a_eps: int | None = None,
         if len(ends) != 1:
             raise ValueError(f"relation {rid} fails in the table")
     return table
-
-
-def trivial_group(p: int) -> GroupTable:
-    """One-element table; the characteristic p still tags the modules."""
-    z = np.zeros(1, dtype=np.int64)
-    return GroupTable(p, 1, False, z, z, z,
-                      mul=np.zeros((1, 1), dtype=np.int64), inv=z.copy(),
-                      sigma=0, tau=0, eps=0)
 
 
 def quotient_projection(full: GroupTable, quot: GroupTable) -> np.ndarray:
@@ -543,7 +515,7 @@ class GroupAlgebra:
             ("group:eps sigma=sigma^a eps", [(1, e + s), (-1, s * a + e)]),
         ]
         if self.table.tau is not None:
-            ainv = pow(a, -1, p) if a != 1 else 1
+            ainv = pow(a, -1, p)
             items += [
                 ("group:tau^p=1", [(1, t * p), (-1, ())]),
                 ("group:sigma tau=tau sigma", [(1, s + t), (-1, t + s)]),
@@ -795,11 +767,12 @@ def h1_cocycles(table: GroupTable, M: fdmod.FdModule) -> H1Result:
     H^1(G, M) = Ext^1(k, M), k trivial: a cocycle is its generator values
     x, the theta slots of the extension route, and solves the relation
     rows of `fdmod.relation_derivative` for (k, M) with the read-back rows
-    D[s] x = x_s (zero on `build_group` tables; they force 0 on the
-    one-element table, whose generators are all the identity).  Each basis
-    cocycle, expanded by `cocycle_system`, is checked against
-    d(gh) = d(g) + g.d(h) for all |G|^2 pairs: the rows bound Z^1 above,
-    the verified basis below.  B^1 is `fdmod.extension_coboundaries`.
+    D[s] x = x_s.  Those rows are zero on every `build_group` table, but
+    they make x -> D x one-to-one on the solutions, so the verified cocycle
+    columns are independent.  Each basis cocycle, expanded by
+    `cocycle_system`, is checked against d(gh) = d(g) + g.d(h) for all
+    |G|^2 pairs: the rows bound Z^1 above, the verified basis below.  B^1
+    is `fdmod.extension_coboundaries`.
     """
     rep = module_rep(table, M)
     p = table.p

@@ -1,8 +1,9 @@
 """Quiver presentations and noncommutative rewriting over F_p.
 
-Words are tuples of arrow names in written order: the rightmost arrow acts
-first, so the word ("gamma", "beta") is the path "first beta, then gamma"
-and is composable when source(gamma) = target(beta).  Monomial order is
+Words are tuples in written order, of arrow names in a presentation and
+of arrow indices in a `CompletedSystem`: the rightmost arrow acts first,
+so ("gamma", "beta") is the path "first beta, then gamma" and is
+composable when source(gamma) = target(beta).  Monomial order is
 degree-lexicographic with the lexicographic tie-break taken in arrow
 declaration order; it is admissible, so rewriting leading words to strictly
 smaller tails terminates.
@@ -33,7 +34,6 @@ raises a plain CapExceededError, which says only that a guard tripped.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 
 class CapExceededError(RuntimeError):
@@ -50,17 +50,6 @@ class InfiniteDimensionError(CapExceededError):
     def __str__(self):
         return (f"loop {self.loop}: the quotient maps onto k[{self.loop}], "
                 "so it is infinite-dimensional")
-
-
-@dataclass(frozen=True)
-class PathWord:
-    """A path, written order: arrows[-1] acts first.  Empty = idempotent."""
-
-    source: object
-    arrows: tuple[str, ...]
-
-    def __str__(self):
-        return "*".join(self.arrows) if self.arrows else f"e_{self.source}"
 
 
 class QuiverSpec:
@@ -278,13 +267,12 @@ class CompletedSystem:
     system's one module-algebra handle, filled by `fdmod.quiver_algebra`.
     """
 
-    def __init__(self, spec, store, by_first, basis_by_source, cap):
+    def __init__(self, spec, store, by_first, basis_by_source):
         self.spec = spec
         self.rules = [(tuple(lead), {tuple(w): c for w, c in tail.items()})
                       for lead, tail in store.items()]
         self.basis_by_source = {v: [tuple(w) for w in words]
                                 for v, words in basis_by_source.items()}
-        self.cap = cap
         self.dim = sum(len(ws) for ws in basis_by_source.values())
         self.algebra = None
         self._store = store
@@ -293,40 +281,11 @@ class CompletedSystem:
     def dims_by_source(self):
         return {v: len(ws) for v, ws in self.basis_by_source.items()}
 
-    def _names(self, iword):
-        return tuple(self.spec.arrow_names[i] for i in iword)
-
-    def basis_words(self, v):
-        return [PathWord(v, self._names(w)) for w in self.basis_by_source[v]]
-
     def reduce_terms(self, terms: dict) -> dict:
-        """Full normal form of {int-word: coeff}; exercised by everything."""
+        """Full normal form of {int-word: coeff}: the one normal form."""
         nf = _reduce({bytes(w): c for w, c in terms.items()}, self._store,
                      self._by_first, self.spec.p)
         return {tuple(w): c for w, c in nf.items()}
-
-    def normal_form_word(self, word: PathWord) -> dict:
-        """Normal form of a path as {int-word: coeff}; empty word is itself."""
-        if not word.arrows:
-            if word.source not in self.spec.vertices:
-                raise ValueError(f"unknown vertex {word.source!r}")
-            return {(): 1}
-        self.spec.word_endpoints(tuple(word.arrows))
-        return self.reduce_terms(
-            {tuple(self.spec.arrow_index[a] for a in word.arrows): 1})
-
-
-def normal_form(sys: CompletedSystem, word) -> dict:
-    """Public normal form: PathWord (or arrow-name tuple) -> {word: coeff}.
-
-    Returned keys are arrow-name tuples ((),) meaning the idempotent at the
-    word's source.
-    """
-    if not isinstance(word, PathWord):
-        word = tuple(word)
-        word = PathWord(sys.spec.word_endpoints(word)[0] if word else None,
-                        word)
-    return {sys._names(w): c for w, c in sys.normal_form_word(word).items()}
 
 
 def _lead_index(store):
@@ -453,7 +412,7 @@ def complete(spec: QuiverSpec, cap: int | None = None) -> CompletedSystem:
                         raise CapExceededError("completion S-pair budget exhausted")
 
     basis = _irreducible_basis(spec, by_first, cap)
-    return CompletedSystem(spec, store, by_first, basis, cap)
+    return CompletedSystem(spec, store, by_first, basis)
 
 
 def _irreducible_basis(spec, by_first, cap):

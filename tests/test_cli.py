@@ -319,6 +319,26 @@ def test_module_check_bare_matrix_line_is_a_parse_error(tmp_path, capsys):
     assert "fixture parse error: line 4: matrix names no generator" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    # a second section would replace the first without a word
+    ("algebra: II 2\ndim: 2\nvertices: 0 1\nmatrix beta:\n  0 0\n  1 0\n"
+     "matrix beta:\n  0 0\n  0 0\n", "line 7: second matrix beta:"),
+    ("algebra: II 2\ndim: 2\ndim: 1\nvertices: 0\n", "line 3: second dim:"),
+    ("algebra: II 2\ndim: 1\nvertices: 0\nvertices: 1\n",
+     "line 4: second vertices:"),
+    ("algebra: II 2\ndim: 1\nvertices: 0\nalgebra: I 2\n",
+     "line 4: second algebra:"),
+    ("algebra: II 2\ndim: 1\nvertices: 7\n", "line 3: unknown vertex 7"),
+], ids=["matrix", "dim", "vertices", "algebra", "unknown-vertex"])
+def test_module_check_refuses_repeated_headers_and_unknown_vertices(
+        text, message, tmp_path, capsys):
+    fixture = tmp_path / "repeated.qmod"
+    fixture.write_text(text)
+    code, out, err = run(["module", "check", str(fixture)], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("argv", [
     ["ext", "--family", "I", "--d", "2", "--source"],
     ["ext", "--family", "I", "--d", "2", "--target"],

@@ -17,7 +17,6 @@ from defcert.fdmod import (
     module_from_action_matrices,
     module_structure,
     parse_module_fixture,
-    print_module_fixture,
     projective_cover,
     quiver_algebra,
     stable_hom_dim,
@@ -413,7 +412,7 @@ def test_structure_of_fixture_module(T_I):
     assert st.socle == {1: 1, 0: 1}
     assert st.composition_factors == {1: 2, 0: 2, 2: 1}
     assert not st.uniserial
-    assert st.length == 5
+    assert sum(st.composition_factors.values()) == 5  # the length
 
 
 def test_structure_of_projectives(algI):
@@ -573,12 +572,43 @@ def test_ext_invariant_under_base_change(T_I):
 
 
 # ---------------------------------------------------------------------------
-# fixture text round trip
+# fixture text
+
+
+T_I_TEXT = """\
+# T_I on the basis (e1, b, gb, db, hdb)
+dim: 5
+vertices: 1 0 1 2 0
+matrix beta:
+  0 0 0 0 0
+  1 0 0 0 0
+  0 0 0 0 0
+  0 0 0 0 0
+  0 0 0 0 0
+matrix gamma:
+  0 0 0 0 0
+  0 0 0 0 0
+  0 1 0 0 0
+  0 0 0 0 0
+  0 0 0 0 0
+
+matrix delta:  # blank lines and comments are skipped
+  0 0 0 0 0
+  0 0 0 0 0
+  0 0 0 0 0
+  0 1 0 0 0
+  0 0 0 0 0
+matrix eta:
+  0 0 0 0 0
+  0 0 0 0 0
+  0 0 0 0 0
+  0 0 0 0 0
+  0 0 0 1 0
+"""
 
 
 def test_module_fixture_round_trip(algI, T_I):
-    text = print_module_fixture(T_I)
-    again = parse_module_fixture(text, algI)
+    again = parse_module_fixture(T_I_TEXT, algI)
     assert np.array_equal(again.block_of, T_I.block_of)
     for name in algI.generators:
         assert np.array_equal(again.mats[name], T_I.mats[name])
@@ -601,6 +631,18 @@ def test_module_fixture_errors(algI):
         parse_module_fixture(
             "dim: 1\nvertices: 1\nmatrix nosuch:\n  0\n", algI
         )
+    # a header given twice is refused at its second line, not overwritten
+    beta = "matrix beta:\n  0 0\n  1 0\n"
+    for text, message in [
+        ("dim: 2\nvertices: 1 0\n" + beta + beta,
+         "line 6: second matrix beta:"),
+        ("dim: 2\nvertices: 1 0\ndim: 2\n", "line 3: second dim:"),
+        ("dim: 2\nvertices: 1 0\nvertices: 0 1\n",
+         "line 3: second vertices:"),
+        ("dim: 1\nvertices: 7\n", "line 2: unknown vertex 7"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_module_fixture(text, algI)
 
 
 def _kronecker_hom_basis(M, N):

@@ -423,6 +423,10 @@ def test_extend_basis_is_the_greedy_rank_choice(case):
     )
 
 
+# the is_multiple tests pin the contract of the test m | d that
+# multiple_test builds, applied once without tiling
+
+
 @pytest.mark.parametrize("m", [3, 5, 7, 49, 343])
 @pytest.mark.parametrize("dtype, bits", [(np.float32, 24), (np.float64, 53),
                                          (np.int64, 63)])
@@ -439,7 +443,7 @@ def test_is_multiple_is_exact_at_the_largest_admitted_magnitude(
     values = [m * q, m * q - 1, m * q + 1, top, 0, 1]
     d = np.array(values, dtype=dtype).astype(word)
     assert d.astype(object).tolist() == values
-    got = flinalg.is_multiple(d[:, None], (m,))[:, 0]
+    got = flinalg.multiple_test((m,), d.dtype)(d[:, None])[:, 0]
     assert got.tolist() == [v % m == 0 for v in values]
 
 
@@ -453,7 +457,7 @@ def test_is_multiple_is_exact_at_the_top_of_each_word(m, word):
     values = sorted({v for v in (m * q - 1, m * q, m * q + 1, m - 1, m,
                                  m + 1, top - 1, top, 0, 1) if 0 <= v <= top})
     d = np.array(values, dtype=word)
-    got = flinalg.is_multiple(d, (m,))
+    got = flinalg.multiple_test((m,), d.dtype)(d)
     assert got.tolist() == [v % m == 0 for v in values]
     assert d.dtype == word
 
@@ -463,7 +467,7 @@ def test_is_multiple_refuses_an_even_modulus_before_any_arithmetic(moduli):
     d = np.arange(6 * len(moduli), dtype=np.uint16).reshape(6, -1)
     before = d.copy()
     with pytest.raises(ValueError, match="odd moduli"):
-        flinalg.is_multiple(d, moduli)
+        flinalg.multiple_test(moduli, d.dtype)(d)
     assert np.array_equal(d, before)
     with pytest.raises(ValueError, match="odd moduli"):
         flinalg.exact_word(2, moduli, 2 * max(moduli))
@@ -472,7 +476,8 @@ def test_is_multiple_refuses_an_even_modulus_before_any_arithmetic(moduli):
 @pytest.mark.parametrize("dtype", [np.int64, np.float32])
 def test_is_multiple_refuses_a_signed_or_float_word(dtype):
     with pytest.raises(ValueError, match="unsigned"):
-        flinalg.is_multiple(np.array([0, 3, 6], dtype=dtype), (3,))
+        d = np.array([0, 3, 6], dtype=dtype)
+        flinalg.multiple_test((3,), d.dtype)(d)
 
 
 @pytest.mark.parametrize("k, moduli, slack, word", [
@@ -501,7 +506,8 @@ def test_multiple_test_on_tiled_constants_agrees_with_is_multiple(moduli):
     q = rng.integers(0, 60, size=shape) * np.array(moduli)
     d = (q + (rng.random(shape) < 0.5)).astype(np.uint16)
     want = d.astype(np.int64) % np.array(moduli) == 0
-    assert np.array_equal(flinalg.is_multiple(d.copy(), moduli), want)
+    assert np.array_equal(flinalg.multiple_test(moduli, d.dtype)(d.copy()),
+                          want)
     decide = flinalg.multiple_test(moduli, np.uint16, shape[1:])
     for _ in range(2):  # the constants outlive each call
         assert np.array_equal(decide(d.copy()), want)

@@ -19,13 +19,11 @@ from defcert import deform, quiver
 from defcert.quiver import (
     CapExceededError,
     InfiniteDimensionError,
-    PathWord,
     QuiverSpec,
     builtin_family,
     complete,
     family3_printed_spec,
     loop_witness,
-    normal_form,
 )
 from conftest import completed_family
 
@@ -40,7 +38,7 @@ ONE_LOOP = QuiverSpec(2, ["v"], {"x": ("v", "v")}, [{("x", "x"): 1}])
 def test_one_loop_basis():
     sys = complete(ONE_LOOP, cap=8)
     assert sys.dim == 2
-    assert [str(w) for w in sys.basis_words("v")] == ["e_v", "x"]
+    assert sys.basis_by_source == {"v": [(), (0,)]}  # e_v and x
 
 
 def test_non_composable_relation_rejected():
@@ -230,28 +228,22 @@ def test_printed_relations_vanish_on_every_jordan_block():
 # normal forms
 
 
+def named_normal_form(sys, word):
+    """`reduce_terms` of one word of arrow names, keyed by arrow names."""
+    spec = sys.spec
+    nf = sys.reduce_terms({tuple(spec.arrow_index[a] for a in word): 1})
+    return {tuple(spec.arrow_names[i] for i in w): c for w, c in nf.items()}
+
+
 def test_normal_form_directions():
     sys = completed_family("I", 2)
     b, g, d, h = "beta", "gamma", "delta", "eta"
     # the long side of the first defining relation rewrites to the short one
-    assert normal_form(sys, (h, d, b, g, h, d, b)) == {(b, g, b): 1}
+    assert named_normal_form(sys, (h, d, b, g, h, d, b)) == {(b, g, b): 1}
     # the short side is already irreducible
-    assert normal_form(sys, (b, g, b)) == {(b, g, b): 1}
+    assert named_normal_form(sys, (b, g, b)) == {(b, g, b): 1}
     # and one extra step lands in the ideal
-    assert normal_form(sys, (d, b, g, b)) == {}
-
-
-def test_normal_form_of_idempotent():
-    sys = completed_family("I", 2)
-    assert normal_form(sys, PathWord(1, ())) == {(): 1}
-    with pytest.raises(ValueError):
-        sys.normal_form_word(PathWord(99, ()))
-
-
-def test_normal_form_rejects_invalid_words():
-    sys = completed_family("I", 2)
-    with pytest.raises(ValueError):
-        normal_form(sys, ("beta", "beta"))
+    assert named_normal_form(sys, (d, b, g, b)) == {}
 
 
 def random_word(rng, spec, max_len):
@@ -641,9 +633,9 @@ def test_dimension_certificate_first_family():
         if len(w) == longest_free + 1
     )
     engine_basis = {
-        (tuple(w.arrows), v)
+        (tuple(spec.arrow_names[i] for i in w), v)
         for v in spec.vertices
-        for w in sys.basis_words(v)
+        for w in sys.basis_by_source[v]
     }
     assert engine_basis == {(w, s) for w, s in free}
 
@@ -656,7 +648,7 @@ def test_dimension_certificate_first_family():
         for (w, s), j in index.items():
             if spec.source(a) != path_target(spec, w, s):
                 continue
-            nf = normal_form(sys, PathWord(s, (a,) + w))
+            nf = named_normal_form(sys, (a,) + w)
             for w2, c in nf.items():
                 m[index[(w2, s)], j] = c % 2
         mats[a] = m
