@@ -104,16 +104,15 @@ def _unit(n, i, j):
     return m
 
 
-# base-module data: (dim, {vertex: basis indices}, {arrow: [(i, j)] entries})
+# base-module data: (the vertex of each basis vector, as a fixture's
+# vertices: line states it, {arrow: the (i, j) of its one unit entry})
 _BASE_DATA = {
-    "I": (5, {1: (0, 2), 0: (1, 4), 2: (3,)},
-          {"beta": [(1, 0)], "gamma": [(2, 1)],
-           "delta": [(3, 1)], "eta": [(4, 3)]}),
-    "II": (4, {0: (0, 3), 1: (1,), 2: (2,)},
-           {"beta": [(1, 0)], "kappa": [(2, 0)], "lambda": [(3, 2)]}),
-    "III": (5, {0: (1, 4), 1: (3,), 2: (0, 2)},
-            {"beta": [(4, 3)], "gamma": [(3, 1)],
-             "delta": [(2, 1)], "eta": [(1, 0)]}),
+    "I": ((1, 0, 1, 2, 0),
+          {"beta": (1, 0), "gamma": (2, 1), "delta": (3, 1), "eta": (4, 3)}),
+    "II": ((0, 1, 2, 0),
+           {"beta": (1, 0), "kappa": (2, 0), "lambda": (3, 2)}),
+    "III": ((2, 0, 2, 1, 0),
+            {"beta": (4, 3), "gamma": (3, 1), "delta": (2, 1), "eta": (1, 0)}),
 }
 
 # the one-entry t-linear deformation direction of each built-in lift
@@ -133,21 +132,11 @@ def base_module(family, system) -> FdModule:
     """
     if family not in _BASE_DATA:
         raise ValueError(f"unknown family {family!r}")
-    n, idem, entries = _BASE_DATA[family]
+    vertices, entries = _BASE_DATA[family]
     alg = fdmod.quiver_algebra(system)
-    idem_mats = {}
-    for label, idxs in idem.items():
-        m = np.zeros((n, n), dtype=np.int64)
-        for i in idxs:
-            m[i, i] = 1
-        idem_mats[label] = m
-    mats = {}
-    for name, pos in entries.items():
-        m = np.zeros((n, n), dtype=np.int64)
-        for i, j in pos:
-            m[i, j] = 1
-        mats[name] = m
-    return fdmod.module_from_action_matrices(alg, idem_mats, mats)
+    n = len(vertices)
+    return FdModule(alg, [alg.grading_labels.index(v) for v in vertices],
+                    {name: _unit(n, i, j) for name, (i, j) in entries.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +225,6 @@ class LiftVerification:
     relations_checked: int
     max_degree: int
     truncation_levels: tuple
-    ok: bool = True
 
 
 def _poly_mul(a, b, p):
@@ -282,7 +270,7 @@ def _raise_on_violation(rel_id, value):
         raise RelationViolated(rel_id, (i, j, k), v)
 
 
-def verify_quiver_lift(L: LiftCandidate, system=None) -> LiftVerification:
+def verify_quiver_lift(L: LiftCandidate) -> LiftVerification:
     """Certify a lift: exact polynomial identities plus truncated replay.
 
     Route one evaluates every defining relation as an exact polynomial in
@@ -291,13 +279,9 @@ def verify_quiver_lift(L: LiftCandidate, system=None) -> LiftVerification:
     truncated rings TruncPoly(p, N) for N in {2, 3, 4} through
     `fdmod.relation_values`.  Either route failing raises RelationViolated
     with the offending relation, entry, and t-degree, the lowest degree
-    first.
+    first.  The relations are those of the base module's algebra.
     """
     alg = L.base.algebra
-    if system is not None and alg.system is not system:
-        alg = fdmod.quiver_algebra(system)
-        if set(alg.generators) != set(L.base.algebra.generators):
-            raise ValueError("lift base does not live over this system")
     p = L.base.p
     d = L.base.dim
     polys = _graded_polys(L)
@@ -790,14 +774,14 @@ def self_ext2_premise(T) -> Premise:
                     {"resolution_route": e2})
 
 
-def lift_premises(lift: LiftCandidate, system) -> list:
+def lift_premises(lift: LiftCandidate) -> list:
     """The flat-lift and first-order-class premises of one lift.
 
     The class must be non-zero in a one-dimensional Ext^1; a lift that
     breaks a relation fails both premises.
     """
     try:
-        cert = verify_quiver_lift(lift, system)
+        cert = verify_quiver_lift(lift)
         cls = first_order_class(lift)
     except RelationViolated as err:
         flat = False, {"relation": str(err.relation_id),
@@ -844,8 +828,17 @@ def quotient_rigidity_premise(V) -> Premise:
 
 def endomorphism_decomposition_premise(EndV, target) -> Premise:
     """End(V) is isomorphic to target and has every simple once in its
-    socle; the report's target is T_0 + P_1 + ... + P_(p-2)."""
-    iso = bool(fdmod.is_isomorphic(EndV, target).isomorphic)
+    socle; the report's target is T_0 + P_1 + ... + P_(p-2).
+
+    A miss of the random isomorphism search is not a mathematical fact,
+    so it raises RuntimeError rather than filing a FAIL.
+    """
+    found = fdmod.is_isomorphic(EndV, target)
+    if not found.definitive:
+        raise RuntimeError(f"the {found.method} isomorphism search found "
+                           "no invertible intertwiner, which is not "
+                           "definitive")
+    iso = bool(found.isomorphic)
     socle = fdmod.module_structure(EndV).socle
     simple_once = socle == {i: 1 for i in range(EndV.p - 1)}
     return _premise("endomorphism-decomposition", ANCHOR_DECOMP,
@@ -909,7 +902,7 @@ def _family_report(sc: Scenario) -> VerificationReport:
         stable_endomorphisms_premise(T),
         self_ext1_premise(T),
         self_ext2_premise(T),
-        *lift_premises(builtin_lift(sc.family, sc.d, system), system),
+        *lift_premises(builtin_lift(sc.family, sc.d, system)),
     ], CLAIM_FAMILY)
 
 

@@ -12,9 +12,10 @@ A handle provides:
   projective_module(label)   -> FdModule (cached per handle)
   simple_module(label)       -> FdModule
   radical_generators(M)      -> matrices on M whose images span rad M
-  component_vectors(N, label)-> basis of the label component of N
   component_coordinates(N)   -> Coordinates of N in a basis of component
-                                vectors (read through N.coordinates())
+                                vectors (read through N.coordinates()):
+                                the vertex blocks on a quiver, the
+                                epsilon-eigenspaces on the group
   yoneda_columns(label, N, x)-> action columns of Hom(P_label, N) element x
 
 From these facts, the radical generators and the component coordinates,
@@ -30,8 +31,9 @@ structures, whose theta slots and coboundary columns
 format, (vector, boundary columns): the class is zero exactly when the
 vector lies in the span of the boundary columns.
 
-All modules are graded by grading_labels via block_of; group-algebra
-modules use a single block.  Words act leftmost-last, so ``rho(word)`` is
+All modules are graded by grading_labels via block_of, one vertex per
+basis vector as a fixture's vertices: line states it; group-algebra modules
+use a single block.  Words act leftmost-last, so ``rho(word)`` is
 the matrix product taken in written order.
 
 Relations are evaluated in one place, `relation_values`, on level-last
@@ -75,10 +77,10 @@ Coordinates = namedtuple("Coordinates", "C C_inv labels mats")
 class FdModule:
     """Module given by one action matrix per algebra generator.
 
-    block_of[i] is the index into algebra.grading_labels of basis vector i.
-    Idempotents are not stored; they are the 0/1 diagonal projectors of the
-    grading, which validate_module checks against any fixture-supplied
-    idempotent matrices before construction.
+    block_of[i] is the index into algebra.grading_labels of basis vector i;
+    the vertex idempotents act as the 0/1 diagonal projectors of that
+    grading.  With check=True, `validate_module` checks that every
+    generator respects the grading and that every defining relation holds.
 
     The action matrices are read-only, so the module keeps what is derived
     from them, each built on first use with read-only arrays: its component
@@ -275,33 +277,6 @@ def arrow_block_mask(M, N, name):
     )
 
 
-def module_from_action_matrices(algebra, idempotent_mats, gen_mats):
-    """Build a module from explicit idempotent + generator matrices.
-
-    The idempotent matrices must be 0/1 diagonal projectors, pairwise
-    orthogonal and summing to the identity; they define the grading.
-    """
-    dims = {m.shape[0] for m in idempotent_mats.values()}
-    if len(dims) != 1:
-        raise ValueError("idempotent matrices of mixed size")
-    n = dims.pop()
-    block_of = np.full(n, -1, dtype=np.int64)
-    labels = list(algebra.grading_labels)
-    for label, mat in idempotent_mats.items():
-        mat = np.asarray(mat, dtype=np.int64) % algebra.p
-        if np.any(mat != np.diag(np.diagonal(mat))) or not set(
-            np.diagonal(mat)
-        ) <= {0, 1}:
-            raise RelationViolated(f"idempotent:{label}", (0, 0))
-        for i in np.nonzero(np.diagonal(mat))[0]:
-            if block_of[i] != -1:
-                raise RelationViolated(f"idempotent:{label}", (int(i), int(i)))
-            block_of[i] = labels.index(label)
-    if np.any(block_of == -1):
-        raise RelationViolated("idempotent:sum", (0, 0))
-    return FdModule(algebra, block_of, gen_mats)
-
-
 # ---------------------------------------------------------------------------
 # quiver-quotient algebra handle
 
@@ -352,11 +327,6 @@ class QuiverAlgebra:
                     N.mats[name], vals[w[1:]].reshape(-1, 1), self.p).ravel()
             out[:, col] = vals[w]
         return out
-
-    def component_vectors(self, N, label):
-        """The unit vectors of the label's vertex block of N."""
-        idx = list(self.grading_labels).index(label)
-        return list(np.eye(N.dim, dtype=np.int64)[N.block_of == idx])
 
     def component_coordinates(self, N):
         """The unit basis; each vector lies in its vertex block."""
@@ -602,12 +572,14 @@ def syzygy(M: FdModule) -> FdModule:
 
 
 def _hom_from_projective(cover: CoverResult, N: FdModule):
-    """Yoneda basis of Hom(P, N) for an assembled cover P = bigoplus P_l."""
+    """Yoneda basis of Hom(P, N) for an assembled cover P = bigoplus P_l:
+    P_l's generator goes to each of the label's component vectors of N."""
     alg = N.algebra
+    co = N.coordinates()
     out = []
     for label, off in zip(cover.summand_labels, cover.summand_offsets):
         P_l = alg.projective_module(label)
-        for x in alg.component_vectors(N, label):
+        for x in co.C[:, co.labels == alg.simple_labels.index(label)].T:
             f = np.zeros((N.dim, cover.projective.dim), dtype=np.int64)
             f[:, off : off + P_l.dim] = alg.yoneda_columns(label, N, x)
             out.append(f)

@@ -22,6 +22,12 @@ modulus mod 2^w.  `build_group` checks that the handle's defining
 relations hold in the table, so the systems read off them bound H^1
 cocycles and Hensel corrections from above; each solution is then
 verified on the table.
+
+The projectives of the group algebra are the characters of the cyclic
+p'-subgroup <epsilon> induced up (`induce`).  In the index order the
+cosets of <epsilon> are the runs of p - 1 consecutive indices, which
+`eps_coset_reps` checks against the table before `induce` and the
+handle's `yoneda_columns` read them.
 """
 
 from __future__ import annotations
@@ -112,15 +118,6 @@ class GroupTable:
             base = int(self.mul[base, base])
             k >>= 1
         return acc
-
-    def eps_subgroup(self) -> list:
-        """Indices of the cyclic p'-complement generated by epsilon."""
-        out = [self.identity]
-        g = self.eps
-        while g != self.identity:
-            out.append(g)
-            g = int(self.mul[g, self.eps])
-        return sorted(out)
 
 
 def pow_table(a: int, p: int) -> np.ndarray:
@@ -501,7 +498,6 @@ class GroupAlgebra:
             else ("sigma", "tau", "epsilon")
         )
         self._proj_cache = {}
-        self._cosets = None
 
     def gen_block(self, name):
         return None
@@ -529,29 +525,26 @@ class GroupAlgebra:
 
     def projective_module(self, label):
         if label not in self._proj_cache:
-            H, W = eps_character(self.table, label)
-            self._proj_cache[label] = induce(H, W, self.table)
+            self._proj_cache[label] = induce(self.table, label)
         return self._proj_cache[label]
 
-    def component_vectors(self, N, label):
-        """Basis of the a^label eigenspace of the scalar generator on N."""
-        val = pow(self.table.a_eps, label, self.p)
-        shifted = N.mats["epsilon"] - val * np.eye(N.dim, dtype=np.int64)
-        return list(flinalg.nullspace(shifted % self.p, self.p).T)
-
     def component_coordinates(self, N):
-        """The epsilon-eigenbasis of N in label order, with one inverse."""
+        """The epsilon-eigenbasis of N in label order, with one inverse:
+        label i's component is the a^i eigenspace of the scalar generator."""
         p = self.p
-        pairs = [(i, v) for i in self.simple_labels
-                 for v in self.component_vectors(N, i)]
-        C = np.column_stack([np.zeros((N.dim, 0), dtype=np.int64)]
-                            + [v for _, v in pairs])
+        eye = np.eye(N.dim, dtype=np.int64)
+        spaces = [flinalg.nullspace(
+            (N.mats["epsilon"] - pow(self.table.a_eps, i, p) * eye) % p, p)
+            for i in self.simple_labels]
+        C = np.concatenate([np.zeros((N.dim, 0), dtype=np.int64)] + spaces,
+                           axis=1)
         C_inv = flinalg.inv(C, p) if C.shape[1] == N.dim else None
         if C_inv is None:
             raise ValueError("the component bases do not span the module")
         mats = {name: flinalg.matmul_mod(flinalg.matmul_mod(C_inv, a, p), C, p)
                 for name, a in N.mats.items()}
-        labels = np.array([i for i, _ in pairs], dtype=np.int64)
+        labels = np.repeat(np.arange(len(spaces), dtype=np.int64),
+                           [s.shape[1] for s in spaces])
         return fdmod.Coordinates(C, C_inv, labels, mats)
 
     def radical_generators(self, M):
@@ -561,19 +554,13 @@ class GroupAlgebra:
         return [(M.mats[u] - eye) % self.p for u in self.generators
                 if u != "epsilon"]
 
-    def _eps_cosets(self):
-        if self._cosets is None:
-            H = self.table.eps_subgroup()
-            self._cosets = left_cosets(self.table, H)
-        return self._cosets
-
     def yoneda_columns(self, label, N, x):
         """Hom(P_label, N) element sending the coset basis through x.
 
         Well-defined when x lies in the a^label eigenspace of the scalar
         generator (Frobenius reciprocity); column c is rho_N(rep_c) x.
         """
-        reps, _, _ = self._eps_cosets()
+        reps = eps_coset_reps(self.table)
         x = np.asarray(x, dtype=np.int64) % self.p
         gens = {name: N.mats[name][:, :, None] for name in self.generators}
         acts = element_stack(self.table, (self.p,), gens)[reps, :, :, 0]
@@ -601,85 +588,48 @@ def simple_module(table: GroupTable, i: int) -> fdmod.FdModule:
     return fdmod.FdModule(alg, np.zeros(1, dtype=np.int64), mats)
 
 
-def eps_character(table: GroupTable, i: int):
-    """(subgroup, action) input for inducing the i-th scalar character."""
-    p = table.p
-    if not 0 <= i <= p - 2:
-        raise ValueError(f"character index {i} outside 0..{p - 2}")
-    H = table.eps_subgroup()
-    W = {}
-    for h in H:
-        W[h] = np.array(
-            [[pow(table.a_eps, i * int(table.js[h]), p)]], dtype=np.int64
-        )
-    return H, W
+def eps_coset_reps(table: GroupTable) -> np.ndarray:
+    """rep_c = c (p - 1), the first index of each run of p - 1 indices.
+
+    In the table's (x, y, j) index order, run 0 holds epsilon^j at index j
+    and run c holds rep_c epsilon^j at rep_c + j.  Both facts are checked
+    against the table, so the runs are the left cosets of <epsilon>;
+    RuntimeError otherwise.
+    """
+    k = table.p - 1
+    j = np.arange(k)
+    reps = np.arange(0, table.size, k)
+    if table.eps != 1 or not np.array_equal(table.mul[:k, :k],
+                                            (j[:, None] + j) % k):
+        raise RuntimeError("run 0 of the table is not the subgroup <epsilon>")
+    if not np.array_equal(table.mul[reps[:, None], j], reps[:, None] + j):
+        raise RuntimeError("a run of the table is not a coset of <epsilon>")
+    return reps
 
 
-def left_cosets(table: GroupTable, H: list):
-    """(reps, coset_of, h_of) for the left cosets gH, reps ascending."""
-    Hs = sorted(set(int(h) for h in H))
-    n = table.size
-    coset_of = np.full(n, -1, dtype=np.int64)
-    h_of = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for g in range(n):
-        if coset_of[g] >= 0:
-            continue
-        c = len(reps)
-        reps.append(g)
-        for h in Hs:
-            u = int(table.mul[g, h])
-            if coset_of[u] >= 0:
-                raise ValueError("coset overlap; H is not a subgroup")
-            coset_of[u] = c
-            h_of[u] = h
-    return reps, coset_of, h_of
+def induce(table: GroupTable, label: int) -> fdmod.FdModule:
+    """The character epsilon -> a^label of <epsilon> induced up to table.
 
-
-def induce(H: list, W: dict, table: GroupTable) -> fdmod.FdModule:
-    """Coset-basis induced module of the subgroup action W up to table.
-
-    H is a list of element indices, W maps each of them to its action
-    matrix over F_p.  The result has dimension [G : H] * dim W.  When H
-    is the scalar-generator subgroup this produces the projective covers
-    of the simples, because inducing from a p'-subgroup preserves
-    projectivity; their uniserial shape is checked elsewhere, not assumed.
+    Basis vector c is the coset rep_c <epsilon> of `eps_coset_reps`.  A
+    generator s sends rep_c to u = s rep_c = rep_(u // (p - 1)) epsilon^j,
+    j = u mod (p - 1), so it maps vector c to a^(label j) times vector
+    u // (p - 1).  Inducing from a p'-subgroup preserves projectivity, so
+    this is the projective cover of the simple module `label`; its
+    uniserial shape is checked elsewhere, not assumed.
     """
     p = table.p
-    Hs = sorted(set(int(h) for h in H))
-    if table.identity not in Hs:
-        raise ValueError("H does not contain the identity")
-    Hset = set(Hs)
-    for h1 in Hs:
-        for h2 in Hs:
-            if int(table.mul[h1, h2]) not in Hset:
-                raise ValueError("H is not closed under multiplication")
-    if set(W) != Hset:
-        raise ValueError("W must assign a matrix to each element of H")
-    Wm = {h: np.asarray(W[h], dtype=np.int64) % p for h in Hs}
-    dW = Wm[Hs[0]].shape[0]
-    for h in Hs:
-        if Wm[h].shape != (dW, dW):
-            raise ValueError("mixed matrix sizes in W")
-    for h1 in Hs:
-        for h2 in Hs:
-            prod = flinalg.matmul_mod(Wm[h1], Wm[h2], p)
-            if not np.array_equal(prod, Wm[int(table.mul[h1, h2])]):
-                raise ValueError("W is not a representation of H")
-
-    reps, coset_of, h_of = left_cosets(table, Hs)
-    nc = len(reps)
-    alg = group_algebra(table)
+    if not 0 <= label <= p - 2:
+        raise ValueError(f"character index {label} outside 0..{p - 2}")
+    reps = eps_coset_reps(table)
+    n, scale = len(reps), pow_table(table.a_eps, p)
     mats = {}
-    for name, s in alg.table.generator_indices().items():
-        m = np.zeros((nc * dW, nc * dW), dtype=np.int64)
-        for c, gc in enumerate(reps):
-            u = int(table.mul[s, gc])
-            c2 = int(coset_of[u])
-            h = int(h_of[u])
-            m[c2 * dW:(c2 + 1) * dW, c * dW:(c + 1) * dW] = Wm[h]
+    for name, s in table.generator_indices().items():
+        u = table.mul[s, reps]
+        m = np.zeros((n, n), dtype=np.int64)
+        m[u // (p - 1), np.arange(n)] = scale[label * u % (p - 1)]
         mats[name] = m
-    return fdmod.FdModule(alg, np.zeros(nc * dW, dtype=np.int64), mats)
+    return fdmod.FdModule(group_algebra(table), np.zeros(n, dtype=np.int64),
+                          mats)
 
 
 def rep_to_module(rep: GroupRep) -> fdmod.FdModule:

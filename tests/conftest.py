@@ -3,7 +3,8 @@
 Completing a builtin presentation is the expensive step in most tests, so
 completions are cached once per session and shared.  The small fixture
 modules (the 4- and 5-dimensional quotients of one projective) are built
-from their explicit action matrices here so every test file agrees on them.
+from their explicit grading and action matrices here so every test file
+agrees on them.
 """
 
 import numpy as np
@@ -34,25 +35,27 @@ def small_module(family, system):
     Family I: dim 5, basis (e1, b, gb, db, hdb), a quotient of P_1.
     Family II: dim 4, basis (e0, b, k, lk), a quotient of P_0.
     Family III: dim 5, basis (e2, h, dh, gh, bgh), a quotient of P_2.
+
+    block_of indexes the grading labels, the vertices in the order the
+    presentation lists them: (1, 0, 2) for families I and III, (0, 1, 2)
+    for family II.
     """
     alg = fdmod.quiver_algebra(system)
     if family == "I":
-        idem = {1: E(5, 0, 0) + E(5, 2, 2), 0: E(5, 1, 1) + E(5, 4, 4),
-                2: E(5, 3, 3)}
+        block_of = [0, 1, 0, 2, 1]  # vertices 1, 0, 1, 2, 0
         mats = {"beta": E(5, 1, 0), "gamma": E(5, 2, 1),
                 "delta": E(5, 3, 1), "eta": E(5, 4, 3)}
     elif family == "II":
-        idem = {0: E(4, 0, 0) + E(4, 3, 3), 1: E(4, 1, 1), 2: E(4, 2, 2)}
+        block_of = [0, 1, 2, 0]  # vertices 0, 1, 2, 0
         mats = {"beta": E(4, 1, 0), "kappa": E(4, 2, 0),
                 "lambda": E(4, 3, 2)}
     elif family == "III":
-        idem = {0: E(5, 1, 1) + E(5, 4, 4), 1: E(5, 3, 3),
-                2: E(5, 0, 0) + E(5, 2, 2)}
+        block_of = [2, 1, 2, 0, 1]  # vertices 2, 0, 2, 1, 0
         mats = {"beta": E(5, 4, 3), "gamma": E(5, 3, 1),
                 "delta": E(5, 2, 1), "eta": E(5, 1, 0)}
     else:
         raise ValueError(family)
-    return fdmod.module_from_action_matrices(alg, idem, mats)
+    return fdmod.FdModule(alg, block_of, mats)
 
 
 @pytest.fixture(scope="session")

@@ -193,6 +193,18 @@ def test_a_broken_cover_exits_three(monkeypatch, capsys):
     assert err == "broken invariant: cover surjection failed to be onto\n"
 
 
+def test_a_missed_random_isomorphism_search_exits_three(monkeypatch, capsys):
+    # at p = 5 the Hom space is too large to search exhaustively, so the
+    # decomposition's isomorphism is drawn at random; a miss there is not
+    # a mathematical fact and must not be filed as a FAIL
+    monkeypatch.setattr(fdmod, "_invertible_in_span", lambda *a: None)
+    code, out, err = run(["group", "verify", "--p", "5", "--samples", "0"],
+                         capsys)
+    assert (code, out) == (3, "")
+    assert err == ("broken invariant: the random isomorphism search found "
+                   "no invertible intertwiner, which is not definitive\n")
+
+
 def test_unknown_flag_exits_two(capsys):
     code, _, err = run(["families", "verify", "--bogus"], capsys)
     assert code == 2

@@ -14,7 +14,6 @@ from defcert.fdmod import (
     ext_dim,
     hom_space,
     is_isomorphic,
-    module_from_action_matrices,
     module_structure,
     parse_module_fixture,
     projective_cover,
@@ -52,50 +51,35 @@ def test_fixture_modules_validate():
         assert validate_module(T) is None
 
 
+# family I lists its vertices as (1, 0, 2), so block 0 is vertex 1 and
+# block 1 is vertex 0; T_I's basis sits at vertices 1, 0, 1, 2, 0
+T_I_BLOCKS = [0, 1, 0, 2, 1]
+
+
 def test_perturbed_action_is_caught(algI):
     # the extra E(0,4) entry respects the grading but breaks a relation
-    idem = {1: E(5, 0, 0) + E(5, 2, 2), 0: E(5, 1, 1) + E(5, 4, 4),
-            2: E(5, 3, 3)}
     mats = {"beta": E(5, 1, 0), "gamma": E(5, 2, 1) + E(5, 0, 4),
             "delta": E(5, 3, 1), "eta": E(5, 4, 3)}
     with pytest.raises(RelationViolated) as info:
-        module_from_action_matrices(algI, idem, mats)
+        fdmod.FdModule(algI, T_I_BLOCKS, mats)
     assert "rel[" in str(info.value.relation_id)
 
 
 def test_deformation_direction_stays_flat(algI):
     # specializing the built-in one-parameter deformation at t = 1 still
     # satisfies every relation on the nose, so validation accepts it
-    idem = {1: E(5, 0, 0) + E(5, 2, 2), 0: E(5, 1, 1) + E(5, 4, 4),
-            2: E(5, 3, 3)}
     mats = {"beta": E(5, 1, 0), "gamma": E(5, 2, 1) + E(5, 2, 4),
             "delta": E(5, 3, 1), "eta": E(5, 4, 3)}
-    M = module_from_action_matrices(algI, idem, mats)
+    M = fdmod.FdModule(algI, T_I_BLOCKS, mats)
     assert validate_module(M) is None
 
 
 def test_gradient_violation_is_caught(algI):
-    # beta must map the vertex-1 block into the vertex-0 block
-    idem = {1: E(2, 0, 0), 0: E(2, 1, 1), 2: np.zeros((2, 2), dtype=np.int64)}
-    mats = {"beta": E(2, 0, 1)}
+    # beta must map the vertex-1 block into the vertex-0 block; basis
+    # vector 0 sits at vertex 1 (block 0) and vector 1 at vertex 0
     with pytest.raises(RelationViolated) as info:
-        module_from_action_matrices(algI, idem, mats)
+        fdmod.FdModule(algI, [0, 1], {"beta": E(2, 0, 1)})
     assert str(info.value.relation_id).startswith("grading:")
-
-
-def test_bad_idempotents_rejected(algI):
-    overlapping = {1: E(2, 0, 0), 0: E(2, 0, 0) + E(2, 1, 1),
-                   2: np.zeros((2, 2), dtype=np.int64)}
-    with pytest.raises(RelationViolated):
-        module_from_action_matrices(algI, overlapping, {})
-    not_diagonal = {1: E(2, 0, 1), 0: E(2, 1, 1),
-                    2: np.zeros((2, 2), dtype=np.int64)}
-    with pytest.raises(RelationViolated):
-        module_from_action_matrices(algI, not_diagonal, {})
-    gap = {1: E(2, 0, 0), 0: np.zeros((2, 2), dtype=np.int64),
-           2: np.zeros((2, 2), dtype=np.int64)}
-    with pytest.raises(RelationViolated):
-        module_from_action_matrices(algI, gap, {})
 
 
 def test_quiver_handle_is_owned_by_its_system():
@@ -442,10 +426,9 @@ def test_submodule_refuses_a_column_across_two_blocks(T_I):
 
 def _ungraded_column(M):
     """One vector from each of the first two nonempty components, summed."""
-    alg = M.algebra
-    firsts = [v for label in alg.simple_labels
-              for v in alg.component_vectors(M, label)[:1]]
-    return (sum(firsts[:2]) % M.p).reshape(-1, 1)
+    co = M.coordinates()
+    _, firsts = np.unique(co.labels, return_index=True)
+    return co.C[:, firsts[:2]].sum(axis=1, keepdims=True) % M.p
 
 
 @pytest.mark.parametrize("side", ["quiver", "group"])
@@ -549,10 +532,10 @@ def test_failed_witness_check_raises_under_any_optimisation(monkeypatch, T_I):
 
 
 def test_non_isomorphic_same_dimension_vector(algI):
-    # uniserial length-2 module vs the split sum of its factors
-    idem = {1: E(2, 0, 0), 0: E(2, 1, 1), 2: np.zeros((2, 2), dtype=np.int64)}
-    M = module_from_action_matrices(algI, idem, {"beta": E(2, 1, 0)})
-    N = module_from_action_matrices(algI, idem, {})
+    # uniserial length-2 module vs the split sum of its factors; basis
+    # vector 0 sits at vertex 1 (block 0) and vector 1 at vertex 0
+    M = fdmod.FdModule(algI, [0, 1], {"beta": E(2, 1, 0)})
+    N = fdmod.FdModule(algI, [0, 1], {})
     assert M.dimension_vector() == N.dimension_vector()
     res = is_isomorphic(M, N)
     assert not res.isomorphic and res.definitive

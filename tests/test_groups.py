@@ -130,9 +130,40 @@ def test_inverse_and_power(g3):
 
 
 def test_eps_subgroup(q5):
-    H = q5.eps_subgroup()
-    assert len(H) == 4
-    assert all(int(q5.mul[a, b]) in set(H) for a in H for b in H)
+    # once the run check passes, run 0 of the index order is <epsilon>
+    reps = groups.eps_coset_reps(q5)
+    assert reps.tolist() == list(range(0, q5.size, q5.p - 1))
+    H = set(range(q5.p - 1))
+    assert {q5.identity, q5.eps} <= H
+    assert all(int(q5.mul[a, b]) in H for a in H for b in H)
+
+
+def relabelled(table, perm):
+    """The same group with element g renamed perm[g]."""
+    inv = np.argsort(perm)  # new name -> old name
+    return groups.GroupTable(
+        table.p, table.a_eps, table.quotient, table.xs[inv], table.ys[inv],
+        table.js[inv], perm[table.mul[np.ix_(inv, inv)]], perm[table.inv[inv]],
+        int(perm[table.sigma]), int(perm[table.tau]), int(perm[table.eps]))
+
+
+@pytest.mark.parametrize("swap,message", [
+    ((1, 2), "run 0 of the table is not the subgroup <epsilon>"),
+    ((3, 5), "a run of the table is not a coset of <epsilon>"),
+])
+def test_projectives_refuse_a_relabelled_table(g3, swap, message):
+    """The projectives read the cosets of <epsilon> off runs of the index
+    order.  Swapping two element names, the identity kept at 0, leaves a
+    valid table of the same group whose runs are not those cosets: moving
+    epsilon out of run 0, or rep_1 epsilon out of run 1."""
+    perm = np.arange(g3.size)
+    perm[list(swap)] = perm[list(swap[::-1])]
+    table = relabelled(g3, perm)
+    assert table.identity == 0
+    for g in range(g3.size):
+        assert np.array_equal(table.mul[perm[g], perm], perm[g3.mul[g]])
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        groups.induce(table, 1)
 
 
 def test_quotient_projection(q5):
@@ -387,35 +418,11 @@ def test_cartan_is_identity_plus_ones(p):
     assert np.array_equal(C, np.eye(n, dtype=np.int64) + 1)
 
 
-def test_induction_from_full_group_is_identity(g3):
-    rep = groups.inflate(groups.uniserial_representation(3), g3)
-    W = groups.rep_to_module(rep)
-    W_rep = groups.module_rep(g3, W)
-    action = {g: W_rep.residue_matrix(g) for g in range(g3.size)}
-    ind = groups.induce(list(range(g3.size)), action, g3)
-    assert ind.dim == W.dim
-    assert fdmod.is_isomorphic(ind, W).isomorphic
-
-
 def test_induction_over_full_group_projective(g3):
     alg = groups.group_algebra(g3)
     P0 = alg.projective_module(0)
     assert P0.dim == 9
     assert fdmod.module_structure(P0).radical_layer_dims == [1, 2, 3, 2, 1]
-
-
-def test_induce_validates_input(g3):
-    one = np.eye(1, dtype=np.int64)
-    with pytest.raises(ValueError, match="not closed"):
-        groups.induce([0, g3.sigma], {0: one, g3.sigma: one}, g3)
-    H = g3.eps_subgroup()
-    bad = {h: one.copy() for h in H}
-    bad[g3.eps] = one * 2  # 2 has order 2, but mapped inconsistently below
-    bad[int(g3.mul[g3.eps, g3.eps])] = one * 2
-    with pytest.raises(ValueError, match="not a representation"):
-        groups.induce(H, bad, g3)
-    with pytest.raises(ValueError, match="identity"):
-        groups.induce([g3.sigma], {g3.sigma: one}, g3)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -439,7 +446,7 @@ def test_yoneda_identity_group_side(g3):
     for M in targets:
         for i in range(2):
             lhs = len(fdmod.hom_space(alg.projective_module(i), M).basis)
-            assert lhs == len(alg.component_vectors(M, i))
+            assert lhs == np.count_nonzero(M.coordinates().labels == i)
 
 
 def test_syzygy_of_uniserial_module_is_trivial_simple(q5):

@@ -85,3 +85,16 @@ def test_a_name_reached_only_from_its_own_body_has_no_caller():
     sources = program_sources()
     sources["cli"] += "\n\ndef orphan(n):\n    return orphan(n - 1)\n"
     assert unreferenced_public_names(sources) == ["cli.orphan"]
+
+
+def handle_methods(cls):
+    return {name for name, value in vars(cls).items()
+            if callable(value) and not name.startswith("_")}
+
+
+def test_both_algebra_handles_expose_the_methods_the_protocol_lists():
+    from defcert import fdmod, groups
+
+    methods = handle_methods(fdmod.QuiverAlgebra)
+    assert methods == handle_methods(groups.GroupAlgebra)
+    assert set(re.findall(r"^  (\w+)\(", fdmod.__doc__, re.M)) == methods
