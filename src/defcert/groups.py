@@ -21,7 +21,17 @@ it by `flinalg.multiple_test`'s multiplication by the inverse of each odd
 modulus mod 2^w.  `build_group` checks that the handle's defining
 relations hold in the table, so the systems read off them bound H^1
 cocycles and Hensel corrections from above; each solution is then
-verified on the table.
+verified.
+
+Checks at End(V) size, d^2 x d^2 for a representation of dimension d,
+follow from checks that already ran instead of running on every pair.
+`conjugation_rep` compares each element of the conjugation stack with
+the Kronecker square rho(g) kron rho(g^-1)^T, |G| comparisons; the
+mixed-product rule turns rho's own table check into the End(V) one.
+`h1_cocycles` (a) checks each coboundary column against (rho(g) - I) at
+every element, which makes it a cocycle once rho is a homomorphism, (b)
+runs the |G|^2 check on the class representatives only, and (c) counts
+that the two span every solution of the relation rows that bound Z^1.
 
 The projectives of the group algebra are the characters of the cyclic
 p'-subgroup <epsilon> induced up (`induce`).  In the index order the
@@ -238,7 +248,8 @@ class GroupRep:
     the ring descriptor.  Construction from generator matrices goes
     through the normal form sigma^x tau^y epsilon^j and then checks
     rho(g) rho(h) = rho(g h) on the full multiplication table; there is
-    deliberately no shortcut through relators.
+    deliberately no shortcut through relators.  `conjugation_rep` alone
+    skips that check, where checked factors prove it.
     """
 
     def __init__(self, table: GroupTable, ring: coeff.RingDescriptor,
@@ -644,35 +655,38 @@ def rep_to_module(rep: GroupRep) -> fdmod.FdModule:
     return fdmod.FdModule(alg, np.zeros(rep.dim, dtype=np.int64), mats)
 
 
-def module_rep(table: GroupTable, M: fdmod.FdModule) -> GroupRep:
-    """Expand a module to a full-table-verified representation."""
-    if M.algebra is not group_algebra(table):
-        raise ValueError("module does not live over this table")
-    return GroupRep.from_generators(
-        table, coeff.prime_field(table.p),
-        {name: M.mats[name] for name in M.algebra.generators},
-    )
+def conjugation_rep(rho: GroupRep) -> GroupRep:
+    """The matrix space with g acting by f -> rho(g) f rho(g)^(-1).
 
-
-def conjugation_module(rho: GroupRep) -> fdmod.FdModule:
-    """Matrix space with the action f -> rho(g) f rho(g)^(-1).
-
-    Row-major flattening, so the generator action is kron(A, inv(A).T).
-    Dimension (dim rho)^2.
+    Row-major flattening, so g acts by K_g = kron(rho(g), rho(g^-1)^T), of
+    dimension (dim rho)^2.  The returned stack is `element_stack` of the
+    generator matrices K_s, the stack `GroupRep.from_generators` builds
+    from the module's generators.  Each of its |G| entries is compared with
+    K_g read off rho's stack and ``table.inv``, and a mismatch raises
+    RuntimeError.  The (dim rho)^6-per-pair table check is then a theorem,
+    not a computation: rho passed its own check on every pair when it was
+    built (as `inflate` does), and ``inv`` and associativity are proved in
+    `build_group`, so (gh)^-1 = h^-1 g^-1, and the mixed-product rule
+    gives K_g K_h = rho(g)rho(h) kron (rho(h^-1)rho(g^-1))^T = K_gh.
     """
     if rho.ring.kind != "prime_field":
         raise ValueError("conjugation module needs a residue representation")
-    p = rho.ring.p
-    t = rho.table
-    alg = group_algebra(t)
-    mats = {}
-    for name, g in t.generator_indices().items():
-        A = rho.residue_matrix(g)
-        Ainv = rho.residue_matrix(int(t.inv[g]))
-        mats[name] = np.kron(A, Ainv.T) % p
-    return fdmod.FdModule(
-        alg, np.zeros(rho.dim * rho.dim, dtype=np.int64), mats
-    )
+    t, p, d = rho.table, rho.ring.p, rho.dim
+    res = rho.mats[:, :, :, 0]
+    # K_g[(i, j), (k, l)] = rho(g)[i, k] rho(g^-1)[l, j]
+    kron = np.einsum("gik,glj->gijkl", res, res[t.inv]).reshape(
+        t.size, d * d, d * d, 1) % p
+    stack = element_stack(t, (p,), {name: kron[g] for name, g in
+                                    t.generator_indices().items()})
+    if not np.array_equal(stack, kron):
+        raise RuntimeError("conjugation stack differs from the Kronecker "
+                           "square of rho")
+    return GroupRep(t, rho.ring, stack, check=False)
+
+
+def conjugation_module(rho: GroupRep) -> fdmod.FdModule:
+    """`conjugation_rep` as a validated FdModule."""
+    return rep_to_module(conjugation_rep(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -711,25 +725,39 @@ class H1Result:
     representatives: list  # one (size, dim M) array per class generator
 
 
-def h1_cocycles(table: GroupTable, M: fdmod.FdModule) -> H1Result:
-    """dim Z^1 - dim B^1 for the action of table on M, with class reps.
+def h1_cocycles(rep: GroupRep) -> H1Result:
+    """dim Z^1 - dim B^1 for the action of rep on F_p^dim, with class reps.
 
-    H^1(G, M) = Ext^1(k, M), k trivial: a cocycle is its generator values
-    x, the theta slots of the extension route, and solves the relation
-    rows of `fdmod.relation_derivative` for (k, M) with the read-back rows
-    D[s] x = x_s.  Those rows are zero on every `build_group` table, but
-    they make x -> D x one-to-one on the solutions, so the verified cocycle
-    columns are independent.  Each basis cocycle, expanded by
-    `cocycle_system`, is checked against d(gh) = d(g) + g.d(h) for all
-    |G|^2 pairs: the rows bound Z^1 above, the verified basis below.  B^1
-    is `fdmod.extension_coboundaries`.
+    rep is verified on every pair of its table: built with its check, or
+    by `conjugation_rep`.  H^1(G, M) = Ext^1(k, M), k trivial: a cocycle is
+    its generator values x, the theta slots of the extension route.  It
+    solves the relation rows of `fdmod.relation_derivative` for (k, M) and
+    the read-back rows D[s] x = x_s, where `cocycle_system` expands x to
+    c(g) = D[g] x.  Every genuine cocycle solves those rows, so their
+    solutions bound Z^1 above by zdim.  Three checks bound it below:
+
+    (a) each coboundary column of `fdmod.extension_coboundaries`, the
+        generator values of g -> (g - 1) e_k, expands to (rho(g) - I) e_k
+        at every g: |G| checks.  Since rho is a homomorphism, such a c is
+        a cocycle, c(gh) = rho(g)(rho(h) - I) e_k + (rho(g) - I) e_k =
+        g.c(h) + c(g) (Brown, Cohomology of Groups, ch. IV), and the
+        read-back rows hold on it;
+    (b) each class representative (`picks`) satisfies
+        d(gh) = d(g) + g.d(h) on all |G|^2 pairs;
+    (c) bdim + len(picks) = zdim, so the columns of (a) and (b) span every
+        solution.
+
+    x -> D x is linear and, by the read-back rows, one-to-one on that span,
+    so the verified cocycles have dimension zdim and Z^1 = zdim.  B^1 is
+    the span of the coboundary columns.
     """
-    rep = module_rep(table, M)
-    p = table.p
+    table, p = rep.table, rep.table.p
+    M = rep_to_module(rep)
     alg = M.algebra
     trivial = alg.simple_module(0)
     slots, bcols = fdmod.extension_coboundaries(trivial, M)
-    D = cocycle_system(table, rep.mats[:, :, :, 0])
+    act = rep.mats[:, :, :, 0]
+    D = cocycle_system(table, act)
     index = table.generator_indices()
     at_gens = D[[index[name] for name in alg.generators]].reshape(
         D.shape[2], -1)
@@ -738,17 +766,19 @@ def h1_cocycles(table: GroupTable, M: fdmod.FdModule) -> H1Result:
         (at_gens - np.eye(D.shape[2], dtype=np.int64)) % p])
     zpar = flinalg.nullspace(rows, p)
     zdim = zpar.shape[1]
-    DS = flinalg.matmul_mod(D, zpar, p)
-    # g.d(h) + d(g) = d(gh) for every pair and every basis cocycle
-    cocycles = DS[..., None]
-    if table_mismatches(table, (p,), rep.mats, cocycles, shift=cocycles):
-        raise RuntimeError("verified cocycle basis failed the table")
-
     # the class representatives are the cocycles that extend the span of
     # the coboundaries
     bdim = flinalg.rank(bcols, p)
     picks = flinalg.extend_basis(bcols, zpar, p)
-    if bdim + len(picks) != zdim:
+    classes = flinalg.matmul_mod(D, zpar[:, picks], p)[..., None]
+    # (a) coboundary column k expands to g -> (rho(g) - I) e_k; (b) each
+    # representative has g.d(h) + d(g) = d(gh) on every pair
+    eye = np.eye(rep.dim, dtype=np.int64)
+    if (not np.array_equal(flinalg.matmul_mod(D, bcols, p), (act - eye) % p)
+            or table_mismatches(table, (p,), rep.mats, classes,
+                                shift=classes)):
+        raise RuntimeError("verified cocycle basis failed the table")
+    if bdim + len(picks) != zdim:  # (c)
         raise RuntimeError("coboundaries escaped the cocycle space")
     return H1Result(zdim - bdim, zdim, bdim,
-                    [DS[:, :, k].copy() for k in picks])
+                    [classes[:, :, k, 0].copy() for k in range(len(picks))])

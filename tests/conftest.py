@@ -10,7 +10,7 @@ agrees on them.
 import numpy as np
 import pytest
 
-from defcert import deform, fdmod
+from defcert import coeff, deform, fdmod, groups
 
 
 def E(n, i, j):
@@ -56,6 +56,13 @@ def small_module(family, system):
     else:
         raise ValueError(family)
     return fdmod.FdModule(alg, block_of, mats)
+
+
+def module_rep(table, M):
+    """M's action on every element of table, checked on all |G|^2 pairs:
+    the general check, for a module that is not a Kronecker square."""
+    return groups.GroupRep.from_generators(table, coeff.prime_field(table.p),
+                                           M.mats)
 
 
 @pytest.fixture(scope="session")

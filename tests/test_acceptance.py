@@ -62,7 +62,7 @@ def test_criterion_03_builtin_lifts_are_flat_with_nonzero_class():
         cert = deform.verify_quiver_lift(lift)
         assert cert.truncation_levels == (2, 3, 4)
         for name in T.algebra.generators:
-            assert np.array_equal(lift.t_coefficient(name, 0), T.mats[name])
+            assert np.array_equal(lift.action_poly(name)[:, :, 0], T.mats[name])
         cls = deform.first_order_class(lift)
         assert not cls.representative_is_trivial(), (family, d)
 
@@ -105,8 +105,7 @@ def test_criterion_05_rigidity_battery_over_three_primes():
             EndV, fdmod.direct_sum(summands)
         ).isomorphic, p
         h1 = groups.h1_cocycles(
-            full,
-            groups.conjugation_module(groups.inflate(rho, full)),
+            groups.conjugation_rep(groups.inflate(rho, full)),
         )
         assert h1.dim == 1, p
     elapsed = time.perf_counter() - t0
@@ -208,8 +207,7 @@ def test_criterion_10_structural_identities_and_determinism(tmp_path):
                 groups.rep_to_module(groups.inflate(rho, full))).basis),
             "socle": fdmod.module_structure(EndV).socle,
             "h1": groups.h1_cocycles(
-                full,
-                groups.conjugation_module(groups.inflate(rho, full))).dim,
+                groups.conjugation_rep(groups.inflate(rho, full))).dim,
         }
     assert reports[2] == reports[3]
 

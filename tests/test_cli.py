@@ -175,7 +175,7 @@ def test_unwritable_out_path_exits_two(tmp_path, capsys):
 
 
 def test_a_broken_invariant_exits_three(monkeypatch, capsys):
-    def broken(table, M):
+    def broken(rep):
         raise RuntimeError("planted: coboundaries escaped the cocycle space")
 
     monkeypatch.setattr(groups, "h1_cocycles", broken)

@@ -8,7 +8,7 @@ import pytest
 from defcert import cli, coeff, deform, fdmod, groups
 from defcert.fdmod import RelationViolated
 
-from conftest import E, small_module
+from conftest import E, module_rep, small_module
 
 
 FAMILY_RELATION_COUNTS = {"I": 6, "II": 9, "III": 7}
@@ -174,7 +174,8 @@ def test_first_order_class_is_additive_in_the_t_part(completed):
     slots, _ = fdmod.extension_coboundaries(T, T)
 
     def as_vec(L):
-        th = [L.t_coefficient(name, 1) for name in T.algebra.generators]
+        th = [np.pad(L.action_poly(name), [(0, 0), (0, 0), (0, 1)])[:, :, 1]
+              for name in T.algebra.generators]
         return np.stack(th)[slots] % p
 
     assert np.array_equal((as_vec(Lb) + as_vec(Lc)) % p, as_vec(Ls))
@@ -747,7 +748,7 @@ def test_first_cohomology_fails_on_the_trivial_module(group_inputs):
     on a trivial module so is every coboundary."""
     _, full, _, _ = group_inputs
     premise = deform.first_cohomology_premise(
-        full, groups.simple_module(full, 0))
+        module_rep(full, groups.simple_module(full, 0)))
     assert (premise.name, premise.verdict) == ("first-cohomology", "FAIL")
     assert premise.computed == {"h1_dim": 0, "cocycle_dim": 0,
                                 "coboundary_dim": 0}
@@ -759,7 +760,8 @@ def test_first_cohomology_fails_on_end_v_twice(group_inputs):
     and 2."""
     _, full, _, rho_full = group_inputs
     M = groups.conjugation_module(rho_full)
-    premise = deform.first_cohomology_premise(full, fdmod.direct_sum([M, M]))
+    premise = deform.first_cohomology_premise(
+        module_rep(full, fdmod.direct_sum([M, M])))
     assert premise.verdict == "FAIL"
     assert premise.computed == {"h1_dim": 2, "cocycle_dim": 8,
                                 "coboundary_dim": 6}

@@ -11,6 +11,8 @@ import pytest
 
 from defcert import coeff, deform, fdmod, flinalg, groups
 
+from conftest import module_rep
+
 
 @pytest.fixture(scope="module")
 def q5():
@@ -522,8 +524,46 @@ def test_doubled_v_has_four_first_cohomology_classes():
     G-module (the 2 x 2 blocks), and H^1(G, End(V)) = 1 at p = 3, so
     H^1(G, End(V + V)) = 4."""
     full, VV = _doubled_v(3)
-    EndVV = groups.conjugation_module(groups.module_rep(full, VV))
-    assert groups.h1_cocycles(full, EndVV).dim == 4
+    EndVV = groups.conjugation_rep(module_rep(full, VV))
+    assert groups.h1_cocycles(EndVV).dim == 4
+
+
+def _rho_full(p):
+    full = groups.build_group(p)
+    return groups.inflate(groups.uniserial_representation(p), full)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_conjugation_rep_matches_the_full_table_check(p):
+    # the (dim rho)^6-per-pair check of every pair, as an oracle for the
+    # per-element comparison with the Kronecker square
+    rho = _rho_full(p)
+    oracle = module_rep(rho.table, groups.conjugation_module(rho))
+    E = groups.conjugation_rep(rho)
+    assert E.dim == rho.dim ** 2
+    assert np.array_equal(E.mats, oracle.mats)
+
+
+@pytest.mark.parametrize("side", ["element stack", "rho"])
+def test_conjugation_rep_catches_one_wrong_entry(side, monkeypatch):
+    # the last element, sigma^2 tau^2 epsilon, is no generator, so the
+    # generator matrices that feed element_stack stay right
+    rho = _rho_full(3)
+    if side == "rho":
+        mats = rho.mats.copy()
+        mats[-1, 0, 0, 0] = (mats[-1, 0, 0, 0] + 1) % 3
+        rho = groups.GroupRep(rho.table, rho.ring, mats, check=False)
+    else:
+        expand = groups.element_stack
+
+        def planted(*args):
+            stack = expand(*args).copy()
+            stack[-1, 0, 0, 0] = (stack[-1, 0, 0, 0] + 1) % 3
+            return stack
+
+        monkeypatch.setattr(groups, "element_stack", planted)
+    with pytest.raises(RuntimeError, match="Kronecker square"):
+        groups.conjugation_rep(rho)
 
 
 def test_conjugation_module_requires_residue_ring(g3):
@@ -539,8 +579,8 @@ def test_conjugation_module_requires_residue_ring(g3):
 def test_h1_full_group(p, zdim, bdim):
     rep = groups.uniserial_representation(p)
     G = groups.build_group(p)
-    M = groups.conjugation_module(groups.inflate(rep, G))
-    r = groups.h1_cocycles(G, M)
+    M = groups.conjugation_rep(groups.inflate(rep, G))
+    r = groups.h1_cocycles(M)
     assert (r.dim, r.cocycle_dim, r.coboundary_dim) == (1, zdim, bdim)
     # coboundary dim cross-check: dim M minus the invariants (Schur: 1)
     assert r.coboundary_dim == M.dim - 1
@@ -554,7 +594,7 @@ def test_h1_full_group(p, zdim, bdim):
 def test_h1_quotient_agrees_with_ext(p):
     rep = groups.uniserial_representation(p)
     V = groups.rep_to_module(rep)
-    r = groups.h1_cocycles(rep.table, groups.conjugation_module(rep))
+    r = groups.h1_cocycles(groups.conjugation_rep(rep))
     assert r.dim == fdmod.ext_dim(V, V, 1).dim == 0
 
 
@@ -563,10 +603,11 @@ def test_h1_agrees_with_both_ext_routes_from_the_trivial_module(p):
     # H^1(G, M) = Ext^1(k, M): the cocycle count against the resolution
     # route and the extension route
     G = groups.build_group(p)
-    M = groups.conjugation_module(
-        groups.inflate(groups.uniserial_representation(p), G))
+    rho = groups.inflate(groups.uniserial_representation(p), G)
+    M = groups.conjugation_module(rho)
     k = groups.simple_module(G, 0)
-    assert groups.h1_cocycles(G, M).dim == fdmod.ext_dim(k, M, 1).dim \
+    assert groups.h1_cocycles(
+        groups.conjugation_rep(rho)).dim == fdmod.ext_dim(k, M, 1).dim \
         == fdmod.ext1_by_extensions(k, M).dim == 1
 
 
@@ -575,7 +616,7 @@ def test_h1_table_check_catches_a_corrupted_cocycle(monkeypatch):
     # value at an element must fail it
     rep = groups.uniserial_representation(3)
     G = groups.build_group(3)
-    M = groups.conjugation_module(groups.inflate(rep, G))
+    M = groups.conjugation_rep(groups.inflate(rep, G))
     walk = groups.cocycle_system
 
     def corrupted(*args, **kwargs):
@@ -585,7 +626,69 @@ def test_h1_table_check_catches_a_corrupted_cocycle(monkeypatch):
 
     monkeypatch.setattr(groups, "cocycle_system", corrupted)
     with pytest.raises(RuntimeError, match="cocycle basis failed the table"):
-        groups.h1_cocycles(G, M)
+        groups.h1_cocycles(M)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_h1_coboundary_check_catches_a_lost_coboundary(p, monkeypatch):
+    # the invariants of End(V) are the scalars, so the coboundary of the
+    # off-diagonal unit E_01 (column 1) lies outside the span of the rest;
+    # zeroed, it still solves the rows, and the genuine cocycle it leaves
+    # out joins the class representatives.  Without the expansion of each
+    # column to (rho(g) - I) e_k this reads as h1 = 2, and every other
+    # check passes
+    E = groups.conjugation_rep(_rho_full(p))
+    coboundaries = fdmod.extension_coboundaries
+
+    def lost(*args):
+        slots, cob = coboundaries(*args)
+        cob = cob.copy()
+        cob[:, 1] = 0
+        return slots, cob
+
+    monkeypatch.setattr(fdmod, "extension_coboundaries", lost)
+    with pytest.raises(RuntimeError, match="cocycle basis failed the table"):
+        groups.h1_cocycles(E)
+
+
+def _with_relation_rows(monkeypatch, edit):
+    """Patch the relation rows h1_cocycles solves, and record the dimension
+    zdim of the solutions it counts."""
+    derivative, extend = fdmod.relation_derivative, flinalg.extend_basis
+    zdims = []
+
+    def counted(base, cands, p):
+        zdims.append(cands.shape[1])
+        return extend(base, cands, p)
+
+    monkeypatch.setattr(fdmod, "relation_derivative",
+                        lambda *args: edit(derivative(*args)))
+    monkeypatch.setattr(flinalg, "extend_basis", counted)
+    return zdims
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_h1_pick_check_catches_a_defect_in_the_relation_rows(p, monkeypatch):
+    # half the relation rows admit a null vector that is no cocycle; it
+    # joins the class representatives, which are checked on every pair
+    E = groups.conjugation_rep(_rho_full(p))
+    zdim = groups.h1_cocycles(E).cocycle_dim
+    zdims = _with_relation_rows(monkeypatch, lambda rows: rows[:len(rows) // 2])
+    with pytest.raises(RuntimeError, match="cocycle basis failed the table"):
+        groups.h1_cocycles(E)
+    assert len(zdims) == 1 and zdims[0] > zdim
+
+
+def test_h1_count_catches_a_coboundary_cut_from_the_solutions(monkeypatch):
+    # a bogus relation row that a coboundary breaks: the solutions no longer
+    # hold every verified coboundary, so bdim + len(picks) exceeds zdim
+    E = groups.conjugation_rep(_rho_full(3))
+    zdim = groups.h1_cocycles(E).cocycle_dim
+    zdims = _with_relation_rows(monkeypatch, lambda rows: np.vstack(
+        [rows, np.ones((1, rows.shape[1]), dtype=np.int64)]))
+    with pytest.raises(RuntimeError, match="coboundaries escaped"):
+        groups.h1_cocycles(E)
+    assert zdims == [zdim - 1]
 
 
 def test_hom_from_last_simple_reported_separately():
@@ -608,7 +711,7 @@ def test_primitive_root_invariance_p5():
         V = groups.rep_to_module(rep)
         G = groups.build_group(5, a)
         h1 = groups.h1_cocycles(
-            G, groups.conjugation_module(groups.inflate(rep, G))
+            groups.conjugation_rep(groups.inflate(rep, G))
         )
         reports.append(
             {
@@ -649,7 +752,7 @@ def test_h1_invariant_under_base_change():
         moved = groups.GroupRep.from_generators(
             G, coeff.prime_field(p), mats
         )
-        r = groups.h1_cocycles(G, groups.conjugation_module(moved))
+        r = groups.h1_cocycles(groups.conjugation_rep(moved))
         assert r.dim == 1
 
 
