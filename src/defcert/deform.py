@@ -823,20 +823,22 @@ def quotient_rigidity_premise(V) -> Premise:
                                            "ext2": x2})
 
 
-def endomorphism_decomposition_premise(EndV, target) -> Premise:
-    """End(V) is isomorphic to target and has every simple once in its
-    socle; the report's target is T_0 + P_1 + ... + P_(p-2).
+def endomorphism_decomposition_premise(EndV, simples, projectives) -> Premise:
+    """End(V) is the sum of the simples T_j, j in simples, and the
+    projectives P_i, i in projectives, and has every simple once in its
+    socle; the report claims T_0 + P_1 + ... + P_(p-2).
 
-    A miss of the random isomorphism search is not a mathematical fact,
-    so it raises RuntimeError rather than filing a FAIL.
+    `fdmod.sum_isomorphism` builds the isomorphism and verifies it.  A
+    built map that fails its verification is not a mathematical fact, so
+    it raises RuntimeError rather than filing a FAIL.
     """
-    found = fdmod.is_isomorphic(EndV, target)
+    found = fdmod.sum_isomorphism(EndV, simples, projectives)
     if not found.definitive:
-        raise RuntimeError(f"the {found.method} isomorphism search found "
-                           "no invertible intertwiner, which is not "
+        raise RuntimeError("the isomorphism built from the claimed summands "
+                           "failed its verification, which is not "
                            "definitive")
     iso = bool(found.isomorphic)
-    socle = fdmod.module_structure(EndV).socle
+    socle = fdmod.socle_multiplicities(EndV)
     simple_once = socle == {i: 1 for i in range(EndV.p - 1)}
     return _premise("endomorphism-decomposition", ANCHOR_DECOMP,
                     iso and simple_once, {
@@ -908,12 +910,9 @@ def _group_report(sc: Scenario) -> VerificationReport:
     p = sc.p
     quot = groups.build_group(p, sc.a_eps or None, quotient=True)
     full = groups.build_group(p, quot.a_eps, quotient=False)
-    groups.quotient_projection(full, quot)  # inflate reads quot as full/<tau>
     rho_bar = groups.uniserial_representation(p, table=quot)
     rho_full = groups.inflate(rho_bar, full)
     EndV = groups.conjugation_module(rho_bar)
-    target = fdmod.direct_sum([EndV.algebra.simple_module(0)] + [
-        EndV.algebra.projective_module(i) for i in range(1, p - 1)])
     # only a mathematical failure of the chain or of the full-table check
     # becomes a FAIL; any other error is a broken invariant and propagates
     try:
@@ -924,7 +923,7 @@ def _group_report(sc: Scenario) -> VerificationReport:
     return report(sc.id, [
         endomorphisms_over_g_premise(groups.rep_to_module(rho_full)),
         quotient_rigidity_premise(groups.rep_to_module(rho_bar)),
-        endomorphism_decomposition_premise(EndV, target),
+        endomorphism_decomposition_premise(EndV, (0,), range(1, p - 1)),
         first_cohomology_premise(groups.conjugation_rep(rho_full)),
         mixed_ring_premise(rep),
         obstruction_premise(p, sc.samples, sc.seed),

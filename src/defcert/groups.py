@@ -23,8 +23,13 @@ relations hold in the table, so the systems read off them bound H^1
 cocycles and Hensel corrections from above; each solution is then
 verified.
 
-Checks at End(V) size, d^2 x d^2 for a representation of dimension d,
-follow from checks that already ran instead of running on every pair.
+Some checks follow from checks that already ran instead of running on
+every pair.  `inflate` transports a verified quotient representation
+along the projection that `quotient_projection` verifies on every pair,
+so the composite needs no table check of its own.  At End(V) size, d^2 x
+d^2 for a representation of dimension d, `conjugation_module` is the
+Kronecker squares rho(s) kron rho(s^-1)^T of the generators s, checked
+by module validation against the defining relations.
 `conjugation_rep` compares each element of the conjugation stack with
 the Kronecker square rho(g) kron rho(g^-1)^T, |G| comparisons; the
 mixed-product rule turns rho's own table check into the End(V) one.
@@ -248,8 +253,9 @@ class GroupRep:
     the ring descriptor.  Construction from generator matrices goes
     through the normal form sigma^x tau^y epsilon^j and then checks
     rho(g) rho(h) = rho(g h) on the full multiplication table; there is
-    deliberately no shortcut through relators.  `conjugation_rep` alone
-    skips that check, where checked factors prove it.
+    deliberately no shortcut through relators.  Only `inflate`,
+    `conjugation_rep` and `convert` skip that check, each where maps
+    verified on every pair already prove it.
     """
 
     def __init__(self, table: GroupTable, ring: coeff.RingDescriptor,
@@ -461,22 +467,15 @@ def uniserial_representation(p: int, a_eps: int | None = None,
 def inflate(rep: GroupRep, full: GroupTable) -> GroupRep:
     """Pull a quotient-group representation back to the full group.
 
-    tau goes to the identity; the result is rebuilt from generators and
-    re-verified on the full table rather than transported along the
-    projection map.
+    rep is verified on every pair of the quotient table, as
+    `GroupRep.from_generators` does by default.  The result is rep
+    transported along the projection pi of `quotient_projection`, which
+    verifies pi on every pair of the full table; so the composite
+    rho(pi(g)) is a homomorphism with tau in its kernel, and its stack
+    needs no check of its own.
     """
-    if not rep.table.quotient:
-        raise ValueError("can only inflate from the quotient")
-    if (full.p, full.a_eps) != (rep.table.p, rep.table.a_eps):
-        raise ValueError("parameter mismatch between tables")
-    return GroupRep.from_generators(
-        full, rep.ring,
-        {
-            "sigma": rep.generator_matrix("sigma"),
-            "tau": np.eye(rep.dim, dtype=np.int64),
-            "epsilon": rep.generator_matrix("epsilon"),
-        },
-    )
+    proj = quotient_projection(full, rep.table)
+    return GroupRep(full, rep.ring, rep.mats[proj], check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -655,27 +654,36 @@ def rep_to_module(rep: GroupRep) -> fdmod.FdModule:
     return fdmod.FdModule(alg, np.zeros(rep.dim, dtype=np.int64), mats)
 
 
-def conjugation_rep(rho: GroupRep) -> GroupRep:
-    """The matrix space with g acting by f -> rho(g) f rho(g)^(-1).
+def _kronecker_squares(rho: GroupRep, elements) -> np.ndarray:
+    """K_g = kron(rho(g), rho(g^-1)^T) for each g in elements, (n, d^2, d^2).
 
-    Row-major flattening, so g acts by K_g = kron(rho(g), rho(g^-1)^T), of
-    dimension (dim rho)^2.  The returned stack is `element_stack` of the
-    generator matrices K_s, the stack `GroupRep.from_generators` builds
-    from the module's generators.  Each of its |G| entries is compared with
-    K_g read off rho's stack and ``table.inv``, and a mismatch raises
-    RuntimeError.  The (dim rho)^6-per-pair table check is then a theorem,
-    not a computation: rho passed its own check on every pair when it was
-    built (as `inflate` does), and ``inv`` and associativity are proved in
-    `build_group`, so (gh)^-1 = h^-1 g^-1, and the mixed-product rule
-    gives K_g K_h = rho(g)rho(h) kron (rho(h^-1)rho(g^-1))^T = K_gh.
+    K_g is the action of g on the matrix space, f -> rho(g) f rho(g)^(-1),
+    flattened row-major; rho(g^-1) is read off rho's stack at ``inv[g]``.
     """
     if rho.ring.kind != "prime_field":
         raise ValueError("conjugation module needs a residue representation")
-    t, p, d = rho.table, rho.ring.p, rho.dim
-    res = rho.mats[:, :, :, 0]
+    res, d = rho.mats[:, :, :, 0], rho.dim
+    g = np.asarray(elements)
     # K_g[(i, j), (k, l)] = rho(g)[i, k] rho(g^-1)[l, j]
-    kron = np.einsum("gik,glj->gijkl", res, res[t.inv]).reshape(
-        t.size, d * d, d * d, 1) % p
+    return np.einsum("gik,glj->gijkl", res[g], res[rho.table.inv[g]]).reshape(
+        len(g), d * d, d * d) % rho.ring.p
+
+
+def conjugation_rep(rho: GroupRep) -> GroupRep:
+    """The conjugation representation g -> K_g of `_kronecker_squares`.
+
+    The returned stack is `element_stack` of the generator matrices K_s,
+    the stack `GroupRep.from_generators` builds from the module's
+    generators.  Each of its |G| entries is compared with K_g, and a
+    mismatch raises RuntimeError.  The (dim rho)^6-per-pair table check is
+    then a theorem, not a computation: rho is verified on every pair of
+    its table, by its own check or, out of `inflate`, as a composite of
+    verified maps, and ``inv`` and associativity are proved in
+    `build_group`, so (gh)^-1 = h^-1 g^-1, and the mixed-product rule
+    gives K_g K_h = rho(g)rho(h) kron (rho(h^-1)rho(g^-1))^T = K_gh.
+    """
+    t, p = rho.table, rho.ring.p
+    kron = _kronecker_squares(rho, np.arange(t.size))[..., None]
     stack = element_stack(t, (p,), {name: kron[g] for name, g in
                                     t.generator_indices().items()})
     if not np.array_equal(stack, kron):
@@ -685,8 +693,14 @@ def conjugation_rep(rho: GroupRep) -> GroupRep:
 
 
 def conjugation_module(rho: GroupRep) -> fdmod.FdModule:
-    """`conjugation_rep` as a validated FdModule."""
-    return rep_to_module(conjugation_rep(rho))
+    """The conjugation action on End(V) as a validated FdModule, from the
+    generator matrices K_s alone: validation checks the defining
+    relations, which present the group, so the K_s carry its action."""
+    alg = group_algebra(rho.table)
+    index = rho.table.generator_indices()
+    K = _kronecker_squares(rho, [index[name] for name in alg.generators])
+    return fdmod.FdModule(alg, np.zeros(rho.dim ** 2, dtype=np.int64),
+                          dict(zip(alg.generators, K)))
 
 
 # ---------------------------------------------------------------------------

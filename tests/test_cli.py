@@ -193,16 +193,17 @@ def test_a_broken_cover_exits_three(monkeypatch, capsys):
     assert err == "broken invariant: cover surjection failed to be onto\n"
 
 
-def test_a_missed_random_isomorphism_search_exits_three(monkeypatch, capsys):
-    # at p = 5 the Hom space is too large to search exhaustively, so the
-    # decomposition's isomorphism is drawn at random; a miss there is not
-    # a mathematical fact and must not be filed as a FAIL
-    monkeypatch.setattr(fdmod, "_invertible_in_span", lambda *a: None)
+def test_a_failed_decomposition_witness_exits_three(monkeypatch, capsys):
+    # the decomposition's isomorphism is built from the claimed summands
+    # and then verified; a built map that fails is not a mathematical fact
+    # and must not be filed as a FAIL
+    monkeypatch.setattr(fdmod, "_verify_witness", lambda *a: False)
     code, out, err = run(["group", "verify", "--p", "5", "--samples", "0"],
                          capsys)
     assert (code, out) == (3, "")
-    assert err == ("broken invariant: the random isomorphism search found "
-                   "no invertible intertwiner, which is not definitive\n")
+    assert err == ("broken invariant: the isomorphism built from the "
+                   "claimed summands failed its verification, which is not "
+                   "definitive\n")
 
 
 def test_unknown_flag_exits_two(capsys):

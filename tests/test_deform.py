@@ -534,6 +534,25 @@ def test_family_scenario_reports_five_passing_premises(completed):
     assert stable["cover_summands"] == ["1"]
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_group_scenario_solves_no_hom_space_above_dim_v(p, monkeypatch):
+    """Every Hom space the group scenario solves has both modules of
+    dimension at most dim V = p - 1: End(V), of dimension (p - 1)^2, is
+    decomposed by a built and verified isomorphism, not by a search in
+    its Hom space."""
+    sizes = []
+    solve = fdmod.hom_space
+
+    def counted(M, N):
+        sizes.append(max(M.dim, N.dim))
+        return solve(M, N)
+
+    monkeypatch.setattr(fdmod, "hom_space", counted)
+    report = deform.scenario_report(deform.Scenario("group", p=p, samples=0))
+    assert report.status == "VERIFIED"
+    assert sizes and max(sizes) <= p - 1
+
+
 def test_group_scenario_p3_verifies():
     report = deform.scenario_report(deform.Scenario("group", p=3))
     assert report.status == "VERIFIED"
@@ -717,9 +736,7 @@ def test_endomorphism_decomposition_fails_against_t1_for_t0(group_inputs):
     copy of each simple."""
     _, _, rho_bar, _ = group_inputs
     EndV = groups.conjugation_module(rho_bar)
-    alg = EndV.algebra
-    wrong = fdmod.direct_sum([alg.simple_module(1), alg.projective_module(1)])
-    premise = deform.endomorphism_decomposition_premise(EndV, wrong)
+    premise = deform.endomorphism_decomposition_premise(EndV, (1,), (1,))
     assert (premise.name, premise.verdict) == (
         "endomorphism-decomposition", "FAIL")
     assert premise.computed == {
@@ -735,7 +752,7 @@ def test_endomorphism_decomposition_also_checks_the_socle(group_inputs):
     quot, *_ = group_inputs
     alg = groups.group_algebra(quot)
     M = fdmod.direct_sum([alg.simple_module(0), alg.simple_module(0)])
-    premise = deform.endomorphism_decomposition_premise(M, M)
+    premise = deform.endomorphism_decomposition_premise(M, (0, 0), ())
     assert premise.verdict == "FAIL"
     assert premise.computed["is_isomorphic"] is True
     assert premise.computed["socle_multiplicities"] == {"0": 2}

@@ -462,6 +462,107 @@ def test_random_search_miss_is_not_definitive(monkeypatch):
         False, None, "random", False)
 
 
+def _end_v(p):
+    """End(V) over the quotient table at p, and the claimed summands of
+    T_0 + P_1 + ... + P_(p-2) as (simples, projectives)."""
+    EndV = groups.conjugation_module(groups.uniserial_representation(p))
+    return EndV, ((0,), tuple(range(1, p - 1)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sum_isomorphism_agrees_with_the_hom_space_search(p):
+    """The built witness and the Hom-space search give the same verdict on
+    End(V), for the claimed sum and for T_1 in place of T_0."""
+    EndV, (simples, projectives) = _end_v(p)
+    alg = EndV.algebra
+    for claim in (simples, (1,)):
+        built = fdmod.sum_isomorphism(EndV, claim, projectives)
+        N = direct_sum([alg.simple_module(j) for j in claim]
+                       + [alg.projective_module(i) for i in projectives])
+        searched = is_isomorphic(EndV, N)
+        assert built.definitive and searched.definitive
+        assert built.isomorphic == searched.isomorphic == (claim == (0,))
+        if built.isomorphic:  # the witness maps the sum onto End(V)
+            assert fdmod._verify_witness(N, EndV, built.witness)
+
+
+@pytest.mark.parametrize("simples,projectives,method", [
+    ((0,), (1, 2), "dimension"),  # P_3 dropped
+    ((0, 0), (1, 2, 3), "dimension"),  # an extra T_0
+    ((), (0, 1, 2), "dimension"),  # T_0 dropped, P_3 for P_0
+    ((1,), (1, 2, 3), "top"),  # T_1 for T_0
+])
+def test_sum_isomorphism_refuses_a_wrong_sum_definitively(
+        simples, projectives, method):
+    EndV, _ = _end_v(5)
+    res = fdmod.sum_isomorphism(EndV, simples, projectives)
+    assert (res.isomorphic, res.witness, res.method, res.definitive) == (
+        False, None, method, True)
+
+
+def test_sum_isomorphism_refuses_a_different_socle_definitively():
+    """At p = 5 (labels mod 4) P_i is uniserial with layers S_i, ...,
+    S_(i+3), S_i, so rad^2 P_0 + rad^2 P_1 has tops S_2, S_3 and socles
+    S_0, S_1; T_2 + P_3 has the same dimension and top, but socles S_2
+    and S_3."""
+    alg = groups.group_algebra(groups.build_group(5, quotient=True))
+    M = direct_sum([
+        fdmod._submodule_from_columns(P, fdmod._radical_filtration(P)[2])
+        for P in (alg.projective_module(0), alg.projective_module(1))])
+    res = fdmod.sum_isomorphism(M, (2,), (3,))
+    assert (res.isomorphic, res.method, res.definitive) == (
+        False, "socle", True)
+
+
+def _rad_vector_of_label(M, label):
+    """A vector of M's component `label` inside rad M: its socle vector,
+    which at p = 5 lies in the socle of the summand P_label."""
+    co, p = M.coordinates(), M.p
+    on = co.labels == label
+    v = flinalg.matmul_mod(co.C[:, on], flinalg.matmul_mod(
+        co.C_inv, fdmod.socle_columns(M), p)[on], p)[:, 0]
+    assert flinalg.in_span(fdmod.radical_image_columns(M), v, p)
+    return v
+
+
+def _tampered_yoneda(monkeypatch, EndV):
+    columns = groups.GroupAlgebra.yoneda_columns
+
+    def tampered(self, label, N, x):
+        out = columns(self, label, N, x).copy()
+        out[0, 0] = (out[0, 0] + 1) % N.p
+        return out
+
+    monkeypatch.setattr(groups.GroupAlgebra, "yoneda_columns", tampered)
+
+
+def _moved_top_pick(monkeypatch, EndV):
+    picks = fdmod.top_pick
+
+    def moved(N):
+        out = picks(N)
+        if N is EndV:
+            out = [(label, _rad_vector_of_label(N, 1) if label == 1 else x)
+                   for label, x in out]
+        return out
+
+    monkeypatch.setattr(fdmod, "top_pick", moved)
+
+
+@pytest.mark.parametrize("mutant", [_tampered_yoneda, _moved_top_pick])
+def test_sum_isomorphism_mutants_are_not_definitive(mutant, monkeypatch):
+    """A tampered witness column, or a top pick moved into rad M, leaves
+    the invariants as they are but fails the witness check: that proves
+    nothing, so the result is not definitive and the premise raises."""
+    EndV, (simples, projectives) = _end_v(5)
+    mutant(monkeypatch, EndV)
+    res = fdmod.sum_isomorphism(EndV, simples, projectives)
+    assert (res.isomorphic, res.witness, res.method, res.definitive) == (
+        False, None, "constructed", False)
+    with pytest.raises(RuntimeError, match="failed its verification"):
+        deform.endomorphism_decomposition_premise(EndV, simples, projectives)
+
+
 def test_one_loop_projective_structure():
     from defcert.quiver import QuiverSpec, complete
 

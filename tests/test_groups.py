@@ -369,6 +369,23 @@ def test_inflate_matches_projection(q5):
     assert np.array_equal(lifted.mats, rep.mats[proj])
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_inflate_transports_the_stack_built_from_generators(p):
+    """The stack transported along the projection is the one built from
+    sigma, tau -> I and epsilon and checked on every pair of the table."""
+    quot = groups.build_group(p, quotient=True)
+    full = groups.build_group(p, quot.a_eps)
+    rho_bar = groups.uniserial_representation(p, table=quot)
+    built = groups.GroupRep.from_generators(full, rho_bar.ring, {
+        "sigma": rho_bar.generator_matrix("sigma"),
+        "tau": np.eye(rho_bar.dim, dtype=np.int64),
+        "epsilon": rho_bar.generator_matrix("epsilon"),
+    }, check=True)
+    lifted = groups.inflate(rho_bar, full)
+    assert lifted.mats.dtype == built.mats.dtype
+    assert np.array_equal(lifted.mats, built.mats)
+
+
 # ---------------------------------------------------------------------------
 # modules over the group algebra
 
