@@ -33,10 +33,14 @@ by module validation against the defining relations.
 `conjugation_rep` compares each element of the conjugation stack with
 the Kronecker square rho(g) kron rho(g^-1)^T, |G| comparisons; the
 mixed-product rule turns rho's own table check into the End(V) one.
-`h1_cocycles` (a) checks each coboundary column against (rho(g) - I) at
-every element, which makes it a cocycle once rho is a homomorphism, (b)
-runs the |G|^2 check on the class representatives only, and (c) counts
-that the two span every solution of the relation rows that bound Z^1.
+`h1_cocycles` expands each class representative as the top-right block
+of `element_stack` over the extension generators [[rho(s), x_s], [0, 1]].
+It (a) checks each coboundary column against rho(s) - I at the
+generators, which makes it a cocycle once rho is a homomorphism, reads
+each expansion back at the generators, (b) runs the |G|^2 check on the
+class representatives only, and (c) counts that the coboundaries and
+the representatives span every solution of the relation rows that bound
+Z^1.
 
 The projectives of the group algebra are the characters of the cyclic
 p'-subgroup <epsilon> induced up (`induce`).  In the index order the
@@ -707,30 +711,6 @@ def conjugation_module(rho: GroupRep) -> fdmod.FdModule:
 # first cohomology by cocycles
 
 
-def cocycle_system(table: GroupTable, act) -> np.ndarray:
-    """Cocycle values at every element, linear in the generator values.
-
-    ``act[g]`` is the (m, m) action of element g.  The unknowns x stack
-    the values c(s) of the generators of `group_algebra(table)`, in its
-    order, m entries each.  The walk sets c(g s) = c(g) + act[g] c(s)
-    along sigma^x tau^y epsilon^j; the (x, y, j) index order makes every
-    parent index smaller, so one forward pass writes c(g) = D[g] x.  By
-    the table's index formula the parent of g along s sits at g - s.
-    Returns D, (size, m, m len(generators)).
-    """
-    names = group_algebra(table).generators
-    index = table.generator_indices()
-    n, m = act.shape[0], act.shape[1]
-    D = np.zeros((n, m, len(names), m), dtype=np.int64)
-    for i in range(1, n):
-        name = ("epsilon" if table.js[i] else "tau" if table.ys[i]
-                else "sigma")
-        par, a = i - index[name], names.index(name)
-        D[i] = D[par]
-        D[i, :, a] = (D[i, :, a] + act[par]) % table.p
-    return D.reshape(n, m, -1)
-
-
 @dataclass
 class H1Result:
     dim: int
@@ -743,56 +723,60 @@ def h1_cocycles(rep: GroupRep) -> H1Result:
     """dim Z^1 - dim B^1 for the action of rep on F_p^dim, with class reps.
 
     rep is verified on every pair of its table: built with its check, or
-    by `conjugation_rep`.  H^1(G, M) = Ext^1(k, M), k trivial: a cocycle is
-    its generator values x, the theta slots of the extension route.  It
-    solves the relation rows of `fdmod.relation_derivative` for (k, M) and
-    the read-back rows D[s] x = x_s, where `cocycle_system` expands x to
-    c(g) = D[g] x.  Every genuine cocycle solves those rows, so their
-    solutions bound Z^1 above by zdim.  Three checks bound it below:
+    by `conjugation_rep`.  H^1(G, M) = Ext^1(k, M), k trivial: a cocycle c
+    is fixed by its generator values x, the theta slots of the extension
+    route, because the generators reach every element (`build_group`); and
+    x solves the relation rows of `fdmod.relation_derivative` for (k, M),
+    because the relations hold in the table.  So c -> x is one-to-one into
+    the solutions, which bound Z^1 above by zdim.
+    Each class representative (`picks`) x is expanded by `element_stack`
+    over the generators [[rho(s), x_s], [0, 1]]: the top-right block at g
+    is c(g), since the block product is c(gh) = c(g) + g.c(h).  Four
+    checks bound Z^1 below:
 
-    (a) each coboundary column of `fdmod.extension_coboundaries`, the
-        generator values of g -> (g - 1) e_k, expands to (rho(g) - I) e_k
-        at every g: |G| checks.  Since rho is a homomorphism, such a c is
-        a cocycle, c(gh) = rho(g)(rho(h) - I) e_k + (rho(g) - I) e_k =
-        g.c(h) + c(g) (Brown, Cohomology of Groups, ch. IV), and the
-        read-back rows hold on it;
-    (b) each class representative (`picks`) satisfies
-        d(gh) = d(g) + g.d(h) on all |G|^2 pairs;
-    (c) bdim + len(picks) = zdim, so the columns of (a) and (b) span every
-        solution.
+    (a) each coboundary column of `fdmod.extension_coboundaries` equals
+        (rho(s) - I) e_k at the generators s.  Since rho is a
+        homomorphism, g -> (rho(g) - I) e_k is a cocycle, c(gh) =
+        rho(g)(rho(h) - I) e_k + (rho(g) - I) e_k = g.c(h) + c(g) (Brown,
+        Cohomology of Groups, ch. IV), and the column is its x;
+    (r) each expansion, read back at the generators, gives its x;
+    (b) each expansion satisfies d(gh) = d(g) + g.d(h) on all |G|^2
+        pairs;
+    (c) bdim + len(picks) = zdim, so the coboundary columns and the picks
+        span every solution.
 
-    x -> D x is linear and, by the read-back rows, one-to-one on that span,
-    so the verified cocycles have dimension zdim and Z^1 = zdim.  B^1 is
-    the span of the coboundary columns.
+    So every solution is the x of a verified cocycle and Z^1 = zdim.  B^1
+    is the span of the coboundary columns.
     """
     table, p = rep.table, rep.table.p
     M = rep_to_module(rep)
     alg = M.algebra
     trivial = alg.simple_module(0)
     slots, bcols = fdmod.extension_coboundaries(trivial, M)
-    act = rep.mats[:, :, :, 0]
-    D = cocycle_system(table, act)
-    index = table.generator_indices()
-    at_gens = D[[index[name] for name in alg.generators]].reshape(
-        D.shape[2], -1)
-    rows = np.vstack([
-        fdmod.relation_derivative(alg, M.mats, trivial.mats, slots, p),
-        (at_gens - np.eye(D.shape[2], dtype=np.int64)) % p])
-    zpar = flinalg.nullspace(rows, p)
+    zpar = flinalg.nullspace(
+        fdmod.relation_derivative(alg, M.mats, trivial.mats, slots, p), p)
     zdim = zpar.shape[1]
     # the class representatives are the cocycles that extend the span of
     # the coboundaries
     bdim = flinalg.rank(bcols, p)
     picks = flinalg.extend_basis(bcols, zpar, p)
-    classes = flinalg.matmul_mod(D, zpar[:, picks], p)[..., None]
-    # (a) coboundary column k expands to g -> (rho(g) - I) e_k; (b) each
-    # representative has g.d(h) + d(g) = d(gh) on every pair
-    eye = np.eye(rep.dim, dtype=np.int64)
-    if (not np.array_equal(flinalg.matmul_mod(D, bcols, p), (act - eye) % p)
-            or table_mismatches(table, (p,), rep.mats, classes,
+    m, k = rep.dim, len(picks)
+    gens = [table.generator_indices()[name] for name in alg.generators]
+    x = zpar[:, picks].reshape(len(gens), m, k)
+    ext = np.zeros((len(gens), m + k, m + k, 1), dtype=np.int64)
+    ext[:, :m, :m, 0] = rep.mats[gens, :, :, 0]
+    ext[:, :m, m:, 0] = x
+    ext[:, m:, m:, 0] = np.eye(k, dtype=np.int64)
+    classes = element_stack(table, (p,), dict(zip(alg.generators, ext)))[
+        :, :m, m:]
+    eye = np.eye(m, dtype=np.int64)
+    if (not np.array_equal(bcols.reshape(len(gens), m, m),  # (a)
+                           (rep.mats[gens, :, :, 0] - eye) % p)
+            or not np.array_equal(classes[gens, :, :, 0], x)  # (r)
+            or table_mismatches(table, (p,), rep.mats, classes,  # (b)
                                 shift=classes)):
         raise RuntimeError("verified cocycle basis failed the table")
-    if bdim + len(picks) != zdim:  # (c)
+    if bdim + k != zdim:  # (c)
         raise RuntimeError("coboundaries escaped the cocycle space")
     return H1Result(zdim - bdim, zdim, bdim,
-                    [classes[:, :, k, 0].copy() for k in range(len(picks))])
+                    [classes[:, :, i, 0].copy() for i in range(k)])

@@ -760,7 +760,9 @@ def test_group_and_naive_hom_bases_span_the_same_space(p):
 
 
 def test_hom_between_end_v_and_its_decomposition_at_p7():
-    """The three Hom spaces the p = 7 decomposition premise needs.
+    """Hom between End V and its claimed decomposition at p = 7, as an
+    oracle beside the decomposition premise, which builds its isomorphism
+    with `fdmod.sum_isomorphism` and solves none of these Hom spaces.
 
     End V is isomorphic to X = T_0 + P_1 + ... + P_5 over the quotient
     group, so all three have the dimension of End(X).  dim Hom(P_i, Y) is

@@ -4,6 +4,7 @@ import gc
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -628,22 +629,55 @@ def test_h1_agrees_with_both_ext_routes_from_the_trivial_module(p):
         == fdmod.ext1_by_extensions(k, M).dim == 1
 
 
+def _with_expansion(monkeypatch, m, edit):
+    """Patch `element_stack` so that edit changes the top-right (m, k)
+    block of each stack, the cocycle values that h1_cocycles expands."""
+    expand = groups.element_stack
+
+    def edited(*args):
+        stack = expand(*args).copy()
+        stack[:, :m, m:] = edit(stack[:, :m, m:])
+        return stack
+
+    monkeypatch.setattr(groups, "element_stack", edited)
+
+
 def test_h1_table_check_catches_a_corrupted_cocycle(monkeypatch):
-    # the forward pass's D feeds the |G|^2 check of the basis; one bad
-    # value at an element must fail it
-    rep = groups.uniserial_representation(3)
-    G = groups.build_group(3)
-    M = groups.conjugation_rep(groups.inflate(rep, G))
-    walk = groups.cocycle_system
+    # the extension stack's top-right block feeds the |G|^2 check of the
+    # basis; one bad value at an element that is no generator, tau^2
+    # epsilon, must fail it
+    E = groups.conjugation_rep(_rho_full(3))
 
-    def corrupted(*args, **kwargs):
-        D = walk(*args, **kwargs).copy()
-        D[5] = (D[5] + 1) % 3
-        return D
+    def corrupted(block):
+        block[5] = (block[5] + 1) % 3
+        return block
 
-    monkeypatch.setattr(groups, "cocycle_system", corrupted)
+    _with_expansion(monkeypatch, E.dim, corrupted)
     with pytest.raises(RuntimeError, match="cocycle basis failed the table"):
-        groups.h1_cocycles(M)
+        groups.h1_cocycles(E)
+
+
+def test_h1_read_back_catches_a_rescaled_expansion(monkeypatch):
+    # twice a cocycle is a cocycle, so the doubled expansion passes the
+    # |G|^2 check; only reading it back at the generators sees that it is
+    # not the expansion of the solved generator values
+    E = groups.conjugation_rep(_rho_full(3))
+    _with_expansion(monkeypatch, E.dim, lambda block: 2 * block % 3)
+    with pytest.raises(RuntimeError, match="cocycle basis failed the table"):
+        groups.h1_cocycles(E)
+
+
+def test_h1_memory_stays_near_the_stack_it_is_given():
+    # the cocycle values come from one extension stack of dim M + 1, so the
+    # peak stays within a few copies of the End(V) stack
+    E = groups.conjugation_rep(_rho_full(7))
+    tracemalloc.start()
+    try:
+        groups.h1_cocycles(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * E.mats.nbytes
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
