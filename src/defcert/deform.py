@@ -489,25 +489,23 @@ def mixed_identity_checks(rep: groups.GroupRep) -> dict:
 def tangent_class_is_nonzero(rep: groups.GroupRep) -> bool:
     """Non-triviality of the mod (t^2, p) reduction as a deformation.
 
-    The t-linear part of the reduced representation is a cocycle for the
-    conjugation action; the deformation is trivial exactly when that
-    cocycle is a coboundary, a span test against the (Ad(g) - I) columns
-    of `fdmod.extension_coboundaries` from the trivial module.
+    The reduction is rho_bar + t lin, so lin is the top-right block of the
+    self-extension [[rho_bar, lin], [0, rho_bar]] of V = rho_bar.  The
+    deformation is trivial, (1 - tF) rho_bar (1 + tF), exactly when
+    lin(s) = rho_bar(s) F - F rho_bar(s) at the generators s: a span test
+    against the coboundary columns of `fdmod.extension_coboundaries`
+    (V, V).  That is the conjugation cocycle lin(s) rho_bar(s)^-1 being
+    a coboundary, multiplied on the right by the unit rho_bar(s).
     """
     p = rep.table.p
     lin = rep.convert(coeff.mixed_deform(p, 1, 2)).mats[:, :, :, 1] % p
-    # every rho_bar(g) is invertible, so the cocycle vanishes iff lin does
     if not lin.any():
         return False
-    res = rep.convert(coeff.prime_field(p))
-    endo = groups.conjugation_module(res)
-    _, cob = fdmod.extension_coboundaries(endo.algebra.simple_module(0), endo)
-    index = res.table.generator_indices()
-    # cocycle value at s in End coordinates: t-part times rho_bar(s)^(-1)
-    target = np.concatenate([
-        flinalg.matmul_mod(lin[s], res.residue_matrix(res.table.inv[s]), p)
-        for s in (index[name] for name in endo.algebra.generators)
-    ], axis=None)
+    V = groups.rep_to_module(rep.convert(coeff.prime_field(p)))
+    _, cob = fdmod.extension_coboundaries(V, V)
+    index = rep.table.generator_indices()
+    target = np.concatenate(
+        [lin[index[name]] for name in V.algebra.generators], axis=None)
     return not flinalg.in_span(cob, target, p)
 
 
@@ -637,10 +635,10 @@ class Scenario:
         Toeplitz operand; a group scenario adds |G|^2 over End(V) twice
         and over the mixed ring once.  The End(V) terms priced the table
         check of the conjugation representation and the H^1 check of every
-        basis cocycle.  Neither runs on every pair any more (see
-        `groups.conjugation_rep` and `groups.h1_cocycles`), so they are a
+        basis cocycle.  Neither is built any more: H^1 is Ext^1(V, V) on
+        2d-dimensional extensions (`groups.h1_cocycles`), so they are a
         deliberate over-charge: without them p = 11 would be admitted, and
-        it takes about 30 s and 858 MB on a 2-vCPU host.  They stay until
+        it takes about 2-3 s and 90 MB on a 2-vCPU host.  They stay until
         the budget is re-derived from counted work.
         Raises OverflowError where int64 cannot hold a product, as n >= 64
         does for any p >= 3.
@@ -848,10 +846,11 @@ def endomorphism_decomposition_premise(EndV, simples, projectives) -> Premise:
                         "end_dim_over_quotient": EndV.dim})
 
 
-def first_cohomology_premise(rep) -> Premise:
-    """H^1 of rep's table with coefficients in rep is one-dimensional;
-    rep is verified on its whole table, as `groups.h1_cocycles` needs."""
-    h1 = groups.h1_cocycles(rep)
+def first_cohomology_premise(rho) -> Premise:
+    """H^1(G, End V) = Ext^1(V, V) is one-dimensional for V = rho on its
+    table; rho is verified on its whole table, as `groups.h1_cocycles`
+    needs."""
+    h1 = groups.h1_cocycles(rho)
     return _premise("first-cohomology", ANCHOR_H1, h1.dim == 1, {
         "h1_dim": h1.dim, "cocycle_dim": h1.cocycle_dim,
         "coboundary_dim": h1.coboundary_dim})
@@ -924,7 +923,7 @@ def _group_report(sc: Scenario) -> VerificationReport:
         endomorphisms_over_g_premise(groups.rep_to_module(rho_full)),
         quotient_rigidity_premise(groups.rep_to_module(rho_bar)),
         endomorphism_decomposition_premise(EndV, (0,), range(1, p - 1)),
-        first_cohomology_premise(groups.conjugation_rep(rho_full)),
+        first_cohomology_premise(rho_full),
         mixed_ring_premise(rep),
         obstruction_premise(p, sc.samples, sc.seed),
         tangent_direction_premise(rep),

@@ -29,17 +29,14 @@ along the projection that `quotient_projection` verifies on every pair,
 so the composite needs no table check of its own.  At End(V) size, d^2 x
 d^2 for a representation of dimension d, `conjugation_module` is the
 Kronecker squares rho(s) kron rho(s^-1)^T of the generators s, checked
-by module validation against the defining relations.
-`conjugation_rep` compares each element of the conjugation stack with
-the Kronecker square rho(g) kron rho(g^-1)^T, |G| comparisons; the
-mixed-product rule turns rho's own table check into the End(V) one.
-`h1_cocycles` expands each class representative as the top-right block
-of `element_stack` over the extension generators [[rho(s), x_s], [0, 1]].
-It (a) checks each coboundary column against rho(s) - I at the
-generators, which makes it a cocycle once rho is a homomorphism, reads
-each expansion back at the generators, (b) runs the |G|^2 check on the
-class representatives only, and (c) counts that the coboundaries and
-the representatives span every solution of the relation rows that bound
+by module validation against the defining relations; no End(V)-sized
+matrix is built on every element.  `h1_cocycles` computes
+H^1(G, End V) as Ext^1(V, V): each class is a 2d-dimensional extension
+[[rho(s), Y_s], [0, rho(s)]].  It (a) checks each coboundary column
+against rho(s) F - F rho(s) at the generators, (r) reads each expansion
+back at the generators, (b) runs `GroupRep`'s own |G|^2 check on each
+class's extension, and (c) counts that the coboundaries and the
+representatives span every solution of the relation rows that bound
 Z^1.
 
 The projectives of the group algebra are the characters of the cyclic
@@ -257,9 +254,9 @@ class GroupRep:
     the ring descriptor.  Construction from generator matrices goes
     through the normal form sigma^x tau^y epsilon^j and then checks
     rho(g) rho(h) = rho(g h) on the full multiplication table; there is
-    deliberately no shortcut through relators.  Only `inflate`,
-    `conjugation_rep` and `convert` skip that check, each where maps
-    verified on every pair already prove it.
+    deliberately no shortcut through relators.  Only `inflate` and
+    `convert` skip that check, each where maps verified on every pair
+    already prove it.
     """
 
     def __init__(self, table: GroupTable, ring: coeff.RingDescriptor,
@@ -296,9 +293,6 @@ class GroupRep:
     def generator_matrix(self, name: str) -> np.ndarray:
         idx = self.table.generator_indices()[name]
         return self.mats[idx]
-
-    def residue_matrix(self, i: int) -> np.ndarray:
-        return self.mats[i, :, :, 0] % self.ring.p
 
     def check_table(self) -> list:
         """All (g, h) with rho(g)rho(h) != rho(gh); empty means verified."""
@@ -360,21 +354,20 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def table_mismatches(table: GroupTable, moduli, act, val,
-                     shift=None) -> list:
-    """Sorted pairs (g, h) with act(g) val(h) + shift(g) != val(gh).
+def table_mismatches(table: GroupTable, moduli, act, val) -> list:
+    """Sorted pairs (g, h) with act(g) val(h) != val(gh).
 
-    act (size, r, k, L), val (size, k, c, L) and shift (size, r, c, L)
-    are level-last stacks of canonical coefficients.  act and val are
-    converted once, to the dtype `flinalg.exact_product` names for inner
-    dimension k with a slack of 2 max m; then each h takes one unreduced
-    product per g, stacked over every g, through `coeff.convolve_levels`.
+    act (size, r, k, L) and val (size, k, c, L) are level-last stacks of
+    canonical coefficients.  Both are converted once, to the dtype
+    `flinalg.exact_product` names for inner dimension k with a slack of
+    2 max m; then each h takes one unreduced product per g, stacked over
+    every g, through `coeff.convolve_levels`.
     The product is cast to the unsigned word of w bits that
     `flinalg.exact_word` names for the same bound, and the complement
-    m - val(gh), in (0, m], and shift(g), in [0, m), are added: the sum d
-    stays below the bound plus the slack, below 2^w, so it never wraps.
+    m - val(gh), in (0, m], is added: the sum d stays below the bound
+    plus the slack, below 2^w, so it never wraps.
     Pair (g, h) is right exactly when m_l divides d, which is
-    act(g) val(h) + shift(g) - val(gh) mod m_l, at every level l;
+    act(g) val(h) - val(gh) mod m_l, at every level l;
     `flinalg.multiple_test`, built once per check with its constants
     tiled over (r, c, L) when L > 1, decides that exactly for odd m, by a
     multiplication by m^-1 that wraps mod 2^w on purpose.  An even
@@ -398,8 +391,6 @@ def table_mismatches(table: GroupTable, moduli, act, val,
                                    (act.shape[1],) + val.shape[2:])
     act = act.astype(route, copy=False)
     val = val.astype(route, copy=False)
-    if shift is not None:
-        shift = shift.astype(word)
     shares = min(_worker_count(), n)
     found = [None] * shares  # per share: its bad pairs, or what it raised
 
@@ -409,8 +400,6 @@ def table_mismatches(table: GroupTable, moduli, act, val,
             for h in range(first, n, shares):
                 d = coeff.convolve_levels(act, val[h], route).astype(word)
                 d += complement[table.mul[:, h]]
-                if shift is not None:
-                    d += shift
                 right = decide(d).all(axis=(1, 2, 3))
                 bad.extend((int(g), h) for g in np.nonzero(~right)[0])
         except BaseException as exc:
@@ -573,12 +562,18 @@ class GroupAlgebra:
 
         Well-defined when x lies in the a^label eigenspace of the scalar
         generator (Frobenius reciprocity); column c is rho_N(rep_c) x.
+        rep_c is sigma^x tau^y at the table's coordinates (x, y), so the
+        columns are sigma^x applied to the tau^y x, one product per power.
         """
-        reps = eps_coset_reps(self.table)
-        x = np.asarray(x, dtype=np.int64) % self.p
-        gens = {name: N.mats[name][:, :, None] for name in self.generators}
-        acts = element_stack(self.table, (self.p,), gens)[reps, :, :, 0]
-        return flinalg.matmul_mod(acts, x, self.p).T
+        t, p = self.table, self.p
+        reps = eps_coset_reps(t)
+        cols = [np.asarray(x, dtype=np.int64) % p]
+        for _ in range(t.ys.max()):
+            cols.append(flinalg.matmul_mod(N.mats["tau"], cols[-1], p))
+        grid = [np.stack(cols)]  # grid[x][y] = sigma^x tau^y x
+        for _ in range(t.xs.max()):
+            grid.append(flinalg.matmul_mod(grid[-1], N.mats["sigma"].T, p))
+        return np.stack(grid)[t.xs[reps], t.ys[reps]].T
 
 
 def group_algebra(table: GroupTable) -> GroupAlgebra:
@@ -658,57 +653,30 @@ def rep_to_module(rep: GroupRep) -> fdmod.FdModule:
     return fdmod.FdModule(alg, np.zeros(rep.dim, dtype=np.int64), mats)
 
 
-def _kronecker_squares(rho: GroupRep, elements) -> np.ndarray:
-    """K_g = kron(rho(g), rho(g^-1)^T) for each g in elements, (n, d^2, d^2).
+def conjugation_module(rho: GroupRep) -> fdmod.FdModule:
+    """The conjugation action on End(V), f -> rho(g) f rho(g)^-1, as a
+    validated FdModule from the generators' Kronecker squares alone.
 
-    K_g is the action of g on the matrix space, f -> rho(g) f rho(g)^(-1),
-    flattened row-major; rho(g^-1) is read off rho's stack at ``inv[g]``.
+    K_s = kron(rho(s), rho(s^-1)^T) is that action flattened row-major,
+    with rho(s^-1) read off rho's stack at ``inv[s]``.  Validation checks
+    the defining relations, which present the group, so the K_s carry its
+    action.
     """
     if rho.ring.kind != "prime_field":
         raise ValueError("conjugation module needs a residue representation")
-    res, d = rho.mats[:, :, :, 0], rho.dim
-    g = np.asarray(elements)
-    # K_g[(i, j), (k, l)] = rho(g)[i, k] rho(g^-1)[l, j]
-    return np.einsum("gik,glj->gijkl", res[g], res[rho.table.inv[g]]).reshape(
-        len(g), d * d, d * d) % rho.ring.p
-
-
-def conjugation_rep(rho: GroupRep) -> GroupRep:
-    """The conjugation representation g -> K_g of `_kronecker_squares`.
-
-    The returned stack is `element_stack` of the generator matrices K_s,
-    the stack `GroupRep.from_generators` builds from the module's
-    generators.  Each of its |G| entries is compared with K_g, and a
-    mismatch raises RuntimeError.  The (dim rho)^6-per-pair table check is
-    then a theorem, not a computation: rho is verified on every pair of
-    its table, by its own check or, out of `inflate`, as a composite of
-    verified maps, and ``inv`` and associativity are proved in
-    `build_group`, so (gh)^-1 = h^-1 g^-1, and the mixed-product rule
-    gives K_g K_h = rho(g)rho(h) kron (rho(h^-1)rho(g^-1))^T = K_gh.
-    """
-    t, p = rho.table, rho.ring.p
-    kron = _kronecker_squares(rho, np.arange(t.size))[..., None]
-    stack = element_stack(t, (p,), {name: kron[g] for name, g in
-                                    t.generator_indices().items()})
-    if not np.array_equal(stack, kron):
-        raise RuntimeError("conjugation stack differs from the Kronecker "
-                           "square of rho")
-    return GroupRep(t, rho.ring, stack, check=False)
-
-
-def conjugation_module(rho: GroupRep) -> fdmod.FdModule:
-    """The conjugation action on End(V) as a validated FdModule, from the
-    generator matrices K_s alone: validation checks the defining
-    relations, which present the group, so the K_s carry its action."""
     alg = group_algebra(rho.table)
     index = rho.table.generator_indices()
-    K = _kronecker_squares(rho, [index[name] for name in alg.generators])
-    return fdmod.FdModule(alg, np.zeros(rho.dim ** 2, dtype=np.int64),
+    g = np.array([index[name] for name in alg.generators])
+    res, d = rho.mats[:, :, :, 0], rho.dim
+    # K_s[(i, j), (k, l)] = rho(s)[i, k] rho(s^-1)[l, j]
+    K = np.einsum("gik,glj->gijkl", res[g], res[rho.table.inv[g]]).reshape(
+        len(g), d * d, d * d) % rho.ring.p
+    return fdmod.FdModule(alg, np.zeros(d * d, dtype=np.int64),
                           dict(zip(alg.generators, K)))
 
 
 # ---------------------------------------------------------------------------
-# first cohomology by cocycles
+# first cohomology as self-extensions
 
 
 @dataclass
@@ -716,67 +684,71 @@ class H1Result:
     dim: int
     cocycle_dim: int
     coboundary_dim: int
-    representatives: list  # one (size, dim M) array per class generator
+    representatives: list  # one (size, d, d) array Y per class generator
 
 
-def h1_cocycles(rep: GroupRep) -> H1Result:
-    """dim Z^1 - dim B^1 for the action of rep on F_p^dim, with class reps.
+def h1_cocycles(rho: GroupRep) -> H1Result:
+    """H^1(G, End V) = Ext^1(V, V) for V = rho, with class representatives.
 
-    rep is verified on every pair of its table: built with its check, or
-    by `conjugation_rep`.  H^1(G, M) = Ext^1(k, M), k trivial: a cocycle c
-    is fixed by its generator values x, the theta slots of the extension
-    route, because the generators reach every element (`build_group`); and
-    x solves the relation rows of `fdmod.relation_derivative` for (k, M),
-    because the relations hold in the table.  So c -> x is one-to-one into
-    the solutions, which bound Z^1 above by zdim.
-    Each class representative (`picks`) x is expanded by `element_stack`
-    over the generators [[rho(s), x_s], [0, 1]]: the top-right block at g
-    is c(g), since the block product is c(gh) = c(g) + g.c(h).  Four
-    checks bound Z^1 below:
+    rho is verified on every pair of its table: built with its check, or
+    by `inflate`.  End V = Hom(V, V), so a cocycle c of the conjugation
+    action is the top-right block Y(g) = c(g) rho(g) of an extension
+    [[rho(g), Y(g)], [0, rho(g)]] (Brown, Cohomology of Groups, ch. III).
+    Y is fixed by its generator values Y_s, the theta slots of
+    `fdmod.extension_coboundaries` (V, V), because the generators reach
+    every element (`build_group`); and Y_s solves the relation rows of
+    `fdmod.relation_derivative` for (V, V), because the relations hold in
+    the table.  So Y -> (Y_s) is one-to-one into the solutions, which
+    bound Z^1 above by zdim.
+    Each class representative (`picks`) is expanded by
+    `GroupRep.from_generators` over the 2d-dimensional generators
+    [[rho(s), Y_s], [0, rho(s)]].  Four checks bound Z^1 below:
 
-    (a) each coboundary column of `fdmod.extension_coboundaries` equals
-        (rho(s) - I) e_k at the generators s.  Since rho is a
-        homomorphism, g -> (rho(g) - I) e_k is a cocycle, c(gh) =
-        rho(g)(rho(h) - I) e_k + (rho(g) - I) e_k = g.c(h) + c(g) (Brown,
-        Cohomology of Groups, ch. IV), and the column is its x;
-    (r) each expansion, read back at the generators, gives its x;
-    (b) each expansion satisfies d(gh) = d(g) + g.d(h) on all |G|^2
-        pairs;
+    (a) each coboundary column equals rho(s) F - F rho(s) at the
+        generators s, for its unit F: the top-right block of
+        [[1, -F], [0, 1]] (rho + rho) [[1, F], [0, 1]], a homomorphism
+        once rho is;
+    (r) each expansion, read back at the generators, gives its Y_s;
+    (b) each 2d extension passes `GroupRep`'s own table check on all
+        |G|^2 pairs;
     (c) bdim + len(picks) = zdim, so the coboundary columns and the picks
         span every solution.
 
-    So every solution is the x of a verified cocycle and Z^1 = zdim.  B^1
-    is the span of the coboundary columns.
+    So every solution is the Y of a verified extension and Z^1 = zdim.
+    B^1 is the span of the coboundary columns.
     """
-    table, p = rep.table, rep.table.p
-    M = rep_to_module(rep)
-    alg = M.algebra
-    trivial = alg.simple_module(0)
-    slots, bcols = fdmod.extension_coboundaries(trivial, M)
+    table, p, d = rho.table, rho.table.p, rho.dim
+    V = rep_to_module(rho)
+    alg = V.algebra
+    slots, bcols = fdmod.extension_coboundaries(V, V)
     zpar = flinalg.nullspace(
-        fdmod.relation_derivative(alg, M.mats, trivial.mats, slots, p), p)
+        fdmod.relation_derivative(alg, V.mats, V.mats, slots, p), p)
     zdim = zpar.shape[1]
-    # the class representatives are the cocycles that extend the span of
+    # the class representatives are the solutions that extend the span of
     # the coboundaries
     bdim = flinalg.rank(bcols, p)
     picks = flinalg.extend_basis(bcols, zpar, p)
-    m, k = rep.dim, len(picks)
     gens = [table.generator_indices()[name] for name in alg.generators]
-    x = zpar[:, picks].reshape(len(gens), m, k)
-    ext = np.zeros((len(gens), m + k, m + k, 1), dtype=np.int64)
-    ext[:, :m, :m, 0] = rep.mats[gens, :, :, 0]
-    ext[:, :m, m:, 0] = x
-    ext[:, m:, m:, 0] = np.eye(k, dtype=np.int64)
-    classes = element_stack(table, (p,), dict(zip(alg.generators, ext)))[
-        :, :m, m:]
-    eye = np.eye(m, dtype=np.int64)
-    if (not np.array_equal(bcols.reshape(len(gens), m, m),  # (a)
-                           (rep.mats[gens, :, :, 0] - eye) % p)
-            or not np.array_equal(classes[gens, :, :, 0], x)  # (r)
-            or table_mismatches(table, (p,), rep.mats, classes,  # (b)
-                                shift=classes)):
+    r = rho.mats[gens, :, :, 0]
+    units = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
+    cob = (r[:, None] @ units - units @ r[:, None]) % p  # (gen, F, d, d)
+    if not np.array_equal(bcols, cob.transpose(0, 2, 3, 1).reshape(  # (a)
+            bcols.shape)):
         raise RuntimeError("verified cocycle basis failed the table")
-    if bdim + k != zdim:  # (c)
+    classes = []
+    for Y in zpar[:, picks].T.reshape(len(picks), len(gens), d, d):
+        ext = np.zeros((len(gens), 2 * d, 2 * d), dtype=np.int64)
+        ext[:, :d, :d] = ext[:, d:, d:] = r
+        ext[:, :d, d:] = Y
+        try:
+            stack = GroupRep.from_generators(  # (b)
+                table, rho.ring, dict(zip(alg.generators, ext))).mats
+        except NotAHomomorphism as err:
+            raise RuntimeError("verified cocycle basis failed the "
+                               "table") from err
+        if not np.array_equal(stack[gens, :d, d:, 0], Y):  # (r)
+            raise RuntimeError("verified cocycle basis failed the table")
+        classes.append(stack[:, :d, d:, 0].copy())
+    if bdim + len(picks) != zdim:  # (c)
         raise RuntimeError("coboundaries escaped the cocycle space")
-    return H1Result(zdim - bdim, zdim, bdim,
-                    [classes[:, :, i, 0].copy() for i in range(k)])
+    return H1Result(zdim - bdim, zdim, bdim, classes)

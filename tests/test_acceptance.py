@@ -104,9 +104,7 @@ def test_criterion_05_rigidity_battery_over_three_primes():
         assert fdmod.is_isomorphic(
             EndV, fdmod.direct_sum(summands)
         ).isomorphic, p
-        h1 = groups.h1_cocycles(
-            groups.conjugation_rep(groups.inflate(rho, full)),
-        )
+        h1 = groups.h1_cocycles(groups.inflate(rho, full))
         assert h1.dim == 1, p
     elapsed = time.perf_counter() - t0
     assert elapsed < GROUP_BATTERY_BUDGET, f"{elapsed:.1f}s over budget"
@@ -206,8 +204,7 @@ def test_criterion_10_structural_identities_and_determinism(tmp_path):
                 groups.rep_to_module(groups.inflate(rho, full)),
                 groups.rep_to_module(groups.inflate(rho, full))).basis),
             "socle": fdmod.module_structure(EndV).socle,
-            "h1": groups.h1_cocycles(
-                groups.conjugation_rep(groups.inflate(rho, full))).dim,
+            "h1": groups.h1_cocycles(groups.inflate(rho, full)).dim,
         }
     assert reports[2] == reports[3]
 

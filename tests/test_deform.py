@@ -772,16 +772,21 @@ def test_first_cohomology_fails_on_the_trivial_module(group_inputs):
 
 
 def test_first_cohomology_fails_on_end_v_twice(group_inputs):
-    """Z^1, B^1 and H^1 are additive in the module: End(V) has 4, 3 and 1
-    at p = 3 (the scenario report's numbers), so End(V) + End(V) has 8, 6
-    and 2."""
+    """The premise counts H^1(G, End W) = Ext^1(W, W) for the W it is
+    given.  Ext^1 is additive in each argument, so W = End(V) + End(V)
+    has four times the 3 classes of Ext^1(End V, End V) at p = 3; B^1 is
+    End_k(W) modulo End_G(W), 64 - 12, and Z^1 = B^1 + H^1."""
     _, full, _, rho_full = group_inputs
     M = groups.conjugation_module(rho_full)
-    premise = deform.first_cohomology_premise(
-        module_rep(full, fdmod.direct_sum([M, M])))
+    W = fdmod.direct_sum([M, M])
+    ext = fdmod.ext_dim(M, M, 1).dim
+    end_g = len(fdmod.hom_space(W, W).basis)
+    premise = deform.first_cohomology_premise(module_rep(full, W))
     assert premise.verdict == "FAIL"
-    assert premise.computed == {"h1_dim": 2, "cocycle_dim": 8,
-                                "coboundary_dim": 6}
+    assert (ext, end_g) == (3, 12)
+    assert premise.computed == {"h1_dim": 4 * ext,
+                                "cocycle_dim": 64 - end_g + 4 * ext,
+                                "coboundary_dim": 64 - end_g}
 
 
 def test_first_order_class_fails_on_a_lift_of_t_plus_t(TT):

@@ -215,9 +215,7 @@ def test_last_band_is_one(p):
 def test_conjugation_relation_on_matrices(p):
     rep = groups.uniserial_representation(p)
     t = rep.table
-    E = rep.residue_matrix(t.eps)
-    S = rep.residue_matrix(t.sigma)
-    Einv = rep.residue_matrix(int(t.inv[t.eps]))
+    E, S, Einv = rep.mats[[t.eps, t.sigma, t.inv[t.eps]], :, :, 0]
     lhs = E @ S % p @ Einv % p
     assert np.array_equal(lhs, np.linalg.matrix_power(S, t.a_eps) % p)
 
@@ -319,24 +317,37 @@ def test_element_stack_matches_normal_form_products(case):
     )
 
 
-def test_table_mismatches_with_shift_finds_planted_pairs(q5):
-    # coboundaries g -> (rho(g) - 1) v satisfy c(gh) = rho(g) c(h) + c(g)
+def coboundary_extension(rep, v):
+    """[[rho(g), c(g)], [0, I]] at every g, for the coboundary
+    c(g) = (rho(g) - 1) v: a homomorphism, since c(gh) = rho(g) c(h) +
+    c(g), whose top-right block carries the cocycle identity."""
+    moduli, k, L = rep.ring.moduli, rep.dim, rep.ring.levels
+    mod = np.array(moduli)
+    eye = np.zeros((k, k, L), dtype=np.int64)
+    eye[:, :, 0] = np.eye(k, dtype=np.int64)
+    c = coeff.level_matmul(moduli, (rep.mats - eye) % mod, v)
+    m = k + v.shape[1]
+    ext = np.zeros((rep.table.size, m, m, L), dtype=np.int64)
+    ext[:, :k, :k], ext[:, :k, k:] = rep.mats, c
+    ext[:, k:, k:, 0] = np.eye(m - k, dtype=np.int64)
+    return ext
+
+
+def test_table_mismatches_finds_planted_pairs_in_an_extension_stack(q5):
     rep = groups.uniserial_representation(5, table=q5)
     p, n, d = 5, q5.size, rep.dim
     rho = rep.mats[:, :, :, 0]
-    V = np.random.default_rng(3).integers(0, p, size=(d, 2))
-    c = np.einsum("gij,jk->gik", rho - np.eye(d, dtype=np.int64), V) % p
-    stack = c[..., None]
-    assert groups.table_mismatches(q5, (p,), rep.mats, stack, stack) == []
+    V = np.random.default_rng(3).integers(0, p, size=(d, 2, 1))
+    ext = coboundary_extension(rep, V)
+    assert groups.table_mismatches(q5, (p,), ext, ext) == []
 
-    c[5, 1, 0] = (c[5, 1, 0] + 1) % p
-    c[12, 3, 1] = (c[12, 3, 1] + 4) % p
+    ext[5, 1, d, 0] = (ext[5, 1, d, 0] + 1) % p
+    ext[12, 3, d + 1, 0] = (ext[12, 3, d + 1, 0] + 4) % p
+    c = ext[:, :d, d:, 0]
     want = [(g, h) for g in range(n) for h in range(n)
             if np.any((rho[g].dot(c[h]) + c[g] - c[q5.mul[g, h]]) % p)]
     assert want
-    planted = c[..., None]
-    assert groups.table_mismatches(q5, (p,), rep.mats, planted,
-                                   planted) == want
+    assert groups.table_mismatches(q5, (p,), ext, ext) == want
 
 
 def test_rep_over_witt_ring(g3):
@@ -500,6 +511,27 @@ def test_yoneda_columns_does_not_keep_the_module(g3):
     assert ref() is None
 
 
+@pytest.mark.parametrize("p,quotient", [(3, True), (5, True), (7, True),
+                                        (3, False)])
+def test_yoneda_columns_match_the_full_stack_read(p, quotient):
+    # the reference acts on every element of the table and reads the
+    # coset representatives; the columns need only sigma and tau powers
+    table = groups.build_group(p, quotient=quotient)
+    rho = groups.uniserial_representation(p)
+    if not quotient:
+        rho = groups.inflate(rho, table)
+    alg = groups.group_algebra(table)
+    reps = groups.eps_coset_reps(table)
+    rng = np.random.default_rng(p)
+    for N in [groups.conjugation_module(rho)] + [
+            alg.projective_module(i) for i in range(p - 1)]:
+        x = rng.integers(0, p, size=N.dim)
+        gens = {name: N.mats[name][:, :, None] for name in alg.generators}
+        acts = groups.element_stack(table, (p,), gens)[reps, :, :, 0]
+        assert np.array_equal(alg.yoneda_columns(0, N, x),
+                              (acts @ x % p).T)
+
+
 # ---------------------------------------------------------------------------
 # endomorphism modules and cohomology
 
@@ -540,48 +572,14 @@ def test_doubled_v_has_four_endomorphisms(p):
 def test_doubled_v_has_four_first_cohomology_classes():
     """Additivity control: End(V + V) is four copies of End(V) as a
     G-module (the 2 x 2 blocks), and H^1(G, End(V)) = 1 at p = 3, so
-    H^1(G, End(V + V)) = 4."""
+    H^1(G, End(V + V)) = Ext^1(V + V, V + V) = 4."""
     full, VV = _doubled_v(3)
-    EndVV = groups.conjugation_rep(module_rep(full, VV))
-    assert groups.h1_cocycles(EndVV).dim == 4
+    assert groups.h1_cocycles(module_rep(full, VV)).dim == 4
 
 
 def _rho_full(p):
     full = groups.build_group(p)
     return groups.inflate(groups.uniserial_representation(p), full)
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_conjugation_rep_matches_the_full_table_check(p):
-    # the (dim rho)^6-per-pair check of every pair, as an oracle for the
-    # per-element comparison with the Kronecker square
-    rho = _rho_full(p)
-    oracle = module_rep(rho.table, groups.conjugation_module(rho))
-    E = groups.conjugation_rep(rho)
-    assert E.dim == rho.dim ** 2
-    assert np.array_equal(E.mats, oracle.mats)
-
-
-@pytest.mark.parametrize("side", ["element stack", "rho"])
-def test_conjugation_rep_catches_one_wrong_entry(side, monkeypatch):
-    # the last element, sigma^2 tau^2 epsilon, is no generator, so the
-    # generator matrices that feed element_stack stay right
-    rho = _rho_full(3)
-    if side == "rho":
-        mats = rho.mats.copy()
-        mats[-1, 0, 0, 0] = (mats[-1, 0, 0, 0] + 1) % 3
-        rho = groups.GroupRep(rho.table, rho.ring, mats, check=False)
-    else:
-        expand = groups.element_stack
-
-        def planted(*args):
-            stack = expand(*args).copy()
-            stack[-1, 0, 0, 0] = (stack[-1, 0, 0, 0] + 1) % 3
-            return stack
-
-        monkeypatch.setattr(groups, "element_stack", planted)
-    with pytest.raises(RuntimeError, match="Kronecker square"):
-        groups.conjugation_rep(rho)
 
 
 def test_conjugation_module_requires_residue_ring(g3):
@@ -597,46 +595,64 @@ def test_conjugation_module_requires_residue_ring(g3):
 def test_h1_full_group(p, zdim, bdim):
     rep = groups.uniserial_representation(p)
     G = groups.build_group(p)
-    M = groups.conjugation_rep(groups.inflate(rep, G))
-    r = groups.h1_cocycles(M)
+    rho = groups.inflate(rep, G)
+    r = groups.h1_cocycles(rho)
     assert (r.dim, r.cocycle_dim, r.coboundary_dim) == (1, zdim, bdim)
-    # coboundary dim cross-check: dim M minus the invariants (Schur: 1)
-    assert r.coboundary_dim == M.dim - 1
+    # coboundary dim cross-check: dim End(V) minus the invariants (Schur: 1)
+    assert r.coboundary_dim == rho.dim ** 2 - 1
     assert len(r.representatives) == 1
-    d = r.representatives[0]
+    Y = r.representatives[0]
     # a genuine nonzero cocycle vanishing at the identity
-    assert np.any(d) and not np.any(d[G.identity])
+    assert Y.shape == (G.size, rho.dim, rho.dim)
+    assert np.any(Y) and not np.any(Y[G.identity])
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_h1_quotient_agrees_with_ext(p):
     rep = groups.uniserial_representation(p)
     V = groups.rep_to_module(rep)
-    r = groups.h1_cocycles(groups.conjugation_rep(rep))
+    r = groups.h1_cocycles(rep)
     assert r.dim == fdmod.ext_dim(V, V, 1).dim == 0
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_h1_agrees_with_both_ext_routes_from_the_trivial_module(p):
-    # H^1(G, M) = Ext^1(k, M): the cocycle count against the resolution
-    # route and the extension route
-    G = groups.build_group(p)
-    rho = groups.inflate(groups.uniserial_representation(p), G)
+    # H^1(G, End V) = Ext^1(k, End V) = Ext^1(V, V): the extension count of
+    # h1_cocycles against the resolution route and the extension route
+    # from the trivial module into the conjugation module, and against the
+    # resolution route from V to V
+    rho = _rho_full(p)
     M = groups.conjugation_module(rho)
-    k = groups.simple_module(G, 0)
-    assert groups.h1_cocycles(
-        groups.conjugation_rep(rho)).dim == fdmod.ext_dim(k, M, 1).dim \
-        == fdmod.ext1_by_extensions(k, M).dim == 1
+    k = groups.simple_module(rho.table, 0)
+    V = groups.rep_to_module(rho)
+    assert groups.h1_cocycles(rho).dim == fdmod.ext_dim(k, M, 1).dim \
+        == fdmod.ext1_by_extensions(k, M).dim == fdmod.ext_dim(V, V, 1).dim \
+        == 1
 
 
-def _with_expansion(monkeypatch, m, edit):
-    """Patch `element_stack` so that edit changes the top-right (m, k)
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_h1_representatives_are_conjugation_cocycles(p):
+    # c(g) = Y(g) rho(g)^-1 is a cocycle of the conjugation action on
+    # End(V), checked on every pair against the Kronecker squares of rho
+    rho = _rho_full(p)
+    t, d = rho.table, rho.dim
+    r = rho.mats[:, :, :, 0]
+    Y = groups.h1_cocycles(rho).representatives[0]
+    c = np.einsum("gij,gjk->gik", Y, r[t.inv]).reshape(t.size, d * d) % p
+    K = np.einsum("gik,glj->gijkl", r, r[t.inv]).reshape(t.size, d * d,
+                                                        d * d)
+    assert np.array_equal(
+        c[t.mul], (np.einsum("gab,hb->gha", K, c) + c[:, None]) % p)
+
+
+def _with_expansion(monkeypatch, d, edit):
+    """Patch `element_stack` so that edit changes the top-right (d, d)
     block of each stack, the cocycle values that h1_cocycles expands."""
     expand = groups.element_stack
 
     def edited(*args):
         stack = expand(*args).copy()
-        stack[:, :m, m:] = edit(stack[:, :m, m:])
+        stack[:, :d, d:] = edit(stack[:, :d, d:])
         return stack
 
     monkeypatch.setattr(groups, "element_stack", edited)
@@ -646,38 +662,41 @@ def test_h1_table_check_catches_a_corrupted_cocycle(monkeypatch):
     # the extension stack's top-right block feeds the |G|^2 check of the
     # basis; one bad value at an element that is no generator, tau^2
     # epsilon, must fail it
-    E = groups.conjugation_rep(_rho_full(3))
+    rho = _rho_full(3)
 
     def corrupted(block):
         block[5] = (block[5] + 1) % 3
         return block
 
-    _with_expansion(monkeypatch, E.dim, corrupted)
+    _with_expansion(monkeypatch, rho.dim, corrupted)
     with pytest.raises(RuntimeError, match="cocycle basis failed the table"):
-        groups.h1_cocycles(E)
+        groups.h1_cocycles(rho)
 
 
 def test_h1_read_back_catches_a_rescaled_expansion(monkeypatch):
     # twice a cocycle is a cocycle, so the doubled expansion passes the
     # |G|^2 check; only reading it back at the generators sees that it is
     # not the expansion of the solved generator values
-    E = groups.conjugation_rep(_rho_full(3))
-    _with_expansion(monkeypatch, E.dim, lambda block: 2 * block % 3)
+    rho = _rho_full(3)
+    _with_expansion(monkeypatch, rho.dim, lambda block: 2 * block % 3)
     with pytest.raises(RuntimeError, match="cocycle basis failed the table"):
-        groups.h1_cocycles(E)
+        groups.h1_cocycles(rho)
 
 
 def test_h1_memory_stays_near_the_stack_it_is_given():
-    # the cocycle values come from one extension stack of dim M + 1, so the
-    # peak stays within a few copies of the End(V) stack
-    E = groups.conjugation_rep(_rho_full(7))
+    # the cocycle values come from one extension stack of dimension 2d,
+    # 4 d^2 entries per element against d^4 for End(V): the peak stays
+    # below a single End(V) stack of the same table (9 extension stacks
+    # at p = 7; about 5.5 with two workers, 7 with four)
+    rho = _rho_full(7)
+    end_v = rho.mats.nbytes * rho.dim ** 2
     tracemalloc.start()
     try:
-        groups.h1_cocycles(E)
+        groups.h1_cocycles(rho)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * E.mats.nbytes
+    assert peak < end_v
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -685,10 +704,10 @@ def test_h1_coboundary_check_catches_a_lost_coboundary(p, monkeypatch):
     # the invariants of End(V) are the scalars, so the coboundary of the
     # off-diagonal unit E_01 (column 1) lies outside the span of the rest;
     # zeroed, it still solves the rows, and the genuine cocycle it leaves
-    # out joins the class representatives.  Without the expansion of each
-    # column to (rho(g) - I) e_k this reads as h1 = 2, and every other
-    # check passes
-    E = groups.conjugation_rep(_rho_full(p))
+    # out joins the class representatives.  Without the comparison of each
+    # column with rho(s) F - F rho(s) this reads as h1 = 2, and every
+    # other check passes
+    rho = _rho_full(p)
     coboundaries = fdmod.extension_coboundaries
 
     def lost(*args):
@@ -699,7 +718,7 @@ def test_h1_coboundary_check_catches_a_lost_coboundary(p, monkeypatch):
 
     monkeypatch.setattr(fdmod, "extension_coboundaries", lost)
     with pytest.raises(RuntimeError, match="cocycle basis failed the table"):
-        groups.h1_cocycles(E)
+        groups.h1_cocycles(rho)
 
 
 def _with_relation_rows(monkeypatch, edit):
@@ -722,23 +741,23 @@ def _with_relation_rows(monkeypatch, edit):
 def test_h1_pick_check_catches_a_defect_in_the_relation_rows(p, monkeypatch):
     # half the relation rows admit a null vector that is no cocycle; it
     # joins the class representatives, which are checked on every pair
-    E = groups.conjugation_rep(_rho_full(p))
-    zdim = groups.h1_cocycles(E).cocycle_dim
+    rho = _rho_full(p)
+    zdim = groups.h1_cocycles(rho).cocycle_dim
     zdims = _with_relation_rows(monkeypatch, lambda rows: rows[:len(rows) // 2])
     with pytest.raises(RuntimeError, match="cocycle basis failed the table"):
-        groups.h1_cocycles(E)
+        groups.h1_cocycles(rho)
     assert len(zdims) == 1 and zdims[0] > zdim
 
 
 def test_h1_count_catches_a_coboundary_cut_from_the_solutions(monkeypatch):
     # a bogus relation row that a coboundary breaks: the solutions no longer
     # hold every verified coboundary, so bdim + len(picks) exceeds zdim
-    E = groups.conjugation_rep(_rho_full(3))
-    zdim = groups.h1_cocycles(E).cocycle_dim
+    rho = _rho_full(3)
+    zdim = groups.h1_cocycles(rho).cocycle_dim
     zdims = _with_relation_rows(monkeypatch, lambda rows: np.vstack(
         [rows, np.ones((1, rows.shape[1]), dtype=np.int64)]))
     with pytest.raises(RuntimeError, match="coboundaries escaped"):
-        groups.h1_cocycles(E)
+        groups.h1_cocycles(rho)
     assert zdims == [zdim - 1]
 
 
@@ -761,9 +780,7 @@ def test_primitive_root_invariance_p5():
         alg = groups.group_algebra(rep.table)
         V = groups.rep_to_module(rep)
         G = groups.build_group(5, a)
-        h1 = groups.h1_cocycles(
-            groups.conjugation_rep(groups.inflate(rep, G))
-        )
+        h1 = groups.h1_cocycles(groups.inflate(rep, G))
         reports.append(
             {
                 "h1": h1.dim,
@@ -803,22 +820,19 @@ def test_h1_invariant_under_base_change():
         moved = groups.GroupRep.from_generators(
             G, coeff.prime_field(p), mats
         )
-        r = groups.h1_cocycles(groups.conjugation_rep(moved))
+        r = groups.h1_cocycles(moved)
         assert r.dim == 1
 
 
-def reference_shift_pairs(table, moduli, act, val, shift):
-    """All (g, h) with act(g) val(h) + shift(g) != val(gh), in Python ints."""
+def reference_pairs(table, moduli, act, val):
+    """All (g, h) with act(g) val(h) != val(gh), in Python ints."""
     act, val = act.astype(object), val.astype(object)
-    shift = None if shift is None else shift.astype(object)
     bad = []
     for g in range(table.size):
         for h in range(table.size):
             for l, m in enumerate(moduli):
                 level = sum(act[g][..., i].dot(val[h][..., l - i])
                             for i in range(l + 1))
-                if shift is not None:
-                    level = level + shift[g][..., l]
                 if np.any((level - val[table.mul[g, h]][..., l]) % m):
                     bad.append((g, h))
                     break
@@ -840,50 +854,42 @@ def route_representation(route):
 
 
 @pytest.mark.parametrize("route", [np.float32, np.float64, np.int64])
-@pytest.mark.parametrize("shifted", [False, True])
-def test_table_mismatches_finds_planted_pairs_on_every_route(route, shifted):
+@pytest.mark.parametrize("extension", [False, True])
+def test_table_mismatches_finds_planted_pairs_on_every_route(route,
+                                                             extension):
     rep = route_representation(route)
     table, moduli = rep.table, rep.ring.moduli
     k, L = rep.dim, rep.ring.levels
     mod = np.array(moduli)
-    rng = np.random.default_rng(5)
-    if shifted:
-        # coboundaries c(g) = (rho(g) - 1) v satisfy c(gh) = rho(g) c(h) + c(g)
-        eye = np.zeros((k, k, L), dtype=np.int64)
-        eye[:, :, 0] = np.eye(k, dtype=np.int64)
-        v = rng.integers(0, 2**40, size=(k, 2, L)) % mod
-        val = coeff.level_matmul(moduli, (rep.mats - eye) % mod, v)
-        shift = val
+    if extension:
+        v = np.random.default_rng(5).integers(0, 2**40, size=(k, 2, L)) % mod
+        val = coboundary_extension(rep, v)
+        assert flinalg.exact_product(k + 2, moduli, 2 * max(moduli)) == route
     else:
-        val, shift = rep.mats, None
-    assert groups.table_mismatches(table, moduli, rep.mats, val, shift) == []
+        val = rep.mats
+    assert groups.table_mismatches(table, moduli, val, val) == []
 
+    # an extension is planted in its top-right block, the coboundary
+    col = k if extension else 0
     val = val.copy()
-    val[5, 1, 0, L - 1] = (val[5, 1, 0, L - 1] + 1) % mod[L - 1]
-    val[11, 0, 1, 0] = (val[11, 0, 1, 0] + mod[0] - 1) % mod[0]
-    if shifted:
-        shift = val
-    want = reference_shift_pairs(table, moduli, rep.mats, val, shift)
+    val[5, 1, col, L - 1] = (val[5, 1, col, L - 1] + 1) % mod[L - 1]
+    val[11, 0, col + 1, 0] = (val[11, 0, col + 1, 0] + mod[0] - 1) % mod[0]
+    want = reference_pairs(table, moduli, val, val)
     assert want
-    assert groups.table_mismatches(table, moduli, rep.mats, val,
-                                   shift) == want
-
+    assert groups.table_mismatches(table, moduli, val, val) == want
 
 
 def planted_stacks(rep, rows):
-    """Table values of rep corrupted at `rows`: its own matrices, or
-    coboundaries with themselves as the shift."""
+    """Table values of rep corrupted at `rows`: its own matrices, or its
+    coboundary extension corrupted in the top-right block."""
     moduli, k, L = rep.ring.moduli, rep.dim, rep.ring.levels
     mod = np.array(moduli)
-    eye = np.zeros((k, k, L), dtype=np.int64)
-    eye[:, :, 0] = np.eye(k, dtype=np.int64)
     v = np.random.default_rng(9).integers(0, 2**40, size=(k, 2, L)) % mod
-    cob = coeff.level_matmul(moduli, (rep.mats - eye) % mod, v)
     vals = []
-    for val in (rep.mats.copy(), cob):
+    for val, col in ((rep.mats.copy(), 1), (coboundary_extension(rep, v), k)):
         for i, h in enumerate(rows):
             l = i % L
-            val[h, 0, 1, l] = (val[h, 0, 1, l] + 1) % mod[l]
+            val[h, 0, col, l] = (val[h, 0, col, l] + 1) % mod[l]
         vals.append(val)
     return vals
 
@@ -892,20 +898,19 @@ def check_planted_pairs_under_every_worker_count(monkeypatch, rep):
     # rows 6, 7 and 5 open the shares of two and three workers: h = 0, 1
     # mod 2 and h = 0, 1, 2 mod 3 all carry planted mismatches
     rows = (6, 7, 5)
-    val, cob = planted_stacks(rep, rows)
     table, moduli = rep.table, rep.ring.moduli
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the lock between bytecodes
     try:
-        for stack, shift in ((val, None), (cob, cob)):
-            want = reference_shift_pairs(table, moduli, rep.mats, stack,
-                                         shift)
+        for act, val in zip((rep.mats, None), planted_stacks(rep, rows)):
+            act = val if act is None else act
+            want = reference_pairs(table, moduli, act, val)
             assert set(rows) <= {h for _, h in want}
             for workers in (1, 2, 3):
                 monkeypatch.setattr(groups, "_worker_count",
                                     lambda: workers)
-                assert groups.table_mismatches(table, moduli, rep.mats,
-                                               stack, shift) == want
+                assert groups.table_mismatches(table, moduli, act,
+                                               val) == want
     finally:
         sys.setswitchinterval(switch)
 
