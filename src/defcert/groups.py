@@ -34,10 +34,10 @@ matrix is built on every element.  `h1_cocycles` computes
 H^1(G, End V) as Ext^1(V, V): each class is a 2d-dimensional extension
 [[rho(s), Y_s], [0, rho(s)]].  It (a) checks each coboundary column
 against rho(s) F - F rho(s) at the generators, (r) reads each expansion
-back at the generators, (b) runs `GroupRep`'s own |G|^2 check on each
-class's extension, and (c) counts that the coboundaries and the
-representatives span every solution of the relation rows that bound
-Z^1.
+back at the generators, (b) runs the |G|^2 check of `table_mismatches`
+on each class's extension, on its right column [[Y], [rho]] only, and
+(c) counts that the coboundaries and the representatives span every
+solution of the relation rows that bound Z^1.
 
 The projectives of the group algebra are the characters of the cyclic
 p'-subgroup <epsilon> induced up (`induce`).  In the index order the
@@ -49,8 +49,6 @@ handle's `yoneda_columns` read them.
 from __future__ import annotations
 
 import functools
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,13 +343,7 @@ def element_stack(table: GroupTable, moduli, gens: dict) -> np.ndarray:
     return grid[table.xs, table.ys, table.js]
 
 
-def _worker_count() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else every CPU."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+TABLE_BLOCK_ENTRIES = 2**18  # product entries per block of h
 
 
 def table_mismatches(table: GroupTable, moduli, act, val) -> list:
@@ -360,63 +352,43 @@ def table_mismatches(table: GroupTable, moduli, act, val) -> list:
     act (size, r, k, L) and val (size, k, c, L) are level-last stacks of
     canonical coefficients.  Both are converted once, to the dtype
     `flinalg.exact_product` names for inner dimension k with a slack of
-    2 max m; then each h takes one unreduced product per g, stacked over
-    every g, through `coeff.convolve_levels`.
-    The product is cast to the unsigned word of w bits that
-    `flinalg.exact_word` names for the same bound, and the complement
-    m - val(gh), in (0, m], is added: the sum d stays below the bound
-    plus the slack, below 2^w, so it never wraps.
+    2 max m.  The h are taken in blocks of B consecutive indices, B =
+    TABLE_BLOCK_ENTRIES // (size r c L) or 1, so that a block's products
+    hold about TABLE_BLOCK_ENTRIES entries.  The block's val(h) stand side
+    by side as the columns of one (k, B c, L) operand, and one unreduced
+    product through `coeff.convolve_levels` gives every act(g) val(h) of
+    the block, exactly, since its Toeplitz expansion acts column by
+    column.  The product is cast, in (g, h) order, to the unsigned word
+    of w bits that `flinalg.exact_word` names for the same bound, and the
+    complement m - val(gh), in (0, m], is added: the sum d stays below
+    the bound plus the slack, below 2^w, so it never wraps.
     Pair (g, h) is right exactly when m_l divides d, which is
     act(g) val(h) - val(gh) mod m_l, at every level l;
     `flinalg.multiple_test`, built once per check with its constants
     tiled over (r, c, L) when L > 1, decides that exactly for odd m, by a
     multiplication by m^-1 that wraps mod 2^w on purpose.  An even
     modulus raises ValueError before any product.
-
-    The h range is split into one strided share per CPU the process may
-    use: the calling thread checks one share and helper threads the rest.
-    The per-g products are small, so BLAS mostly runs them in the thread
-    that asks instead of waking threads of its own.  Every pair is
-    checked once whatever the split, each verdict depends on its own pair
-    alone, and the merged pairs are sorted, so the result does not depend
-    on the number of shares.  Every helper is joined before the return,
-    and an exception in any share is raised here rather than read as a
-    share without mismatches.
     """
-    n, k = act.shape[0], act.shape[2]
+    n, r, k = act.shape[:3]
+    c, L = val.shape[2:]
     word = flinalg.exact_word(k, moduli, 2 * max(moduli))
     route = flinalg.exact_product(k, moduli, 2 * max(moduli))
     complement = (np.array(moduli) - val).astype(word)
-    decide = flinalg.multiple_test(moduli, word,
-                                   (act.shape[1],) + val.shape[2:])
+    decide = flinalg.multiple_test(moduli, word, (r, c, L))
     act = act.astype(route, copy=False)
     val = val.astype(route, copy=False)
-    shares = min(_worker_count(), n)
-    found = [None] * shares  # per share: its bad pairs, or what it raised
-
-    def check(first):
-        bad = []
-        try:
-            for h in range(first, n, shares):
-                d = coeff.convolve_levels(act, val[h], route).astype(word)
-                d += complement[table.mul[:, h]]
-                right = decide(d).all(axis=(1, 2, 3))
-                bad.extend((int(g), h) for g in np.nonzero(~right)[0])
-        except BaseException as exc:
-            bad = exc
-        found[first] = bad
-
-    helpers = [threading.Thread(target=check, args=(first,))
-               for first in range(1, shares)]
-    for helper in helpers:
-        helper.start()
-    check(0)
-    for helper in helpers:
-        helper.join()
-    for bad in found:
-        if isinstance(bad, BaseException):
-            raise bad
-    return sorted(pair for bad in found for pair in bad)
+    block = max(1, TABLE_BLOCK_ENTRIES // (n * r * c * L))
+    bad = []
+    for first in range(0, n, block):
+        hs = slice(first, first + block)
+        cols = val[hs].transpose(1, 0, 2, 3).reshape(k, -1, L)
+        d = coeff.convolve_levels(act, cols, route).reshape(n, r, -1, c, L)
+        d = d.transpose(0, 2, 1, 3, 4).astype(word, order="C")
+        d += complement[table.mul[:, hs]]
+        right = decide(d).all(axis=(2, 3, 4))
+        g, h = np.nonzero(~right)
+        bad.extend(zip(g.tolist(), (h + first).tolist()))
+    return sorted(bad)
 
 
 def uniserial_representation(p: int, a_eps: int | None = None,
@@ -700,17 +672,21 @@ def h1_cocycles(rho: GroupRep) -> H1Result:
     `fdmod.relation_derivative` for (V, V), because the relations hold in
     the table.  So Y -> (Y_s) is one-to-one into the solutions, which
     bound Z^1 above by zdim.
-    Each class representative (`picks`) is expanded by
-    `GroupRep.from_generators` over the 2d-dimensional generators
-    [[rho(s), Y_s], [0, rho(s)]].  Four checks bound Z^1 below:
+    Each class representative (`picks`) is expanded by `element_stack`
+    over the 2d-dimensional generators [[rho(s), Y_s], [0, rho(s)]].
+    Four checks bound Z^1 below:
 
     (a) each coboundary column equals rho(s) F - F rho(s) at the
         generators s, for its unit F: the top-right block of
         [[1, -F], [0, 1]] (rho + rho) [[1, F], [0, 1]], a homomorphism
         once rho is;
     (r) each expansion, read back at the generators, gives its Y_s;
-    (b) each 2d extension passes `GroupRep`'s own table check on all
-        |G|^2 pairs;
+    (b) each 2d extension passes `table_mismatches` on all |G|^2 pairs
+        on its right column: act(g) [[Y(h)], [rho(h)]] is
+        [[rho(g) Y(h) + Y(g) rho(h)], [rho(g) rho(h)]], so the check
+        covers the cocycle identity and the bottom-right rho; the
+        top-left block is the same products of the rho(s) as the
+        bottom-right, and the bottom-left is zero;
     (c) bdim + len(picks) = zdim, so the coboundary columns and the picks
         span every solution.
 
@@ -737,16 +713,14 @@ def h1_cocycles(rho: GroupRep) -> H1Result:
         raise RuntimeError("verified cocycle basis failed the table")
     classes = []
     for Y in zpar[:, picks].T.reshape(len(picks), len(gens), d, d):
-        ext = np.zeros((len(gens), 2 * d, 2 * d), dtype=np.int64)
-        ext[:, :d, :d] = ext[:, d:, d:] = r
-        ext[:, :d, d:] = Y
-        try:
-            stack = GroupRep.from_generators(  # (b)
-                table, rho.ring, dict(zip(alg.generators, ext))).mats
-        except NotAHomomorphism as err:
-            raise RuntimeError("verified cocycle basis failed the "
-                               "table") from err
-        if not np.array_equal(stack[gens, :d, d:, 0], Y):  # (r)
+        ext = np.zeros((len(gens), 2 * d, 2 * d, 1), dtype=np.int64)
+        ext[:, :d, :d, 0] = ext[:, d:, d:, 0] = r
+        ext[:, :d, d:, 0] = Y
+        stack = element_stack(table, rho.ring.moduli,
+                              dict(zip(alg.generators, ext)))
+        if (table_mismatches(table, rho.ring.moduli, stack,  # (b)
+                             stack[:, :, d:])
+                or not np.array_equal(stack[gens, :d, d:, 0], Y)):  # (r)
             raise RuntimeError("verified cocycle basis failed the table")
         classes.append(stack[:, :d, d:, 0].copy())
     if bdim + len(picks) != zdim:  # (c)

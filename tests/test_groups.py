@@ -2,8 +2,6 @@
 
 import gc
 import re
-import sys
-import threading
 import tracemalloc
 import weakref
 
@@ -645,14 +643,17 @@ def test_h1_representatives_are_conjugation_cocycles(p):
         c[t.mul], (np.einsum("gab,hb->gha", K, c) + c[:, None]) % p)
 
 
-def _with_expansion(monkeypatch, d, edit):
+def _with_expansion(monkeypatch, d, edit, left=False):
     """Patch `element_stack` so that edit changes the top-right (d, d)
-    block of each stack, the cocycle values that h1_cocycles expands."""
+    block of each stack, the cocycle values that h1_cocycles expands, or
+    with `left` the top-left block, rho."""
     expand = groups.element_stack
+    block = (slice(None), slice(None, d), slice(None, d) if left
+             else slice(d, None))
 
     def edited(*args):
         stack = expand(*args).copy()
-        stack[:, :d, d:] = edit(stack[:, :d, d:])
+        stack[block] = edit(stack[block])
         return stack
 
     monkeypatch.setattr(groups, "element_stack", edited)
@@ -673,6 +674,21 @@ def test_h1_table_check_catches_a_corrupted_cocycle(monkeypatch):
         groups.h1_cocycles(rho)
 
 
+def test_h1_table_check_reads_the_left_column_through_act(monkeypatch):
+    # the |G|^2 check multiplies only the right column [[Y], [rho]]; the
+    # top-left rho still enters as act(g), so one bad value there at the
+    # non-generator tau^2 epsilon must fail it
+    rho = _rho_full(3)
+
+    def corrupted(block):
+        block[5] = (block[5] + 1) % 3
+        return block
+
+    _with_expansion(monkeypatch, rho.dim, corrupted, left=True)
+    with pytest.raises(RuntimeError, match="cocycle basis failed the table"):
+        groups.h1_cocycles(rho)
+
+
 def test_h1_read_back_catches_a_rescaled_expansion(monkeypatch):
     # twice a cocycle is a cocycle, so the doubled expansion passes the
     # |G|^2 check; only reading it back at the generators sees that it is
@@ -687,7 +703,8 @@ def test_h1_memory_stays_near_the_stack_it_is_given():
     # the cocycle values come from one extension stack of dimension 2d,
     # 4 d^2 entries per element against d^4 for End(V): the peak stays
     # below a single End(V) stack of the same table (9 extension stacks
-    # at p = 7; about 5.5 with two workers, 7 with four)
+    # at p = 7; the peak, set by one block of the table check, is
+    # about 7)
     rho = _rho_full(7)
     end_v = rho.mats.nbytes * rho.dim ** 2
     tracemalloc.start()
@@ -894,31 +911,26 @@ def planted_stacks(rep, rows):
     return vals
 
 
-def check_planted_pairs_under_every_worker_count(monkeypatch, rep):
-    # rows 6, 7 and 5 open the shares of two and three workers: h = 0, 1
-    # mod 2 and h = 0, 1, 2 mod 3 all carry planted mismatches
+def check_planted_pairs_under_every_block_size(monkeypatch, rep):
+    # blocks of one, two and three h and one block of the whole table:
+    # rows 6 and 7 open and close a block of two, 6 opens and 5 closes a
+    # block of three
     rows = (6, 7, 5)
     table, moduli = rep.table, rep.ring.moduli
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads trade the lock between bytecodes
-    try:
-        for act, val in zip((rep.mats, None), planted_stacks(rep, rows)):
-            act = val if act is None else act
-            want = reference_pairs(table, moduli, act, val)
-            assert set(rows) <= {h for _, h in want}
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(groups, "_worker_count",
-                                    lambda: workers)
-                assert groups.table_mismatches(table, moduli, act,
-                                               val) == want
-    finally:
-        sys.setswitchinterval(switch)
+    for act, val in zip((rep.mats, None), planted_stacks(rep, rows)):
+        act = val if act is None else act
+        want = reference_pairs(table, moduli, act, val)
+        assert set(rows) <= {h for _, h in want}
+        per_h = table.size * act.shape[1] * val.shape[2] * val.shape[3]
+        for block in (1, 2, 3, table.size):
+            monkeypatch.setattr(groups, "TABLE_BLOCK_ENTRIES", block * per_h)
+            assert groups.table_mismatches(table, moduli, act, val) == want
 
 
 @pytest.mark.parametrize("route", [np.float32, np.float64, np.int64])
 def test_table_mismatches_does_not_depend_on_the_worker_count(
         monkeypatch, route):
-    check_planted_pairs_under_every_worker_count(
+    check_planted_pairs_under_every_block_size(
         monkeypatch, route_representation(route))
 
 
@@ -950,7 +962,7 @@ def test_table_mismatches_on_float32_in_uint32_and_float64_in_uint64(
     rep = groups.GroupRep(rep.table, rep.ring, mats)
     products = coeff.convolve_levels(mats[:, None], mats[None], np.int64)
     assert products.max() > np.iinfo(narrower).max
-    check_planted_pairs_under_every_worker_count(monkeypatch, rep)
+    check_planted_pairs_under_every_block_size(monkeypatch, rep)
 
 
 def test_table_mismatches_refuses_an_even_modulus_before_any_product(
@@ -963,26 +975,3 @@ def test_table_mismatches_refuses_an_even_modulus_before_any_product(
     monkeypatch.setattr(coeff, "convolve_levels", no_product)
     with pytest.raises(ValueError, match="odd moduli"):
         groups.table_mismatches(q5, (4,), rep.mats % 4, rep.mats % 4)
-
-
-@pytest.mark.parametrize("fail_at", [2, 3])
-def test_table_mismatches_raises_a_failure_in_any_share(monkeypatch,
-                                                        fail_at):
-    # with two workers the calling thread checks even h, a helper odd h
-    rep = groups.uniserial_representation(5)
-    route = flinalg.exact_product(rep.dim, rep.ring.moduli, 10)
-    target = rep.mats[fail_at].astype(route)
-    convolve = coeff.convolve_levels
-
-    def failing(a, b, r):
-        if np.array_equal(b, target):
-            raise ArithmeticError(f"planted at h = {fail_at}")
-        return convolve(a, b, r)
-
-    monkeypatch.setattr(groups, "_worker_count", lambda: 2)
-    monkeypatch.setattr(coeff, "convolve_levels", failing)
-    before = threading.active_count()
-    with pytest.raises(ArithmeticError, match=f"planted at h = {fail_at}"):
-        groups.table_mismatches(rep.table, rep.ring.moduli, rep.mats,
-                                rep.mats)
-    assert threading.active_count() == before
