@@ -926,7 +926,9 @@ def _as_vertex(tok: str):
 def parse_module_fixture(text: str, algebra) -> FdModule:
     """dim:/vertices:/matrix <gen>: sections; omitted generators act as 0.
 
-    A header given twice raises ValueError naming the second one's line.
+    Each matrix entry is read as its residue mod p, taken on the Python
+    int, so -1 is p - 1 and an entry past int64 is exact.  A header given
+    twice raises ValueError naming the second one's line.
     """
     labels = list(algebra.grading_labels)
     dim = block_labels = current = None
@@ -965,7 +967,7 @@ def parse_module_fixture(text: str, algebra) -> FdModule:
             continue
         if current is None:
             raise ValueError(f"line {lineno}: unexpected {stripped!r}")
-        mats[current].append([int(t) for t in stripped.split()])
+        mats[current].append([int(t) % algebra.p for t in stripped.split()])
     if dim is None:
         raise ValueError("missing dim: line")
     if block_labels is None:

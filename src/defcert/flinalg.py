@@ -3,9 +3,11 @@
 Every answer here (`rank`, `nullspace`, `solve`, `inv`, `extend_basis`,
 `in_span`, `col_space_basis`) is read off one `(R, pivots)` from
 `row_space_basis`, the one elimination: it reduces a tall matrix block
-by block against the basis found so far and is the only caller of the
-per-pivot `rref`.  An rref is unique, so every answer is the one of a
-single rref of the whole matrix.
+by block against the basis found so far and is the only caller of
+`rref`.  `rref` picks its kernel by p: at p = 2 it reduces rows packed
+into Python ints by XOR, at odd p it eliminates pivot by pivot on int64
+arrays.  An rref is unique, so every answer is the one of a single rref
+of the whole matrix, whichever kernel made it.
 
 `routed_matmul` is the one product route.  `exact_product` is the one
 exactness rule of every product here, in `coeff.level_matmul` and in the
@@ -109,10 +111,58 @@ def matmul_mod(a, b, m: int) -> np.ndarray:
     return c.astype(np.int64, copy=False) % m
 
 
+def _rref_f2(r):
+    """The rref of a 0/1 matrix over F_2, on rows packed into Python ints.
+
+    Bit c of a row's int is its column c.  Each row is reduced by XOR
+    against the basis so far; its lowest set bit is its pivot, which is
+    cleared from the earlier basis rows.  The basis is keyed by the pivot
+    bit 2^c, so sorting the keys sorts the pivots.
+    """
+    rows, cols = r.shape
+    data = np.packbits(r, axis=1, bitorder="little")
+    width = data.shape[1]
+    data = data.tobytes()
+    basis, mask = {}, 0
+    for i in range(rows):
+        row = int.from_bytes(data[i * width : (i + 1) * width], "little")
+        hit = row & mask
+        while hit:
+            low = hit & -hit
+            row ^= basis[low]
+            hit ^= low
+        if row:
+            low = row & -row
+            for bit, b in basis.items():
+                if b & low:
+                    basis[bit] = b ^ row
+            basis[low] = row
+            mask |= low
+    bits = sorted(basis)
+    packed = b"".join(basis[bit].to_bytes(width, "little") for bit in bits)
+    r = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(
+        len(bits), width), axis=1, count=cols, bitorder="little")
+    return r.astype(np.int64), [bit.bit_length() - 1 for bit in bits]
+
+
 def rref(a, p: int):
-    """Reduced row echelon form mod p.  Returns (R, pivot_columns)."""
+    """Reduced row echelon form mod p.  Returns (R, pivot_columns).
+
+    Two kernels give the one rref: at p = 2 rows are packed into Python
+    ints and reduced by XOR (`_rref_f2`), at odd p pivot by pivot on the
+    int64 array.  R is a new C-contiguous int64 array, the pivots Python
+    ints.
+
+    >>> a = np.zeros((3, 11), dtype=np.int64)
+    >>> a[0, [1, 9]] = a[1, [1, 10]] = a[2, [9, 10]] = 1
+    >>> r, pivots = rref(a, 2)  # rows of 11 bits cross a byte
+    >>> pivots, r[:, [1, 9, 10]].tolist()
+    ([1, 9], [[1, 0, 1], [0, 1, 1]])
+    """
     exact_product(1, (p,))  # pivot scaling and row updates multiply entries
     r = asmod(a, p)
+    if p == 2:
+        return _rref_f2(r)
     rows, cols = r.shape
     pivots = []
     lead = 0

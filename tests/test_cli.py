@@ -57,12 +57,22 @@ def test_obstruction_counts_witnesses(capsys):
     assert computed["seed"] == 7
 
 
-def test_module_check_accepts_the_shipped_fixture(capsys):
-    code, out, _ = run(["module", "check", str(DATA / "quotient_module.qmod")],
-                       capsys)
+def test_module_check_accepts_the_shipped_fixture(tmp_path, capsys):
+    shipped = DATA / "quotient_module.qmod"
+    code, out, _ = run(["module", "check", str(shipped)], capsys)
     assert code == 0
     assert "status: valid" in out
     assert "dimension vector: 0:2, 1:1, 2:1" in out
+    # 2^64 + 1 in place of each entry 1 is the same module mod p, not an
+    # int64 overflow escaping as "invalid request"
+    head, body = shipped.read_text().split("matrix", 1)
+    big = tmp_path / "big.qmod"
+    big.write_text(head + "matrix" + body.replace(" 1", f" {2**64 + 1}"))
+    for fmt in ("text", "json"):
+        argv = ["module", "check", "--format", fmt]
+        want = run(argv + [str(shipped)], capsys)
+        code, out, err = run(argv + [str(big)], capsys)
+        assert (code, out.replace(str(big), str(shipped)), err) == want
 
 
 def test_module_check_json_counts_every_vertex(tmp_path, capsys):

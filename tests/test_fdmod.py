@@ -692,10 +692,15 @@ matrix eta:
 
 
 def test_module_fixture_round_trip(algI, T_I):
-    again = parse_module_fixture(T_I_TEXT, algI)
-    assert np.array_equal(again.block_of, T_I.block_of)
-    for name in algI.generators:
-        assert np.array_equal(again.mats[name], T_I.mats[name])
+    # 2^64 + 1 in place of each entry 1 is the same residue, read on the
+    # Python int before any int64 array
+    head, body = T_I_TEXT.split("matrix", 1)
+    big = head + "matrix" + body.replace(" 1", f" {2**64 + 1}")
+    for text in (T_I_TEXT, big):
+        again = parse_module_fixture(text, algI)
+        assert np.array_equal(again.block_of, T_I.block_of)
+        for name in algI.generators:
+            assert np.array_equal(again.mats[name], T_I.mats[name])
 
 
 def test_module_fixture_omitted_generators_are_zero(algI):

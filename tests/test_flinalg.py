@@ -1,6 +1,7 @@
 """Mod-p linear algebra kernels, cross-checked against brute force."""
 
 from math import isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,77 @@ def test_rref_known():
     assert r.shape == (2, 3)
     assert r[0, 0] == 1 and r[1, 2] == 1
     assert r[0, 2] == 0
+    # over F_2 past one 64-bit word; -1 is read as 1, the third row is the
+    # sum of the first two
+    a = np.zeros((3, 70), dtype=np.int64)
+    a[0, [3, 64, 69]] = 1
+    a[1, [3, 65]] = 1, -1
+    a[2, [64, 65, 69]] = 1
+    r, piv = flinalg.rref(a, 2)
+    assert piv == [3, 64]
+    want = np.zeros((2, 70), dtype=np.int64)
+    want[0, [3, 65]] = want[1, [64, 65, 69]] = 1
+    assert np.array_equal(r, want)
+
+
+def reference_rref(rows, cols, p):
+    """Per-pivot elimination mod p on plain Python lists: the first
+    nonzero row at or below the lead is swapped up, scaled to a unit
+    pivot and subtracted from every other row."""
+    r = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        lead = len(pivots)
+        pr = next((i for i in range(lead, len(r)) if r[i][c]), None)
+        if pr is None:
+            continue
+        r[lead], r[pr] = r[pr], r[lead]
+        unit = pow(r[lead][c], -1, p)
+        r[lead] = [x * unit % p for x in r[lead]]
+        for i, row in enumerate(r):
+            if i != lead and row[c]:
+                r[i] = [(x - row[c] * y) % p for x, y in zip(row, r[lead])]
+        pivots.append(c)
+    return r[: len(pivots)], pivots
+
+
+@st.composite
+def f2_matrices(draw):
+    """Matrices with entries in {-1, 0, 1}, as row_space_basis passes its
+    blocks at p = 2, whose rows are sums of a few random rows, so many
+    reduce to zero; the widths sit on both sides of a byte and of a
+    64-bit word."""
+    cols = draw(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 130, 131]))
+    rows = draw(st.integers(0, 20))
+    rank = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = rng.random((rank, cols)) < draw(st.sampled_from([0.05, 0.5]))
+    mix = rng.integers(0, 2, (rows, rank))
+    bits = (mix @ span) % 2
+    return bits * rng.choice([-1, 1], (rows, cols))
+
+
+def assert_f2_rref(got, a):
+    r, pivots = got
+    want_rows, want_pivots = reference_rref(a.tolist(), a.shape[1], 2)
+    assert pivots == want_pivots
+    assert all(type(c) is int for c in pivots)
+    assert r.dtype == np.int64 and r.shape == (len(pivots), a.shape[1])
+    assert r.flags.c_contiguous and r.flags.writeable
+    assert r.tolist() == want_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(f2_matrices(), st.integers(1, 4))
+@example(np.zeros((0, 9), dtype=np.int64), 1)
+@example(np.zeros((5, 0), dtype=np.int64), 1)
+@example(np.zeros((0, 0), dtype=np.int64), 1)
+def test_f2_rref_is_the_reference_elimination(a, block):
+    # the packed F_2 kernel against per-pivot elimination on Python lists,
+    # alone and through row_space_basis on blocks smaller than the input
+    assert_f2_rref(flinalg.rref(a, 2), a)
+    with mock.patch.object(flinalg, "_ROW_BLOCK", block):
+        assert_f2_rref(flinalg.row_space_basis(a, 2), a)
 
 
 def test_rank_of_outer_products():
@@ -266,9 +338,11 @@ def test_tall_inverse_solve_and_extension_are_the_plain_rref_answers(
 
 def test_every_answer_is_read_off_one_row_space_basis(monkeypatch):
     # each public answer calls row_space_basis once and reaches rref only
-    # through it, so a check of that one (R, pivots) covers every answer
+    # through it, so a check of that one (R, pivots) covers every answer;
+    # rref takes the packed F_2 kernel at p = 2 and only there
     log, depth = [], []
-    basis, rref = flinalg.row_space_basis, flinalg.rref
+    basis, rref, kernel = (flinalg.row_space_basis, flinalg.rref,
+                           flinalg._rref_f2)
 
     def traced_basis(a, p):
         log.append("row_space_basis")
@@ -282,26 +356,33 @@ def test_every_answer_is_read_off_one_row_space_basis(monkeypatch):
         log.append("rref" if depth else "bare rref")
         return rref(a, p)
 
+    def traced_kernel(r):
+        log.append("F_2 kernel")
+        return kernel(r)
+
     monkeypatch.setattr(flinalg, "row_space_basis", traced_basis)
     monkeypatch.setattr(flinalg, "rref", traced_rref)
+    monkeypatch.setattr(flinalg, "_rref_f2", traced_kernel)
     monkeypatch.setattr(flinalg, "_ROW_BLOCK", 4)
-    p = 5
-    a = np.random.default_rng(9).integers(0, p, (9, 6))
     square = np.triu(np.ones((9, 9), dtype=np.int64))  # unit triangular
     answers = {
-        "rank": lambda: flinalg.rank(a, p),
-        "nullspace": lambda: flinalg.nullspace(a, p),
-        "solve": lambda: flinalg.solve(a, a[:, 0], p),
-        "inv": lambda: flinalg.inv(square, p),
-        "extend_basis": lambda: flinalg.extend_basis(a[:, :2], a[:, 2:], p),
-        "in_span": lambda: flinalg.in_span(a[:, :2], a[:, 3], p),
-        "col_space_basis": lambda: flinalg.col_space_basis(a, p),
+        "rank": flinalg.rank,
+        "nullspace": flinalg.nullspace,
+        "solve": lambda a, p: flinalg.solve(a, a[:, 0], p),
+        "inv": lambda a, p: flinalg.inv(square, p),
+        "extend_basis": lambda a, p: flinalg.extend_basis(a[:, :2], a[:, 2:],
+                                                          p),
+        "in_span": lambda a, p: flinalg.in_span(a[:, :2], a[:, 3], p),
+        "col_space_basis": flinalg.col_space_basis,
     }
-    for name, answer in answers.items():
-        log.clear()
-        answer()
-        assert log.count("row_space_basis") == 1, (name, log)
-        assert "rref" in log and "bare rref" not in log, (name, log)
+    for p in (2, 5):
+        a = np.random.default_rng(9).integers(0, p, (9, 6))
+        for name, answer in answers.items():
+            log.clear()
+            answer(a, p)
+            assert log.count("row_space_basis") == 1, (p, name, log)
+            assert "rref" in log and "bare rref" not in log, (p, name, log)
+            assert ("F_2 kernel" in log) == (p == 2), (p, name, log)
 
 
 def test_matmul_mod_matches_naive():
