@@ -4,10 +4,12 @@ Every answer here (`rank`, `nullspace`, `solve`, `inv`, `extend_basis`,
 `in_span`, `col_space_basis`) is read off one `(R, pivots)` from
 `row_space_basis`, the one elimination: it reduces a tall matrix block
 by block against the basis found so far and is the only caller of
-`rref`.  `rref` picks its kernel by p: at p = 2 it reduces rows packed
-into Python ints by XOR, at odd p it eliminates pivot by pivot on int64
-arrays.  An rref is unique, so every answer is the one of a single rref
-of the whole matrix, whichever kernel made it.
+`rref`.  `rref` picks its kernel by p alone, and both reduce rows packed
+into Python ints: at p = 2 a bit per entry, by XOR, at odd p a slot of
+W bits per entry, each row operation one multiply-add and one reduction
+mod p of every slot at once (Dumas, Fousse and Salvy, J. Symb. Comput.
+46(7), 2011).  An rref is unique, so every answer is the one of a single
+rref of the whole matrix, whichever kernel made it.
 
 `routed_matmul` is the one product route.  `exact_product` is the one
 exactness rule of every product here, in `coeff.level_matmul` and in the
@@ -145,46 +147,84 @@ def _rref_f2(r):
     return r.astype(np.int64), [bit.bit_length() - 1 for bit in bits]
 
 
+def _rref_odd(r, p):
+    """The rref of a matrix of residues mod an odd prime p, on rows packed
+    into Python ints.
+
+    Column c of a row is the W-bit slot c of its int, W a multiple of 8.
+    The row operation a - f b is s = a + (p - f) b, each slot s_i at most
+    (p - 1) + (p - 1)^2 < p^2, then one reduction of every slot at once,
+    s - p (((s M) >> k) & Q), with k = bitlen(p^2) + bitlen(p) and
+    M = ceil(2^k / p) = (2^k + e) / p, 0 <= e < p.  Since s_i e < p^3 <
+    2^k, floor(s_i M / 2^k) = floor(s_i / p): Barrett's, or Granlund and
+    Montgomery's, division by a constant (PLDI 1994), slot by slot.
+    Since s_i M <= (p - 1)(2^k + e) < p 2^k, W >= k + bitlen(p) keeps each
+    product in its slot and each quotient in the low W - k bits of the
+    slot, the mask Q, which drops what the shift brings down from the slot
+    above.  Rows are reduced in order as in `_rref_f2`: a row is cleared
+    at the pivots it hits, its lowest nonzero slot is scaled to 1 and
+    cleared from the earlier basis rows, and the basis is keyed by pivot.
+    """
+    rows, cols = r.shape
+    k = (p * p).bit_length() + p.bit_length()
+    width = (k + p.bit_length() + 7) // 8  # bytes per slot
+    w, m, n = 8 * width, -(-(1 << k) // p), min(width, 8)
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * cols, "little")
+    slot, q = (1 << w) - 1, ones * ((1 << (w - k)) - 1)
+
+    def reduce(s):
+        return s - p * (((s * m) >> k) & q)
+
+    data = np.zeros((rows, cols, width), dtype=np.uint8)
+    data[..., :n] = np.ascontiguousarray(r, dtype="<i8").view(
+        np.uint8).reshape(rows, cols, 8)[..., :n]  # bytes past 8 stay 0
+    data, size = data.tobytes(), cols * width
+    basis, mask = {}, 0
+    for i in range(rows):
+        row = int.from_bytes(data[i * size : (i + 1) * size], "little")
+        hit = row & mask
+        while hit:
+            c = ((hit & -hit).bit_length() - 1) // w
+            row = reduce(row + (p - (row >> c * w & slot)) * basis[c])
+            hit = row & mask
+        if row:
+            c = ((row & -row).bit_length() - 1) // w
+            row = reduce(row * pow(row >> c * w & slot, -1, p))
+            for d, b in basis.items():
+                if f := b >> c * w & slot:
+                    basis[d] = reduce(b + (p - f) * row)
+            basis[c] = row
+            mask |= slot << c * w
+    pivots = sorted(basis)
+    packed = np.frombuffer(b"".join(basis[c].to_bytes(size, "little")
+                                    for c in pivots), dtype=np.uint8)
+    out = np.zeros((len(pivots), cols, 8), dtype=np.uint8)
+    out[..., :n] = packed.reshape(len(pivots), cols, width)[..., :n]
+    return out.view("<i8").reshape(len(pivots), cols), pivots
+
+
 def rref(a, p: int):
     """Reduced row echelon form mod p.  Returns (R, pivot_columns).
 
-    Two kernels give the one rref: at p = 2 rows are packed into Python
-    ints and reduced by XOR (`_rref_f2`), at odd p pivot by pivot on the
-    int64 array.  R is a new C-contiguous int64 array, the pivots Python
-    ints.
+    Two kernels give the one rref, both on rows packed into Python ints
+    and chosen by p alone: at p = 2 one bit per entry, reduced by XOR
+    (`_rref_f2`), at odd p one slot per entry, each row operation one
+    multiply-add and one reduction mod p of every slot at once
+    (`_rref_odd`).  R is a new C-contiguous int64 array, the pivots Python
+    ints.  p is admitted while a product of two residues fits int64.
 
     >>> a = np.zeros((3, 11), dtype=np.int64)
     >>> a[0, [1, 9]] = a[1, [1, 10]] = a[2, [9, 10]] = 1
     >>> r, pivots = rref(a, 2)  # rows of 11 bits cross a byte
     >>> pivots, r[:, [1, 9, 10]].tolist()
     ([1, 9], [[1, 0, 1], [0, 1, 1]])
+    >>> r, pivots = rref([[3, 1, 4, 1], [6, 2, 1, 5]], 7)  # 3^-1 = 5 mod 7
+    >>> pivots, r.tolist()
+    ([0, 3], [[1, 5, 6, 0], [0, 0, 0, 1]])
     """
-    exact_product(1, (p,))  # pivot scaling and row updates multiply entries
+    exact_product(1, (p,))
     r = asmod(a, p)
-    if p == 2:
-        return _rref_f2(r)
-    rows, cols = r.shape
-    pivots = []
-    lead = 0
-    for c in range(cols):
-        if lead >= rows:
-            break
-        nz = np.nonzero(r[lead:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = lead + int(nz[0])
-        if pr != lead:
-            r[[lead, pr]] = r[[pr, lead]]
-        inv = pow(int(r[lead, c]), -1, p)
-        r[lead, c:] = (r[lead, c:] * inv) % p
-        other = np.nonzero(r[:, c])[0]
-        other = other[other != lead]
-        if other.size:
-            r[other, c:] = (
-                r[other, c:] - np.outer(r[other, c], r[lead, c:])) % p
-        pivots.append(c)
-        lead += 1
-    return r[: len(pivots)], pivots
+    return _rref_f2(r) if p == 2 else _rref_odd(r, p)
 
 
 def row_space_basis(a, p: int):

@@ -56,24 +56,28 @@ def reference_rref(rows, cols, p):
 
 
 @st.composite
-def f2_matrices(draw):
-    """Matrices with entries in {-1, 0, 1}, as row_space_basis passes its
-    blocks at p = 2, whose rows are sums of a few random rows, so many
-    reduce to zero; the widths sit on both sides of a byte and of a
-    64-bit word."""
-    cols = draw(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 130, 131]))
+def residue_matrices(draw, primes, widths):
+    """A prime p and a matrix with entries in (-p, p), as row_space_basis
+    passes its blocks, whose rows are sums of a few random rows mod p, so
+    many reduce to zero."""
+    p = draw(st.sampled_from(primes))
+    cols = draw(st.sampled_from(widths))
     rows = draw(st.integers(0, 20))
     rank = draw(st.integers(0, 8))
+    density = draw(st.sampled_from([0.05, 0.5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    span = rng.random((rank, cols)) < draw(st.sampled_from([0.05, 0.5]))
-    mix = rng.integers(0, 2, (rows, rank))
-    bits = (mix @ span) % 2
-    return bits * rng.choice([-1, 1], (rows, cols))
+    span = rng.integers(1, p, (rank, cols)) * (rng.random((rank, cols))
+                                               < density)
+    mix = rng.integers(0, p, (rows, rank))
+    res = np.zeros((rows, cols), dtype=np.int64)
+    if rank:  # in Python ints, past int64 at the largest prime
+        res[:] = mix.astype(object) @ span.astype(object) % p
+    return p, res - p * ((res > 0) & (rng.random((rows, cols)) < 0.5))
 
 
-def assert_f2_rref(got, a):
+def assert_reference_rref(got, a, p):
     r, pivots = got
-    want_rows, want_pivots = reference_rref(a.tolist(), a.shape[1], 2)
+    want_rows, want_pivots = reference_rref(a.tolist(), a.shape[1], p)
     assert pivots == want_pivots
     assert all(type(c) is int for c in pivots)
     assert r.dtype == np.int64 and r.shape == (len(pivots), a.shape[1])
@@ -81,17 +85,68 @@ def assert_f2_rref(got, a):
     assert r.tolist() == want_rows
 
 
-@settings(max_examples=300, deadline=None)
-@given(f2_matrices(), st.integers(1, 4))
-@example(np.zeros((0, 9), dtype=np.int64), 1)
-@example(np.zeros((5, 0), dtype=np.int64), 1)
-@example(np.zeros((0, 0), dtype=np.int64), 1)
-def test_f2_rref_is_the_reference_elimination(a, block):
-    # the packed F_2 kernel against per-pivot elimination on Python lists,
-    # alone and through row_space_basis on blocks smaller than the input
-    assert_f2_rref(flinalg.rref(a, 2), a)
+def assert_blocked_reference_rref(a, p, block):
+    # row_space_basis on blocks smaller than the input; its pre-reduction
+    # products refuse a prime whose inner products could pass int64
     with mock.patch.object(flinalg, "_ROW_BLOCK", block):
-        assert_f2_rref(flinalg.row_space_basis(a, 2), a)
+        if len(a) > block and a.shape[1] * (p - 1) ** 2 >= 2**63:
+            with pytest.raises(OverflowError):
+                flinalg.row_space_basis(a, p)
+        else:
+            assert_reference_rref(flinalg.row_space_basis(a, p), a, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_matrices([2], [0, 1, 7, 8, 9, 63, 64, 65, 130, 131]),
+       st.integers(1, 4))
+@example((2, np.zeros((0, 9), dtype=np.int64)), 1)
+@example((2, np.zeros((5, 0), dtype=np.int64)), 1)
+@example((2, np.zeros((0, 0), dtype=np.int64)), 1)
+def test_f2_rref_is_the_reference_elimination(case, block):
+    # the packed F_2 kernel against per-pivot elimination on Python lists;
+    # the widths sit on both sides of a byte and of a 64-bit word
+    p, a = case
+    assert_reference_rref(flinalg.rref(a, p), a, p)
+    assert_blocked_reference_rref(a, p, block)
+
+
+# 3037000493 is the largest prime with (p - 1)^2 < 2^63, its slots wider
+# than 8 bytes; at 11 the slot reduction with k one bit short is inexact
+ODD_PRIMES = [3, 5, 7, 11, 13, 241, 3037000493]
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_matrices(ODD_PRIMES, [0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 33]),
+       st.integers(1, 4))
+@example((11, np.array([[1, 10], [1, 9]])), 1)  # 9 + 10 * 10 = 109
+@example((3037000493, np.array([[1, 3037000492], [-1, 3037000492]])), 1)
+@example((7, np.zeros((5, 0), dtype=np.int64)), 1)
+@example((7, np.zeros((0, 4), dtype=np.int64)), 1)
+def test_odd_p_rref_is_the_reference_elimination(case, block):
+    # the packed odd-p kernel against per-pivot elimination on Python
+    # lists; rows of 8-bit slots (p = 3), of 16-bit slots (5 <= p <= 13)
+    # and of 32-bit slots (p = 241) sit on both sides of a 64-bit word,
+    # and one slot of 128 bits (p = 3037000493) spans two
+    p, a = case
+    assert_reference_rref(flinalg.rref(a, p), a, p)
+    assert_blocked_reference_rref(a, p, block)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_rref_returns_a_new_c_contiguous_int64_array(p):
+    # whatever the layout of its input, as col_space_basis passes a.T
+    rng = np.random.default_rng(p)
+    a = flinalg.matmul_mod(rng.integers(0, p, (7, 3)),
+                           rng.integers(0, p, (3, 8)), p)
+    for name, m in {"C order": a, "Fortran order": a.T,
+                    "negative strides": a[::-1, ::-2]}.items():
+        r, pivots = flinalg.rref(m, p)
+        assert r.dtype == np.int64, name
+        assert r.flags.c_contiguous and r.flags.writeable, name
+        assert not np.shares_memory(r, a), name
+        assert all(type(c) is int for c in pivots), name
+        want = reference_rref(m.tolist(), m.shape[1], p)
+        assert (r.tolist(), pivots) == want, name
 
 
 def test_rank_of_outer_products():
@@ -339,10 +394,11 @@ def test_tall_inverse_solve_and_extension_are_the_plain_rref_answers(
 def test_every_answer_is_read_off_one_row_space_basis(monkeypatch):
     # each public answer calls row_space_basis once and reaches rref only
     # through it, so a check of that one (R, pivots) covers every answer;
-    # rref takes the packed F_2 kernel at p = 2 and only there
-    log, depth = [], []
-    basis, rref, kernel = (flinalg.row_space_basis, flinalg.rref,
-                           flinalg._rref_f2)
+    # each rref call reaches exactly one packed kernel, the F_2 one at p = 2
+    # and the odd-p one at p = 5, and no kernel is reached but through rref
+    log, depth, in_rref = [], [], []
+    basis, rref = flinalg.row_space_basis, flinalg.rref
+    f2, odd = flinalg._rref_f2, flinalg._rref_odd
 
     def traced_basis(a, p):
         log.append("row_space_basis")
@@ -354,15 +410,22 @@ def test_every_answer_is_read_off_one_row_space_basis(monkeypatch):
 
     def traced_rref(a, p):
         log.append("rref" if depth else "bare rref")
-        return rref(a, p)
+        in_rref.append(1)
+        try:
+            return rref(a, p)
+        finally:
+            in_rref.pop()
 
-    def traced_kernel(r):
-        log.append("F_2 kernel")
-        return kernel(r)
+    def traced(name, kernel):
+        def run(*args):
+            log.append(name if in_rref else "bare " + name)
+            return kernel(*args)
+        return run
 
     monkeypatch.setattr(flinalg, "row_space_basis", traced_basis)
     monkeypatch.setattr(flinalg, "rref", traced_rref)
-    monkeypatch.setattr(flinalg, "_rref_f2", traced_kernel)
+    monkeypatch.setattr(flinalg, "_rref_f2", traced("F_2 kernel", f2))
+    monkeypatch.setattr(flinalg, "_rref_odd", traced("odd-p kernel", odd))
     monkeypatch.setattr(flinalg, "_ROW_BLOCK", 4)
     square = np.triu(np.ones((9, 9), dtype=np.int64))  # unit triangular
     answers = {
@@ -382,7 +445,10 @@ def test_every_answer_is_read_off_one_row_space_basis(monkeypatch):
             answer(a, p)
             assert log.count("row_space_basis") == 1, (p, name, log)
             assert "rref" in log and "bare rref" not in log, (p, name, log)
-            assert ("F_2 kernel" in log) == (p == 2), (p, name, log)
+            kernel = "F_2 kernel" if p == 2 else "odd-p kernel"
+            assert log.count(kernel) == log.count("rref"), (p, name, log)
+            assert set(log) == {"row_space_basis", "rref", kernel}, (
+                p, name, log)
 
 
 def test_matmul_mod_matches_naive():
