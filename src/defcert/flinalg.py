@@ -1,15 +1,14 @@
 """Exact linear algebra over F_p on numpy int64 arrays.
 
 Every answer here (`rank`, `nullspace`, `solve`, `inv`, `extend_basis`,
-`in_span`, `col_space_basis`) is read off one `(R, pivots)` from
-`row_space_basis`, the one elimination: it reduces a tall matrix block
-by block against the basis found so far and is the only caller of
-`rref`.  `rref` picks its kernel by p alone, and both reduce rows packed
-into Python ints: at p = 2 a bit per entry, by XOR, at odd p a slot of
-W bits per entry, each row operation one multiply-add and one reduction
+`in_span`, `col_space_basis`) is read off one `(R, pivots)` from one
+`rref` of the whole matrix.  `rref` picks its kernel by p alone, and
+both reduce rows packed into Python ints, one row at a time against the
+basis so far: at p = 2 a bit per entry, by XOR, at odd p a slot of W
+bits per entry, each row operation one multiply-add and one reduction
 mod p of every slot at once (Dumas, Fousse and Salvy, J. Symb. Comput.
-46(7), 2011).  An rref is unique, so every answer is the one of a single
-rref of the whole matrix, whichever kernel made it.
+46(7), 2011).  An rref is unique, so every answer is the same whichever
+kernel made it.
 
 `routed_matmul` is the one product route.  `exact_product` is the one
 exactness rule of every product here, in `coeff.level_matmul` and in the
@@ -27,8 +26,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-_ROW_BLOCK = 256  # row_space_basis reduces taller matrices in row blocks
 
 
 @lru_cache(maxsize=64)
@@ -93,10 +90,6 @@ def multiple_test(moduli, word, shape=None):
     if shape is not None and len(moduli) > 1:
         inv, limit = (np.broadcast_to(c, shape).copy() for c in (inv, limit))
     return lambda d: np.multiply(d, inv, out=d) <= limit
-
-
-def asmod(a, p: int) -> np.ndarray:
-    return np.asarray(a, dtype=np.int64) % p
 
 
 def routed_matmul(a, b, route) -> np.ndarray:
@@ -223,45 +216,17 @@ def rref(a, p: int):
     ([0, 3], [[1, 5, 6, 0], [0, 0, 0, 1]])
     """
     exact_product(1, (p,))
-    r = asmod(a, p)
+    r = np.asarray(a, dtype=np.int64) % p
     return _rref_f2(r) if p == 2 else _rref_odd(r, p)
 
 
-def row_space_basis(a, p: int):
-    """Row space basis (rref rows) and its pivot columns.
-
-    Each row block after the first is reduced against the basis R so far
-    by one product, blk - blk[:, pivots] @ R, zero at the pivots; only its
-    nonzero rows go with R into `rref`.  Each step keeps the row space and
-    an rref is unique, so the result is one `rref` of the whole matrix.  A
-    tall matrix whose products (inner dimension at most its column count)
-    could pass int64 raises OverflowError before any work.
-
-    >>> a = np.array([[0, 1, 2]] * _ROW_BLOCK + [[1, 0, 1]])
-    >>> row_space_basis(a, 5)  # the second block brings pivot 0
-    (array([[1, 0, 1],
-           [0, 1, 2]]), [0, 1])
-    """
-    a = np.asarray(a)
-    if a.shape[0] > _ROW_BLOCK:
-        exact_product(a.shape[1], (p,))
-    r, pivots = rref(a[:_ROW_BLOCK], p)
-    for i in range(_ROW_BLOCK, a.shape[0], _ROW_BLOCK):
-        blk = asmod(a[i : i + _ROW_BLOCK], p)
-        blk = blk - matmul_mod(blk[:, pivots], r, p)  # in (-p, p)
-        blk = blk[blk.any(axis=1)]
-        if len(blk):
-            r, pivots = rref(np.vstack([r, blk]), p)
-    return r, pivots
-
-
 def rank(a, p: int) -> int:
-    return len(row_space_basis(a, p)[1])
+    return len(rref(a, p)[1])
 
 
 def nullspace(a, p: int) -> np.ndarray:
     """Kernel basis as columns of an (n, k) array, from the rref of a."""
-    r, pivots = row_space_basis(a, p)
+    r, pivots = rref(a, p)
     n = r.shape[1]
     free = np.delete(np.arange(n), pivots)
     basis = np.eye(n, dtype=np.int64)[:, free]
@@ -279,7 +244,7 @@ def solve(a, b, p: int):
     vec = b1.ndim == 1
     if vec:
         b1 = b1[:, None]
-    r, pivots = row_space_basis(np.hstack([a, b1]), p)
+    r, pivots = rref(np.hstack([a, b1]), p)
     n = a.shape[1]
     if any(c >= n for c in pivots):
         return None
@@ -310,13 +275,13 @@ def extend_basis(base, cands, p: int) -> list:
     one rref of [base | cands].
     """
     base = np.asarray(base)
-    _, pivots = row_space_basis(np.hstack([base, cands]), p)
+    _, pivots = rref(np.hstack([base, cands]), p)
     return [c - base.shape[1] for c in pivots if c >= base.shape[1]]
 
 
 def col_space_basis(a, p: int) -> np.ndarray:
     """Column space basis, as columns."""
-    return row_space_basis(np.asarray(a).T, p)[0].T
+    return rref(np.asarray(a).T, p)[0].T
 
 
 def in_span(basis_cols, v, p: int) -> bool:

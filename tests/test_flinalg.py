@@ -1,7 +1,6 @@
 """Mod-p linear algebra kernels, cross-checked against brute force."""
 
 from math import isqrt
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,9 +56,9 @@ def reference_rref(rows, cols, p):
 
 @st.composite
 def residue_matrices(draw, primes, widths):
-    """A prime p and a matrix with entries in (-p, p), as row_space_basis
-    passes its blocks, whose rows are sums of a few random rows mod p, so
-    many reduce to zero."""
+    """A prime p and a matrix with entries in (-p, p), which rref reduces
+    mod p itself, whose rows are sums of a few random rows mod p, so many
+    reduce to zero."""
     p = draw(st.sampled_from(primes))
     cols = draw(st.sampled_from(widths))
     rows = draw(st.integers(0, 20))
@@ -85,29 +84,42 @@ def assert_reference_rref(got, a, p):
     assert r.tolist() == want_rows
 
 
-def assert_blocked_reference_rref(a, p, block):
-    # row_space_basis on blocks smaller than the input; its pre-reduction
-    # products refuse a prime whose inner products could pass int64
-    with mock.patch.object(flinalg, "_ROW_BLOCK", block):
-        if len(a) > block and a.shape[1] * (p - 1) ** 2 >= 2**63:
-            with pytest.raises(OverflowError):
-                flinalg.row_space_basis(a, p)
-        else:
-            assert_reference_rref(flinalg.row_space_basis(a, p), a, p)
+def assert_reference_answers(a, p):
+    """rank and nullspace against the reference elimination, whose
+    kernel has a unit at each free column and minus R's column above."""
+    want_rows, want_pivots = reference_rref(a.tolist(), a.shape[1], p)
+    free = [c for c in range(a.shape[1]) if c not in want_pivots]
+    want_ker = [[int(c == f) for f in free] for c in range(a.shape[1])]
+    for row, c in zip(want_rows, want_pivots):
+        want_ker[c] = [-row[f] % p for f in free]
+    assert flinalg.rank(a, p) == len(want_pivots)
+    assert flinalg.nullspace(a, p).tolist() == want_ker
+
+
+def tall_residues(p, cols, seed):
+    """300 rows with entries in (-p, p) whose first 256 span one line and
+    whose last 44 bring the rank up to 4 (at most)."""
+    rng = np.random.default_rng(seed)
+    mix = rng.integers(0, p, (300, 4))
+    mix[:256, 1:] = 0
+    res = (mix.astype(object) @ rng.integers(0, p, (4, cols)).astype(object)
+           % p).astype(np.int64)
+    return p, res - p * ((res > 0) & (rng.random(res.shape) < 0.5))
 
 
 @settings(max_examples=300, deadline=None)
-@given(residue_matrices([2], [0, 1, 7, 8, 9, 63, 64, 65, 130, 131]),
-       st.integers(1, 4))
-@example((2, np.zeros((0, 9), dtype=np.int64)), 1)
-@example((2, np.zeros((5, 0), dtype=np.int64)), 1)
-@example((2, np.zeros((0, 0), dtype=np.int64)), 1)
-def test_f2_rref_is_the_reference_elimination(case, block):
+@given(residue_matrices([2], [0, 1, 7, 8, 9, 63, 64, 65, 130, 131]))
+@example((2, np.zeros((0, 9), dtype=np.int64)))
+@example((2, np.zeros((5, 0), dtype=np.int64)))
+@example((2, np.zeros((0, 0), dtype=np.int64)))
+@example(tall_residues(2, 9, 0))
+@example(tall_residues(2, 65, 1))
+def test_f2_rref_is_the_reference_elimination(case):
     # the packed F_2 kernel against per-pivot elimination on Python lists;
     # the widths sit on both sides of a byte and of a 64-bit word
     p, a = case
     assert_reference_rref(flinalg.rref(a, p), a, p)
-    assert_blocked_reference_rref(a, p, block)
+    assert_reference_answers(a, p)
 
 
 # 3037000493 is the largest prime with (p - 1)^2 < 2^63, its slots wider
@@ -116,20 +128,21 @@ ODD_PRIMES = [3, 5, 7, 11, 13, 241, 3037000493]
 
 
 @settings(max_examples=300, deadline=None)
-@given(residue_matrices(ODD_PRIMES, [0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 33]),
-       st.integers(1, 4))
-@example((11, np.array([[1, 10], [1, 9]])), 1)  # 9 + 10 * 10 = 109
-@example((3037000493, np.array([[1, 3037000492], [-1, 3037000492]])), 1)
-@example((7, np.zeros((5, 0), dtype=np.int64)), 1)
-@example((7, np.zeros((0, 4), dtype=np.int64)), 1)
-def test_odd_p_rref_is_the_reference_elimination(case, block):
+@given(residue_matrices(ODD_PRIMES, [0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 33]))
+@example((11, np.array([[1, 10], [1, 9]])))  # 9 + 10 * 10 = 109
+@example((3037000493, np.array([[1, 3037000492], [-1, 3037000492]])))
+@example((7, np.zeros((5, 0), dtype=np.int64)))
+@example((7, np.zeros((0, 4), dtype=np.int64)))
+@example(tall_residues(7, 9, 2))
+@example(tall_residues(241, 33, 3))
+def test_odd_p_rref_is_the_reference_elimination(case):
     # the packed odd-p kernel against per-pivot elimination on Python
     # lists; rows of 8-bit slots (p = 3), of 16-bit slots (5 <= p <= 13)
     # and of 32-bit slots (p = 241) sit on both sides of a 64-bit word,
     # and one slot of 128 bits (p = 3037000493) spans two
     p, a = case
     assert_reference_rref(flinalg.rref(a, p), a, p)
-    assert_blocked_reference_rref(a, p, block)
+    assert_reference_answers(a, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
@@ -190,17 +203,18 @@ def test_solve_detects_inconsistency():
     assert flinalg.solve(a, b, 3) is None
 
 
-def test_row_blocks_give_the_one_reduction(monkeypatch):
+def test_row_blocks_give_the_one_reduction():
+    # a block of 256 rows of rank 1 over a block of 44 rows that brings
+    # the rank to 3: the answers of the whole matrix at once
     rng = np.random.default_rng(5)
     p = 7
-    coords = rng.integers(0, p, (11, 3))
-    coords[:4, 1:] = 0  # the first row block alone has rank 1
+    coords = rng.integers(0, p, (300, 3))
+    coords[:256, 1:] = 0
     a = flinalg.matmul_mod(coords, rng.integers(0, p, (3, 6)), p)
     x = rng.integers(0, p, 6)
     rows, pivots = flinalg.rref(a, p)
-    monkeypatch.setattr(flinalg, "_ROW_BLOCK", 4)
-    blocked_rows, blocked_pivots = flinalg.row_space_basis(a, p)
-    assert np.array_equal(blocked_rows, rows) and blocked_pivots == pivots
+    assert_reference_rref((rows, pivots), a, p)
+    assert flinalg.rank(a[:256], p) == 1 and len(pivots) == 3
     assert flinalg.rank(a, p) == len(pivots)
     ker = flinalg.nullspace(a, p)
     assert ker.shape[1] == 6 - len(pivots)
@@ -211,7 +225,7 @@ def test_row_blocks_give_the_one_reduction(monkeypatch):
 
 def one_rref_answers(a, b, p):
     """Basis, pivots, kernel and a solution of a x = b, read entry by
-    entry off single rrefs of a and of [a | b], with no row blocks."""
+    entry off single rrefs of a and of [a | b]."""
     r, pivots = flinalg.rref(a, p)
     n = a.shape[1]
     free = [c for c in range(n) if c not in pivots]
@@ -229,17 +243,9 @@ def one_rref_answers(a, b, p):
     return r, pivots, ker, x
 
 
-def count_rref_calls(monkeypatch):
-    """Patch flinalg.rref to record each input's shape; return the record."""
-    calls, rref = [], flinalg.rref
-    monkeypatch.setattr(flinalg, "rref",
-                        lambda m, q: calls.append(m.shape) or rref(m, q))
-    return calls
-
-
 def tall_cases(p, rng, block):
-    """Tall systems whose row blocks each exercise one step of the
-    blocked reduction; each is checked to be the case it names."""
+    """Tall systems stacked from row blocks of different kinds; each is
+    checked to be the case it names."""
     right = rng.integers(0, p, (block, 6))
     right[:, :2] = 0
     right[0, 2] = right[1, 4] = 1
@@ -263,60 +269,40 @@ def tall_cases(p, rng, block):
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 241])
-def test_tall_systems_reduce_block_by_block_to_the_one_rref(monkeypatch, p):
+def test_tall_systems_reduce_block_by_block_to_the_one_rref(p):
+    # row blocks of 256 rows, 1026 and 7936 rows in all
     rng = np.random.default_rng(p)
-    block = 3
-    for name, a in tall_cases(p, rng, block).items():
+    for name, a in tall_cases(p, rng, 256).items():
         x = rng.integers(0, p, a.shape[1])
         rhs = [flinalg.matmul_mod(a, x, p), rng.integers(0, p, a.shape[0])]
         want = [one_rref_answers(a, b, p) for b in rhs]
-        monkeypatch.setattr(flinalg, "_ROW_BLOCK", block)
-        calls = count_rref_calls(monkeypatch)
-        rows, pivots = flinalg.row_space_basis(a, p)
-        assert np.array_equal(rows, want[0][0]), name
-        assert pivots == want[0][1], name
-        if name == "rank kept through 30 blocks":
-            assert calls == [(block, 6)]  # later blocks cost a product only
+        assert_reference_rref(want[0][:2], a, p)
         assert flinalg.rank(a, p) == len(want[0][1])
         assert np.array_equal(flinalg.nullspace(a, p), want[0][2]), name
         for b, (_, _, _, sol) in zip(rhs, want):
             got = flinalg.solve(a, b, p)
             assert (got is None) == (sol is None), name
             assert sol is None or np.array_equal(got, sol), name
-        monkeypatch.undo()
 
 
-def test_blocked_reduction_is_exact_below_the_bound_and_refuses_past_it(
-        monkeypatch):
-    # with 4 columns the pre-reduction's products have inner dimension at
-    # most 4, exact in int64 while 4 (p - 1)^2 < 2^63; both primes are
-    # below the per-pivot bound (p - 1)^2 < 2^63 of one rref
-    below, above = 1518500213, 1518500279
-    for q in (below, above):
-        assert is_prime(q) and (q - 1) ** 2 < 2**63
-    assert 4 * (below - 1) ** 2 < 2**63 <= 4 * (above - 1) ** 2
+def test_tall_system_whose_products_could_pass_int64_is_reduced_exactly():
+    # rank 3 in 4 columns over 300 rows at a prime where one row operation
+    # fits int64, (p - 1)^2 < 2^63, but a product of inner dimension 4
+    # could pass it; the rows past the first 256 bring pivot 0
+    p = 1518500279
+    assert is_prime(p) and (p - 1) ** 2 < 2**63 <= 4 * (p - 1) ** 2
     rng = np.random.default_rng(11)
-    for p in (below, above):
-        a = np.where(rng.random((8, 4)) < 0.6, p - 1,
-                     rng.integers(0, p, (8, 4)))
-        a[:2, 0] = 0  # the first block leaves column 0 to a later one
-        coef = rng.integers(1, p, 3).astype(object)
-        a[:, 3] = a[:, :3].astype(object) @ coef % p  # rank 3, one kernel
-        rows, pivots = flinalg.rref(a, p)
-        monkeypatch.setattr(flinalg, "_ROW_BLOCK", 2)
-        calls = count_rref_calls(monkeypatch)
-        if p == above:
-            with pytest.raises(OverflowError):
-                flinalg.row_space_basis(a, p)
-            assert calls == []  # refused before any reduction
-        else:
-            blocked_rows, blocked_pivots = flinalg.row_space_basis(a, p)
-            assert np.array_equal(blocked_rows, rows)
-            assert blocked_pivots == pivots == [0, 1, 2]
-            ker = flinalg.nullspace(a, p)
-            assert ker.shape == (4, 1)
-            assert not np.any(a.astype(object) @ ker.astype(object) % p)
-        monkeypatch.undo()
+    a = np.where(rng.random((300, 4)) < 0.6, p - 1,
+                 rng.integers(0, p, (300, 4)))
+    a[:256, 0] = 0
+    coef = rng.integers(1, p, 3).astype(object)
+    a[:, 3] = a[:, :3].astype(object) @ coef % p  # one kernel vector
+    got = flinalg.rref(a, p)
+    assert got[1] == [0, 1, 2]
+    assert_reference_rref(got, a, p)
+    assert_reference_answers(a, p)
+    ker = flinalg.nullspace(a, p).astype(object)
+    assert ker.shape == (4, 1) and not np.any(a.astype(object) @ ker % p)
 
 
 def test_inverse_random():
@@ -356,10 +342,9 @@ def plain_solution(a, b, p):
 
 
 @pytest.mark.parametrize("p", [2, 7])
-def test_tall_inverse_solve_and_extension_are_the_plain_rref_answers(
-        monkeypatch, p):
+def test_tall_inverse_solve_and_extension_are_the_plain_rref_answers(p):
     rng = np.random.default_rng(p + 40)
-    n = 11
+    n = 260
     square = rng.integers(0, p, (n, n))
     square[np.tril_indices(n)] = 0
     square[np.diag_indices(n)] = 1
@@ -379,7 +364,6 @@ def test_tall_inverse_solve_and_extension_are_the_plain_rref_answers(
     want_extension = [c - 2 for c in pivots if c >= 2]
     assert want_inv[0] is not None and want_inv[1] is None
     assert want_solve[0] is not None and len(want_extension) > 1
-    monkeypatch.setattr(flinalg, "_ROW_BLOCK", 4)
     assert np.array_equal(flinalg.inv(square, p), want_inv[0])
     assert flinalg.inv(singular, p) is None
     assert np.array_equal(flinalg.solve(tall, rhs[:, :1], p), want_solve[0])
@@ -391,25 +375,16 @@ def test_tall_inverse_solve_and_extension_are_the_plain_rref_answers(
     assert flinalg.extend_basis(base, cands, p) == want_extension
 
 
-def test_every_answer_is_read_off_one_row_space_basis(monkeypatch):
-    # each public answer calls row_space_basis once and reaches rref only
-    # through it, so a check of that one (R, pivots) covers every answer;
-    # each rref call reaches exactly one packed kernel, the F_2 one at p = 2
-    # and the odd-p one at p = 5, and no kernel is reached but through rref
-    log, depth, in_rref = [], [], []
-    basis, rref = flinalg.row_space_basis, flinalg.rref
-    f2, odd = flinalg._rref_f2, flinalg._rref_odd
-
-    def traced_basis(a, p):
-        log.append("row_space_basis")
-        depth.append(1)
-        try:
-            return basis(a, p)
-        finally:
-            depth.pop()
+def test_every_answer_is_read_off_one_rref(monkeypatch):
+    # each public answer calls rref once, so a check of that one
+    # (R, pivots) covers every answer; each rref call reaches exactly one
+    # packed kernel, the F_2 one at p = 2 and the odd-p one at p = 5, and
+    # no kernel is reached but through rref
+    log, in_rref = [], []
+    rref, f2, odd = flinalg.rref, flinalg._rref_f2, flinalg._rref_odd
 
     def traced_rref(a, p):
-        log.append("rref" if depth else "bare rref")
+        log.append("rref")
         in_rref.append(1)
         try:
             return rref(a, p)
@@ -422,11 +397,9 @@ def test_every_answer_is_read_off_one_row_space_basis(monkeypatch):
             return kernel(*args)
         return run
 
-    monkeypatch.setattr(flinalg, "row_space_basis", traced_basis)
     monkeypatch.setattr(flinalg, "rref", traced_rref)
     monkeypatch.setattr(flinalg, "_rref_f2", traced("F_2 kernel", f2))
     monkeypatch.setattr(flinalg, "_rref_odd", traced("odd-p kernel", odd))
-    monkeypatch.setattr(flinalg, "_ROW_BLOCK", 4)
     square = np.triu(np.ones((9, 9), dtype=np.int64))  # unit triangular
     answers = {
         "rank": flinalg.rank,
@@ -440,15 +413,11 @@ def test_every_answer_is_read_off_one_row_space_basis(monkeypatch):
     }
     for p in (2, 5):
         a = np.random.default_rng(9).integers(0, p, (9, 6))
+        kernel = "F_2 kernel" if p == 2 else "odd-p kernel"
         for name, answer in answers.items():
             log.clear()
             answer(a, p)
-            assert log.count("row_space_basis") == 1, (p, name, log)
-            assert "rref" in log and "bare rref" not in log, (p, name, log)
-            kernel = "F_2 kernel" if p == 2 else "odd-p kernel"
-            assert log.count(kernel) == log.count("rref"), (p, name, log)
-            assert set(log) == {"row_space_basis", "rref", kernel}, (
-                p, name, log)
+            assert log == ["rref", kernel], (p, name, log)
 
 
 def test_matmul_mod_matches_naive():
