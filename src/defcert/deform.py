@@ -452,10 +452,9 @@ def mixed_representation(p, n, N, a_eps=None, chain=None,
     sigma = np.zeros((d, d, N), dtype=np.int64)
     sigma[:, :, 0] = top.generator_matrix("sigma")[:, :, 0]
     eps = np.zeros((d, d, N), dtype=np.int64)
-    eps[:, :, 0] = np.diag([
-        coeff.teichmuller(p, n, int(r) % p)
-        for r in np.diagonal(top.generator_matrix("epsilon")[:, :, 0])
-    ])
+    # every chain step keeps epsilon Teichmueller, and at n = 1 the
+    # uniserial epsilon is its own lift
+    eps[:, :, 0] = top.generator_matrix("epsilon")[:, :, 0]
     tau = np.zeros((d, d, N), dtype=np.int64)
     tau[:, :, 0] = np.eye(d, dtype=np.int64)
     tau[:, :, 1] = _unit(d, 0, d - 1)
@@ -747,7 +746,7 @@ def _premise(name, anchor, passed, computed) -> Premise:
 
 def stable_endomorphisms_premise(T) -> Premise:
     """Stable End(T) is one-dimensional."""
-    homs = fdmod.hom_space(T, T).basis
+    homs = fdmod.hom_space(T, T)
     stable = fdmod.stable_rank(T, T, homs)
     return _premise("stable-endomorphisms", ANCHOR_STABLE_END, stable == 1, {
         "stable_end_dim": stable, "end_dim": len(homs), "dim_T": T.dim,
@@ -806,7 +805,7 @@ def ext_routes_premise(M, N, source="T", target="T") -> Premise:
 
 def endomorphisms_over_g_premise(VG) -> Premise:
     """End(V) over the full group is the scalars."""
-    end_dim = len(fdmod.hom_space(VG, VG).basis)
+    end_dim = len(fdmod.hom_space(VG, VG))
     return _premise("endomorphisms-over-G", ANCHOR_END_G, end_dim == 1,
                     {"end_dim_over_G": end_dim, "dim_V": VG.dim})
 

@@ -27,12 +27,15 @@ is certified by `sum_isomorphism`, which builds the isomorphism from the
 socle and the top and verifies it; `is_isomorphic`, a search in the Hom
 space, stays as its independent oracle.
 
-Ext^1 has two independent routes: `ext_dim` through the minimal
-resolution and `ext1_by_extensions` through block-triangular extension
-structures, whose theta slots and coboundary columns
-`extension_coboundaries` states once.  Both give an `ExtClass` in one
-format, (vector, boundary columns): the class is zero exactly when the
-vector lies in the span of the boundary columns.
+One coboundary map, delta(E) = a_N E - E a_M on the graded units of
+Hom_k(M, N) (`coboundary_columns`): Hom(M, N) is its kernel (`hom_space`),
+and on the theta slots its columns are the coboundaries B^1 of the
+extension route, which `extension_cocycles` pairs with the cocycles Z^1
+for Ext^1 and for H^1 in `groups`.  Ext^1 has two independent routes:
+`ext_dim` through the minimal resolution and `ext1_by_extensions`
+through block-triangular extension structures.  Both give an `ExtClass`
+in one format, (vector, boundary columns): the class is zero exactly
+when the vector lies in the span of the boundary columns.
 
 All modules are graded by grading_labels via block_of, one vertex per
 basis vector as a fixture's vertices: line states it; group-algebra modules
@@ -50,7 +53,6 @@ correction.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
@@ -188,22 +190,24 @@ def relation_derivative(algebra, left, right, slots, p):
     sum_i left(s_1 ... s_(i-1)) theta_(s_i) right(s_(i+1) ... s_k).  Each
     relation gives its n m entries row-major as rows, over the slots
     (a, i, j) row-major; each prefix and suffix product is built once,
-    and only the slot entries of theta are ever formed.
+    from the one a letter shorter, and only the slot entries of theta are
+    ever formed.
     """
     gens = algebra.generators
     n, m = slots.shape[1:]
-
-    @functools.cache
-    def prefix(word):
-        return (np.eye(n, dtype=np.int64) if not word else
-                flinalg.matmul_mod(prefix(word[:-1]), left[word[-1]], p))
-
-    @functools.cache
-    def suffix(word):
-        return (np.eye(m, dtype=np.int64) if not word else
-                flinalg.matmul_mod(right[word[0]], suffix(word[1:]), p))
-
     rels = algebra.relation_items()
+    prefix = {(): np.eye(n, dtype=np.int64)}
+    suffix = {(): np.eye(m, dtype=np.int64)}
+    for _, combo in rels:
+        for _, w in combo:
+            for k in range(1, len(w)):  # the proper prefixes and suffixes
+                u, v = w[:k], w[len(w) - k:]
+                if u not in prefix:
+                    prefix[u] = flinalg.matmul_mod(prefix[u[:-1]],
+                                                   left[u[-1]], p)
+                if v not in suffix:
+                    suffix[v] = flinalg.matmul_mod(right[v[0]],
+                                                   suffix[v[1:]], p)
     # letter s = w[k] of a word c w of relation r adds
     # c left(w[:k])[:, i] right(w[k + 1:])[j, :] to the rows of r at each
     # slot (s, i, j); an entry sums at most one such product per letter
@@ -214,9 +218,9 @@ def relation_derivative(algebra, left, right, slots, p):
     g, i, j = np.nonzero(slots)
     rel, gen = np.array([x[:2] for x in terms], np.int64).reshape(-1, 2).T
     t, at = np.nonzero(gen[:, None] == g)  # each term at each of its slots
-    pre = np.array([c * prefix(u) % p for *_, c, u, _ in terms],
+    pre = np.array([c * prefix[u] % p for *_, c, u, _ in terms],
                    np.int64).reshape(len(terms), n, n)
-    suf = np.array([suffix(v) for *_, v in terms],
+    suf = np.array([suffix[v] for *_, v in terms],
                    np.int64).reshape(len(terms), m, m)
     out = np.zeros((len(rels), g.size, n, m), dtype=np.int64)
     np.add.at(out, (rel[t], at), pre[t, :, i[at], None] * suf[t, None, j[at]])
@@ -370,19 +374,33 @@ def quiver_algebra(system: CompletedSystem) -> QuiverAlgebra:
 # Hom spaces
 
 
-@dataclass
-class HomBasis:
-    source: FdModule
-    target: FdModule
-    basis: list  # dimN x dimM int64 matrices
+def coboundary_columns(algebra, n_mats, m_mats, n_labels, m_labels):
+    """The coboundary map delta(E) = a_N E - E a_M on the graded units.
 
-    @property
-    def dim(self):
-        return len(self.basis)
+    n_mats and m_mats map each generator to its matrix on N and on M; the
+    graded units are the E_kl with n_labels[k] == m_labels[l], in row-major
+    (k, l) order.  Returns the int64 (generator, dim N, dim M, unit) array
+    of a_N E_kl - E_kl a_M mod p.
+    """
+    gens, n, m = algebra.generators, len(n_labels), len(m_labels)
+    a_n = np.array([n_mats[g] for g in gens],
+                   np.int64).reshape(len(gens), n, n)
+    a_m = np.array([m_mats[g] for g in gens],
+                   np.int64).reshape(len(gens), m, m)
+    k, l = np.nonzero(np.asarray(n_labels)[:, None]
+                      == np.asarray(m_labels)[None, :])
+    u = np.arange(k.size)
+    # unit E_kl enters the entries (g, ., l) through a_N[:, k] and the
+    # entries (g, k, .) through -a_M[l, :]
+    out = np.zeros((len(gens), n, m, k.size), dtype=np.int64)
+    out[:, :, l, u] += a_n[:, :, k]
+    out[:, k, :, u] -= a_m[:, l, :].swapaxes(0, 1)
+    return out % algebra.p
 
 
-def hom_space(M: FdModule, N: FdModule) -> HomBasis:
-    """All grading-preserving intertwiners M -> N.
+def hom_space(M: FdModule, N: FdModule) -> np.ndarray:
+    """All grading-preserving intertwiners M -> N, as an int64 (k, dim N,
+    dim M) array whose k maps are a basis, (0, dim N, dim M) when none.
 
     An intertwiner F maps each simple component of M into the component of
     N with the same label, so in component coordinates X = C_N^-1 F C_M it
@@ -390,39 +408,28 @@ def hom_space(M: FdModule, N: FdModule) -> HomBasis:
     blocks, which F preserves by definition.  On the group they are the
     eigenspaces of epsilon, which acts semisimply because its order p - 1
     is prime to p; F commutes with epsilon, so it maps each eigenspace
-    into the one of the same eigenvalue.  The unknowns are therefore the
-    label-matching entries of X, and the conditions a_N X = X a_M over
-    every generator and entry are one stacked linear system.
+    into the one of the same eigenvalue.  So Hom is the kernel of the one
+    coboundary map, `coboundary_columns`, on the label-matching units of
+    the component coordinates, each of its entries a row.
     """
     if M.algebra is not N.algebra:
         raise ValueError("hom_space across different algebra handles")
     p = M.p
     cm, cn = M.coordinates(), N.coordinates()
-    unknowns = np.argwhere(cn.labels[:, None] == cm.labels[None, :])
-    ucount = unknowns.shape[0]
-    if ucount == 0:
-        return HomBasis(M, N, [])
-    ks, ls = unknowns[:, 0], unknowns[:, 1]
-    u = np.arange(ucount)
-    gens = M.algebra.generators
-    a_n = np.zeros((len(gens), N.dim, N.dim), dtype=np.int64)
-    a_m = np.zeros((len(gens), M.dim, M.dim), dtype=np.int64)
-    for s, g in enumerate(gens):
-        a_n[s], a_m[s] = cn.mats[g], cm.mats[g]
-    # entry (g, i, j) of a_N X - X a_M = 0: unknown X[k, l] enters the rows
-    # (g, ., l) through a_N[:, k] and the rows (g, k, .) through -a_M[l, :]
-    sysmat = np.zeros((len(gens), N.dim, M.dim, ucount), dtype=np.int64)
-    sysmat[:, :, ls, u] += a_n[:, :, ks]
-    sysmat[:, ks, :, u] -= a_m[:, ls, :].swapaxes(0, 1)
-    sysmat = sysmat.reshape(-1, ucount) % p
-    ker = flinalg.nullspace(sysmat[sysmat.any(axis=1)], p)
+    delta = coboundary_columns(M.algebra, cn.mats, cm.mats, cn.labels,
+                               cm.labels)
+    if not delta.shape[-1]:
+        return np.zeros((0, N.dim, M.dim), dtype=np.int64)
+    rows = delta.reshape(-1, delta.shape[-1])
+    ker = flinalg.nullspace(rows[rows.any(axis=1)], p)
+    k, l = np.nonzero(cn.labels[:, None] == cm.labels[None, :])
     X = np.zeros((ker.shape[1], N.dim, M.dim), dtype=np.int64)
-    X[:, ks, ls] = ker.T
+    X[:, k, l] = ker.T
     # F = C_N X C_M^-1, which is X itself when both bases are unit bases
     if not (np.array_equal(cn.C, np.eye(N.dim))
             and np.array_equal(cm.C, np.eye(M.dim))):
         X = flinalg.matmul_mod(flinalg.matmul_mod(cn.C, X, p), cm.C_inv, p)
-    return HomBasis(M, N, list(X))
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +508,7 @@ def section_label_dims_quotient(M, upper, lower):
 class CoverResult:
     projective: FdModule
     surjection: np.ndarray  # dim M x dim P
-    multiplicities: dict
     summand_labels: list  # label per summand, in column-block order
-    summand_offsets: list
 
 
 def projective_cover(M: FdModule) -> CoverResult:
@@ -519,20 +524,8 @@ def _build_cover(M):
     alg = M.algebra
     p = alg.p
     picks = top_pick(M)
-    mult = {}
-    parts = []
-    cols = []
-    labels_order = []
-    offsets = []
-    at = 0
-    for label, u in picks:
-        mult[label] = mult.get(label, 0) + 1
-        P_l = alg.projective_module(label)
-        parts.append(P_l)
-        cols.append(alg.yoneda_columns(label, M, u))
-        labels_order.append(label)
-        offsets.append(at)
-        at += P_l.dim
+    parts = [alg.projective_module(label) for label, _ in picks]
+    cols = [alg.yoneda_columns(label, M, u) for label, u in picks]
     # a zero-width start lets a pick list that came back empty fail "onto"
     phi = np.concatenate([np.zeros((M.dim, 0), dtype=np.int64)] + cols,
                          axis=1) % p
@@ -544,7 +537,7 @@ def _build_cover(M):
     if not flinalg.in_span(radP, ker, p):
         raise RuntimeError("cover kernel escapes the radical (not minimal)")
     phi.flags.writeable = False
-    return CoverResult(P, phi, mult, labels_order, offsets)
+    return CoverResult(P, phi, [label for label, _ in picks])
 
 
 def _syzygy_with_embedding(M: FdModule):
@@ -587,13 +580,14 @@ def _hom_from_projective(cover: CoverResult, N: FdModule):
     P_l's generator goes to each of the label's component vectors of N."""
     alg = N.algebra
     co = N.coordinates()
-    out = []
-    for label, off in zip(cover.summand_labels, cover.summand_offsets):
+    out, off = [], 0
+    for label in cover.summand_labels:
         P_l = alg.projective_module(label)
         for x in co.C[:, co.labels == alg.simple_labels.index(label)].T:
             f = np.zeros((N.dim, cover.projective.dim), dtype=np.int64)
             f[:, off : off + P_l.dim] = alg.yoneda_columns(label, N, x)
             out.append(f)
+        off += P_l.dim
     return out
 
 
@@ -626,14 +620,14 @@ def ext_dim(M: FdModule, N: FdModule, i: int) -> ExtClass:
     if omega.dim == 0:
         return ExtClass(1, M, N, 0, None)
     p = M.p
-    hom_omega = hom_space(omega, N).basis
+    hom_omega = hom_space(omega, N)
     restr = np.array([flinalg.matmul_mod(f, incl, p).ravel()
                       for f in _hom_from_projective(cover, N)], np.int64)
     restr = restr.reshape(-1, N.dim * omega.dim).T
     dim = len(hom_omega) - flinalg.rank(restr, p)
     rep = None
     if dim > 0:
-        homs = np.column_stack([f.ravel() for f in hom_omega])
+        homs = hom_omega.reshape(len(hom_omega), -1).T
         f = hom_omega[flinalg.extend_basis(restr, homs, p)[0]]
         rep = (f.ravel(), restr)
     return ExtClass(1, M, N, dim, rep)
@@ -641,19 +635,18 @@ def ext_dim(M: FdModule, N: FdModule, i: int) -> ExtClass:
 
 def stable_hom_dim(M: FdModule, N: FdModule) -> int:
     """dim of Hom(M, N) modulo maps factoring through a projective."""
-    return stable_rank(M, N, hom_space(M, N).basis)
+    return stable_rank(M, N, hom_space(M, N))
 
 
-def stable_rank(M: FdModule, N: FdModule, homs: list) -> int:
-    """dim of span(homs), a basis of Hom(M, N), modulo the maps that
-    factor through a projective: those through the cover of N."""
-    if not homs:
+def stable_rank(M: FdModule, N: FdModule, homs: np.ndarray) -> int:
+    """dim of span(homs), a `hom_space` basis of Hom(M, N), modulo the
+    maps that factor through a projective: those through the cover of N."""
+    if not len(homs):
         return 0
     cover = projective_cover(N)
-    factored = np.array([
-        flinalg.matmul_mod(cover.surjection, f, M.p).ravel()
-        for f in hom_space(M, cover.projective).basis], dtype=np.int64)
-    return len(homs) - flinalg.rank(factored.reshape(-1, homs[0].size), M.p)
+    factored = flinalg.matmul_mod(
+        cover.surjection, hom_space(M, cover.projective), M.p)
+    return len(homs) - flinalg.rank(factored.reshape(-1, N.dim * M.dim), M.p)
 
 
 def extension_coboundaries(M: FdModule, N: FdModule):
@@ -661,22 +654,32 @@ def extension_coboundaries(M: FdModule, N: FdModule):
 
     slots is boolean (generator, dim N, dim M): the entries of theta_a that
     the arrow block of a allows, every entry on a group algebra.  cob has
-    one column per graded unit E_kl of Hom_k(M, N), the coboundary
-    a_N E_kl - E_kl a_M read on the slots in their row-major order.
+    one column per graded unit E_kl of Hom_k(M, N) in the grading blocks,
+    the coboundary of `coboundary_columns` read on the slots in their
+    row-major order.
     """
-    gens = M.algebra.generators
-    slots = np.ones((len(gens), N.dim, M.dim), dtype=bool)
-    a_n = np.zeros((len(gens), N.dim, N.dim), dtype=np.int64)
-    a_m = np.zeros((len(gens), M.dim, M.dim), dtype=np.int64)
-    for s, name in enumerate(gens):
+    slots = np.ones((len(M.algebra.generators), N.dim, M.dim), dtype=bool)
+    for s, name in enumerate(M.algebra.generators):
         mask = arrow_block_mask(M, N, name)
         slots[s] = True if mask is None else mask
-        a_n[s], a_m[s] = N.mats[name], M.mats[name]
-    g, i, j = (x[:, None] for x in np.nonzero(slots))
-    k, l = np.nonzero(N.block_of[:, None] == M.block_of[None, :])
-    # (a_N E_kl)[i, j] = a_N[i, k] [j = l];  (E_kl a_M)[i, j] = [i = k] a_M[l, j]
-    cob = a_n[g, i, k] * (j == l) - (i == k) * a_m[g, l, j]
-    return slots, cob % M.p
+    delta = coboundary_columns(M.algebra, N.mats, M.mats, N.block_of,
+                               M.block_of)
+    return slots, delta[slots]
+
+
+def extension_cocycles(M: FdModule, N: FdModule):
+    """(coboundary columns, cocycle basis) of the extension route.
+
+    The cocycles Z^1 are the theta on the slots of
+    `extension_coboundaries` that solve the relation rows of
+    `relation_derivative`, as columns over the slots; with no slot the
+    basis is (0, 0) and no derivative is formed.
+    """
+    slots, cob = extension_coboundaries(M, N)
+    if not slots.any():
+        return cob, np.zeros((0, 0), dtype=np.int64)
+    return cob, flinalg.nullspace(
+        relation_derivative(M.algebra, N.mats, M.mats, slots, M.p), M.p)
 
 
 def ext1_by_extensions(M: FdModule, N: FdModule) -> ExtClass:
@@ -684,16 +687,12 @@ def ext1_by_extensions(M: FdModule, N: FdModule) -> ExtClass:
 
     theta assigns each generator an off-diagonal block; the extension
     matrices [[a_N, theta_a], [0, a_M]] must satisfy every relation, which
-    is linear in theta.  Quotient by the coboundaries theta_f, the columns
-    of `extension_coboundaries`.
+    is linear in theta.  Quotient by the coboundaries theta_f: both come
+    from `extension_cocycles`.
     """
-    if M.dim == 0 or N.dim == 0:
+    cob, sol = extension_cocycles(M, N)
+    if not len(cob):  # no slot, so no extension data
         return ExtClass(1, M, N, 0, None)
-    slots, cob = extension_coboundaries(M, N)
-    if not slots.any():
-        return ExtClass(1, M, N, 0, None)
-    sol = flinalg.nullspace(
-        relation_derivative(M.algebra, N.mats, M.mats, slots, M.p), M.p)
     picks = flinalg.extend_basis(cob, sol, M.p)
     rep = (sol[:, picks[0]], cob) if picks else None
     return ExtClass(1, M, N, len(picks), rep)
@@ -791,12 +790,8 @@ def _verify_witness(M, N, W):
 
 
 def _combine(coeffs, basis, p):
-    """sum_i coeffs[i] * basis[i] mod p."""
-    W = np.zeros_like(basis[0])
-    for c, b in zip(coeffs, basis):
-        if c:
-            W = (W + int(c) * b) % p
-    return W
+    """sum_i coeffs[i] * basis[i] mod p, basis a (k, n, m) stack."""
+    return np.tensordot(np.asarray(coeffs, dtype=np.int64), basis, 1) % p
 
 
 def _invertible_in_span(basis, p, rng, samples):
@@ -834,8 +829,8 @@ def is_isomorphic(M: FdModule, N: FdModule) -> IsoResult:
     if M.dim == 0:
         return IsoResult(True, np.zeros((0, 0), dtype=np.int64), "trivial", True)
     p = M.p
-    homs = hom_space(M, N).basis
-    if not homs:
+    homs = hom_space(M, N)
+    if not len(homs):
         return IsoResult(False, None, "hom-space-empty", True)
     if p ** len(homs) <= 2**20:
         W = _first_invertible(homs, p, M.dim)

@@ -666,11 +666,11 @@ def h1_cocycles(rho: GroupRep) -> H1Result:
     by `inflate`.  End V = Hom(V, V), so a cocycle c of the conjugation
     action is the top-right block Y(g) = c(g) rho(g) of an extension
     [[rho(g), Y(g)], [0, rho(g)]] (Brown, Cohomology of Groups, ch. III).
-    Y is fixed by its generator values Y_s, the theta slots of
-    `fdmod.extension_coboundaries` (V, V), because the generators reach
-    every element (`build_group`); and Y_s solves the relation rows of
-    `fdmod.relation_derivative` for (V, V), because the relations hold in
-    the table.  So Y -> (Y_s) is one-to-one into the solutions, which
+    Y is fixed by its generator values Y_s, the theta slots of the
+    extension route, because the generators reach every element
+    (`build_group`); and Y_s solves its relation rows for (V, V), because
+    the relations hold in the table.  So Y -> (Y_s) is one-to-one into the
+    solutions, the cocycles of `fdmod.extension_cocycles` (V, V), which
     bound Z^1 above by zdim.
     Each class representative (`picks`) is expanded by `element_stack`
     over the 2d-dimensional generators [[rho(s), Y_s], [0, rho(s)]].
@@ -696,9 +696,7 @@ def h1_cocycles(rho: GroupRep) -> H1Result:
     table, p, d = rho.table, rho.table.p, rho.dim
     V = rep_to_module(rho)
     alg = V.algebra
-    slots, bcols = fdmod.extension_coboundaries(V, V)
-    zpar = flinalg.nullspace(
-        fdmod.relation_derivative(alg, V.mats, V.mats, slots, p), p)
+    bcols, zpar = fdmod.extension_cocycles(V, V)
     zdim = zpar.shape[1]
     # the class representatives are the solutions that extend the span of
     # the coboundaries

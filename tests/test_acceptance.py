@@ -90,7 +90,7 @@ def test_criterion_05_rigidity_battery_over_three_primes():
         rho = groups.uniserial_representation(p, table=quot)
         V = groups.rep_to_module(rho)
         VG = groups.rep_to_module(groups.inflate(rho, full))
-        assert len(fdmod.hom_space(VG, VG).basis) == 1, p
+        assert len(fdmod.hom_space(VG, VG)) == 1, p
         assert fdmod.ext_dim(V, V, 1).dim == 0, p
         assert fdmod.ext1_by_extensions(V, V).dim == 0, p
         assert fdmod.ext_dim(V, V, 2).dim == 0, p
@@ -182,7 +182,7 @@ def test_criterion_10_structural_identities_and_determinism(tmp_path):
     dv = T.dimension_vector()
     for v in alg.grading_labels:
         P = alg.projective_module(v)
-        assert len(fdmod.hom_space(P, T).basis) == dv.get(v, 0)
+        assert len(fdmod.hom_space(P, T)) == dv.get(v, 0)
 
     # dimension shift through the syzygy
     mods = [T] + [alg.simple_module(v) for v in alg.grading_labels]
@@ -202,7 +202,7 @@ def test_criterion_10_structural_identities_and_determinism(tmp_path):
         reports[a] = {
             "end": len(fdmod.hom_space(
                 groups.rep_to_module(groups.inflate(rho, full)),
-                groups.rep_to_module(groups.inflate(rho, full))).basis),
+                groups.rep_to_module(groups.inflate(rho, full)))),
             "socle": fdmod.module_structure(EndV).socle,
             "h1": groups.h1_cocycles(groups.inflate(rho, full)).dim,
         }
