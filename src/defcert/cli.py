@@ -201,7 +201,7 @@ def _cmd_ext(args):
 def _cmd_lift_verify(args):
     system = _builtin_case(args.family, args.d)
     premises = deform.lift_premises(
-        deform.builtin_lift(args.family, args.d, system))
+        deform.builtin_lift(args.family, system))
     report = deform.report(f"lift-{args.family}-d{args.d}", premises, "")
     return _emit_and_exit(args, [report])
 

@@ -200,15 +200,14 @@ class LiftCandidate:
         )
 
 
-def builtin_lift(family, d, system=None) -> LiftCandidate:
+def builtin_lift(family, system) -> LiftCandidate:
     """The one-parameter lift of T shipped with each family.
 
-    The t-linear part adds a single matrix unit to one arrow action; the
-    relation checks below certify that this single entry already gives a
-    flat family over k[t].
+    T is `base_module` (family, system) on the completed system it is
+    given.  The t-linear part adds a single matrix unit to one arrow
+    action; the relation checks below certify that this single entry
+    already gives a flat family over k[t].
     """
-    if system is None:
-        system = completed_system(family, d)
     base = base_module(family, system)
     name, i, j = _LIFT_DIRECTION[family]
     return LiftCandidate(base, {name: _unit(base.dim, i, j)})
@@ -410,13 +409,17 @@ def hensel_lift_step(rho_m: groups.GroupRep) -> groups.GroupRep:
     return out
 
 
-def hensel_chain(p, n, a_eps=None, table=None) -> list:
-    """Representations over Z/p, Z/p^2, ..., Z/p^n, each table-verified."""
+def hensel_chain(rho, n) -> list:
+    """rho over Z/p and its Hensel lifts up to Z/p^n, each table-verified.
+
+    rho is the verified residue representation on the quotient table
+    (ValueError unless over Z/p); each level is `hensel_lift_step` of the
+    one below.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    if table is None:
-        table = groups.build_group(p, a_eps, quotient=True)
-    rho = groups.uniserial_representation(p, a_eps, table=table)
+    if _witt_level(rho.ring) != 1:
+        raise ValueError("a Hensel chain starts over Z/p")
     chain = [rho]
     while len(chain) < n:
         chain.append(hensel_lift_step(chain[-1]))
@@ -427,26 +430,22 @@ def hensel_chain(p, n, a_eps=None, table=None) -> list:
 # the mixed-ring representation and the obstruction identity
 
 
-def mixed_representation(p, n, N, a_eps=None, chain=None,
-                         full_table=None) -> groups.GroupRep:
+def mixed_representation(chain, full_table, N) -> groups.GroupRep:
     """The full-group representation over the mixed deformation ring.
 
-    sigma and epsilon act through the quotient by the level-n Hensel
-    lift; tau acts by I + tE with E the top-right matrix unit.  The
-    constructor verifies multiplicativity on the entire multiplication
-    table of the full group, which is the certificate the reports cite.
+    chain is a `hensel_chain` on the quotient table; its top gives the
+    level n = `_witt_level` of its ring, and full_table gives p.  sigma
+    and epsilon act through the quotient by that level-n lift; tau acts
+    by I + tE with E the top-right matrix unit.  The constructor verifies
+    multiplicativity on the entire multiplication table of the full
+    group, which is the certificate the reports cite.
     """
     if N < 2:
         raise ValueError("need N >= 2 so that tau can move")
-    if full_table is None:
-        full_table = groups.build_group(p, a_eps, quotient=False)
-    if chain is None:
-        chain = hensel_chain(p, n, full_table.a_eps)
     top = chain[-1]
-    if _witt_level(top.ring) != n or top.table.p != p:
-        raise ValueError("chain does not match the requested level")
-    if top.table.a_eps != full_table.a_eps:
-        raise ValueError("chain and full table disagree on a_eps")
+    p, n = full_table.p, _witt_level(top.ring)
+    if (top.table.p, top.table.a_eps) != (p, full_table.a_eps):
+        raise ValueError("chain and full table disagree on (p, a_eps)")
     ring = coeff.mixed_deform(p, n, N)
     d = p - 1
     sigma = np.zeros((d, d, N), dtype=np.int64)
@@ -900,7 +899,7 @@ def _family_report(sc: Scenario) -> VerificationReport:
         stable_endomorphisms_premise(T),
         self_ext1_premise(T),
         self_ext2_premise(T),
-        *lift_premises(builtin_lift(sc.family, sc.d, system)),
+        *lift_premises(builtin_lift(sc.family, system)),
     ], CLAIM_FAMILY)
 
 
@@ -908,14 +907,13 @@ def _group_report(sc: Scenario) -> VerificationReport:
     p = sc.p
     quot = groups.build_group(p, sc.a_eps or None, quotient=True)
     full = groups.build_group(p, quot.a_eps, quotient=False)
-    rho_bar = groups.uniserial_representation(p, table=quot)
+    rho_bar = groups.uniserial_representation(quot)
     rho_full = groups.inflate(rho_bar, full)
     EndV = groups.conjugation_module(rho_bar)
     # only a mathematical failure of the chain or of the full-table check
     # becomes a FAIL; any other error is a broken invariant and propagates
     try:
-        chain = hensel_chain(p, sc.n, quot.a_eps, table=quot)
-        rep = mixed_representation(p, sc.n, sc.N, chain=chain, full_table=full)
+        rep = mixed_representation(hensel_chain(rho_bar, sc.n), full, sc.N)
     except (HenselObstruction, groups.NotAHomomorphism) as err:
         rep = err
     return report(sc.id, [

@@ -13,12 +13,15 @@ tau = ((0,1),1), epsilon = ((0,0),a).
 Nothing downstream trusts a presentation.  Groups are multiplication
 tables, and `build_group` is their one builder, so every table has an odd
 prime p and p (p - 1) or p^2 (p - 1) elements; representations carry one
-matrix per element.  `element_stack` is the one builder of those
-matrices, through the normal form sigma^x tau^y epsilon^j, and
-`table_mismatches` is the one check of a stack against all |G|^2 pairs
-of the table: an exact product, decided in the unsigned word that holds
-it by `flinalg.multiple_test`'s multiplication by the inverse of each odd
-modulus mod 2^w.  `build_group` checks that the handle's defining
+matrix per element.  A representation's parameters are its table's:
+`uniserial_representation` takes only the quotient table and reads p and
+a_eps off it, and the deformation builders of `deform` extend the
+verified representation they are given instead of rebuilding it.
+`element_stack` is the one builder of those matrices, through the normal
+form sigma^x tau^y epsilon^j, and `table_mismatches` is the one check of
+a stack against all |G|^2 pairs of the table: an exact product, decided
+in the unsigned word that holds it by `flinalg.multiple_test`'s
+multiplication by the inverse of each odd modulus mod 2^w.  `build_group` checks that the handle's defining
 relations hold in the table, so the systems read off them bound H^1
 cocycles and Hensel corrections from above; each solution is then
 verified.
@@ -252,9 +255,10 @@ class GroupRep:
     the ring descriptor.  Construction from generator matrices goes
     through the normal form sigma^x tau^y epsilon^j and then checks
     rho(g) rho(h) = rho(g h) on the full multiplication table; there is
-    deliberately no shortcut through relators.  Only `inflate` and
-    `convert` skip that check, each where maps verified on every pair
-    already prove it.
+    deliberately no shortcut through relators, and `from_generators` has
+    no way to skip it.  Only `inflate` and `convert` construct with
+    ``check=False``, each where maps verified on every pair already prove
+    it.
     """
 
     def __init__(self, table: GroupTable, ring: coeff.RingDescriptor,
@@ -278,15 +282,15 @@ class GroupRep:
 
     @classmethod
     def from_generators(cls, table: GroupTable, ring: coeff.RingDescriptor,
-                        gen_mats: dict, check: bool = True) -> "GroupRep":
+                        gen_mats: dict) -> "GroupRep":
+        """rho from its generator matrices, checked on every pair."""
         need = {"sigma", "epsilon"} | (
             set() if table.tau is None else {"tau"}
         )
-        if set(gen_mats) - {"sigma", "tau", "epsilon"} or need - set(gen_mats):
+        if set(gen_mats) != need:
             raise ValueError(f"generator matrices must be keyed by {need}")
         norm = {k: _as_levels(v, ring) for k, v in gen_mats.items()}
-        return cls(table, ring, element_stack(table, ring.moduli, norm),
-                   check=check)
+        return cls(table, ring, element_stack(table, ring.moduli, norm))
 
     def generator_matrix(self, name: str) -> np.ndarray:
         idx = self.table.generator_indices()[name]
@@ -391,29 +395,22 @@ def table_mismatches(table: GroupTable, moduli, act, val) -> list:
     return sorted(bad)
 
 
-def uniserial_representation(p: int, a_eps: int | None = None,
-                             table: GroupTable | None = None) -> GroupRep:
-    """The faithful uniserial (p-1)-dimensional quotient-group module.
+def uniserial_representation(table: GroupTable) -> GroupRep:
+    """The faithful uniserial (p-1)-dimensional module of a quotient table.
 
-    sigma acts by the truncated exponential of a single Jordan block: the
-    k-th superdiagonal carries the inverse of k factorial.  epsilon acts
-    by diag(a^(p-2), ..., a, 1).  Both facts force the conjugation
-    relation epsilon sigma epsilon^(-1) = sigma^a entrywise, and the
-    resulting module is uniserial with descending simple factors in
-    cyclic order starting from the trivial one.
-
-    Pass an existing quotient table to keep the result's modules
-    comparable with modules already living over it.
+    p and a = a_eps are read off the table, which must be a quotient
+    table (ValueError otherwise), so the result's modules stay comparable
+    with modules already living over it.  sigma acts by the truncated
+    exponential of a single Jordan block: the k-th superdiagonal carries
+    the inverse of k factorial.  epsilon acts by diag(a^(p-2), ..., a, 1).
+    Both facts force the conjugation relation
+    epsilon sigma epsilon^(-1) = sigma^a entrywise, and the resulting
+    module is uniserial with descending simple factors in cyclic order
+    starting from the trivial one.
     """
-    if table is None:
-        table = build_group(p, a_eps, quotient=True)
-    elif (
-        not table.quotient
-        or table.p != p
-        or (a_eps is not None and table.a_eps != a_eps)
-    ):
-        raise ValueError("supplied table does not match the parameters")
-    a = table.a_eps
+    if not table.quotient:
+        raise ValueError("the uniserial representation needs a quotient table")
+    p, a = table.p, table.a_eps
     d = p - 1
     s = np.zeros((d, d), dtype=np.int64)
     band = 1
@@ -433,7 +430,7 @@ def inflate(rep: GroupRep, full: GroupTable) -> GroupRep:
     """Pull a quotient-group representation back to the full group.
 
     rep is verified on every pair of the quotient table, as
-    `GroupRep.from_generators` does by default.  The result is rep
+    `GroupRep.from_generators` does.  The result is rep
     transported along the projection pi of `quotient_projection`, which
     verifies pi on every pair of the full table; so the composite
     rho(pi(g)) is a homomorphism with tau in its kernel, and its stack

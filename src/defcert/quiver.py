@@ -358,8 +358,9 @@ def complete(spec: QuiverSpec, cap: int | None = None) -> CompletedSystem:
 
     Fails with InfiniteDimensionError, before any rewriting, if a loop
     witness exists; otherwise with CapExceededError if an irreducible word
-    of length == cap exists, or if the rule set refuses to converge within
-    generous guards.
+    of length == cap exists, if a word of an input relation is longer than
+    2 cap (the message then blames the presentation, not the completion),
+    or if the rule set refuses to converge within generous guards.
     """
     loop = loop_witness(spec)
     if loop is not None:
@@ -370,6 +371,7 @@ def complete(spec: QuiverSpec, cap: int | None = None) -> CompletedSystem:
     store, by_first = {}, {}  # the rule store lead -> tail and its index
     pending = deque({bytes(spec.arrow_index[a] for a in w): c
                      for w, c in rel.items()} for rel in spec.relations)
+    given = {w for rel in pending for w in rel}
     spairs_done = 0
     while pending:
         poly = _reduce(pending.popleft(), store, by_first, p)
@@ -378,6 +380,8 @@ def complete(spec: QuiverSpec, cap: int | None = None) -> CompletedSystem:
         lead = max(poly, key=lambda w: (len(w), w))
         if len(lead) > 2 * cap:
             raise CapExceededError(
+                f"a relation word in the presentation has length {len(lead)}"
+                f" > {2 * cap}" if lead in given else
                 f"completion produced a rule of length {len(lead)} > {2 * cap}"
             )
         inv = pow(poly[lead], -1, p)

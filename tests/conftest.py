@@ -58,6 +58,33 @@ def small_module(family, system):
     return fdmod.FdModule(alg, block_of, mats)
 
 
+def uniserial(p, a_eps=None):
+    """rho_bar on a fresh quotient table at p (and a_eps)."""
+    return groups.uniserial_representation(
+        groups.build_group(p, a_eps, quotient=True))
+
+
+def hensel_chain_at(p, n):
+    """The Hensel chain of rho_bar at p up to Z/p^n."""
+    return deform.hensel_chain(uniserial(p), n)
+
+
+def mixed_rep_at(p, n, N, full=None):
+    """The mixed-ring representation of the level-n chain at p, on full
+    (a fresh full table by default)."""
+    if full is None:
+        full = groups.build_group(p)
+    return deform.mixed_representation(hensel_chain_at(p, n), full, N)
+
+
+def unchecked_rep(table, ring, gens):
+    """level-last generator matrices put together on every element of
+    table without the table check."""
+    return groups.GroupRep(table, ring,
+                           groups.element_stack(table, ring.moduli, gens),
+                           check=False)
+
+
 def module_rep(table, M):
     """M's action on every element of table, checked on all |G|^2 pairs:
     the general check, for a module that is not a Kronecker square."""

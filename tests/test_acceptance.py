@@ -17,6 +17,8 @@ import pytest
 
 from defcert import cli, coeff, deform, fdmod, flinalg, groups, quiver
 
+from conftest import hensel_chain_at, mixed_rep_at
+
 FAMILY_CASE_BUDGET = 10.0
 GROUP_BATTERY_BUDGET = 60.0
 OBSTRUCTION_BUDGET = 5.0
@@ -58,7 +60,7 @@ def test_criterion_03_builtin_lifts_are_flat_with_nonzero_class():
     for family, d in deform.FAMILY_CASES:
         system = deform.completed_system(family, d)
         T = deform.base_module(family, system)
-        lift = deform.builtin_lift(family, d, system)
+        lift = deform.builtin_lift(family, system)
         cert = deform.verify_quiver_lift(lift)
         assert cert.truncation_levels == (2, 3, 4)
         for name in T.algebra.generators:
@@ -87,7 +89,7 @@ def test_criterion_05_rigidity_battery_over_three_primes():
     for p in (3, 5, 7):
         quot = groups.build_group(p, quotient=True)
         full = groups.build_group(p, quot.a_eps, quotient=False)
-        rho = groups.uniserial_representation(p, table=quot)
+        rho = groups.uniserial_representation(quot)
         V = groups.rep_to_module(rho)
         VG = groups.rep_to_module(groups.inflate(rho, full))
         assert len(fdmod.hom_space(VG, VG)) == 1, p
@@ -112,7 +114,7 @@ def test_criterion_05_rigidity_battery_over_three_primes():
 
 def test_criterion_06_mixed_ring_representation_full_table():
     for p in (3, 5, 7):
-        rep = deform.mixed_representation(p, 2, 3)
+        rep = mixed_rep_at(p, 2, 3)
         assert rep.ring == coeff.mixed_deform(p, 2, 3)
         # construction already verified all |G|^2 products; do it again
         # through the public checker so this criterion stands alone
@@ -166,7 +168,7 @@ def test_criterion_08_projectives_follow_the_star_and_cartan_splits():
 
 def test_criterion_09_hensel_chain_to_level_four():
     for p in (3, 5, 7):
-        chain = deform.hensel_chain(p, 4)  # raises on any obstruction
+        chain = hensel_chain_at(p, 4)  # raises on any obstruction
         assert [r.ring.moduli[0] for r in chain] == [p, p**2, p**3, p**4]
         for rep in chain:
             assert rep.check_table() == [], p
@@ -197,7 +199,7 @@ def test_criterion_10_structural_identities_and_determinism(tmp_path):
     for a in (2, 3):
         quot = groups.build_group(5, a, quotient=True)
         full = groups.build_group(5, a, quotient=False)
-        rho = groups.uniserial_representation(5, table=quot)
+        rho = groups.uniserial_representation(quot)
         EndV = groups.conjugation_module(rho)
         reports[a] = {
             "end": len(fdmod.hom_space(

@@ -8,7 +8,8 @@ import pytest
 from defcert import cli, coeff, deform, fdmod, groups
 from defcert.fdmod import RelationViolated
 
-from conftest import E, module_rep, small_module
+from conftest import (E, hensel_chain_at, mixed_rep_at, module_rep,
+                      small_module, uniserial, unchecked_rep)
 
 
 FAMILY_RELATION_COUNTS = {"I": 6, "II": 9, "III": 7}
@@ -29,11 +30,11 @@ def test_base_module_agrees_with_explicit_fixture(family, d, completed):
         assert np.array_equal(ours.mats[name], ref.mats[name])
 
 
-def test_builtin_lift_directions():
+def test_builtin_lift_directions(completed):
     # one matrix unit each, sitting in degree 1
     for family, (name, i, j) in deform._LIFT_DIRECTION.items():
         d = 2 if family == "II" else 3
-        L = deform.builtin_lift(family, d)
+        L = deform.builtin_lift(family, completed(family, d))
         assert sorted(L.t_parts) == [name]
         part = L.t_parts[name]
         assert part.shape[2] == 1
@@ -60,7 +61,7 @@ def test_lift_candidate_drops_zero_parts(completed):
 @pytest.mark.parametrize("family,d", deform.FAMILY_CASES)
 def test_builtin_lift_satisfies_every_relation(family, d, completed):
     system = completed(family, d)
-    cert = deform.verify_quiver_lift(deform.builtin_lift(family, d, system))
+    cert = deform.verify_quiver_lift(deform.builtin_lift(family, system))
     assert cert.relations_checked == FAMILY_RELATION_COUNTS[family]
     assert cert.max_degree == 1
     assert cert.truncation_levels == (2, 3, 4)
@@ -112,7 +113,7 @@ def test_perturbation_inside_block_violates_a_relation(completed):
 @pytest.mark.parametrize("family,d", deform.FAMILY_CASES)
 def test_first_order_class_nonzero(family, d, completed):
     system = completed(family, d)
-    cls = deform.first_order_class(deform.builtin_lift(family, d, system))
+    cls = deform.first_order_class(deform.builtin_lift(family, system))
     assert cls.dim == 1
     assert not cls.representative_is_trivial()
 
@@ -154,7 +155,7 @@ def test_first_order_class_is_additive_in_the_t_part(completed):
     system = completed("I", 2)
     T = deform.base_module("I", system)
     p = T.p
-    Lb = deform.builtin_lift("I", 2, system)
+    Lb = deform.builtin_lift("I", system)
     Lc = _conjugate_lift(T, deform.LiftCandidate(T, {}), E(5, 4, 1))
     summed = {}
     for name in set(Lb.t_parts) | set(Lc.t_parts):
@@ -201,7 +202,7 @@ def test_a_lift_valid_mod_t2_can_break_a_relation_at_t2(completed):
     assert exc.value.relation_id.startswith("rel[")
     assert exc.value.position[2] == 2
     cls = deform.first_order_class(L)
-    ref = deform.first_order_class(deform.builtin_lift("I", 2, system))
+    ref = deform.first_order_class(deform.builtin_lift("I", system))
     assert cls.dim == 1 and not cls.representative_is_trivial()
     assert np.array_equal(cls.representative[0], ref.representative[0])
 
@@ -227,7 +228,7 @@ def test_grading_violations_at_two_degrees_report_the_lower(completed):
 
 
 def test_hensel_chain_p3_reaches_81():
-    chain = deform.hensel_chain(3, 4)
+    chain = hensel_chain_at(3, 4)
     assert [r.ring.moduli[0] for r in chain] == [3, 9, 27, 81]
     for lo, hi in zip(chain, chain[1:]):
         assert np.array_equal(hi.convert(lo.ring).mats, lo.mats)
@@ -246,13 +247,13 @@ def test_hensel_chain_p3_reaches_81():
 def test_hensel_chain_past_int64_refuses():
     # the step to Z/3^20 multiplies entries up to 3^20 - 1 over 2 terms
     with pytest.raises(OverflowError):
-        deform.hensel_chain(3, 20)
+        hensel_chain_at(3, 20)
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_hensel_chain_coherent_with_teichmuller_eps(p):
-    chain = deform.hensel_chain(p, 4)
-    base = groups.uniserial_representation(p, table=chain[0].table)
+    chain = hensel_chain_at(p, 4)
+    base = groups.uniserial_representation(chain[0].table)
     assert np.array_equal(chain[0].mats, base.mats)
     for m, rep in enumerate(chain, start=1):
         mod = p**m
@@ -260,6 +261,12 @@ def test_hensel_chain_coherent_with_teichmuller_eps(p):
         assert all(pow(int(v), p - 1, mod) == 1 for v in diag)
     for lo, hi in zip(chain, chain[1:]):
         assert np.array_equal(hi.convert(lo.ring).mats, lo.mats)
+
+
+def test_hensel_chain_starts_over_the_residue_field():
+    # from Z/9 two levels would end at Z/27, not at the Z/9 asked for
+    with pytest.raises(ValueError, match="starts over Z/p"):
+        deform.hensel_chain(hensel_chain_at(3, 2)[1], 2)
 
 
 def test_hensel_step_on_the_trivial_module_makes_no_correction():
@@ -275,18 +282,18 @@ def test_hensel_step_on_the_trivial_module_makes_no_correction():
 
 def test_hensel_step_p5_level_one_to_two():
     q5 = groups.build_group(5, quotient=True)
-    r2 = deform.hensel_lift_step(groups.uniserial_representation(5, table=q5))
+    r2 = deform.hensel_lift_step(groups.uniserial_representation(q5))
     assert r2.ring.moduli == (25,)
     s = r2.generator_matrix("sigma")[:, :, 0]
     assert np.array_equal(s % 5, groups.uniserial_representation(
-        5, table=q5).generator_matrix("sigma")[:, :, 0])
+        q5).generator_matrix("sigma")[:, :, 0])
     diag = np.diagonal(r2.generator_matrix("epsilon")[:, :, 0])
     assert list(diag) == [18, 24, 7, 1]  # Teichmueller lifts of 3, 4, 2, 1
 
 
 def test_hensel_step_requires_diagonal_teichmuller_eps():
     qt = groups.build_group(3, quotient=True)
-    rep = groups.uniserial_representation(3, table=qt)
+    rep = groups.uniserial_representation(qt)
     g = np.array([[1, 1], [1, 2]], dtype=np.int64)  # invertible mod 3
     ginv = np.array([[2, 2], [2, 1]], dtype=np.int64)
     assert np.array_equal(g @ ginv % 3, np.eye(2, dtype=np.int64))
@@ -304,10 +311,10 @@ def test_hensel_step_requires_diagonal_teichmuller_eps():
 def test_hensel_step_refuses_a_sigma_whose_p_th_power_is_not_one():
     # the level-one sigma read over Z/9: its cube is [[1, 3], [0, 1]]
     qt = groups.build_group(3, quotient=True)
-    bad = groups.GroupRep.from_generators(
+    bad = unchecked_rep(
         qt, coeff.trunc_witt(3, 2),
-        {"sigma": np.array([[1, 1], [0, 1]]), "epsilon": np.diag([8, 1])},
-        check=False)
+        {"sigma": np.array([[1, 1], [0, 1]])[..., None],
+         "epsilon": np.diag([8, 1])[..., None]})
     with pytest.raises(deform.HenselObstruction,
                        match=r"defect not divisible by p\^m"):
         deform.hensel_lift_step(bad)
@@ -316,7 +323,7 @@ def test_hensel_step_refuses_a_sigma_whose_p_th_power_is_not_one():
 def test_hensel_rejects_full_group_table():
     full = groups.build_group(3, quotient=False)
     qt = groups.build_group(3, quotient=True)
-    rep = groups.inflate(groups.uniserial_representation(3, table=qt), full)
+    rep = groups.inflate(groups.uniserial_representation(qt), full)
     with pytest.raises(ValueError, match="quotient"):
         deform.hensel_lift_step(rep)
 
@@ -332,7 +339,7 @@ def test_hensel_obstruction_carries_level_info():
 
 
 def test_mixed_representation_p3_table_and_identities():
-    rep = deform.mixed_representation(3, 2, 3)
+    rep = mixed_rep_at(3, 2, 3)
     assert rep.ring == coeff.mixed_deform(3, 2, 3)
     assert rep.table.size == 18
     assert rep.check_table() == []
@@ -350,7 +357,7 @@ def test_mixed_representation_p3_table_and_identities():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_mixed_representation_identities(p):
-    rep = deform.mixed_representation(p, 2, 3)
+    rep = mixed_rep_at(p, 2, 3)
     ids = deform.mixed_identity_checks(rep)
     assert ids["tau_power_p_is_identity"]
     assert ids["eps_conjugates_tau_to_power"]
@@ -358,23 +365,32 @@ def test_mixed_representation_identities(p):
 
 
 def test_mixed_representation_truncates_functorially():
-    rep3 = deform.mixed_representation(3, 2, 3)
+    rep3 = mixed_rep_at(3, 2, 3)
     down = rep3.convert(coeff.mixed_deform(3, 2, 2))
     assert down.check_table() == []
-    fresh = deform.mixed_representation(3, 2, 2)
+    fresh = mixed_rep_at(3, 2, 2)
     assert np.array_equal(down.mats, fresh.mats)
 
 
 def test_mixed_representation_needs_room_for_tau():
     with pytest.raises(ValueError, match="N >= 2"):
-        deform.mixed_representation(3, 2, 1)
+        mixed_rep_at(3, 2, 1)
+
+
+@pytest.mark.parametrize("p,full_args", [(5, (5, 3)), (3, (5,))])
+def test_mixed_representation_refuses_a_full_table_it_does_not_extend(
+        p, full_args):
+    # the chain is at the smallest primitive root: 2 at p = 3 and at p = 5
+    with pytest.raises(ValueError, match=r"disagree on \(p, a_eps\)"):
+        deform.mixed_representation(hensel_chain_at(p, 1),
+                                    groups.build_group(*full_args), 3)
 
 
 def test_tangent_class_vanishes_for_constant_representations():
     # no t-part at all: the deformation is trivial by inspection
     qt = groups.build_group(3, quotient=True)
     full = groups.build_group(3, quotient=False)
-    rep = groups.inflate(groups.uniserial_representation(3, table=qt), full)
+    rep = groups.inflate(groups.uniserial_representation(qt), full)
     lifted = groups.GroupRep(
         full, coeff.mixed_deform(3, 1, 2),
         np.concatenate(
@@ -389,7 +405,7 @@ def test_tangent_class_vanishes_for_a_conjugated_lift():
     # deformation whose t-part is nonzero, so the coboundary span decides
     full = groups.build_group(3, quotient=False)
     rho = groups.inflate(
-        groups.uniserial_representation(3), full
+        uniserial(3), full
     ).mats[:, :, :, 0]
     X = np.array([[0, 0], [1, 0]], dtype=np.int64)
     lin = (X @ rho - rho @ X) % 3
@@ -553,6 +569,28 @@ def test_group_scenario_solves_no_hom_space_above_dim_v(p, monkeypatch):
     assert sizes and max(sizes) <= p - 1
 
 
+def test_group_scenario_lifts_to_its_n_and_N_and_builds_rho_bar_once(
+        monkeypatch):
+    """The report's bytes record neither n nor N, so the rings built say
+    how deep the scenario went: rho_bar over F_3 once, its Hensel lifts
+    up to Z/81, and the mixed ring at n = 4 and N = 6."""
+    rings = []
+    build = groups.GroupRep.from_generators.__func__
+
+    def recorded(cls, table, ring, gen_mats):
+        rings.append(ring)
+        return build(cls, table, ring, gen_mats)
+
+    monkeypatch.setattr(groups.GroupRep, "from_generators",
+                        classmethod(recorded))
+    report = deform.scenario_report(
+        deform.Scenario("group", p=3, n=4, N=6, samples=0))
+    assert report.status == "VERIFIED"
+    assert rings == [coeff.prime_field(3), coeff.trunc_witt(3, 2),
+                     coeff.trunc_witt(3, 3), coeff.trunc_witt(3, 4),
+                     coeff.mixed_deform(3, 4, 6)]
+
+
 def test_group_scenario_p3_verifies():
     report = deform.scenario_report(deform.Scenario("group", p=3))
     assert report.status == "VERIFIED"
@@ -685,7 +723,7 @@ def group_inputs():
     """Tables and representations of the p = 3 group scenario."""
     quot = groups.build_group(3, quotient=True)
     full = groups.build_group(3, quot.a_eps, quotient=False)
-    rho_bar = groups.uniserial_representation(3, table=quot)
+    rho_bar = groups.uniserial_representation(quot)
     return quot, full, rho_bar, groups.inflate(rho_bar, full)
 
 
@@ -829,11 +867,10 @@ def test_mixed_ring_fails_on_an_altered_sigma(group_inputs):
     """One altered entry of sigma breaks the full-table check; the premise
     reports the NotAHomomorphism, which names the first bad pair."""
     _, full, _, _ = group_inputs
-    rep = deform.mixed_representation(3, 2, 3, full_table=full)
+    rep = mixed_rep_at(3, 2, 3, full)
     gens = mixed_generators(rep)
     gens["sigma"][0, 0, 0] += 1
-    first = groups.GroupRep.from_generators(
-        full, rep.ring, gens, check=False).check_table()[0]
+    first = unchecked_rep(full, rep.ring, gens).check_table()[0]
     with pytest.raises(groups.NotAHomomorphism) as exc:
         groups.GroupRep.from_generators(full, rep.ring, gens)
     premise = deform.mixed_ring_premise(exc.value)
@@ -855,11 +892,10 @@ def test_mixed_ring_fails_on_a_tau_that_breaks_an_identity(
     t-coefficient of tau^3 is a multiple of 3, so tau^3 = I, but epsilon
     fixes the t^2 part I while tau^(1/a) = tau^2 doubles it."""
     _, full, _, _ = group_inputs
-    rep = deform.mixed_representation(3, 2, 3, full_table=full)
+    rep = mixed_rep_at(3, 2, 3, full)
     gens = mixed_generators(rep)
     gens["tau"][:, :, level] = scale * np.eye(2, dtype=np.int64)
-    unchecked = groups.GroupRep.from_generators(
-        full, rep.ring, gens, check=False)
+    unchecked = unchecked_rep(full, rep.ring, gens)
     premise = deform.mixed_ring_premise(unchecked)
     assert premise.verdict == "FAIL"
     assert [k for k in ("tau_power_p_is_identity",
@@ -872,11 +908,10 @@ def test_mixed_ring_fails_on_a_singular_eps(group_inputs):
     eps tau = tau^(1/a) eps = 0 holds, but a non-unit epsilon conjugates
     nothing, so the conjugation identity fails while tau^3 = I still holds."""
     _, full, _, _ = group_inputs
-    rep = deform.mixed_representation(3, 2, 3, full_table=full)
+    rep = mixed_rep_at(3, 2, 3, full)
     gens = mixed_generators(rep)
     gens["epsilon"][:] = 0
-    unchecked = groups.GroupRep.from_generators(
-        full, rep.ring, gens, check=False)
+    unchecked = unchecked_rep(full, rep.ring, gens)
     premise = deform.mixed_ring_premise(unchecked)
     assert premise.computed["tau_power_p_is_identity"]
     assert not premise.computed["eps_conjugates_tau_to_power"]
@@ -888,7 +923,7 @@ def test_tangent_direction_fails_when_tau_does_not_move(group_inputs):
     still multiplicative, tau^p = I and eps tau eps^-1 = tau^(1/a) = I,
     but its t-part is 0, so the first-order deformation is trivial."""
     _, full, _, _ = group_inputs
-    rep = deform.mixed_representation(3, 2, 3, full_table=full)
+    rep = mixed_rep_at(3, 2, 3, full)
     gens = mixed_generators(rep)
     gens["tau"] = np.eye(rep.dim, dtype=np.int64)
     still = groups.GroupRep.from_generators(full, rep.ring, gens)

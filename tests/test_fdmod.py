@@ -24,7 +24,7 @@ from defcert.fdmod import (
     validate_module,
     zero_module,
 )
-from conftest import E, completed_family, small_module
+from conftest import E, completed_family, small_module, uniserial
 
 
 @pytest.fixture(scope="module")
@@ -368,7 +368,7 @@ def _reference_coboundaries(M, N, slots):
 
 
 def test_extension_coboundaries_match_a_reference_loop(algI, T_I):
-    V = groups.rep_to_module(groups.uniserial_representation(5))
+    V = groups.rep_to_module(uniserial(5))
     for M, N in ((T_I, T_I), (T_I, algI.simple_module(0)), (V, V)):
         slots, cob = fdmod.extension_coboundaries(M, N)
         assert slots.shape == (len(M.algebra.generators), N.dim, M.dim)
@@ -381,7 +381,7 @@ def test_extension_coboundaries_match_a_reference_loop(algI, T_I):
 
 def _builder_agreement_modules(case):
     if isinstance(case, int):  # the group at p = case
-        rep = groups.uniserial_representation(case)
+        rep = uniserial(case)
         alg = groups.group_algebra(rep.table)
         return ([groups.rep_to_module(rep)]
                 + [alg.simple_module(i) for i in range(case - 1)]
@@ -465,7 +465,7 @@ def test_section_count_refuses_an_ungraded_span(side, T_I):
     if side == "quiver":
         M = T_I
     else:
-        M = groups.rep_to_module(groups.uniserial_representation(5))
+        M = groups.rep_to_module(uniserial(5))
     zero = np.zeros((M.dim, 0), dtype=np.int64)
     socle = fdmod.section_label_dims_quotient(
         M, fdmod.socle_columns(M), zero)
@@ -478,7 +478,7 @@ def test_section_count_refuses_an_ungraded_span(side, T_I):
 def test_random_search_miss_is_not_definitive(monkeypatch):
     table = groups.build_group(5, quotient=True)
     EndV = groups.conjugation_module(
-        groups.uniserial_representation(5, table=table))
+        groups.uniserial_representation(table))
     alg = EndV.algebra
     target = direct_sum([alg.simple_module(0)] + [
         alg.projective_module(i) for i in range(1, 4)])
@@ -494,7 +494,7 @@ def test_random_search_miss_is_not_definitive(monkeypatch):
 def _end_v(p):
     """End(V) over the quotient table at p, and the claimed summands of
     T_0 + P_1 + ... + P_(p-2) as (simples, projectives)."""
-    EndV = groups.conjugation_module(groups.uniserial_representation(p))
+    EndV = groups.conjugation_module(uniserial(p))
     return EndV, ((0,), tuple(range(1, p - 1)))
 
 
@@ -780,7 +780,7 @@ def _kronecker_hom_basis(M, N):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_group_and_naive_hom_bases_span_the_same_space(p):
-    rep = groups.uniserial_representation(p)
+    rep = uniserial(p)
     alg = groups.group_algebra(rep.table)
     mods = [groups.rep_to_module(rep), groups.conjugation_module(rep)] + [
         alg.projective_module(i) for i in range(p - 1)
@@ -807,7 +807,7 @@ def test_hom_between_end_v_and_its_decomposition_at_p7():
     the top nor the socle of any P_i with i >= 1.  Total 31.
     """
     p = 7
-    rep = groups.uniserial_representation(p)
+    rep = uniserial(p)
     alg = groups.group_algebra(rep.table)
     EndV = groups.conjugation_module(rep)
     total = direct_sum([alg.simple_module(0)] + [
@@ -954,7 +954,7 @@ def _derivative_pairs(case):
     if case == "EndV-p3":
         G = groups.build_group(3)
         EndV = groups.conjugation_module(
-            groups.inflate(groups.uniserial_representation(3), G))
+            groups.inflate(uniserial(3), G))
         return [(EndV, EndV), (groups.simple_module(G, 0), EndV)]
     family, d = case
     T = small_module(family, completed_family(family, d))

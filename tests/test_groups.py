@@ -10,7 +10,7 @@ import pytest
 
 from defcert import coeff, deform, fdmod, flinalg, groups
 
-from conftest import module_rep
+from conftest import mixed_rep_at, module_rep, uniserial, unchecked_rep
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +183,7 @@ def test_quotient_projection(q5):
 
 
 def test_uniserial_representation_small_entries():
-    rep = groups.uniserial_representation(3)
+    rep = uniserial(3)
     assert np.array_equal(
         rep.generator_matrix("sigma")[:, :, 0], [[1, 1], [0, 1]]
     )
@@ -192,8 +192,23 @@ def test_uniserial_representation_small_entries():
     )
 
 
+def test_uniserial_representation_needs_a_quotient_table(g3):
+    with pytest.raises(ValueError, match="needs a quotient table"):
+        groups.uniserial_representation(g3)
+
+
+@pytest.mark.parametrize("names", [("sigma", "tau", "epsilon"),
+                                   ("sigma",)])
+def test_generators_must_be_exactly_the_tables(q5, names):
+    # tau has no place on the quotient table: it would be dropped unread
+    one = np.eye(1, dtype=np.int64)
+    with pytest.raises(ValueError, match="keyed by"):
+        groups.GroupRep.from_generators(q5, coeff.prime_field(5),
+                                        dict.fromkeys(names, one))
+
+
 def test_uniserial_representation_bands():
-    rep = groups.uniserial_representation(5)
+    rep = uniserial(5)
     s = rep.generator_matrix("sigma")[:, :, 0]
     # inverse factorials on the superdiagonals: 1, 1/2=3, 1/6=1
     assert [int(s[0, k]) for k in range(4)] == [1, 1, 3, 1]
@@ -204,14 +219,14 @@ def test_uniserial_representation_bands():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_last_band_is_one(p):
-    rep = groups.uniserial_representation(p)
+    rep = uniserial(p)
     s = rep.generator_matrix("sigma")[:, :, 0]
     assert s[0, p - 2] == 1  # (p-2)! is 1 mod p
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_conjugation_relation_on_matrices(p):
-    rep = groups.uniserial_representation(p)
+    rep = uniserial(p)
     t = rep.table
     E, S, Einv = rep.mats[[t.eps, t.sigma, t.inv[t.eps]], :, :, 0]
     lhs = E @ S % p @ Einv % p
@@ -220,7 +235,7 @@ def test_conjugation_relation_on_matrices(p):
 
 def test_rep_is_table_verified(q5):
     # breaking one generator must trip the whole-table check
-    rep = groups.uniserial_representation(5)
+    rep = uniserial(5)
     bad_eps = rep.generator_matrix("epsilon")[:, :, 0].copy()
     bad_eps[0, 0] = 1
     with pytest.raises(ValueError, match="not a homomorphism"):
@@ -253,9 +268,9 @@ def reference_bad_pairs(rep):
 def test_check_table_finds_every_planted_pair_in_order(ring):
     # L = 1 over the quotient at p = 5, L = 3 over the full group at p = 3
     if ring == "prime_field":
-        rep = groups.uniserial_representation(5)
+        rep = uniserial(5)
     else:
-        rep = deform.mixed_representation(3, 1, 3)
+        rep = mixed_rep_at(3, 1, 3)
     assert rep.ring.levels == (1 if ring == "prime_field" else 3)
     p, L = rep.table.p, rep.ring.levels
 
@@ -271,8 +286,7 @@ def test_check_table_finds_every_planted_pair_in_order(ring):
     gens = {name: rep.generator_matrix(name).copy()
             for name in rep.table.generator_indices()}
     gens["epsilon"][0, 0, 0] = 1
-    broken = groups.GroupRep.from_generators(rep.table, rep.ring, gens,
-                                             check=False)
+    broken = unchecked_rep(rep.table, rep.ring, gens)
     bad = reference_bad_pairs(broken)
     assert bad and broken.check_table() == bad
     first = re.escape(f"pair {bad[0]} and {len(bad) - 1} more")
@@ -332,7 +346,7 @@ def coboundary_extension(rep, v):
 
 
 def test_table_mismatches_finds_planted_pairs_in_an_extension_stack(q5):
-    rep = groups.uniserial_representation(5, table=q5)
+    rep = groups.uniserial_representation(q5)
     p, n, d = 5, q5.size, rep.dim
     rho = rep.mats[:, :, :, 0]
     V = np.random.default_rng(3).integers(0, p, size=(d, 2, 1))
@@ -373,7 +387,7 @@ def test_rep_convert_rejects_bad_target(g3):
 
 def test_inflate_matches_projection(q5):
     G5 = groups.build_group(5)
-    rep = groups.uniserial_representation(5)
+    rep = uniserial(5)
     lifted = groups.inflate(rep, G5)
     proj = groups.quotient_projection(G5, q5)
     assert np.array_equal(lifted.mats, rep.mats[proj])
@@ -385,12 +399,12 @@ def test_inflate_transports_the_stack_built_from_generators(p):
     sigma, tau -> I and epsilon and checked on every pair of the table."""
     quot = groups.build_group(p, quotient=True)
     full = groups.build_group(p, quot.a_eps)
-    rho_bar = groups.uniserial_representation(p, table=quot)
+    rho_bar = groups.uniserial_representation(quot)
     built = groups.GroupRep.from_generators(full, rho_bar.ring, {
         "sigma": rho_bar.generator_matrix("sigma"),
         "tau": np.eye(rho_bar.dim, dtype=np.int64),
         "epsilon": rho_bar.generator_matrix("epsilon"),
-    }, check=True)
+    })
     lifted = groups.inflate(rho_bar, full)
     assert lifted.mats.dtype == built.mats.dtype
     assert np.array_equal(lifted.mats, built.mats)
@@ -456,7 +470,7 @@ def test_induction_over_full_group_projective(g3):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_module_of_representation_is_uniserial_descending(p):
-    V = groups.rep_to_module(groups.uniserial_representation(p))
+    V = groups.rep_to_module(uniserial(p))
     st = fdmod.module_structure(V)
     assert V.dim == p - 1
     assert st.uniserial
@@ -466,7 +480,7 @@ def test_module_of_representation_is_uniserial_descending(p):
 
 def test_yoneda_identity_group_side(g3):
     alg = groups.group_algebra(g3)
-    rep = groups.inflate(groups.uniserial_representation(3), g3)
+    rep = groups.inflate(uniserial(3), g3)
     targets = [
         groups.rep_to_module(rep),
         alg.projective_module(1),
@@ -479,7 +493,7 @@ def test_yoneda_identity_group_side(g3):
 
 
 def test_syzygy_of_uniserial_module_is_trivial_simple(q5):
-    V = groups.rep_to_module(groups.uniserial_representation(5, table=q5))
+    V = groups.rep_to_module(groups.uniserial_representation(q5))
     om = fdmod.syzygy(V)
     assert om.dim == 1
     assert om.dimension_vector() == {0: 1}
@@ -515,7 +529,7 @@ def test_yoneda_columns_match_the_full_stack_read(p, quotient):
     # the reference acts on every element of the table and reads the
     # coset representatives; the columns need only sigma and tau powers
     table = groups.build_group(p, quotient=quotient)
-    rho = groups.uniserial_representation(p)
+    rho = uniserial(p)
     if not quotient:
         rho = groups.inflate(rho, table)
     alg = groups.group_algebra(table)
@@ -536,7 +550,7 @@ def test_yoneda_columns_match_the_full_stack_read(p, quotient):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_endo_module_facts(p):
-    rep = groups.uniserial_representation(p)
+    rep = uniserial(p)
     alg = groups.group_algebra(rep.table)
     V = groups.rep_to_module(rep)
     EndV = groups.conjugation_module(rep)
@@ -553,7 +567,7 @@ def test_endo_module_facts(p):
 
 def _doubled_v(p):
     full = groups.build_group(p)
-    rep = groups.inflate(groups.uniserial_representation(p), full)
+    rep = groups.inflate(uniserial(p), full)
     V = groups.rep_to_module(rep)
     return full, fdmod.direct_sum([V, V])
 
@@ -577,7 +591,7 @@ def test_doubled_v_has_four_first_cohomology_classes():
 
 def _rho_full(p):
     full = groups.build_group(p)
-    return groups.inflate(groups.uniserial_representation(p), full)
+    return groups.inflate(uniserial(p), full)
 
 
 def test_conjugation_module_requires_residue_ring(g3):
@@ -591,7 +605,7 @@ def test_conjugation_module_requires_residue_ring(g3):
 
 @pytest.mark.parametrize("p,zdim,bdim", [(3, 4, 3), (5, 16, 15)])
 def test_h1_full_group(p, zdim, bdim):
-    rep = groups.uniserial_representation(p)
+    rep = uniserial(p)
     G = groups.build_group(p)
     rho = groups.inflate(rep, G)
     r = groups.h1_cocycles(rho)
@@ -607,7 +621,7 @@ def test_h1_full_group(p, zdim, bdim):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_h1_quotient_agrees_with_ext(p):
-    rep = groups.uniserial_representation(p)
+    rep = uniserial(p)
     V = groups.rep_to_module(rep)
     r = groups.h1_cocycles(rep)
     assert r.dim == fdmod.ext_dim(V, V, 1).dim == 0
@@ -782,7 +796,7 @@ def test_hom_from_last_simple_reported_separately():
     # companion number to the h1 dimension, reported but not asserted
     # equal to it by any theory here
     for p in (3, 5):
-        rep = groups.uniserial_representation(p)
+        rep = uniserial(p)
         alg = groups.group_algebra(rep.table)
         EndV = groups.conjugation_module(rep)
         hd = len(fdmod.hom_space(alg.simple_module(p - 2), EndV))
@@ -793,7 +807,7 @@ def test_primitive_root_invariance_p5():
     # 2 and 3 are the primitive roots; every reported dimension must agree
     reports = []
     for a in (2, 3):
-        rep = groups.uniserial_representation(5, a)
+        rep = uniserial(5, a)
         alg = groups.group_algebra(rep.table)
         V = groups.rep_to_module(rep)
         G = groups.build_group(5, a)
@@ -820,7 +834,7 @@ def test_h1_invariant_under_base_change():
     # conjugating the representation must not move the cohomology
     p = 3
     rng = np.random.default_rng(90121)
-    rep = groups.uniserial_representation(p)
+    rep = uniserial(p)
     G = groups.build_group(p)
     base = groups.inflate(rep, G)
     for _ in range(3):
@@ -861,10 +875,9 @@ def route_representation(route):
     prime field at p = 5 takes float32; Z/3^n at n = 8 takes float64 and
     at n = 17 int64, where 2 (3^n - 1)^2 passes 2^53."""
     if route == np.float32:
-        rep = groups.uniserial_representation(5)
+        rep = uniserial(5)
     else:
-        rep = deform.mixed_representation(3, 8 if route == np.float64
-                                          else 17, 3)
+        rep = mixed_rep_at(3, 8 if route == np.float64 else 17, 3)
     moduli = rep.ring.moduli
     assert flinalg.exact_product(rep.dim, moduli, 2 * max(moduli)) == route
     return rep
@@ -942,7 +955,7 @@ def test_table_mismatches_on_float32_in_uint32_and_float64_in_uint64(
         monkeypatch, n, route, word, narrower):
     # the route and word pairs the tests above do not reach: there
     # uniserial(5) takes float32 in uint16 and Z/3^8 float64 in uint32
-    rep = deform.mixed_representation(3, n, 3)
+    rep = mixed_rep_at(3, n, 3)
     k, moduli, L = rep.dim, rep.ring.moduli, rep.ring.levels
     assert flinalg.exact_product(k, moduli, 2 * max(moduli)) == route
     assert flinalg.exact_word(k, moduli, 2 * max(moduli)) == word
@@ -967,7 +980,7 @@ def test_table_mismatches_on_float32_in_uint32_and_float64_in_uint64(
 
 def test_table_mismatches_refuses_an_even_modulus_before_any_product(
         monkeypatch, q5):
-    rep = groups.uniserial_representation(5, table=q5)
+    rep = groups.uniserial_representation(q5)
 
     def no_product(*args):
         raise AssertionError("a product ran")

@@ -181,6 +181,26 @@ def test_free_two_cycle_still_reaches_the_length_cap():
     assert not isinstance(info.value, InfiniteDimensionError)
 
 
+def test_a_long_input_relation_is_blamed_on_the_presentation():
+    """a^1200 is the presentation's own word, longer than twice the default
+    cap 64, so the rule-length guard names the presentation; a cap that
+    admits it completes it to one rule.  A long rule that the completion
+    makes keeps the completion's message."""
+    spec = QuiverSpec(2, [0], {"a": (0, 0)}, [{("a",) * 1200: 1}])
+    message = "a relation word in the presentation has length 1200 > 128"
+    with pytest.raises(CapExceededError, match=message):
+        complete(spec)
+    system = complete(spec, cap=1200)
+    assert len(system.rules) == 1
+    assert system.dims_by_source() == {0: 1200}
+    made = QuiverSpec(2, [0], {"a": (0, 0), "b": (0, 0)}, [
+        {("a", "b", "b"): 1, ("b", "b", "a"): 1},
+        {("a",) * 3: 1}, {("b",) * 3: 1}])
+    with pytest.raises(CapExceededError,
+                       match="completion produced a rule of length 5 > 4"):
+        complete(made, cap=2)
+
+
 def evaluate_relation(spec, rel, mats):
     """The relation's value on a representation, by numpy products only."""
     acc = 0
