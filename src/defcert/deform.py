@@ -355,8 +355,8 @@ def hensel_lift_step(rho_m: groups.GroupRep) -> groups.GroupRep:
     the defect.  Since p^(2m) = 0 there, a relation at sigma_next is its
     value at sigma_m plus p^m times its derivative at
     theta_sigma = X sigma_bar, the rows of `fdmod.relation_derivative`
-    over F_p on the sigma slots, so X solves
-    derivative(X sigma_bar) = -defect mod p.
+    over F_p on the sigma slots of rho_bar, which is rho_m mod p and so
+    table-verified, so X solves derivative(X sigma_bar) = -defect mod p.
 
     Fixing epsilon loses no solutions: the restriction of any solution's
     correction to the subgroup generated by epsilon is a cocycle of a
@@ -387,13 +387,14 @@ def hensel_lift_step(rho_m: groups.GroupRep) -> groups.GroupRep:
     defect = np.concatenate([value.ravel() for _, value in values])
     if np.any(defect % pm):
         raise HenselObstruction(p, m, "defect not divisible by p^m")
-    bar = {"sigma": sigma_m % p, "epsilon": eps_next % p}
+    bar = fdmod.FdModule(alg, np.zeros(d, dtype=np.int64),
+                         {"sigma": sigma_m, "epsilon": eps_next}, check=False)
     slots = np.zeros((len(alg.generators), d, d), dtype=bool)
     slots[alg.generators.index("sigma")] = True
     # theta_sigma = X sigma_bar is kron(I, sigma_bar^T) vec(X), row-major
     rows = flinalg.matmul_mod(
-        fdmod.relation_derivative(alg, bar, bar, slots, p),
-        np.kron(np.eye(d, dtype=np.int64), bar["sigma"].T), p)
+        fdmod.relation_derivative(bar, bar, slots),
+        np.kron(np.eye(d, dtype=np.int64), bar.mats["sigma"].T), p)
     sol = flinalg.solve(rows, -(defect // pm) % p, p)
     if sol is None:
         raise HenselObstruction(p, m)
@@ -466,6 +467,8 @@ def mixed_representation(chain, full_table, N) -> groups.GroupRep:
 def mixed_identity_checks(rep: groups.GroupRep) -> dict:
     """The two named identities of the mixed-ring representation."""
     table, moduli = rep.table, rep.ring.moduli
+    if table.tau is None:
+        raise ValueError("the mixed-ring identities need the full table")
     p = table.p
     tau, eps = rep.mats[table.tau], rep.mats[table.eps]
     ainv = pow(table.a_eps, -1, p)

@@ -45,10 +45,11 @@ the matrix product taken in written order.
 Relations are evaluated in one place, `relation_values`, on level-last
 action stacks: module validation and, in `deform`, the lift's truncated
 replay, its mod-t^2 cocycle check and the Hensel defect.  They are
-linearised in one place, `relation_derivative`, which gives the linear
-system of every caller that solves for extension data: the extension
-route, and in `groups` and `deform` the cocycles of H^1 and the Hensel
-correction.
+linearised in one place, `relation_derivative`, from terms kept on the
+handle and subword products kept on each module, so a pair of modules
+forms no product; it gives the linear system of every caller that solves
+for extension data: the extension route, and in `groups` and `deform`
+the cocycles of H^1 and the Hensel correction.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class FdModule:
     generator respects the grading and that every defining relation holds.
 
     The action matrices are read-only, so the module keeps what is derived
-    from them, each built on first use with read-only arrays: its component
-    coordinates, its socle, its projective cover and its syzygy.
+    from them on first use: its component coordinates, and read-only its
+    socle, cover, syzygy, relation subword products and Yoneda bases.
     """
 
     def __init__(self, algebra, block_of, mats, check=True):
@@ -106,6 +107,7 @@ class FdModule:
             a.flags.writeable = False
             self.mats[name] = a
         self._coords = self._socle = self._cover = self._syzygy = None
+        self._subwords, self._yoneda = None, {}
         if check and self.dim:
             bad = validate_module(self)
             if bad is not None:
@@ -181,50 +183,66 @@ def relation_values(algebra, stacks, moduli, dim):
                           0 * ident) % np.array(moduli)
 
 
-def relation_derivative(algebra, left, right, slots, p):
+def relation_terms(algebra):
+    """(subwords, relation count, Fox terms) of algebra, once per handle.
+
+    The subwords are every w[:k] and w[k + 1:] of every relation word w,
+    shortest first.  Letter s = w[k] of a word c w of relation r is the
+    term (r, index of s, c mod p, index of w[:k], index of w[k + 1:]), a
+    column of a (5, terms) int64 array.
+    """
+    if getattr(algebra, "_relation_terms", None) is None:
+        rels = algebra.relation_items()
+        letters = [(r, c, w, k) for r, (_, combo) in enumerate(rels)
+                   for c, w in combo for k in range(len(w))]
+        subs = {u for *_, w, k in letters for u in (w[:k], w[k + 1:])}
+        words = sorted(subs | {()}, key=lambda u: (len(u), u))
+        at = {u: x for x, u in enumerate(words)}
+        algebra._relation_terms = words, len(rels), np.array(
+            [(r, algebra.generators.index(w[k]), c % algebra.p, at[w[:k]],
+              at[w[k + 1:]]) for r, c, w, k in letters],
+            np.int64).reshape(-1, 5).T
+    return algebra._relation_terms
+
+
+def relation_subword_stack(M):
+    """rho_M(u) of the subwords u of `relation_terms`, a read-only (words,
+    dim, dim) stack built once per module; a prefix or suffix u extends
+    u[:-1] or u[1:], the entry a letter shorter, by one product."""
+    if M._subwords is None:
+        rho = {(): np.eye(M.dim, dtype=np.int64)}
+        for u in relation_terms(M.algebra)[0][1:]:
+            rho[u] = (flinalg.matmul_mod(rho[u[:-1]], M.mats[u[-1]], M.p)
+                      if u[:-1] in rho else
+                      flinalg.matmul_mod(M.mats[u[0]], rho[u[1:]], M.p))
+        M._subwords = np.stack(list(rho.values()))
+        M._subwords.flags.writeable = False
+    return M._subwords
+
+
+def relation_derivative(N, M, slots):
     """Each relation's t-linear top-right block as rows over the slots.
 
-    Generator a acts by [[left_a, t theta_a], [0, right_a]], left_a
-    (n, n), right_a (m, m), theta_a on slots[a] of a boolean (generators,
-    n, m) mask.  A word s_1 ... s_k has the block (Fox's free derivative)
-    sum_i left(s_1 ... s_(i-1)) theta_(s_i) right(s_(i+1) ... s_k).  Each
-    relation gives its n m entries row-major as rows, over the slots
-    (a, i, j) row-major; each prefix and suffix product is built once,
-    from the one a letter shorter, and only the slot entries of theta are
-    ever formed.
+    Generator a acts on N + M by [[a_N, t theta_a], [0, a_M]], theta_a on
+    slots[a] of a boolean (generators, dim N, dim M) mask.  A word s_1 ...
+    s_k has the block (Fox's free derivative) sum_i rho_N(s_1 ... s_(i-1))
+    theta_(s_i) rho_M(s_(i+1) ... s_k).  Each relation gives its entries
+    row-major as rows, over the slots (a, i, j) row-major.  The products
+    are read from the kept stacks of `relation_subword_stack`, and only
+    the slot entries of theta are formed.
     """
-    gens = algebra.generators
+    _, rels, (rel, gen, coeff, pre, suf) = relation_terms(M.algebra)
     n, m = slots.shape[1:]
-    rels = algebra.relation_items()
-    prefix = {(): np.eye(n, dtype=np.int64)}
-    suffix = {(): np.eye(m, dtype=np.int64)}
-    for _, combo in rels:
-        for _, w in combo:
-            for k in range(1, len(w)):  # the proper prefixes and suffixes
-                u, v = w[:k], w[len(w) - k:]
-                if u not in prefix:
-                    prefix[u] = flinalg.matmul_mod(prefix[u[:-1]],
-                                                   left[u[-1]], p)
-                if v not in suffix:
-                    suffix[v] = flinalg.matmul_mod(right[v[0]],
-                                                   suffix[v[1:]], p)
-    # letter s = w[k] of a word c w of relation r adds
-    # c left(w[:k])[:, i] right(w[k + 1:])[j, :] to the rows of r at each
-    # slot (s, i, j); an entry sums at most one such product per letter
-    terms = [(r, gens.index(s), c, w[:k], w[k + 1:])
-             for r, (_, combo) in enumerate(rels)
-             for c, w in combo for k, s in enumerate(w)]
-    flinalg.exact_product(len(terms), (p,))
     g, i, j = np.nonzero(slots)
-    rel, gen = np.array([x[:2] for x in terms], np.int64).reshape(-1, 2).T
-    t, at = np.nonzero(gen[:, None] == g)  # each term at each of its slots
-    pre = np.array([c * prefix[u] % p for *_, c, u, _ in terms],
-                   np.int64).reshape(len(terms), n, n)
-    suf = np.array([suffix[v] for *_, v in terms],
-                   np.int64).reshape(len(terms), m, m)
-    out = np.zeros((len(rels), g.size, n, m), dtype=np.int64)
-    np.add.at(out, (rel[t], at), pre[t, :, i[at], None] * suf[t, None, j[at]])
-    return out.transpose(0, 2, 3, 1).reshape(len(rels) * n * m, g.size) % p
+    # term t at its slot (s, i, j) adds c rho_N(pre)[:, i] rho_M(suf)[j, :]
+    # to the rows of its relation; an entry sums at most one per letter
+    t, at = np.nonzero(gen[:, None] == g)
+    flinalg.exact_product(len(gen), (M.p,))
+    left = relation_subword_stack(N)[pre[t], :, i[at]] * coeff[t, None] % M.p
+    right = relation_subword_stack(M)[suf[t], j[at]]
+    out = np.zeros((rels, g.size, n, m), dtype=np.int64)
+    np.add.at(out, (rel[t], at), left[:, :, None] * right[:, None])
+    return out.transpose(0, 2, 3, 1).reshape(rels * n * m, g.size) % M.p
 
 
 def first_violation(value):
@@ -575,20 +593,17 @@ def syzygy(M: FdModule) -> FdModule:
     return _syzygy_with_embedding(M)[0]
 
 
-def _hom_from_projective(cover: CoverResult, N: FdModule):
-    """Yoneda basis of Hom(P, N) for an assembled cover P = bigoplus P_l:
-    P_l's generator goes to each of the label's component vectors of N."""
-    alg = N.algebra
-    co = N.coordinates()
-    out, off = [], 0
-    for label in cover.summand_labels:
-        P_l = alg.projective_module(label)
-        for x in co.C[:, co.labels == alg.simple_labels.index(label)].T:
-            f = np.zeros((N.dim, cover.projective.dim), dtype=np.int64)
-            f[:, off : off + P_l.dim] = alg.yoneda_columns(label, N, x)
-            out.append(f)
-        off += P_l.dim
-    return out
+def _yoneda_basis(N: FdModule, label):
+    """Yoneda basis of Hom(P_label, N), a read-only (k, dim N, dim P_label)
+    stack kept on N: `yoneda_columns` at each component vector of label."""
+    if label not in N._yoneda:
+        alg, co = N.algebra, N.coordinates()
+        xs = co.C[:, co.labels == alg.simple_labels.index(label)].T
+        N._yoneda[label] = np.array(
+            [alg.yoneda_columns(label, N, x) for x in xs], np.int64).reshape(
+            len(xs), N.dim, alg.projective_module(label).dim)
+        N._yoneda[label].flags.writeable = False
+    return N._yoneda[label]
 
 
 @dataclass
@@ -621,9 +636,12 @@ def ext_dim(M: FdModule, N: FdModule, i: int) -> ExtClass:
         return ExtClass(1, M, N, 0, None)
     p = M.p
     hom_omega = hom_space(omega, N)
-    restr = np.array([flinalg.matmul_mod(f, incl, p).ravel()
-                      for f in _hom_from_projective(cover, N)], np.int64)
-    restr = restr.reshape(-1, N.dim * omega.dim).T
+    # Hom(P, N) on Omega: each summand P_l's Yoneda basis on its incl rows
+    bases = [_yoneda_basis(N, label) for label in cover.summand_labels]
+    rows = np.split(incl, np.cumsum([b.shape[2] for b in bases])[:-1])
+    restr = np.concatenate([flinalg.matmul_mod(b, r, p)
+                            for b, r in zip(bases, rows)])
+    restr = restr.reshape(len(restr), N.dim * omega.dim).T
     dim = len(hom_omega) - flinalg.rank(restr, p)
     rep = None
     if dim > 0:
@@ -678,8 +696,7 @@ def extension_cocycles(M: FdModule, N: FdModule):
     slots, cob = extension_coboundaries(M, N)
     if not slots.any():
         return cob, np.zeros((0, 0), dtype=np.int64)
-    return cob, flinalg.nullspace(
-        relation_derivative(M.algebra, N.mats, M.mats, slots, M.p), M.p)
+    return cob, flinalg.nullspace(relation_derivative(N, M, slots), M.p)
 
 
 def ext1_by_extensions(M: FdModule, N: FdModule) -> ExtClass:

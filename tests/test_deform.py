@@ -386,6 +386,17 @@ def test_mixed_representation_refuses_a_full_table_it_does_not_extend(
                                     groups.build_group(*full_args), 3)
 
 
+def test_mixed_ring_identities_refuse_a_quotient_table():
+    # the quotient table has no tau, so the identities are not defined on
+    # a representation over it, such as the top of a Hensel chain
+    rep = hensel_chain_at(3, 2)[-1]
+    assert rep.table.tau is None
+    with pytest.raises(ValueError, match="full table"):
+        deform.mixed_identity_checks(rep)
+    with pytest.raises(ValueError, match="full table"):
+        deform.mixed_ring_premise(rep)
+
+
 def test_tangent_class_vanishes_for_constant_representations():
     # no t-part at all: the deformation is trivial by inspection
     qt = groups.build_group(3, quotient=True)

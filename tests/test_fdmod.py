@@ -87,6 +87,7 @@ def test_quiver_handle_is_owned_by_its_system():
     system = quiver.complete(quiver.builtin_family("II", 2))
     alg = quiver_algebra(system)
     assert quiver_algebra(system) is alg
+    fdmod.relation_terms(alg)  # the handle keeps its Fox terms
     ref = weakref.ref(alg)
     del system, alg
     gc.collect()
@@ -205,22 +206,60 @@ def _answers(M, N):
             [() if r is None else r for r in reps])
 
 
+def _battery_modules(case):
+    """The modules of one Ext battery: a family's T and its simples, or V
+    and End(V) over the full table at p = 3."""
+    if case == "V-EndV-p3":
+        rho = groups.inflate(uniserial(3), groups.build_group(3))
+        return [groups.rep_to_module(rho), groups.conjugation_module(rho)]
+    T = deform.base_module(case[0], completed_family(*case))
+    return [T] + [T.algebra.simple_module(v) for v in T.algebra.simple_labels]
+
+
+def _kept_arrays(M):
+    """Every array M keeps for its resolution and its extensions."""
+    kept = [M._socle, M._subwords, *M._yoneda.values()]
+    if M._cover is not None:
+        kept.append(M._cover.surjection)
+    if M._syzygy is not None:
+        kept.append(M._syzygy[1])
+    return [a for a in kept if a is not None]
+
+
 def test_kept_resolutions_give_the_answers_of_cold_modules():
-    system = completed_family("II", 2)
-    alg = quiver_algebra(system)
-    mods = [small_module("II", system)] + [
-        alg.simple_module(v) for v in alg.grading_labels]
-    pairs = [(M, N) for M in mods for N in mods]
-    order = np.random.default_rng(23).permutation(len(pairs))
-    for k in np.concatenate([order, order[::-1]]):
-        M, N = pairs[k]
-        dims, reps = _answers(M, N)
-        cold_dims, cold_reps = _answers(_fresh(M), _fresh(N))
-        assert dims == cold_dims, (k, dims, cold_dims)
-        for rep, cold in zip(reps, cold_reps):
-            assert len(rep) == len(cold)
-            for a, b in zip(rep, cold):
-                assert np.array_equal(a, b)
+    for case in list(deform.FAMILY_CASES) + ["V-EndV-p3"]:
+        mods = _battery_modules(case)
+        pairs = [(M, N) for M in mods for N in mods]
+        order = np.random.default_rng(23).permutation(len(pairs))
+        for k in np.concatenate([order, order[::-1]]):
+            M, N = pairs[k]
+            dims, reps = _answers(M, N)
+            cold_dims, cold_reps = _answers(_fresh(M), _fresh(N))
+            assert dims == cold_dims, (case, k, dims, cold_dims)
+            for rep, cold in zip(reps, cold_reps):
+                assert len(rep) == len(cold)
+                for a, b in zip(rep, cold):
+                    assert np.array_equal(a, b)
+        assert all(M._subwords is not None and M._yoneda for M in mods)
+        for M in mods:
+            for kept in _kept_arrays(M):
+                with pytest.raises(ValueError, match="read-only"):
+                    kept[...] = 0
+
+
+def test_kept_stacks_and_yoneda_bases_hold_no_other_module():
+    """N keeps its subword stack and its Yoneda bases of Hom(P_l, N) from
+    a pair with M; they hold neither M nor M's assembled cover P."""
+    T = small_module("II", completed_family("II", 2))
+    M, N = _fresh(T), _fresh(T)
+    ext_dim(M, N, 1)
+    ext1_by_extensions(M, N)
+    assert N._subwords is not None and N._yoneda
+    refs = [weakref.ref(M), weakref.ref(projective_cover(M).projective)]
+    del M
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert {type(a) for a in _kept_arrays(N)} == {np.ndarray}
 
 
 def test_the_cover_self_checks_are_broken_invariants(monkeypatch, algI):
@@ -966,8 +1005,7 @@ def _derivative_pairs(case):
 def test_relation_derivative_matches_the_stacked_evaluation(case):
     for M, N in _derivative_pairs(case):
         slots, _ = fdmod.extension_coboundaries(M, N)
-        got = fdmod.relation_derivative(M.algebra, N.mats, M.mats, slots,
-                                        M.p)
+        got = fdmod.relation_derivative(N, M, slots)
         want = _reference_relation_rows(M, N, slots)
         assert got.shape == want.shape
         assert np.array_equal(got, want)

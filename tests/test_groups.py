@@ -505,6 +505,7 @@ def test_group_handle_is_owned_by_its_table():
     table = groups.build_group(3, quotient=True)
     alg = groups.group_algebra(table)
     assert groups.group_algebra(table) is alg
+    fdmod.relation_terms(alg)  # the handle keeps its Fox terms
     ref = weakref.ref(alg)
     del table, alg
     gc.collect()
