@@ -2,17 +2,18 @@
 
 Every ring here is a finite local ring presented as truncated polynomials
 in one variable t, where the degree-i coefficient is an integer modulo a
-level modulus m_i:
+level modulus m_i.  A ring is its tuple of level moduli; each constructor
+below returns that tuple:
 
-    PrimeField(p)          m = (p,)
-    TruncPoly(p, N)        m = (p,) * N              F_p[t]/(t^N)
-    TruncWitt(p, n)        m = (p^n,)                Z/p^n
-    MixedDeform(p, n, N)   m = (p^n, p, ..., p)      Z_p[[t]]/(p*t, t^N) truncated
-    ObstructionRing(p)     m = (p^3, p^2, p)         Z[t]/(p^3, t^3, p^2*t, p*t^2)
+    prime_field(p)           m = (p,)
+    trunc_poly(p, N)         m = (p,) * N            F_p[t]/(t^N)
+    trunc_witt(p, n)         m = (p^n,)              Z/p^n
+    mixed_deform(p, n, N)    m = (p^n, p, ..., p)    Z_p[[t]]/(p*t, t^N) truncated
+    obstruction_ring(p)      m = (p^3, p^2, p)       Z[t]/(p^3, t^3, p^2*t, p*t^2)
 
 Multiplication is polynomial convolution with the degree-i sum reduced mod
 m_i.  This is well defined because m_i divides m_j whenever j <= i, which
-holds in every kind above.  A single implementation therefore serves all
+holds in every ring above.  A single implementation therefore serves all
 five rings, and matrices over them vectorize as integer arrays with one
 slice per t-degree.
 
@@ -23,7 +24,7 @@ Each product is one matmul against a block-Toeplitz expansion of the
 right operand, on the route that rule names: float32 BLAS when that sum
 is below 2^24, float64 BLAS below 2^53, int64 otherwise.
 
->>> m = mixed_deform(3, 2, 3).moduli
+>>> m = mixed_deform(3, 2, 3)
 >>> three_plus_t = np.array([[[3, 1, 0]]])
 >>> t = np.array([[[0, 1, 0]]])
 >>> level_matmul(m, three_plus_t, t).tolist()
@@ -32,8 +33,6 @@ is below 2^24, float64 BLAS below 2^53, int64 otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -41,83 +40,29 @@ import numpy as np
 from . import flinalg
 
 
-class DescriptorMismatch(ValueError):
-    """Raised when operands belong to different coefficient rings."""
-
-
 def is_prime(n: int) -> bool:
     """Trial division; callers refuse oversized parameters first."""
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def ring_moduli(kind: str, p: int, n: int = 1, N: int = 1) -> tuple:
-    """Level moduli of a ring kind, without validating its parameters."""
-    if kind == "prime_field":
-        return (p,)
-    if kind == "trunc_poly":
-        return (p,) * N
-    if kind == "trunc_witt":
-        return (p**n,)
-    if kind == "mixed_deform":
-        return (p**n,) + (p,) * (N - 1)
-    if kind == "obstruction":
-        return (p**3, p**2, p)
-    raise ValueError(f"unknown ring kind {kind!r}")
+def prime_field(p: int) -> tuple:
+    return (p,)
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
-    """Identifies one of the five supported coefficient rings."""
-
-    kind: str
-    p: int
-    n: int = 1
-    N: int = 1
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.n < 1 or self.N < 1:
-            raise ValueError("n and N must be >= 1")
-
-    @cached_property
-    def moduli(self) -> tuple[int, ...]:
-        return ring_moduli(self.kind, self.p, self.n, self.N)
-
-    @property
-    def levels(self) -> int:
-        return len(self.moduli)
-
-    def __str__(self):
-        if self.kind == "prime_field":
-            return f"PrimeField(p={self.p})"
-        if self.kind == "trunc_poly":
-            return f"TruncPoly(p={self.p},N={self.N})"
-        if self.kind == "trunc_witt":
-            return f"TruncWitt(p={self.p},n={self.n})"
-        if self.kind == "mixed_deform":
-            return f"MixedDeform(p={self.p},n={self.n},N={self.N})"
-        return f"ObstructionRing(p={self.p})"
+def trunc_poly(p: int, N: int) -> tuple:
+    return (p,) * N
 
 
-def prime_field(p: int) -> RingDescriptor:
-    return RingDescriptor("prime_field", p)
+def trunc_witt(p: int, n: int) -> tuple:
+    return (p**n,)
 
 
-def trunc_poly(p: int, N: int) -> RingDescriptor:
-    return RingDescriptor("trunc_poly", p, N=N)
+def mixed_deform(p: int, n: int, N: int) -> tuple:
+    return (p**n,) + (p,) * (N - 1)
 
 
-def trunc_witt(p: int, n: int) -> RingDescriptor:
-    return RingDescriptor("trunc_witt", p, n=n)
-
-
-def mixed_deform(p: int, n: int, N: int) -> RingDescriptor:
-    return RingDescriptor("mixed_deform", p, n=n, N=N)
-
-
-def obstruction_ring(p: int) -> RingDescriptor:
-    return RingDescriptor("obstruction", p)
+def obstruction_ring(p: int) -> tuple:
+    return (p**3, p**2, p)
 
 
 def convolve_levels(a, b, route):
@@ -168,16 +113,16 @@ def level_power(moduli, stack, e):
     return out
 
 
-def reduce_levels(src: RingDescriptor, dst: RingDescriptor, arr):
-    """Reduce a level-last coefficient array along the surjection src -> dst.
+def reduce_levels(src, dst, arr):
+    """Reduce a level-last coefficient array along the surjection src -> dst
+    of two moduli tuples.
 
     Legal when dst has at most as many t-levels and each dst modulus divides
     the corresponding src modulus (quotient by (p^k, t^N') ideals).
     """
-    ms, md = src.moduli, dst.moduli
-    if len(md) > len(ms) or any(ms[i] % md[i] for i in range(len(md))):
-        raise DescriptorMismatch(f"no ring surjection {src} -> {dst}")
-    return arr[..., : len(md)] % np.array(md, dtype=np.int64)
+    if len(dst) > len(src) or any(s % d for s, d in zip(src, dst)):
+        raise ValueError(f"no ring surjection {src} -> {dst}")
+    return arr[..., : len(dst)] % np.array(dst, dtype=np.int64)
 
 
 def teichmuller(p: int, n: int, a: int) -> int:
@@ -189,7 +134,7 @@ def teichmuller(p: int, n: int, a: int) -> int:
 
 
 class Matrix:
-    """A level-last (rows, cols, levels) stack tagged with its ring; its
+    """A level-last (rows, cols, levels) stack tagged with its moduli; its
     product and power are `level_matmul` and `level_power` (e >= 0).
 
     The package itself multiplies level stacks directly.  The class stays
@@ -197,15 +142,15 @@ class Matrix:
     and `__pow__`.
     """
 
-    __slots__ = ("desc", "arr")
+    __slots__ = ("moduli", "arr")
 
-    def __init__(self, desc: RingDescriptor, arr: np.ndarray):
-        self.desc = desc
-        self.arr = np.asarray(arr, dtype=np.int64) % np.array(desc.moduli)
+    def __init__(self, moduli, arr: np.ndarray):
+        self.moduli = moduli
+        self.arr = np.asarray(arr, dtype=np.int64) % np.array(moduli)
 
     def __matmul__(self, other):
-        out = level_matmul(self.desc.moduli, self.arr, other.arr)
-        return Matrix(self.desc, out)
+        out = level_matmul(self.moduli, self.arr, other.arr)
+        return Matrix(self.moduli, out)
 
     def __pow__(self, e: int):
-        return Matrix(self.desc, level_power(self.desc.moduli, self.arr, e))
+        return Matrix(self.moduli, level_power(self.moduli, self.arr, e))

@@ -287,7 +287,7 @@ def verify_quiver_lift(L: LiftCandidate) -> LiftVerification:
         _raise_on_violation(rid, acc % p)
     levels = (2, 3, 4)
     for N in levels:
-        moduli = coeff.trunc_poly(p, N).moduli
+        moduli = coeff.trunc_poly(p, N)
         for rid, value in fdmod.relation_values(alg, _truncated(polys, N),
                                                 moduli, d):
             _raise_on_violation(f"trunc[{N}] {rid}", value)
@@ -338,12 +338,15 @@ class HenselObstruction(RuntimeError):
         )
 
 
-def _witt_level(ring: coeff.RingDescriptor) -> int:
-    if ring.kind == "prime_field":
-        return 1
-    if ring.kind != "trunc_witt":
+def _witt_level(rep: groups.GroupRep) -> int:
+    """The n with rep.moduli == (p^n,), p its table's prime: rep is over
+    Z/p^n.  ValueError over any other ring."""
+    p, n = rep.table.p, 1
+    while len(rep.moduli) == 1 and p**n < rep.moduli[0]:
+        n += 1
+    if rep.moduli != (p**n,):
         raise ValueError("hensel steps expect a p-adic truncation ring")
-    return ring.n
+    return n
 
 
 def hensel_lift_step(rho_m: groups.GroupRep) -> groups.GroupRep:
@@ -369,7 +372,7 @@ def hensel_lift_step(rho_m: groups.GroupRep) -> groups.GroupRep:
     if not table.quotient:
         raise ValueError("hensel steps run over the quotient-group table")
     p = table.p
-    m = _witt_level(rho_m.ring)
+    m = _witt_level(rho_m)
     pm, pm1 = p**m, p ** (m + 1)
     d = rho_m.dim
 
@@ -404,7 +407,7 @@ def hensel_lift_step(rho_m: groups.GroupRep) -> groups.GroupRep:
         table, coeff.trunc_witt(p, m + 1),
         {"sigma": sigma_next, "epsilon": eps_next},
     )
-    back = out.convert(rho_m.ring)
+    back = out.convert(rho_m.moduli)
     if np.any(back.mats != rho_m.mats):
         raise HenselObstruction(p, m, "lift does not reduce to its input")
     return out
@@ -419,7 +422,7 @@ def hensel_chain(rho, n) -> list:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if _witt_level(rho.ring) != 1:
+    if _witt_level(rho) != 1:
         raise ValueError("a Hensel chain starts over Z/p")
     chain = [rho]
     while len(chain) < n:
@@ -434,8 +437,9 @@ def hensel_chain(rho, n) -> list:
 def mixed_representation(chain, full_table, N) -> groups.GroupRep:
     """The full-group representation over the mixed deformation ring.
 
-    chain is a `hensel_chain` on the quotient table; its top gives the
-    level n = `_witt_level` of its ring, and full_table gives p.  sigma
+    chain is a `hensel_chain` on the quotient table; its top is over
+    Z/p^n, its moduli (p^n,) give n (`_witt_level`), and full_table gives
+    p.  The result's moduli are `coeff.mixed_deform(p, n, N)`.  sigma
     and epsilon act through the quotient by that level-n lift; tau acts
     by I + tE with E the top-right matrix unit.  The constructor verifies
     multiplicativity on the entire multiplication table of the full
@@ -444,10 +448,9 @@ def mixed_representation(chain, full_table, N) -> groups.GroupRep:
     if N < 2:
         raise ValueError("need N >= 2 so that tau can move")
     top = chain[-1]
-    p, n = full_table.p, _witt_level(top.ring)
+    p, n = full_table.p, _witt_level(top)
     if (top.table.p, top.table.a_eps) != (p, full_table.a_eps):
         raise ValueError("chain and full table disagree on (p, a_eps)")
-    ring = coeff.mixed_deform(p, n, N)
     d = p - 1
     sigma = np.zeros((d, d, N), dtype=np.int64)
     sigma[:, :, 0] = top.generator_matrix("sigma")[:, :, 0]
@@ -459,14 +462,14 @@ def mixed_representation(chain, full_table, N) -> groups.GroupRep:
     tau[:, :, 0] = np.eye(d, dtype=np.int64)
     tau[:, :, 1] = _unit(d, 0, d - 1)
     return groups.GroupRep.from_generators(
-        full_table, ring,
+        full_table, coeff.mixed_deform(p, n, N),
         {"sigma": sigma, "tau": tau, "epsilon": eps},
     )
 
 
 def mixed_identity_checks(rep: groups.GroupRep) -> dict:
     """The two named identities of the mixed-ring representation."""
-    table, moduli = rep.table, rep.ring.moduli
+    table, moduli = rep.table, rep.moduli
     if table.tau is None:
         raise ValueError("the mixed-ring identities need the full table")
     p = table.p
@@ -531,7 +534,7 @@ def obstruction_powers(p, A):
     base = np.zeros((len(A), d, d, 3), dtype=np.int64)
     base[..., 0] = np.eye(d, dtype=np.int64)
     base[..., 1] = E + p * A
-    power = coeff.level_power(coeff.obstruction_ring(p).moduli, base, p)
+    power = coeff.level_power(coeff.obstruction_ring(p), base, p)
     want = np.stack([np.eye(d, dtype=np.int64), p * E, 0 * E], axis=2)
     return power, (power == want).all(axis=(1, 2, 3))
 
@@ -652,11 +655,11 @@ class Scenario:
         p, d = self.p, self.p - 1
         products = (self.samples + 3) * 2 * p.bit_length()
         work = products * (3 * d) ** 2 * SWEEP_ENTRY_WORK + cost(
-            products, d, coeff.ring_moduli("obstruction", p))
+            products, d, coeff.obstruction_ring(p))
         if self.kind == "group":
             G2 = (p * p * d) ** 2
-            work += cost(2 * G2, d * d, (p,)) + cost(G2, d, coeff.ring_moduli(
-                "mixed_deform", p, min(self.n, 64), self.N))
+            work += cost(2 * G2, d * d, (p,)) + cost(
+                G2, d, coeff.mixed_deform(p, min(self.n, 64), self.N))
         return work
 
     @property

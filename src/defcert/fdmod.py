@@ -88,14 +88,16 @@ class FdModule:
     grading.  With check=True, `validate_module` checks that every
     generator respects the grading and that every defining relation holds.
 
-    The action matrices are read-only, so the module keeps what is derived
-    from them on first use: its component coordinates, and read-only its
-    socle, cover, syzygy, relation subword products and Yoneda bases.
+    The grading and the action matrices are read-only copies, so the
+    module keeps what is derived from them on first use, read-only: its
+    component coordinates, socle, cover, syzygy, relation subword products
+    and Yoneda bases.
     """
 
     def __init__(self, algebra, block_of, mats, check=True):
         self.algebra = algebra
-        self.block_of = np.asarray(block_of, dtype=np.int64)
+        self.block_of = np.array(block_of, dtype=np.int64)
+        self.block_of.flags.writeable = False
         self.dim = int(self.block_of.shape[0])
         p = algebra.p
         self.mats = {}
@@ -128,9 +130,14 @@ class FdModule:
         return np.nonzero(self.block_of == label_idx)[0]
 
     def coordinates(self) -> Coordinates:
-        """The handle's component coordinates of this module, cached."""
+        """The handle's component coordinates of this module, cached and
+        read-only."""
         if self._coords is None:
-            self._coords = self.algebra.component_coordinates(self)
+            coords = self.algebra.component_coordinates(self)
+            for a in (coords.C, coords.C_inv, coords.labels,
+                      *coords.mats.values()):
+                a.flags.writeable = False
+            self._coords = coords
         return self._coords
 
     def __repr__(self):

@@ -249,27 +249,26 @@ class NotAHomomorphism(ValueError):
 
 
 class GroupRep:
-    """One matrix per group element over a coefficient ring.
+    """One matrix per group element over a coefficient ring, given by its
+    level moduli (`coeff`).
 
-    ``mats`` has shape (size, d, d, levels) with the level axis matching
-    the ring descriptor.  Construction from generator matrices goes
-    through the normal form sigma^x tau^y epsilon^j and then checks
-    rho(g) rho(h) = rho(g h) on the full multiplication table; there is
-    deliberately no shortcut through relators, and `from_generators` has
-    no way to skip it.  Only `inflate` and `convert` construct with
-    ``check=False``, each where maps verified on every pair already prove
-    it.
+    ``mats`` has shape (size, d, d, levels), one level per modulus.
+    Construction from generator matrices goes through the normal form
+    sigma^x tau^y epsilon^j and then checks rho(g) rho(h) = rho(g h) on
+    the full multiplication table; there is deliberately no shortcut
+    through relators, and `from_generators` has no way to skip it.  Only
+    `inflate` and `convert` construct with ``check=False``, each where
+    maps verified on every pair already prove it.
     """
 
-    def __init__(self, table: GroupTable, ring: coeff.RingDescriptor,
-                 mats: np.ndarray, check: bool = True):
+    def __init__(self, table: GroupTable, moduli: tuple, mats: np.ndarray,
+                 check: bool = True):
         mats = np.asarray(mats, dtype=np.int64)
-        if mats.shape[0] != table.size or mats.shape[3] != ring.levels:
+        if mats.shape[0] != table.size or mats.shape[3] != len(moduli):
             raise ValueError("matrix stack shape does not match table/ring")
-        moduli = np.array(ring.moduli, dtype=np.int64)
         self.table = table
-        self.ring = ring
-        self.mats = mats % moduli
+        self.moduli = moduli
+        self.mats = mats % np.array(moduli, dtype=np.int64)
         self.dim = mats.shape[1]
         if check:
             bad = self.check_table()
@@ -281,7 +280,7 @@ class GroupRep:
                 )
 
     @classmethod
-    def from_generators(cls, table: GroupTable, ring: coeff.RingDescriptor,
+    def from_generators(cls, table: GroupTable, moduli: tuple,
                         gen_mats: dict) -> "GroupRep":
         """rho from its generator matrices, checked on every pair."""
         need = {"sigma", "epsilon"} | (
@@ -289,8 +288,8 @@ class GroupRep:
         )
         if set(gen_mats) != need:
             raise ValueError(f"generator matrices must be keyed by {need}")
-        norm = {k: _as_levels(v, ring) for k, v in gen_mats.items()}
-        return cls(table, ring, element_stack(table, ring.moduli, norm))
+        norm = {k: _as_levels(v, moduli) for k, v in gen_mats.items()}
+        return cls(table, moduli, element_stack(table, moduli, norm))
 
     def generator_matrix(self, name: str) -> np.ndarray:
         idx = self.table.generator_indices()[name]
@@ -298,25 +297,24 @@ class GroupRep:
 
     def check_table(self) -> list:
         """All (g, h) with rho(g)rho(h) != rho(gh); empty means verified."""
-        return table_mismatches(self.table, self.ring.moduli, self.mats,
-                                self.mats)
+        return table_mismatches(self.table, self.moduli, self.mats, self.mats)
 
-    def convert(self, target: coeff.RingDescriptor) -> "GroupRep":
+    def convert(self, target: tuple) -> "GroupRep":
         """Reduce along a legal ring surjection (levelwise)."""
         return GroupRep(self.table, target,
-                        coeff.reduce_levels(self.ring, target, self.mats),
+                        coeff.reduce_levels(self.moduli, target, self.mats),
                         check=False)
 
 
-def _as_levels(m, ring: coeff.RingDescriptor) -> np.ndarray:
+def _as_levels(m, moduli: tuple) -> np.ndarray:
     m = np.asarray(m, dtype=np.int64)
     if m.ndim == 2:
-        out = np.zeros(m.shape + (ring.levels,), dtype=np.int64)
+        out = np.zeros(m.shape + (len(moduli),), dtype=np.int64)
         out[:, :, 0] = m
         m = out
-    if m.ndim != 3 or m.shape[2] != ring.levels:
+    if m.ndim != 3 or m.shape[2] != len(moduli):
         raise ValueError("generator matrix has wrong shape")
-    return m % np.array(ring.moduli, dtype=np.int64)
+    return m % np.array(moduli, dtype=np.int64)
 
 
 def element_stack(table: GroupTable, moduli, gens: dict) -> np.ndarray:
@@ -437,7 +435,7 @@ def inflate(rep: GroupRep, full: GroupTable) -> GroupRep:
     needs no check of its own.
     """
     proj = quotient_projection(full, rep.table)
-    return GroupRep(full, rep.ring, rep.mats[proj], check=False)
+    return GroupRep(full, rep.moduli, rep.mats[proj], check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +610,11 @@ def induce(table: GroupTable, label: int) -> fdmod.FdModule:
 
 def rep_to_module(rep: GroupRep) -> fdmod.FdModule:
     """Forget the table: the same action as a validated FdModule."""
-    if rep.ring.kind != "prime_field":
+    if rep.moduli != (rep.table.p,):
         raise ValueError("only residue representations become modules")
     alg = group_algebra(rep.table)
-    mats = {
-        name: rep.generator_matrix(name)[:, :, 0] % rep.ring.p
-        for name in alg.generators
-    }
+    mats = {name: rep.generator_matrix(name)[:, :, 0]
+            for name in alg.generators}
     return fdmod.FdModule(alg, np.zeros(rep.dim, dtype=np.int64), mats)
 
 
@@ -631,7 +627,7 @@ def conjugation_module(rho: GroupRep) -> fdmod.FdModule:
     the defining relations, which present the group, so the K_s carry its
     action.
     """
-    if rho.ring.kind != "prime_field":
+    if rho.moduli != (rho.table.p,):
         raise ValueError("conjugation module needs a residue representation")
     alg = group_algebra(rho.table)
     index = rho.table.generator_indices()
@@ -639,7 +635,7 @@ def conjugation_module(rho: GroupRep) -> fdmod.FdModule:
     res, d = rho.mats[:, :, :, 0], rho.dim
     # K_s[(i, j), (k, l)] = rho(s)[i, k] rho(s^-1)[l, j]
     K = np.einsum("gik,glj->gijkl", res[g], res[rho.table.inv[g]]).reshape(
-        len(g), d * d, d * d) % rho.ring.p
+        len(g), d * d, d * d) % rho.table.p
     return fdmod.FdModule(alg, np.zeros(d * d, dtype=np.int64),
                           dict(zip(alg.generators, K)))
 
@@ -711,9 +707,9 @@ def h1_cocycles(rho: GroupRep) -> H1Result:
         ext = np.zeros((len(gens), 2 * d, 2 * d, 1), dtype=np.int64)
         ext[:, :d, :d, 0] = ext[:, d:, d:, 0] = r
         ext[:, :d, d:, 0] = Y
-        stack = element_stack(table, rho.ring.moduli,
+        stack = element_stack(table, rho.moduli,
                               dict(zip(alg.generators, ext)))
-        if (table_mismatches(table, rho.ring.moduli, stack,  # (b)
+        if (table_mismatches(table, rho.moduli, stack,  # (b)
                              stack[:, :, d:])
                 or not np.array_equal(stack[gens, :d, d:, 0], Y)):  # (r)
             raise RuntimeError("verified cocycle basis failed the table")

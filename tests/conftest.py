@@ -77,11 +77,11 @@ def mixed_rep_at(p, n, N, full=None):
     return deform.mixed_representation(hensel_chain_at(p, n), full, N)
 
 
-def unchecked_rep(table, ring, gens):
+def unchecked_rep(table, moduli, gens):
     """level-last generator matrices put together on every element of
     table without the table check."""
-    return groups.GroupRep(table, ring,
-                           groups.element_stack(table, ring.moduli, gens),
+    return groups.GroupRep(table, moduli,
+                           groups.element_stack(table, moduli, gens),
                            check=False)
 
 

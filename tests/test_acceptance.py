@@ -115,7 +115,7 @@ def test_criterion_05_rigidity_battery_over_three_primes():
 def test_criterion_06_mixed_ring_representation_full_table():
     for p in (3, 5, 7):
         rep = mixed_rep_at(p, 2, 3)
-        assert rep.ring == coeff.mixed_deform(p, 2, 3)
+        assert rep.moduli == coeff.mixed_deform(p, 2, 3)
         # construction already verified all |G|^2 products; do it again
         # through the public checker so this criterion stands alone
         assert rep.check_table() == [], p
@@ -169,11 +169,11 @@ def test_criterion_08_projectives_follow_the_star_and_cartan_splits():
 def test_criterion_09_hensel_chain_to_level_four():
     for p in (3, 5, 7):
         chain = hensel_chain_at(p, 4)  # raises on any obstruction
-        assert [r.ring.moduli[0] for r in chain] == [p, p**2, p**3, p**4]
+        assert [r.moduli[0] for r in chain] == [p, p**2, p**3, p**4]
         for rep in chain:
             assert rep.check_table() == [], p
         for lo, hi in zip(chain, chain[1:]):
-            assert np.array_equal(hi.convert(lo.ring).mats, lo.mats), p
+            assert np.array_equal(hi.convert(lo.moduli).mats, lo.mats), p
 
 
 def test_criterion_10_structural_identities_and_determinism(tmp_path):

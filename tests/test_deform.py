@@ -229,9 +229,9 @@ def test_grading_violations_at_two_degrees_report_the_lower(completed):
 
 def test_hensel_chain_p3_reaches_81():
     chain = hensel_chain_at(3, 4)
-    assert [r.ring.moduli[0] for r in chain] == [3, 9, 27, 81]
+    assert [r.moduli[0] for r in chain] == [3, 9, 27, 81]
     for lo, hi in zip(chain, chain[1:]):
-        assert np.array_equal(hi.convert(lo.ring).mats, lo.mats)
+        assert np.array_equal(hi.convert(lo.moduli).mats, lo.mats)
     # regression pin: the solver zeroes free variables, so the level-2
     # representative is deterministic even though corrections are not unique
     assert np.array_equal(
@@ -260,13 +260,27 @@ def test_hensel_chain_coherent_with_teichmuller_eps(p):
         diag = np.diagonal(rep.generator_matrix("epsilon")[:, :, 0])
         assert all(pow(int(v), p - 1, mod) == 1 for v in diag)
     for lo, hi in zip(chain, chain[1:]):
-        assert np.array_equal(hi.convert(lo.ring).mats, lo.mats)
+        assert np.array_equal(hi.convert(lo.moduli).mats, lo.mats)
 
 
 def test_hensel_chain_starts_over_the_residue_field():
     # from Z/9 two levels would end at Z/27, not at the Z/9 asked for
     with pytest.raises(ValueError, match="starts over Z/p"):
         deform.hensel_chain(hensel_chain_at(3, 2)[1], 2)
+
+
+@pytest.mark.parametrize("moduli", [coeff.mixed_deform(3, 2, 3),
+                                    coeff.trunc_poly(3, 2)],
+                         ids=["mixed_deform", "trunc_poly"])
+def test_hensel_steps_refuse_a_ring_that_is_not_z_mod_p_to_the_n(moduli):
+    qt = groups.build_group(3, quotient=True)
+    one = np.eye(1, dtype=np.int64)
+    triv = groups.GroupRep.from_generators(
+        qt, moduli, {"sigma": one, "epsilon": one})
+    with pytest.raises(ValueError, match="p-adic truncation ring"):
+        deform.hensel_lift_step(triv)
+    with pytest.raises(ValueError, match="p-adic truncation ring"):
+        deform.hensel_chain(triv, 2)
 
 
 def test_hensel_step_on_the_trivial_module_makes_no_correction():
@@ -276,14 +290,14 @@ def test_hensel_step_on_the_trivial_module_makes_no_correction():
         qt, coeff.prime_field(3), {"sigma": one, "epsilon": one}
     )
     up = deform.hensel_lift_step(triv)
-    assert up.ring == coeff.trunc_witt(3, 2)
+    assert up.moduli == coeff.trunc_witt(3, 2)
     assert np.array_equal(up.mats, np.ones_like(up.mats))
 
 
 def test_hensel_step_p5_level_one_to_two():
     q5 = groups.build_group(5, quotient=True)
     r2 = deform.hensel_lift_step(groups.uniserial_representation(q5))
-    assert r2.ring.moduli == (25,)
+    assert r2.moduli == (25,)
     s = r2.generator_matrix("sigma")[:, :, 0]
     assert np.array_equal(s % 5, groups.uniserial_representation(
         q5).generator_matrix("sigma")[:, :, 0])
@@ -340,7 +354,7 @@ def test_hensel_obstruction_carries_level_info():
 
 def test_mixed_representation_p3_table_and_identities():
     rep = mixed_rep_at(3, 2, 3)
-    assert rep.ring == coeff.mixed_deform(3, 2, 3)
+    assert rep.moduli == coeff.mixed_deform(3, 2, 3)
     assert rep.table.size == 18
     assert rep.check_table() == []
     ids = deform.mixed_identity_checks(rep)
@@ -458,7 +472,7 @@ def test_obstruction_verdict_is_seed_independent():
 
 def reference_sweep(p, samples, seed):
     """The per-witness path: one (d, d) draw and one (d, d) power each."""
-    desc = coeff.obstruction_ring(p)
+    moduli = coeff.obstruction_ring(p)
     d = p - 1
     E = np.zeros((d, d), dtype=np.int64)
     E[0, d - 1] = 1
@@ -474,7 +488,7 @@ def reference_sweep(p, samples, seed):
         base = np.zeros((d, d, 3), dtype=np.int64)
         base[:, :, 0] = np.eye(d, dtype=np.int64)
         base[:, :, 1] = E + p * A
-        power = coeff.level_power(desc.moduli, base, p)
+        power = coeff.level_power(moduli, base, p)
         out.append((label, A, power,
                     "PASS" if np.array_equal(power, want) else "FAIL"))
     return out
@@ -881,9 +895,9 @@ def test_mixed_ring_fails_on_an_altered_sigma(group_inputs):
     rep = mixed_rep_at(3, 2, 3, full)
     gens = mixed_generators(rep)
     gens["sigma"][0, 0, 0] += 1
-    first = unchecked_rep(full, rep.ring, gens).check_table()[0]
+    first = unchecked_rep(full, rep.moduli, gens).check_table()[0]
     with pytest.raises(groups.NotAHomomorphism) as exc:
-        groups.GroupRep.from_generators(full, rep.ring, gens)
+        groups.GroupRep.from_generators(full, rep.moduli, gens)
     premise = deform.mixed_ring_premise(exc.value)
     assert (premise.name, premise.verdict) == (
         "mixed-ring-representation", "FAIL")
@@ -906,7 +920,7 @@ def test_mixed_ring_fails_on_a_tau_that_breaks_an_identity(
     rep = mixed_rep_at(3, 2, 3, full)
     gens = mixed_generators(rep)
     gens["tau"][:, :, level] = scale * np.eye(2, dtype=np.int64)
-    unchecked = unchecked_rep(full, rep.ring, gens)
+    unchecked = unchecked_rep(full, rep.moduli, gens)
     premise = deform.mixed_ring_premise(unchecked)
     assert premise.verdict == "FAIL"
     assert [k for k in ("tau_power_p_is_identity",
@@ -922,7 +936,7 @@ def test_mixed_ring_fails_on_a_singular_eps(group_inputs):
     rep = mixed_rep_at(3, 2, 3, full)
     gens = mixed_generators(rep)
     gens["epsilon"][:] = 0
-    unchecked = unchecked_rep(full, rep.ring, gens)
+    unchecked = unchecked_rep(full, rep.moduli, gens)
     premise = deform.mixed_ring_premise(unchecked)
     assert premise.computed["tau_power_p_is_identity"]
     assert not premise.computed["eps_conjugates_tau_to_power"]
@@ -937,7 +951,7 @@ def test_tangent_direction_fails_when_tau_does_not_move(group_inputs):
     rep = mixed_rep_at(3, 2, 3, full)
     gens = mixed_generators(rep)
     gens["tau"] = np.eye(rep.dim, dtype=np.int64)
-    still = groups.GroupRep.from_generators(full, rep.ring, gens)
+    still = groups.GroupRep.from_generators(full, rep.moduli, gens)
     assert deform.mixed_ring_premise(still).verdict == "PASS"
     premise = deform.tangent_direction_premise(still)
     assert (premise.name, premise.verdict) == ("tangent-direction", "FAIL")

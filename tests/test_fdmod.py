@@ -242,9 +242,18 @@ def test_kept_resolutions_give_the_answers_of_cold_modules():
                     assert np.array_equal(a, b)
         assert all(M._subwords is not None and M._yoneda for M in mods)
         for M in mods:
-            for kept in _kept_arrays(M):
+            C = M.coordinates()
+            for kept in [*_kept_arrays(M), M.block_of, C.C, C.C_inv,
+                         C.labels, *C.mats.values()]:
                 with pytest.raises(ValueError, match="read-only"):
                     kept[...] = 0
+
+
+def test_a_module_keeps_its_own_copy_of_the_grading(T_I):
+    block_of = T_I.block_of.copy()
+    M = fdmod.FdModule(T_I.algebra, block_of, T_I.mats)
+    block_of += 1
+    assert np.array_equal(M.block_of, T_I.block_of)
 
 
 def test_kept_stacks_and_yoneda_bases_hold_no_other_module():
