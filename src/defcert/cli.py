@@ -200,8 +200,8 @@ def _cmd_ext(args):
 
 def _cmd_lift_verify(args):
     system = _builtin_case(args.family, args.d)
-    premises = deform.lift_premises(
-        deform.builtin_lift(args.family, system))
+    T = deform.base_module(args.family, system)
+    premises = deform.lift_premises(deform.builtin_lift(args.family, T))
     report = deform.report(f"lift-{args.family}-d{args.d}", premises, "")
     return _emit_and_exit(args, [report])
 

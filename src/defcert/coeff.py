@@ -22,7 +22,9 @@ Matrix products are exact or refused: with inner dimension k,
 (m_i - 1)(m_{l-i} - 1) < 2^63, the rule `flinalg.exact_product` states.
 Each product is one matmul against a block-Toeplitz expansion of the
 right operand, on the route that rule names: float32 BLAS when that sum
-is below 2^24, float64 BLAS below 2^53, int64 otherwise.
+is below 2^24, float64 BLAS below 2^53, int64 otherwise.  The expansion
+is written in the route dtype and the product reduced as whole rows, so
+the kernel touches each entry once on its route.
 
 >>> m = mixed_deform(3, 2, 3)
 >>> three_plus_t = np.array([[[3, 1, 0]]])
@@ -33,6 +35,7 @@ is below 2^24, float64 BLAS below 2^53, int64 otherwise.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -69,13 +72,14 @@ def convolve_levels(a, b, route):
     """Unreduced C_l = sum_{i+j=l} A_i @ B_j, as one matmul on `route`.
 
     a (..., r, k, L) folds its levels into the inner axis as it lies; b
-    (..., k, c, L) expands to the block lower-triangular Toeplitz operand
-    (..., k L, c L) whose block (i, l) is B_{l-i}, zero above the diagonal,
-    in b's dtype.  The product comes back unreduced, (..., r, c, L), in the
-    dtype `flinalg.routed_matmul` computes it in.
+    (..., k, c, L) is written once, straight from its level slices, into
+    the block lower-triangular Toeplitz operand (..., k L, c L) whose
+    block (i, l) is B_{l-i}, zero above the diagonal, allocated in the
+    `route` dtype, so `flinalg.routed_matmul` casts only a.  The product
+    comes back unreduced, (..., r, c, L), in the `route` dtype.
     """
     *lead, k, c, L = b.shape
-    toeplitz = np.zeros((*lead, k, L, c, L), dtype=b.dtype)
+    toeplitz = np.zeros((*lead, k, L, c, L), dtype=route)
     for i in range(L):
         toeplitz[..., i, :, i:] = b[..., : L - i]
     out = flinalg.routed_matmul(
@@ -85,16 +89,28 @@ def convolve_levels(a, b, route):
     return out.reshape(*out.shape[:-1], c, L)
 
 
+@lru_cache(maxsize=64)
+def _moduli_row(moduli: tuple, c: int) -> np.ndarray:
+    """The moduli tiled to one read-only int64 row of c L entries."""
+    row = np.tile(np.array(moduli, dtype=np.int64), c)
+    row.flags.writeable = False
+    return row
+
+
 def level_matmul(moduli, a, b):
     """Level-convolved matrix product of integer stacks, level axis last.
 
     a and b hold canonical coefficients with shapes (..., r, k, L) and
     (..., k, c, L); the leading axes broadcast as in np.matmul.  This is
     the one matrix product over the rings above, exact or refused.  Put
-    a stack on the left: the right operand is expanded L-fold.
+    a stack on the left: the right operand is expanded L-fold.  Each row
+    of c L unreduced entries is reduced against the moduli tiled once per
+    (moduli, c) into a new int64 array.
     """
     out = convolve_levels(a, b, flinalg.exact_product(a.shape[-2], moduli))
-    return out.astype(np.int64, copy=False) % np.array(moduli)
+    *lead, c, L = out.shape
+    rows = out.reshape(*lead, c * L).astype(np.int64, copy=False)
+    return (rows % _moduli_row(moduli, c)).reshape(out.shape)
 
 
 def level_power(moduli, stack, e):

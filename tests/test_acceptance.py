@@ -60,7 +60,7 @@ def test_criterion_03_builtin_lifts_are_flat_with_nonzero_class():
     for family, d in deform.FAMILY_CASES:
         system = deform.completed_system(family, d)
         T = deform.base_module(family, system)
-        lift = deform.builtin_lift(family, system)
+        lift = deform.builtin_lift(family, T)
         cert = deform.verify_quiver_lift(lift)
         assert cert.truncation_levels == (2, 3, 4)
         for name in T.algebra.generators:

@@ -275,14 +275,17 @@ def rings_near_bound(draw):
     return ring_near_bound(kind, k, knob)
 
 
+def reference_unreduced(a, b):
+    """sum_{i+j=l} A_i @ B_j per level l, in Python ints (object arrays)."""
+    ao, bo = a.astype(object), b.astype(object)
+    return np.stack([
+        sum(np.matmul(ao[..., i], bo[..., l - i]) for i in range(l + 1))
+        for l in range(a.shape[-1])], axis=-1)
+
+
 def reference_level_product(moduli, a, b):
     """Level-convolved product in Python ints (object arrays)."""
-    ao, bo = a.astype(object), b.astype(object)
-    out = []
-    for l in range(len(moduli)):
-        acc = sum(np.matmul(ao[..., i], bo[..., l - i]) for i in range(l + 1))
-        out.append(acc % moduli[l])
-    return np.stack(out, axis=-1)
+    return reference_unreduced(a, b) % np.array(moduli, dtype=object)
 
 
 def extreme_entries(rng, shape, moduli):
@@ -426,3 +429,70 @@ def test_level_power_is_repeated_level_matmul(e, moduli, lead, d, seed):
     got = coeff.level_power(moduli, stack, e)
     assert got.shape == stack.shape
     assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the kernel: Toeplitz operand in the route dtype, reduction over whole rows
+
+# one three-level ring per route at inner dimension 3
+RING_OF_ROUTE = {
+    np.float32: mixed_deform(3, 6, 3),
+    np.float64: mixed_deform(3, 12, 3),
+    np.int64: mixed_deform(3, 17, 3),
+}
+LEAD_PAIRS = [((), ()), ((4,), ()), ((), (4,)), ((2, 1), (1, 3))]
+
+
+@pytest.mark.parametrize("lead_a,lead_b", LEAD_PAIRS,
+                         ids=["no-lead", "lead-a", "lead-b", "lead-both"])
+@pytest.mark.parametrize("route", list(RING_OF_ROUTE),
+                         ids=lambda r: np.dtype(r).name)
+def test_convolve_levels_matches_the_per_level_reference_on_every_route(
+        route, lead_a, lead_b, monkeypatch):
+    moduli = RING_OF_ROUTE[route]
+    assert flinalg.exact_product(3, moduli) == route
+    rng = np.random.default_rng(len(lead_a) + 3 * len(lead_b))
+    a = extreme_entries(rng, (*lead_a, 2, 3), moduli)
+    b = extreme_entries(rng, (*lead_b, 3, 5), moduli)
+    operands = []
+    real = flinalg.routed_matmul
+
+    def recording(x, y, r):
+        operands.append(y.dtype)
+        return real(x, y, r)
+
+    monkeypatch.setattr(flinalg, "routed_matmul", recording)
+    got = coeff.convolve_levels(a, b, route)
+    # the Toeplitz operand is built in the route dtype, not cast to it
+    assert operands == [np.dtype(route)]
+    assert got.dtype == route
+    want = reference_unreduced(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got.astype(np.int64).astype(object), want)
+    reduced = coeff.level_matmul(moduli, a, b)
+    assert reduced.dtype == np.int64 and reduced.shape == want.shape
+    assert np.array_equal(reduced.astype(object),
+                          reference_level_product(moduli, a, b))
+
+
+def test_the_cached_moduli_row_refuses_a_write():
+    row = coeff._moduli_row((27, 9, 3), 4)
+    assert row.tolist() == [27, 9, 3] * 4
+    assert row is coeff._moduli_row((27, 9, 3), 4)
+    with pytest.raises(ValueError):
+        row[0] = 1
+
+
+@pytest.mark.parametrize("route", list(RING_OF_ROUTE),
+                         ids=lambda r: np.dtype(r).name)
+def test_writing_into_a_product_leaves_the_next_product_alone(route):
+    moduli = RING_OF_ROUTE[route]
+    rng = np.random.default_rng(7)
+    a = extreme_entries(rng, (3, 2, 3), moduli)
+    b = extreme_entries(rng, (3, 3, 2), moduli)
+    want = reference_level_product(moduli, a, b)
+    first = coeff.level_matmul(moduli, a, b)
+    first[...] = 0
+    again = coeff.level_matmul(moduli, a, b)
+    assert np.array_equal(again.astype(object), want)
+    assert again.flags.writeable and not np.shares_memory(first, again)

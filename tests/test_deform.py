@@ -34,7 +34,8 @@ def test_builtin_lift_directions(completed):
     # one matrix unit each, sitting in degree 1
     for family, (name, i, j) in deform._LIFT_DIRECTION.items():
         d = 2 if family == "II" else 3
-        L = deform.builtin_lift(family, completed(family, d))
+        L = deform.builtin_lift(
+            family, deform.base_module(family, completed(family, d)))
         assert sorted(L.t_parts) == [name]
         part = L.t_parts[name]
         assert part.shape[2] == 1
@@ -61,7 +62,8 @@ def test_lift_candidate_drops_zero_parts(completed):
 @pytest.mark.parametrize("family,d", deform.FAMILY_CASES)
 def test_builtin_lift_satisfies_every_relation(family, d, completed):
     system = completed(family, d)
-    cert = deform.verify_quiver_lift(deform.builtin_lift(family, system))
+    cert = deform.verify_quiver_lift(deform.builtin_lift(
+        family, deform.base_module(family, system)))
     assert cert.relations_checked == FAMILY_RELATION_COUNTS[family]
     assert cert.max_degree == 1
     assert cert.truncation_levels == (2, 3, 4)
@@ -113,7 +115,8 @@ def test_perturbation_inside_block_violates_a_relation(completed):
 @pytest.mark.parametrize("family,d", deform.FAMILY_CASES)
 def test_first_order_class_nonzero(family, d, completed):
     system = completed(family, d)
-    cls = deform.first_order_class(deform.builtin_lift(family, system))
+    cls = deform.first_order_class(deform.builtin_lift(
+        family, deform.base_module(family, system)))
     assert cls.dim == 1
     assert not cls.representative_is_trivial()
 
@@ -155,7 +158,7 @@ def test_first_order_class_is_additive_in_the_t_part(completed):
     system = completed("I", 2)
     T = deform.base_module("I", system)
     p = T.p
-    Lb = deform.builtin_lift("I", system)
+    Lb = deform.builtin_lift("I", T)
     Lc = _conjugate_lift(T, deform.LiftCandidate(T, {}), E(5, 4, 1))
     summed = {}
     for name in set(Lb.t_parts) | set(Lc.t_parts):
@@ -202,7 +205,7 @@ def test_a_lift_valid_mod_t2_can_break_a_relation_at_t2(completed):
     assert exc.value.relation_id.startswith("rel[")
     assert exc.value.position[2] == 2
     cls = deform.first_order_class(L)
-    ref = deform.first_order_class(deform.builtin_lift("I", system))
+    ref = deform.first_order_class(deform.builtin_lift("I", T))
     assert cls.dim == 1 and not cls.representative_is_trivial()
     assert np.array_equal(cls.representative[0], ref.representative[0])
 
@@ -550,6 +553,22 @@ def test_obstruction_rejects_wrong_shape():
 
 # ---------------------------------------------------------------------------
 # scenarios and reports
+
+
+def test_family_report_builds_its_base_module_once(completed, monkeypatch):
+    # the lift premises extend the T the Ext premises checked, not a copy
+    completed("I", 2)
+    built = []
+    real = deform.base_module
+
+    def counting(family, system):
+        built.append(real(family, system))
+        return built[-1]
+
+    monkeypatch.setattr(deform, "base_module", counting)
+    report = deform.scenario_report(deform.Scenario("family", family="I", d=2))
+    assert report.status == "VERIFIED"
+    assert len(built) == 1
 
 
 def test_family_scenario_reports_five_passing_premises(completed):
